@@ -1,6 +1,8 @@
 """Block codec: transform/quantizer closed forms, golden bitstreams,
 round trips, rate/quality monotonicity, malformed-stream handling."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from maecodec.codec import (
 )
 from maecodec.dataset import synthetic_image
 from maecodec.errors import BitstreamError, ContractError, ShapeError
+from maecodec.pipeline import PipelineConfig, compress
 
 # Standard zigzag scan of an 8x8 block, frozen from the usual table.
 ZIGZAG_REFERENCE = [
@@ -30,6 +33,13 @@ GOLDEN_NULL_2X3 = bytes.fromhex("424443310032030000000200000001060000000a141e283
 GOLDEN_DCT_GRADIENT = bytes.fromhex(
     "4244433101320800000008000000010b0000000001000d006106070a01ff"
 )
+
+# SHA-256 over the bitstreams, decoded pixels and containers of the seeded
+# cases below. Any change to a transform, quantizer or entropy-coder byte
+# shows up here.
+GOLDEN_QUALITIES = (1, 10, 50, 90, 100)
+GOLDEN_CODEC_SHA256 = "872116cfb2636eb05523284226c1289c2e8ab43a5b1b4b2ac747c40406010cc5"
+GOLDEN_CONTAINER_SHA256 = "301f6d46613c5982c15003d8d4de57c42cfb6a8e3a2d37cf3a728135a5242f37"
 
 
 # -- transform ----------------------------------------------------------------
@@ -132,6 +142,35 @@ def test_header_layout():
     assert int.from_bytes(bits[10:14], "little") == 2  # height
     assert bits[14] == 1  # channels
     assert int.from_bytes(bits[15:19], "little") == len(bits) - HEADER_BYTES
+
+
+def _golden_images():
+    rng = np.random.default_rng(2401)
+    for c in (1, 3):
+        yield synthetic_image(rng, 13, c)
+        yield synthetic_image(rng, 40, c)
+        yield rng.integers(0, 256, (5, 20, c), dtype=np.uint8)
+        yield rng.integers(0, 256, (33, 70, c), dtype=np.uint8)
+
+
+def test_codec_golden_digest():
+    digest = hashlib.sha256()
+    for img in _golden_images():
+        for q in GOLDEN_QUALITIES:
+            bits = codec_encode(img, CodecParams(CODEC_DCT, q))
+            digest.update(bits)
+            digest.update(codec_decode(bits).tobytes())
+    assert digest.hexdigest() == GOLDEN_CODEC_SHA256
+
+
+def test_container_golden_digest():
+    digest = hashlib.sha256()
+    for img in _golden_images():
+        for patch in (8, 16):
+            for q in GOLDEN_QUALITIES:
+                config = PipelineConfig(patch, 0.5, seed=3, codec=CodecParams(CODEC_DCT, q))
+                digest.update(compress(img, config).to_bytes())
+    assert digest.hexdigest() == GOLDEN_CONTAINER_SHA256
 
 
 # -- round trips --------------------------------------------------------------------
