@@ -13,6 +13,9 @@ Per 8x8 block the payload holds (run u8, varint value) pairs over the 64
 zigzagged coefficients, terminated by 0xFF once the rest are zero. Runs
 never exceed 63, so 0xFF is unambiguous. Blocks are emitted channel-major,
 then row-major over the block grid.
+
+Transform and quantization run over all blocks of a plane at once, as one
+(rows, cols, 8, 8) stack; only entropy coding runs block by block.
 """
 
 from __future__ import annotations
@@ -89,17 +92,17 @@ class CodecParams:
 
 
 def dct_block(block: np.ndarray) -> np.ndarray:
-    """Orthonormal 2-D DCT-II of an 8x8 block."""
+    """Orthonormal 2-D DCT-II of an 8x8 block or a (..., 8, 8) stack of them."""
     block = np.asarray(block, dtype=np.float64)
-    if block.shape != (8, 8):
-        raise ShapeError(f"dct_block expects 8x8, got {block.shape}")
+    if block.shape[-2:] != (8, 8):
+        raise ShapeError(f"dct_block expects (..., 8, 8), got {block.shape}")
     return DCT_MATRIX @ block @ DCT_MATRIX.T
 
 
 def idct_block(coeffs: np.ndarray) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.shape != (8, 8):
-        raise ShapeError(f"idct_block expects 8x8, got {coeffs.shape}")
+    if coeffs.shape[-2:] != (8, 8):
+        raise ShapeError(f"idct_block expects (..., 8, 8), got {coeffs.shape}")
     return DCT_MATRIX.T @ coeffs @ DCT_MATRIX
 
 
@@ -220,28 +223,20 @@ def _encode_channel(channel: np.ndarray, quality: int, out: bytearray) -> None:
     padded = _pad_to_blocks(channel) - 128.0
     bh, bw = padded.shape[0] // 8, padded.shape[1] // 8
     blocks = padded.reshape(bh, 8, bw, 8).transpose(0, 2, 1, 3)
-    table = quant_table(quality)
-    for r in range(bh):
-        for c in range(bw):
-            coeffs = DCT_MATRIX @ blocks[r, c] @ DCT_MATRIX.T
-            ratio = coeffs / table
-            q = (np.sign(ratio) * np.floor(np.abs(ratio) + 0.5)).astype(np.int64)
-            _encode_block(q.ravel()[ZIGZAG], out)
+    zigzagged = quantize(dct_block(blocks), quality).reshape(bh * bw, 64)[:, ZIGZAG]
+    for zz in zigzagged:
+        _encode_block(zz, out)
 
 
 def _decode_channel(buf: bytes, pos: int, h: int, w: int, quality: int) -> tuple[np.ndarray, int]:
     bh, bw = -(-h // 8), -(-w // 8)
-    table = quant_table(quality)
-    channel = np.empty((bh * 8, bw * 8))
-    unzig = np.empty(64, dtype=np.int64)
-    for r in range(bh):
-        for c in range(bw):
-            zz, pos = _decode_block(buf, pos)
-            unzig[ZIGZAG] = zz
-            coeffs = unzig.reshape(8, 8) * table
-            channel[r * 8 : r * 8 + 8, c * 8 : c * 8 + 8] = (
-                DCT_MATRIX.T @ coeffs @ DCT_MATRIX
-            )
+    zigzagged = np.empty((bh * bw, 64), dtype=np.int64)
+    for i in range(bh * bw):
+        zigzagged[i], pos = _decode_block(buf, pos)
+    qcoeffs = np.empty_like(zigzagged)
+    qcoeffs[:, ZIGZAG] = zigzagged
+    blocks = idct_block(dequantize(qcoeffs.reshape(bh, bw, 8, 8), quality))
+    channel = blocks.transpose(0, 2, 1, 3).reshape(bh * 8, bw * 8)
     return channel[:h, :w] + 128.0, pos
 
 

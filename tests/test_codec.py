@@ -62,6 +62,11 @@ def test_dct_round_trip_orthogonal():
     for _ in range(10):
         block = rng.normal(size=(8, 8)) * 100
         np.testing.assert_allclose(codec.idct_block(codec.dct_block(block)), block, atol=1e-10)
+    stack = rng.normal(size=(5, 8, 8)) * 100
+    coeffs = codec.dct_block(stack)
+    for block, block_coeffs in zip(stack, coeffs):
+        np.testing.assert_array_equal(codec.dct_block(block), block_coeffs)
+    np.testing.assert_allclose(codec.idct_block(coeffs), stack, atol=1e-10)
 
 
 def test_dct_matrix_is_orthonormal():
@@ -69,8 +74,11 @@ def test_dct_matrix_is_orthonormal():
 
 
 def test_dct_rejects_wrong_shape():
-    with pytest.raises(ShapeError):
-        codec.dct_block(np.zeros((4, 4)))
+    for shape in ((4, 4), (3, 4, 4)):
+        with pytest.raises(ShapeError):
+            codec.dct_block(np.zeros(shape))
+        with pytest.raises(ShapeError):
+            codec.idct_block(np.zeros(shape))
 
 
 # -- quantizer ------------------------------------------------------------------
