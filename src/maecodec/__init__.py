@@ -40,7 +40,7 @@ from .masking import (
     unpatchify,
     unstack_visible,
 )
-from .metrics import MetricReport, mse, psnr, ssim
+from .metrics import mse, psnr, ssim
 from .pipeline import (
     Container,
     PipelineConfig,
@@ -75,7 +75,6 @@ __all__ = [
     "InfeasibleBudgetError",
     "MaskSpec",
     "MaskedAutoencoder",
-    "MetricReport",
     "NumericError",
     "PatchGrid",
     "PipelineConfig",

@@ -1,4 +1,4 @@
-"""Command-line surface: compress, decompress, train, sweep, budget."""
+"""Command-line surface: compress, decompress, corpus, train, sweep, budget."""
 
 from __future__ import annotations
 
@@ -48,6 +48,16 @@ def _cmd_decompress(args) -> int:
     image = decompress(container, model)
     dataset.save_image(args.output, image)
     print(f"{args.output}: {image.shape[1]}x{image.shape[0]}x{image.shape[2]}")
+    return 0
+
+
+def _cmd_corpus(args) -> int:
+    os.makedirs(args.out, exist_ok=True)
+    corpus = dataset.synthetic_corpus(args.count, args.size, args.channels, args.seed)
+    ext = "ppm" if args.channels == 3 else "pgm"
+    for name, image in corpus:
+        dataset.save_image(os.path.join(args.out, f"{name}.{ext}"), image)
+    print(f"{args.out}: {len(corpus)} images of {args.size}x{args.size}x{args.channels}")
     return 0
 
 
@@ -118,7 +128,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_budget(args) -> int:
-    calibration = sweep.read_csv(args.calibration)
+    # A sweep CSV holds per-image rows and the corpus means; calibrate on the
+    # means so that no single easy image decides the config.
+    points = sweep.read_csv(args.calibration)
+    calibration = [p for p in points if p.image_id == "mean"] or points
     try:
         config = sweep.select_config_for_budget(
             args.bits, args.width, args.height, calibration
@@ -155,6 +168,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="PPM/PGM image")
     p.add_argument("--model", default=None, help="checkpoint (optional when nothing is masked)")
     p.set_defaults(func=_cmd_decompress)
+
+    p = sub.add_parser("corpus", help="write a synthetic corpus as PGM/PPM files")
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--count", type=int, default=500)
+    p.add_argument("--size", type=int, default=64)
+    p.add_argument("--channels", type=int, default=1, choices=(1, 3))
+    p.add_argument("--seed", type=int, default=11)
+    p.set_defaults(func=_cmd_corpus)
 
     p = sub.add_parser("train", help="train a toy model")
     p.add_argument("--dataset", default=None, help="PPM/PGM directory")

@@ -9,7 +9,6 @@ computed on BT.601 luma, borders handled by valid-window cropping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -105,24 +104,3 @@ def psnr(a, b) -> float:
     if err == 0.0:
         return PSNR_INF
     return 10.0 * math.log10(255.0**2 / err)
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    ssim: float
-    psnr: float
-    mse: float
-    bpp: float
-
-    def __post_init__(self):
-        if (self.mse == 0.0) != (self.psnr == PSNR_INF):
-            raise ContractError("mse == 0 must coincide with the +inf PSNR sentinel")
-
-
-def report(original, reconstructed, bpp: float) -> MetricReport:
-    return MetricReport(
-        ssim=ssim(original, reconstructed),
-        psnr=psnr(original, reconstructed),
-        mse=mse(original, reconstructed),
-        bpp=bpp,
-    )

@@ -1,8 +1,9 @@
 """Rate-distortion sweep, Pareto selection, budget fitting, CSV/plot IO.
 
 A sweep evaluates the full (image x ratio x quality) cross-product through
-compress/decompress and the quality metrics. Per-cell failures are
-collected, not fatal. All emitted files are byte-stable across runs:
+compress/decompress and the quality metrics. Per-cell failures raised as
+one of the package's own error types are collected, not fatal; anything
+else is a bug and propagates. All emitted files are byte-stable across runs:
 fixed field order, fixed float formatting, LF line endings, UTF-8.
 """
 
@@ -15,11 +16,25 @@ import numpy as np
 
 from . import metrics
 from .codec import CODEC_DCT, CodecParams
-from .errors import ContractError, InfeasibleBudgetError
+from .errors import (
+    BitstreamError,
+    CheckpointError,
+    ContainerError,
+    ContractError,
+    InfeasibleBudgetError,
+    NumericError,
+    ShapeError,
+)
 from .mae import MaskedAutoencoder
 from .pipeline import PipelineConfig, compress, decompress, rate_report
 
 CSV_HEADER = "image_id,mask_ratio,quality,overall_bpp,payload_bpp,ssim,psnr"
+
+# Errors a single cell may raise on bad input; the sweep records them and
+# moves on.
+CELL_ERRORS = (
+    ShapeError, NumericError, ContractError, BitstreamError, ContainerError, CheckpointError,
+)
 
 
 @dataclass(frozen=True)
@@ -91,7 +106,7 @@ def rd_sweep(
                             psnr=metrics.psnr(image, output),
                         )
                     )
-                except Exception as exc:  # cell isolation: sweep continues
+                except CELL_ERRORS as exc:  # cell isolation: sweep continues
                     failures.append(
                         SweepFailure(image_id, ratio, quality, f"{type(exc).__name__}: {exc}")
                     )

@@ -104,6 +104,39 @@ def test_train_and_sweep_and_budget(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_budget_calibrates_on_corpus_means(tmp_path, capsys):
+    csv_path = tmp_path / "points.csv"
+    sweep.write_csv([
+        sweep.RDPoint("easy", 0.8, 90, 0.10, 0.10, 0.99, 40.0),
+        sweep.RDPoint("hard", 0.8, 90, 0.30, 0.30, 0.50, 20.0),
+        sweep.RDPoint("mean", 0.8, 90, 0.20, 0.20, 0.745, 30.0),
+        sweep.RDPoint("mean", 0.5, 40, 0.15, 0.15, 0.80, 31.0),
+    ], csv_path)
+    rc = cli.main([
+        "budget", "--bits", "2000", "--width", "100", "--height", "100",
+        "--calibration", str(csv_path),
+    ])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("mask_ratio 0.5 quality 40 ")
+
+
+@pytest.mark.parametrize("channels,ext", [(1, "pgm"), (3, "ppm")])
+def test_corpus_writes_synthetic_corpus(tmp_path, capsys, channels, ext):
+    out_dir = tmp_path / "toy"
+    rc = cli.main([
+        "corpus", "--out", str(out_dir), "--count", "3", "--size", "16",
+        "--channels", str(channels), "--seed", "5",
+    ])
+    assert rc == 0
+    assert "3 images" in capsys.readouterr().out
+    assert sorted(p.suffix for p in out_dir.iterdir()) == [f".{ext}"] * 3
+    loaded = dataset.load_corpus(out_dir)
+    expected = dataset.synthetic_corpus(3, 16, channels, 5)
+    assert [name for name, _ in loaded] == [name for name, _ in expected]
+    for (_, got), (_, want) in zip(loaded, expected):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_train_synthetic_corpus(tmp_path):
     ckpt = tmp_path / "syn.tmck"
     rc = cli.main([

@@ -118,6 +118,9 @@ def test_luma_weights():
 def test_psnr_identity_sentinel():
     img = np.zeros((4, 4, 1), dtype=np.uint8)
     assert metrics.psnr(img, img) == math.inf
+    flat = np.full((16, 16, 1), 70, dtype=np.uint8)
+    assert metrics.ssim(flat, flat) == 1.0
+    assert metrics.psnr(flat, flat) == math.inf and metrics.mse(flat, flat) == 0.0
 
 
 def test_psnr_unit_mse_closed_form():
@@ -140,21 +143,6 @@ def test_mse_all_channels():
     b = a.copy()
     b[0, 0, 0] = 12
     assert abs(metrics.mse(a, b) - 144 / 12) < 1e-12
-
-
-def test_metric_report_invariant():
-    metrics.MetricReport(ssim=1.0, psnr=math.inf, mse=0.0, bpp=1.0)
-    metrics.MetricReport(ssim=0.5, psnr=30.0, mse=5.0, bpp=1.0)
-    with pytest.raises(ContractError):
-        metrics.MetricReport(ssim=0.5, psnr=30.0, mse=0.0, bpp=1.0)
-    with pytest.raises(ContractError):
-        metrics.MetricReport(ssim=1.0, psnr=math.inf, mse=2.0, bpp=1.0)
-
-
-def test_report_same_image_case():
-    img = np.full((16, 16, 1), 70, dtype=np.uint8)
-    rep = metrics.report(img, img, bpp=2.0)
-    assert rep.ssim == 1.0 and rep.psnr == math.inf and rep.mse == 0.0
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

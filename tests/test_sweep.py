@@ -77,6 +77,17 @@ def test_sweep_isolates_per_cell_failures():
     assert "ContractError" in result.failures[0].error
 
 
+def test_sweep_propagates_unexpected_errors(monkeypatch):
+    """Only the package's own error types are per-cell failures; bugs surface."""
+
+    def broken_decompress(container, model):
+        raise TypeError("bug in the receiver")
+
+    monkeypatch.setattr(sweep, "decompress", broken_decompress)
+    with pytest.raises(TypeError, match="bug in the receiver"):
+        sweep.rd_sweep([("a", _gray(8))], [0.5], [50], _sweep_model())
+
+
 def test_sweep_requires_nonempty_inputs_and_patch_size():
     model = _sweep_model()
     with pytest.raises(ContractError):
