@@ -213,9 +213,10 @@ def softmax_rows(a: Tensor) -> Tensor:
         raise ShapeError(f"softmax_rows: expected a matrix, got shape {a.shape}")
     if not np.isfinite(a.data).all():
         raise NumericError("softmax_rows: non-finite input")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    # The subtraction yields a fresh array, so exp and normalize it in place.
+    y = a.data - a.data.max(axis=1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=1, keepdims=True)
 
     def back(g):
         # dx = y * (g - sum(g * y, per row))

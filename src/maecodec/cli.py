@@ -131,7 +131,7 @@ def _cmd_budget(args) -> int:
     # A sweep CSV holds per-image rows and the corpus means; calibrate on the
     # means so that no single easy image decides the config.
     points = sweep.read_csv(args.calibration)
-    calibration = [p for p in points if p.image_id == "mean"] or points
+    calibration = [p for p in points if p.image_id == sweep.MEAN_ID] or points
     try:
         config = sweep.select_config_for_budget(
             args.bits, args.width, args.height, calibration

@@ -29,6 +29,8 @@ from .mae import MaskedAutoencoder
 from .pipeline import PipelineConfig, compress, decompress, rate_report
 
 CSV_HEADER = "image_id,mask_ratio,quality,overall_bpp,payload_bpp,ssim,psnr"
+# image_id of the corpus-mean rows that corpus_mean emits.
+MEAN_ID = "mean"
 
 # Errors a single cell may raise on bad input; the sweep records them and
 # moves on.
@@ -80,6 +82,14 @@ def rd_sweep(
         if model is None:
             raise ContractError("need either a model or an explicit patch_size")
         patch_size = model.config.patch_size
+    # Checked before the first cell: a bad id would otherwise surface only
+    # when the written CSV is read back.
+    for image_id, _ in corpus:
+        if image_id == MEAN_ID or any(ch in image_id for ch in ",\n\r"):
+            raise ContractError(
+                f"image id {image_id!r} cannot be a sweep CSV id: it must not "
+                f"contain ',', '\\n' or '\\r' or equal {MEAN_ID!r}"
+            )
     points: list[RDPoint] = []
     failures: list[SweepFailure] = []
     for image_id, image in corpus:
@@ -114,7 +124,7 @@ def rd_sweep(
 
 
 def corpus_mean(points: list[RDPoint]) -> list[RDPoint]:
-    """Average per (ratio, quality) cell over images, id "mean".
+    """Average per (ratio, quality) cell over images, id MEAN_ID.
 
     Cells appear in first-occurrence order, so a grid sweep yields the
     grid order back.
@@ -126,7 +136,7 @@ def corpus_mean(points: list[RDPoint]) -> list[RDPoint]:
     for (ratio, quality), cell in groups.items():
         means.append(
             RDPoint(
-                image_id="mean",
+                image_id=MEAN_ID,
                 mask_ratio=ratio,
                 quality=quality,
                 overall_bpp=float(np.mean([p.overall_bpp for p in cell])),

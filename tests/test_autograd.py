@@ -81,6 +81,21 @@ def test_softmax_rows_sum_to_one():
     assert (out.data >= 0).all() and (out.data <= 1).all()
 
 
+def test_softmax_rows_matches_reference_bitwise():
+    # the textbook out-of-place formula, evaluated with the same float ops
+    def reference(x):
+        shifted = x - x.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        return e / e.sum(axis=1, keepdims=True)
+
+    rng = np.random.default_rng(7)
+    for shape in [(1, 1), (7, 13), (300, 300)]:
+        x = rng.normal(size=shape) * 10.0
+        x += rng.choice([0.0, 1e3, -1e4, 1e6], size=(shape[0], 1))
+        out = ag.softmax_rows(Tensor(x))
+        assert np.array_equal(out.data, reference(x))
+
+
 def test_layer_norm_constant_row_is_zero():
     out = ag.layer_norm(t([[3.0, 3.0, 3.0]]), t(np.ones(3)), t(np.zeros(3)))
     np.testing.assert_allclose(out.data, np.zeros((1, 3)), atol=1e-9)

@@ -68,6 +68,36 @@ def test_ssim_matches_brute_force_oracle():
         assert abs(fast - slow) < 1e-9
 
 
+def test_gaussian_taps_outer_product_is_oracle_window():
+    window = np.outer(metrics.GAUSSIAN_TAPS, metrics.GAUSSIAN_TAPS)
+    assert np.abs(window - _oracle_window()).max() < 1e-15
+
+
+@pytest.mark.parametrize("shape", [(11, 11), (11, 40), (37, 11), (23, 58)])
+def test_ssim_matches_oracle_on_non_square_and_edge_11_planes(shape):
+    rng = np.random.default_rng(sum(shape))
+    x = rng.integers(0, 256, shape, dtype=np.uint8)
+    y = np.clip(x + rng.normal(0, 20, x.shape), 0, 255).astype(np.uint8)
+    fast = metrics.ssim(x[:, :, None], y[:, :, None])
+    assert abs(fast - brute_force_ssim(x.astype(float), y.astype(float))) < 1e-9
+
+
+def test_ssim_rgb_mean_matches_per_channel_oracle():
+    rng = np.random.default_rng(6)
+    a = rng.integers(0, 256, (19, 27, 3), dtype=np.uint8)
+    b = np.clip(a + rng.normal(0, 30, a.shape), 0, 255).astype(np.uint8)
+    oracle = np.mean(
+        [brute_force_ssim(a[:, :, c].astype(float), b[:, :, c].astype(float)) for c in range(3)]
+    )
+    assert abs(metrics.ssim(a, b, mode="rgb_mean") - oracle) < 1e-9
+
+
+@pytest.mark.parametrize("shape", [(256, 256, 1), (512, 768, 3)])
+def test_ssim_identity_is_exactly_one_at_full_size(shape):
+    img = np.random.default_rng(7).integers(0, 256, shape, dtype=np.uint8)
+    assert metrics.ssim(img, img) == 1.0
+
+
 def test_ssim_noise_monotonicity():
     rng = np.random.default_rng(2)
     base = rng.integers(0, 256, (32, 32, 1), dtype=np.uint8)

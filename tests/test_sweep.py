@@ -100,6 +100,26 @@ def test_sweep_requires_nonempty_inputs_and_patch_size():
         sweep.rd_sweep([("a", _gray(5))], [0.5], [50], model=None)
 
 
+@pytest.mark.parametrize("bad_id", ["a,b", "a\nb", "a\rb", "mean"])
+def test_sweep_rejects_ids_the_csv_cannot_hold(bad_id, monkeypatch):
+    """Raised before the first cell, not when the written CSV is read back."""
+    cells = []
+    monkeypatch.setattr(sweep, "compress", lambda *args: cells.append(args))
+    corpus = [("ok", _gray(9)), (bad_id, _gray(10))]
+    with pytest.raises(ContractError, match="image id"):
+        sweep.rd_sweep(corpus, [0.5], [50], _sweep_model())
+    assert cells == []
+
+
+def test_sweep_ids_round_trip_through_csv(tmp_path):
+    corpus = [("mean2", _gray(11)), ("a b;c", _gray(12))]
+    result = sweep.rd_sweep(corpus, [0.5], [50], _sweep_model())
+    path = tmp_path / "ids.csv"
+    sweep.write_csv(result.points + sweep.corpus_mean(result.points), path)
+    ids = [p.image_id for p in sweep.read_csv(path)]
+    assert ids == ["mean2", "a b;c", sweep.MEAN_ID]
+
+
 def test_sweep_deterministic_csv_bytes(tmp_path):
     corpus = [("a", _gray(6)), ("b", _gray(7))]
     model = _sweep_model()
