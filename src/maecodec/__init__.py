@@ -47,7 +47,6 @@ from .pipeline import (
     compress,
     container_from_bytes,
     decompress,
-    overall_bpp,
     rate_report,
 )
 from .sweep import (
@@ -100,7 +99,6 @@ __all__ = [
     "mask_from_counts",
     "masked_mse",
     "mse",
-    "overall_bpp",
     "pareto_front",
     "patchify",
     "psnr",

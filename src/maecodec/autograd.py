@@ -1,10 +1,12 @@
 """Dense float64 arrays with reverse-mode automatic differentiation.
 
-Just enough machinery to train a small transformer: matmul, elementwise
-arithmetic, row softmax, layer norm, GELU, reductions, and row/column
-gather/scatter. There is deliberately no broadcasting beyond applying a
-1-D vector across the rows of a matrix; every other shape mismatch is an
-error, which keeps the gradient rules small and auditable.
+Just enough machinery to train a small transformer: matmul, transpose,
+add/sub/mul, row softmax, layer norm, GELU, reductions, row
+gather/scatter/tile and column concatenation. Every op is a plain
+function; ``Tensor`` has no operator overloads. There is deliberately no
+broadcasting beyond adding a 1-D vector to every row of a matrix and
+scaling by a number; every other shape mismatch is an error, which keeps
+the gradient rules small and auditable.
 
 Graph edges live on the output tensor (parent references plus a closure
 that routes the upstream gradient), so independent computations never
@@ -54,42 +56,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # -- operator sugar -------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return add(neg(self), other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
-    def sum(self) -> "Tensor":
-        return sum_all(self)
-
-    def mean(self) -> "Tensor":
-        return mean_all(self)
-
 
 def _result(data: np.ndarray, parents, grad_fn) -> Tensor:
     """Build an op output; graph edges are recorded only when needed."""
@@ -115,19 +81,11 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     t.grad += g
 
 
-def _as_scalar(x) -> float | None:
-    if isinstance(x, (int, float, np.integer, np.floating)):
-        return float(x)
-    return None
-
-
 # -- elementwise arithmetic ---------------------------------------------
 
 
-def add(a: Tensor, b) -> Tensor:
-    c = _as_scalar(b)
-    if c is not None:
-        return _result(a.data + c, (a,), lambda g: _accumulate(a, g))
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Same-shape sum, or a 1-D vector added to every row of a matrix."""
     if a.shape == b.shape:
 
         def back(g):
@@ -145,30 +103,21 @@ def add(a: Tensor, b) -> Tensor:
     raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
 
 
-def sub(a: Tensor, b) -> Tensor:
-    c = _as_scalar(b)
-    if c is not None:
-        return _result(a.data - c, (a,), lambda g: _accumulate(a, g))
-    if a.shape == b.shape:
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape:
+        raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}")
 
-        def back(g):
-            _accumulate(a, g)
-            _accumulate(b, -g)
+    def back(g):
+        _accumulate(a, g)
+        _accumulate(b, -g)
 
-        return _result(a.data - b.data, (a, b), back)
-    if a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
-
-        def back_row(g):
-            _accumulate(a, g)
-            _accumulate(b, -g.sum(axis=0))
-
-        return _result(a.data - b.data, (a, b), back_row)
-    raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}")
+    return _result(a.data - b.data, (a, b), back)
 
 
 def mul(a: Tensor, b) -> Tensor:
-    c = _as_scalar(b)
-    if c is not None:
+    """Same-shape elementwise product, or scaling by a Python/numpy number."""
+    if isinstance(b, (int, float, np.integer, np.floating)):
+        c = float(b)
         return _result(a.data * c, (a,), lambda g: _accumulate(a, g * c))
     if a.shape != b.shape:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
@@ -178,10 +127,6 @@ def mul(a: Tensor, b) -> Tensor:
         _accumulate(b, g * a.data)
 
     return _result(a.data * b.data, (a, b), back)
-
-
-def neg(a: Tensor) -> Tensor:
-    return _result(-a.data, (a,), lambda g: _accumulate(a, -g))
 
 
 # -- linear algebra -------------------------------------------------------
@@ -334,18 +279,6 @@ def tile_rows(vec: Tensor, n_rows: int) -> Tensor:
     return _result(
         np.tile(vec.data, (n_rows, 1)), (vec,), lambda g: _accumulate(vec, g.sum(axis=0))
     )
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError(f"slice_cols: expected a matrix, got shape {a.shape}")
-
-    def back(g):
-        full = np.zeros_like(a.data)
-        full[:, start:stop] = g
-        _accumulate(a, full)
-
-    return _result(a.data[:, start:stop].copy(), (a,), back)
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:

@@ -77,6 +77,8 @@ def _model_config_from_args(args) -> mae.TMAEConfig:
 
 
 def _cmd_train(args) -> int:
+    # Create the checkpoint's directory now, not after the whole training run.
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     if args.dataset:
         corpus = dataset.load_corpus(args.dataset)
     else:
@@ -97,6 +99,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    # Create the CSV's directory now, not after every cell has run.
+    os.makedirs(os.path.dirname(args.csv_out) or ".", exist_ok=True)
     corpus = dataset.load_corpus(args.dataset)
     model = mae.load_checkpoint(args.model)
     result = sweep.rd_sweep(

@@ -189,9 +189,11 @@ def encode_visible(visible, keep_indices, model: MaskedAutoencoder) -> Tensor:
         raise ShapeError(f"{vis.shape[0]} patches for {len(keep)} keep indices")
     if any(i < 0 for i in keep):
         raise ContractError("negative patch index")
-    seq = tf.patch_embed(vis, model.embed, positions=keep)
+    if len(set(keep)) != len(keep):
+        raise ContractError("keep indices must be distinct")
+    seq = tf.patch_embed(vis, model.embed)
     pe = tf.positional_rows(keep, cfg.enc_d_model)
-    seq = tf.TokenSequence(ag.add(seq.tokens, pe), seq.positions)
+    seq = tf.TokenSequence(ag.add(seq.tokens, pe))
     for block in model.enc_blocks:
         seq = tf.encoder_block(seq, block)
     return ag.layer_norm(seq.tokens, model.enc_ln_gain, model.enc_ln_bias)
@@ -212,7 +214,7 @@ def decode_full(latent: Tensor, spec: MaskSpec, model: MaskedAutoencoder) -> Ten
         mask_rows = ag.tile_rows(model.mask_token, len(spec.masked_indices))
         tokens = ag.add(tokens, ag.scatter_rows(n, spec.masked_indices, mask_rows))
     tokens = ag.add(tokens, tf.positional_encoding(n, cfg.dec_d_model))
-    seq = tf.TokenSequence(tokens, tuple(range(n)))
+    seq = tf.TokenSequence(tokens)
     for block in model.dec_blocks:
         seq = tf.encoder_block(seq, block)
     return ag.add(ag.matmul(seq.tokens, model.head_w), model.head_b)

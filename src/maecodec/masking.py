@@ -9,7 +9,7 @@ draws. Modulo bias is negligible for n <= 2^20.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,12 +67,12 @@ class MaskSpec:
     """Keep/mask partition of the patch index set.
 
     The partition is a pure function of (seed, n_patches, keep_count); those
-    three travel in the container. mask_ratio is informational (the receiver
-    only sees the effective ratio) and excluded from equality.
+    three travel in the container. The requested mask ratio is not kept:
+    generate_mask turns it into keep_count, and the receiver only ever
+    sees that count.
     """
 
     seed: int
-    mask_ratio: float = field(compare=False)
     n_patches: int
     keep_count: int
     keep_indices: tuple[int, ...]
@@ -126,11 +126,10 @@ def _shuffled_indices(seed: int, n: int) -> list[int]:
     return perm
 
 
-def _build_spec(seed: int, n_patches: int, keep_count: int, ratio: float) -> MaskSpec:
+def _build_spec(seed: int, n_patches: int, keep_count: int) -> MaskSpec:
     perm = _shuffled_indices(seed, n_patches)
     return MaskSpec(
         seed=seed,
-        mask_ratio=ratio,
         n_patches=n_patches,
         keep_count=keep_count,
         keep_indices=tuple(sorted(perm[:keep_count])),
@@ -142,12 +141,12 @@ def mask_from_counts(seed: int, n_patches: int, keep_count: int) -> MaskSpec:
     """Rebuild the partition from the protocol triple carried in the container."""
     if n_patches < 1 or not 1 <= keep_count <= n_patches:
         raise ContractError(f"keep_count {keep_count} outside 1..{n_patches}")
-    return _build_spec(seed, n_patches, keep_count, 1.0 - keep_count / n_patches)
+    return _build_spec(seed, n_patches, keep_count)
 
 
 def generate_mask(seed: int, n_patches: int, mask_ratio: float) -> MaskSpec:
     keep_count = keep_count_for_ratio(n_patches, mask_ratio)
-    return _build_spec(seed, n_patches, keep_count, mask_ratio)
+    return _build_spec(seed, n_patches, keep_count)
 
 
 def _as_array(patches) -> np.ndarray:

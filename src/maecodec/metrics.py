@@ -4,7 +4,8 @@ All metrics take 8-bit images (or float arrays on the 0..255 scale) of
 identical shape. SSIM follows the reference parameterization: 11x11
 Gaussian window with sigma 1.5, applied as two separable 11-tap passes
 (rows, then columns), C1 = (0.01*255)^2, C2 = (0.03*255)^2, computed on
-BT.601 luma, borders handled by valid-window cropping.
+BT.601 luma only (a 3-channel image is reduced to one luma plane first),
+borders handled by valid-window cropping.
 """
 
 from __future__ import annotations
@@ -75,16 +76,11 @@ def _ssim_plane(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(num / den))
 
 
-def ssim(a, b, mode: str = "luma") -> float:
-    """Mean local SSIM. mode "luma" (default) or "rgb_mean"."""
+def ssim(a, b) -> float:
+    """Mean local SSIM of the BT.601 luma planes."""
     pa, pb = _as_planes(a), _as_planes(b)
     _check_same_dims(pa, pb)
-    if mode == "luma":
-        return _ssim_plane(luma(pa), luma(pb))
-    if mode == "rgb_mean":
-        vals = [_ssim_plane(pa[:, :, c], pb[:, :, c]) for c in range(pa.shape[2])]
-        return float(np.mean(vals))
-    raise ContractError(f"unknown SSIM mode {mode!r}")
+    return _ssim_plane(luma(pa), luma(pb))
 
 
 def mse(a, b) -> float:

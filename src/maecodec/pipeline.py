@@ -70,12 +70,11 @@ class Container:
     seed: int
     codec: CodecParams
     payload: bytes
-    version: int = CONTAINER_VERSION
 
     def to_bytes(self) -> bytes:
         header = _HEADER.pack(
             CONTAINER_MAGIC,
-            self.version,
+            CONTAINER_VERSION,
             self.orig_width,
             self.orig_height,
             self.channels,
@@ -162,7 +161,6 @@ def container_from_bytes(blob: bytes) -> Container:
         seed=seed,
         codec=codec,
         payload=blob[HEADER_BYTES:],
-        version=version,
     )
 
 
@@ -224,17 +222,11 @@ class RateReport:
     original_pixels: int
 
 
-def rate_report(container: Container, dims: tuple[int, int] | None = None) -> RateReport:
-    """dims is (width, height); defaults to the container's original dims."""
-    if dims is None:
-        w, h = container.orig_width, container.orig_height
-    else:
-        w, h = dims
-    if w <= 0 or h <= 0:
-        raise ContractError(f"dims must be positive, got {w}x{h}")
+def rate_report(container: Container) -> RateReport:
+    """Rates per pixel of the container's original image dimensions."""
     spec = container.mask_spec()
     cgrid = condensed_grid_for(spec, container.padded_grid())
-    original_pixels = w * h
+    original_pixels = container.orig_width * container.orig_height
     condensed_pixels = cgrid.width * cgrid.height
     payload_bits = 8 * len(container.payload)
     return RateReport(
@@ -246,7 +238,3 @@ def rate_report(container: Container, dims: tuple[int, int] | None = None) -> Ra
         condensed_pixels=condensed_pixels,
         original_pixels=original_pixels,
     )
-
-
-def overall_bpp(container: Container, dims: tuple[int, int] | None = None) -> float:
-    return rate_report(container, dims).overall_bpp

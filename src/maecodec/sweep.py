@@ -173,11 +173,11 @@ def select_config_for_budget(
     width: int,
     height: int,
     calibration: list[RDPoint],
-    patch_size: int = 16,
-    seed: int = 0,
-    codec_id: int = CODEC_DCT,
 ) -> PipelineConfig:
-    """Best-SSIM calibration point whose overall bpp fits the budget."""
+    """Best-SSIM calibration point whose overall bpp fits the budget.
+
+    Only mask ratio and quality come from the point; the rest are defaults.
+    """
     if not calibration:
         raise ContractError("empty calibration set")
     if budget_bits <= 0 or width <= 0 or height <= 0:
@@ -192,12 +192,7 @@ def select_config_for_budget(
             min_bits=min_bits,
         )
     best = max(feasible, key=lambda p: (p.ssim, -p.overall_bpp))
-    return PipelineConfig(
-        patch_size=patch_size,
-        mask_ratio=best.mask_ratio,
-        seed=seed,
-        codec=CodecParams(codec_id, best.quality),
-    )
+    return PipelineConfig(mask_ratio=best.mask_ratio, codec=CodecParams(quality=best.quality))
 
 
 # -- file emission -----------------------------------------------------------

@@ -36,9 +36,6 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 8
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     ratio_low: float = 0.5
     ratio_high: float = 0.8
@@ -46,10 +43,8 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.crop_size, self.epochs, self.batch_size) < 1:
             raise ContractError("crop_size, epochs and batch_size must be >= 1")
-        if self.learning_rate <= 0 or self.eps <= 0:
-            raise ContractError("learning_rate and eps must be positive")
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ContractError("Adam betas must lie in (0, 1)")
+        if self.learning_rate <= 0:
+            raise ContractError("learning_rate must be positive")
         if not 0.0 <= self.ratio_low <= self.ratio_high < 1.0:
             raise ContractError(
                 f"ratio range [{self.ratio_low}, {self.ratio_high}] must sit inside [0, 1)"
@@ -57,7 +52,7 @@ class TrainConfig:
 
 
 class Adam:
-    def __init__(self, params: list[Tensor], lr: float, beta1: float, beta2: float, eps: float):
+    def __init__(self, params: list[Tensor], lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = params
         self.lr = lr
         self.beta1 = beta1
@@ -117,7 +112,7 @@ def train(
     images = [img for _, img in corpus]
     rng = np.random.default_rng(cfg.seed)
     model = init_model(model_config, seed=cfg.seed)
-    opt = Adam(model.parameters(), cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
+    opt = Adam(model.parameters(), cfg.learning_rate)
 
     n_patches_per_crop = None
     epoch_losses: list[float] = []

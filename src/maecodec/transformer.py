@@ -2,13 +2,15 @@
 
 Tokens are rows of a matrix (row-vector convention), so attention logits
 are Q @ K^T scaled by 1/sqrt(d_head). Encoder blocks use the pre-norm
-residual form: x + MHA(LN(x)) followed by x + FFN(LN(x)).
+residual form: x + MHA(LN(x)) followed by x + FFN(LN(x)). A
+``TokenSequence`` carries only the token matrix: patch positions enter as
+positional-encoding rows added to the tokens, never as metadata.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,30 +90,18 @@ class EncoderBlockParams:
 
 @dataclass
 class TokenSequence:
-    """Token matrix plus the original patch index of each row."""
+    """Token matrix, one row per token."""
 
     tokens: Tensor
-    positions: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         if self.tokens.ndim != 2:
             raise ShapeError(f"tokens must be a matrix, got shape {self.tokens.shape}")
-        if not self.positions:
-            self.positions = tuple(range(self.tokens.shape[0]))
-        if len(self.positions) != self.tokens.shape[0]:
-            raise ShapeError(
-                f"{len(self.positions)} positions for {self.tokens.shape[0]} tokens"
-            )
-        if len(set(self.positions)) != len(self.positions):
-            raise ContractError("positions must be distinct")
 
 
-def patch_embed(patches: Tensor, projection: Tensor, positions=None) -> TokenSequence:
+def patch_embed(patches: Tensor, projection: Tensor) -> TokenSequence:
     """Project flattened patches into the embedding space."""
-    tokens = ag.matmul(patches, projection)
-    if positions is None:
-        positions = tuple(range(tokens.shape[0]))
-    return TokenSequence(tokens, tuple(positions))
+    return TokenSequence(ag.matmul(patches, projection))
 
 
 def positional_encoding(n_positions: int, d_model: int) -> Tensor:
@@ -177,12 +167,11 @@ def feed_forward(x: Tensor, params: EncoderBlockParams) -> Tensor:
 
 
 def encoder_block(x: TokenSequence, params: EncoderBlockParams) -> TokenSequence:
-    """Pre-norm residual block; positions pass through unchanged."""
+    """Pre-norm residual block; positions enter only as PE rows in the tokens."""
     normed = ag.layer_norm(x.tokens, params.ln1_gain, params.ln1_bias)
-    mid = ag.add(x.tokens, multi_head_attention(TokenSequence(normed, x.positions), params))
+    mid = ag.add(x.tokens, multi_head_attention(TokenSequence(normed), params))
     normed2 = ag.layer_norm(mid, params.ln2_gain, params.ln2_bias)
-    out = ag.add(mid, feed_forward(normed2, params))
-    return TokenSequence(out, x.positions)
+    return TokenSequence(ag.add(mid, feed_forward(normed2, params)))
 
 
 def init_encoder_block(cfg: AttentionConfig, d_ff: int, rng: np.random.Generator) -> EncoderBlockParams:

@@ -151,6 +151,38 @@ def test_train_synthetic_corpus(tmp_path):
     assert model.config.patch_size == 4
 
 
+def test_train_creates_missing_checkpoint_directory(tmp_path):
+    ckpt = tmp_path / "missing" / "nested" / "toy.tmck"
+    rc = cli.main([
+        "train", "--synthetic", "2", "--out", str(ckpt),
+        "--epochs", "1", "--crop-size", "8", "--patch-size", "4",
+        "--enc-width", "8", "--enc-depth", "1", "--enc-heads", "2",
+        "--enc-ff", "8", "--dec-width", "4", "--dec-depth", "1",
+        "--dec-heads", "2", "--dec-ff", "4",
+    ])
+    assert rc == 0
+    assert mae.load_checkpoint(ckpt).config.patch_size == 4
+
+
+def test_sweep_creates_missing_csv_directory(tmp_path):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    _write_image(data_dir / "img0.pgm", seed=3, size=16)
+    ckpt = tmp_path / "model.tmck"
+    cfg = mae.TMAEConfig(
+        patch_size=8, channels=1, enc_d_model=16, enc_depth=1, enc_heads=2,
+        enc_d_ff=16, dec_d_model=8, dec_depth=1, dec_heads=2, dec_d_ff=8,
+    )
+    mae.save_checkpoint(mae.init_model(cfg, seed=0), ckpt)
+    csv_path = tmp_path / "missing" / "rd.csv"
+    rc = cli.main([
+        "sweep", "--dataset", str(data_dir), "--model", str(ckpt),
+        "--ratios", "0.5", "--qualities", "50", "--csv-out", str(csv_path),
+    ])
+    assert rc == 0
+    assert len(sweep.read_csv(csv_path)) == 2  # one cell plus its mean
+
+
 def test_unknown_command_exits_nonzero():
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])

@@ -86,6 +86,12 @@ def test_encode_visible_rejects_bad_shapes(tiny_mae_config):
         mae.encode_visible(np.zeros((1, tiny_mae_config.patch_dim)), (-1,), model)
 
 
+def test_encode_visible_rejects_duplicate_keep_indices(tiny_mae_config):
+    model = _tiny_model(tiny_mae_config)
+    with pytest.raises(ContractError):
+        mae.encode_visible(np.zeros((2, tiny_mae_config.patch_dim)), (1, 1), model)
+
+
 def test_encode_visible_position_sensitivity(tiny_mae_config):
     """Same patch content at different grid positions gives different latents."""
     model = _tiny_model(tiny_mae_config)
@@ -103,7 +109,7 @@ def test_encode_visible_matches_manual_stages(tiny_mae_config):
 
     x = vis @ model.embed.data
     x = x + tf.positional_rows(keep, tiny_mae_config.enc_d_model).data
-    seq = tf.TokenSequence(Tensor(x), keep)
+    seq = tf.TokenSequence(Tensor(x))
     for block in model.enc_blocks:
         seq = tf.encoder_block(seq, block)
     manual = ag.layer_norm(seq.tokens, model.enc_ln_gain, model.enc_ln_bias).data

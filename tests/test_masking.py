@@ -119,7 +119,7 @@ def test_frozen_mask_more_cases():
 def test_generate_equals_reconstruction_from_counts():
     spec = masking.generate_mask(42, 16, 0.5)
     again = masking.mask_from_counts(42, 16, spec.keep_count)
-    assert spec == again  # mask_ratio is informational, excluded from equality
+    assert spec == again
 
 
 def test_mask_determinism_repeated_calls():

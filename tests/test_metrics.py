@@ -82,14 +82,12 @@ def test_ssim_matches_oracle_on_non_square_and_edge_11_planes(shape):
     assert abs(fast - brute_force_ssim(x.astype(float), y.astype(float))) < 1e-9
 
 
-def test_ssim_rgb_mean_matches_per_channel_oracle():
+def test_ssim_rgb_matches_luma_plane_oracle():
     rng = np.random.default_rng(6)
     a = rng.integers(0, 256, (19, 27, 3), dtype=np.uint8)
     b = np.clip(a + rng.normal(0, 30, a.shape), 0, 255).astype(np.uint8)
-    oracle = np.mean(
-        [brute_force_ssim(a[:, :, c].astype(float), b[:, :, c].astype(float)) for c in range(3)]
-    )
-    assert abs(metrics.ssim(a, b, mode="rgb_mean") - oracle) < 1e-9
+    oracle = brute_force_ssim(metrics.luma(a), metrics.luma(b))
+    assert abs(metrics.ssim(a, b) - oracle) < 1e-9
 
 
 @pytest.mark.parametrize("shape", [(256, 256, 1), (512, 768, 3)])
@@ -121,19 +119,6 @@ def test_ssim_dimension_mismatch():
 def test_ssim_rejects_tiny_images():
     with pytest.raises(ContractError):
         metrics.ssim(np.zeros((8, 8, 1), dtype=np.uint8), np.zeros((8, 8, 1), dtype=np.uint8))
-
-
-def test_ssim_rgb_mean_mode():
-    rng = np.random.default_rng(4)
-    a = rng.integers(0, 256, (16, 16, 3), dtype=np.uint8)
-    b = rng.integers(0, 256, (16, 16, 3), dtype=np.uint8)
-    per_channel = [
-        metrics._ssim_plane(a[:, :, c].astype(float), b[:, :, c].astype(float))
-        for c in range(3)
-    ]
-    assert abs(metrics.ssim(a, b, mode="rgb_mean") - np.mean(per_channel)) < 1e-12
-    with pytest.raises(ContractError):
-        metrics.ssim(a, b, mode="nope")
 
 
 def test_luma_weights():

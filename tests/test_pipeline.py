@@ -243,15 +243,6 @@ def test_rate_report_null_codec_no_mask_is_8bpp_plus_header():
     assert rep.stacked_bpp == 8.0 + 8.0 * 19 / 1024
     assert rep.condensed_pixels == rep.original_pixels == 1024
     assert rep.payload_bpp == rep.stacked_bpp
-    assert pl.overall_bpp(c) == rep.overall_bpp
-
-
-def test_rate_report_custom_dims_and_validation():
-    c = pl.container_from_bytes(GOLDEN_CONTAINER)
-    rep = pl.rate_report(c, dims=(16, 16))
-    assert rep.original_pixels == 256
-    with pytest.raises(ContractError):
-        pl.rate_report(c, dims=(0, 16))
 
 
 @given(

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maecodec import mae, sweep
-from maecodec.codec import CODEC_NULL
+from maecodec.codec import CODEC_DCT, CODEC_NULL
 from maecodec.errors import ContractError, InfeasibleBudgetError
 
 
@@ -250,6 +250,11 @@ def test_budget_infeasible_reports_minimum():
     err = exc_info.value
     assert err.min_bits == math.ceil(0.10 * w * h)
     assert "1000" in str(err)
+
+
+def test_budget_config_keeps_pipeline_defaults():
+    config = sweep.select_config_for_budget(10**9, 768, 512, _calibration())
+    assert (config.patch_size, config.seed, config.codec.codec_id) == (16, 0, CODEC_DCT)
 
 
 def test_budget_tie_prefers_cheaper_point():

@@ -30,9 +30,6 @@ def _tiny_model_config():
         dict(batch_size=0),
         dict(crop_size=0),
         dict(learning_rate=0.0),
-        dict(eps=0.0),
-        dict(beta1=1.0),
-        dict(beta2=0.0),
         dict(ratio_low=0.7, ratio_high=0.6),
         dict(ratio_high=1.0),
         dict(ratio_low=-0.1),
@@ -80,6 +77,11 @@ def test_adam_skips_params_without_grad():
     opt = training.Adam([p], lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
     opt.step()
     np.testing.assert_array_equal(p.data, [5.0])
+
+
+def test_adam_defaults_are_the_reference_constants():
+    opt = training.Adam([Tensor(np.zeros(1), requires_grad=True)], lr=0.1)
+    assert (opt.beta1, opt.beta2, opt.eps) == (0.9, 0.999, 1e-8)
 
 
 def test_adam_zero_grad_clears():

@@ -61,16 +61,6 @@ def test_attention_config_rejects_bad_split():
         tf.AttentionConfig(10, 3)
 
 
-def test_token_sequence_default_positions():
-    seq = tf.TokenSequence(Tensor(np.zeros((3, 4))))
-    assert seq.positions == (0, 1, 2)
-
-
-def test_token_sequence_rejects_duplicate_positions():
-    with pytest.raises(ContractError):
-        tf.TokenSequence(Tensor(np.zeros((2, 4))), (1, 1))
-
-
 # -- patch embedding ----------------------------------------------------------
 
 
@@ -91,7 +81,6 @@ def test_patch_embed_matches_matmul_oracle():
     proj = rng.normal(size=(6, 8))
     out = tf.patch_embed(Tensor(patches), Tensor(proj))
     np.testing.assert_allclose(out.tokens.data, patches @ proj)
-    assert out.positions == (0, 1, 2, 3)
 
 
 # -- positional encoding -------------------------------------------------------
@@ -235,14 +224,13 @@ def test_encoder_block_zero_weights_is_identity():
     np.testing.assert_allclose(out.tokens.data, x)
 
 
-def test_encoder_block_shape_and_positions():
+def test_encoder_block_shape():
     cfg = tf.AttentionConfig(8, 4)
     params = _random_block(cfg, 16, seed=12)
     rng = np.random.default_rng(13)
-    seq = tf.TokenSequence(Tensor(rng.normal(size=(5, 8))), (3, 1, 4, 0, 9))
+    seq = tf.TokenSequence(Tensor(rng.normal(size=(5, 8))))
     out = tf.encoder_block(seq, params)
     assert out.tokens.shape == (5, 8)
-    assert out.positions == (3, 1, 4, 0, 9)
 
 
 def test_encoder_block_staged_oracle():
