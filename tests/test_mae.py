@@ -1,14 +1,25 @@
 """Masked autoencoder: staged oracles, passthrough, gradients, checkpoints."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from maecodec import autograd as ag
 from maecodec import mae
+from maecodec import pipeline as pl
 from maecodec import transformer as tf
 from maecodec.autograd import Tensor
+from maecodec.codec import CodecParams, codec_decode
+from maecodec.dataset import synthetic_image
 from maecodec.errors import CheckpointError, ContractError, ShapeError
-from maecodec.masking import PatchGrid, generate_mask, mask_from_counts, patchify
+from maecodec.masking import (
+    PatchGrid,
+    generate_mask,
+    mask_from_counts,
+    patchify,
+    unstack_visible,
+)
 
 from conftest import assert_grads_close
 
@@ -335,6 +346,44 @@ def test_checkpoint_invalid_config_rejected(tiny_mae_config):
     blob[5:9] = b"\x00\x00\x00\x00"
     with pytest.raises(CheckpointError):
         mae.load_bytes(bytes(blob))
+
+
+# SHA-256 over the float64 latents and decode_full output and the decompressed
+# pixels of the seeded containers below, each reconstructed with a model that
+# went through save_bytes/load_bytes. Any change to an inference op shows here.
+GOLDEN_DECODE_SHA256 = "4290fa160160c816fa0241086b7858937a108cc6ad959759655abd47898d79d6"
+
+
+def _golden_decode_cases():
+    rng = np.random.default_rng(2405)
+    yield (
+        mae.TMAEConfig(patch_size=2, channels=1, enc_d_model=8, enc_depth=2, enc_heads=2,
+                       enc_d_ff=16, dec_d_model=8, dec_depth=2, dec_heads=2, dec_d_ff=8),
+        synthetic_image(rng, 24, 1),
+        0.67,
+    )
+    yield (
+        mae.TMAEConfig(patch_size=4, channels=3, enc_d_model=16, enc_depth=1, enc_heads=4,
+                       enc_d_ff=16, dec_d_model=8, dec_depth=1, dec_heads=1, dec_d_ff=8),
+        synthetic_image(rng, 20, 3),
+        0.5,
+    )
+
+
+def test_decode_golden_digest():
+    digest = hashlib.sha256()
+    for seed, (cfg, image, ratio) in enumerate(_golden_decode_cases()):
+        model = mae.load_bytes(mae.save_bytes(mae.init_model(cfg, seed=seed)))
+        config = pl.PipelineConfig(cfg.patch_size, ratio, seed + 7, CodecParams())
+        container = pl.container_from_bytes(pl.compress(image, config).to_bytes())
+        spec, grid = container.mask_spec(), container.padded_grid()
+        visible = unstack_visible(codec_decode(container.payload), spec, grid)
+        latent = mae.encode_visible(visible, spec.keep_indices, model)
+        pred = mae.decode_full(latent, spec, model)
+        digest.update(latent.data.tobytes())
+        digest.update(pred.data.tobytes())
+        digest.update(pl.decompress(container, model).tobytes())
+    assert digest.hexdigest() == GOLDEN_DECODE_SHA256
 
 
 def test_init_model_deterministic(tiny_mae_config):

@@ -1,9 +1,11 @@
 """Adam optimizer, the training loop, and its baselines."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from maecodec import mae, training
+from maecodec import dataset, mae, training
 from maecodec.autograd import Tensor
 from maecodec.errors import ContractError, NumericError
 from maecodec.masking import mask_from_counts, patchify
@@ -111,6 +113,26 @@ def test_train_is_deterministic():
     b = training.train(corpus, _tiny_model_config(), _tiny_train_config())
     assert mae.save_bytes(a.model) == mae.save_bytes(b.model)
     assert a.epoch_losses == b.epoch_losses
+
+
+# SHA-256 of the checkpoint and the float64 epoch losses of the run below.
+# Any change to a forward or backward rule, or to the order in which
+# gradients accumulate, shows up here.
+GOLDEN_TRAIN_SHA256 = "7e171aa1673ba6fd8cdba0d81d66a8f75ce2b09c3aaea9b6b82f9059f9f06398"
+
+
+def test_train_golden_digest():
+    corpus = dataset.synthetic_corpus(6, size=16, channels=1, seed=5)
+    model_cfg = mae.TMAEConfig(
+        patch_size=2, channels=1, enc_d_model=8, enc_depth=2, enc_heads=2,
+        enc_d_ff=16, dec_d_model=8, dec_depth=1, dec_heads=2, dec_d_ff=8,
+    )
+    result = training.train(
+        corpus, model_cfg, _tiny_train_config(crop_size=12, batch_size=3, seed=3)
+    )
+    digest = hashlib.sha256(mae.save_bytes(result.model))
+    digest.update(np.array(result.epoch_losses).tobytes())
+    assert digest.hexdigest() == GOLDEN_TRAIN_SHA256
 
 
 def test_train_seed_changes_result():
