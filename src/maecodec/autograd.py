@@ -1,12 +1,13 @@
 """Dense float64 arrays with reverse-mode automatic differentiation.
 
 Just enough machinery to train a small transformer: matmul, transpose,
-add/sub/mul, row softmax, layer norm, GELU, reductions, row
-gather/scatter/tile and column concatenation. Every op is a plain
-function; ``Tensor`` has no operator overloads. There is deliberately no
-broadcasting beyond adding a 1-D vector to every row of a matrix and
-scaling by a number; every other shape mismatch is an error, which keeps
-the gradient rules small and auditable.
+add/sub/mul, row softmax, fused scaled dot-product attention, layer
+norm, GELU, reductions, row gather/scatter/tile and column
+concatenation. Every op is a plain function; ``Tensor`` has no operator
+overloads. There is deliberately no broadcasting beyond adding a 1-D
+vector to every row of a matrix and scaling by a number; every other
+shape mismatch is an error, which keeps the gradient rules small and
+auditable.
 
 Graph edges live on the output tensor (parent references plus a closure
 that routes the upstream gradient), so independent computations never
@@ -14,6 +15,8 @@ share state and may run on separate threads.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -152,23 +155,59 @@ def transpose(a: Tensor) -> Tensor:
 # -- nonlinearities and normalization -------------------------------------
 
 
+def _softmax_inplace(y: np.ndarray, op: str) -> None:
+    """Row-wise softmax of ``y`` in place, with per-row max subtraction."""
+    if not np.isfinite(y).all():
+        raise NumericError(f"{op}: non-finite input")
+    y -= y.max(axis=1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=1, keepdims=True)
+
+
+def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Input gradient of a row softmax with output y: y * (g - sum(g * y, per row))."""
+    dot = (g * y).sum(axis=1, keepdims=True)
+    return y * (g - dot)
+
+
 def softmax_rows(a: Tensor) -> Tensor:
     """Row-wise softmax with per-row max subtraction for stability."""
     if a.ndim != 2:
         raise ShapeError(f"softmax_rows: expected a matrix, got shape {a.shape}")
-    if not np.isfinite(a.data).all():
-        raise NumericError("softmax_rows: non-finite input")
-    # The subtraction yields a fresh array, so exp and normalize it in place.
-    y = a.data - a.data.max(axis=1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=1, keepdims=True)
+    y = a.data.copy()
+    _softmax_inplace(y, "softmax_rows")
+    return _result(y, (a,), lambda g: _accumulate(a, _softmax_grad(y, g)))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """softmax(q k^T / sqrt(d)) v with one (queries, keys) buffer.
+
+    The logits are scaled, exponentiated and normalized in place, and the
+    backward pass keeps only the attention map. Forward output and
+    gradients equal, bit for bit, those of the op chain
+    ``matmul(softmax_rows(mul(matmul(q, transpose(k)), s)), v)``.
+    """
+    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2 or q.shape[1] != k.shape[1]:
+        raise ShapeError(f"attention: Q {q.shape} vs K {k.shape}")
+    if k.shape[0] != v.shape[0]:
+        raise ShapeError(f"attention: K {k.shape} vs V {v.shape}")
+    scale = 1.0 / math.sqrt(q.shape[1])
+    # BLAS may round differently for a transposed operand than for a
+    # contiguous one, so K^T is laid out as transpose() lays it out.
+    kt = k.data.T.copy()
+    y = q.data @ kt
+    y *= scale
+    _softmax_inplace(y, "attention")
 
     def back(g):
-        # dx = y * (g - sum(g * y, per row))
-        dot = (g * y).sum(axis=1, keepdims=True)
-        _accumulate(a, y * (g - dot))
+        # the chain's rules, in the order its backward sweep runs them
+        _accumulate(v, y.T @ g)
+        gl = _softmax_grad(y, g @ v.data.T)
+        gl *= scale
+        _accumulate(q, gl @ kt.T)
+        _accumulate(k, (q.data.T @ gl).T)
 
-    return _result(y, (a,), back)
+    return _result(y @ v.data, (q, k, v), back)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -10,6 +10,10 @@ Checkpoint layout (little-endian): magic "TMCK", version u8 = 1, ten u32
 config fields (patch_size, channels, enc d_model/depth/heads/d_ff, dec
 d_model/depth/heads/d_ff), then every weight tensor in the fixed
 ``named_parameters`` order as rank u8, dims u32 x rank, float32 data.
+
+Training starts from ``init_model``, whose weights track gradients. A
+loaded checkpoint is inference-only: its weights track no gradients, so
+reconstructing with it builds no autograd graph.
 """
 
 from __future__ import annotations
@@ -297,7 +301,7 @@ def load_bytes(blob: bytes) -> MaskedAutoencoder:
         raise CheckpointError(f"invalid checkpoint config: {exc}") from exc
 
     pos = _CKPT_HEADER.size
-    tensors: list[Tensor] = []
+    arrays: list[np.ndarray] = []
     while pos < len(blob):
         rank = blob[pos]
         pos += 1
@@ -314,26 +318,50 @@ def load_bytes(blob: bytes) -> MaskedAutoencoder:
             raise CheckpointError(f"tensor data truncated at byte {pos}")
         data = np.frombuffer(blob, dtype="<f4", count=count, offset=pos)
         pos += 4 * count
-        tensors.append(
-            Tensor(data.astype(np.float64).reshape(dims), requires_grad=True)
-        )
-    return _assemble(config, tensors)
-
-
-def _assemble(config: TMAEConfig, tensors: list[Tensor]) -> MaskedAutoencoder:
-    """Rebuild the model from the flat tensor list, validating every shape."""
-    template = init_model(config, seed=0)
-    expected = template.named_parameters()
-    if len(tensors) != len(expected):
+        arrays.append(data.astype(np.float64).reshape(dims))
+    # The header alone sizes the model, so check it against the tensors
+    # actually present before init_model allocates anything.
+    expected = _parameter_counts(config)
+    found = (len(arrays), sum(a.size for a in arrays))
+    if found != expected:
         raise CheckpointError(
-            f"checkpoint holds {len(tensors)} tensors, config needs {len(expected)}"
+            f"checkpoint holds {found[0]} tensors of {found[1]} elements, "
+            f"config needs {expected[0]} of {expected[1]}"
         )
-    for (name, slot), tensor in zip(expected, tensors):
-        if tensor.shape != slot.shape:
+    return _assemble(config, arrays)
+
+
+def _parameter_counts(config: TMAEConfig) -> tuple[int, int]:
+    """(tensor count, element count) of ``init_model(config)``'s parameters."""
+
+    def block(d: int, heads: int, d_ff: int) -> tuple[int, int]:
+        # two layer norms, per-head Q/K/V, output projection, feed-forward
+        return 10 + 3 * heads, 4 * d * d + 2 * d * d_ff + 6 * d + d_ff
+
+    p, d_enc, d_dec = config.patch_dim, config.enc_d_model, config.dec_d_model
+    enc = block(d_enc, config.enc_heads, config.enc_d_ff)
+    dec = block(d_dec, config.dec_heads, config.dec_d_ff)
+    tensors = 8 + config.enc_depth * enc[0] + config.dec_depth * dec[0]
+    elements = (
+        p * d_enc  # embed
+        + config.enc_depth * enc[1]
+        + 2 * d_enc + d_enc * d_dec + 2 * d_dec  # encoder norm, enc2dec, mask token
+        + config.dec_depth * dec[1]
+        + d_dec * p + p  # head
+    )
+    return tensors, elements
+
+
+def _assemble(config: TMAEConfig, arrays: list[np.ndarray]) -> MaskedAutoencoder:
+    """Rebuild an inference-only model from the flat array list, validating every shape."""
+    template = init_model(config, seed=0)
+    for (name, slot), data in zip(template.named_parameters(), arrays):
+        if data.shape != slot.shape:
             raise CheckpointError(
-                f"tensor {name} has shape {tensor.shape}, expected {slot.shape}"
+                f"tensor {name} has shape {data.shape}, expected {slot.shape}"
             )
-        slot.data = tensor.data
+        slot.data = data
+        slot.requires_grad = False
     return template
 
 

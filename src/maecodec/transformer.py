@@ -1,10 +1,16 @@
 """Building blocks for a small vision transformer.
 
 Tokens are rows of a matrix (row-vector convention), so attention logits
-are Q @ K^T scaled by 1/sqrt(d_head). Encoder blocks use the pre-norm
-residual form: x + MHA(LN(x)) followed by x + FFN(LN(x)). A
-``TokenSequence`` carries only the token matrix: patch positions enter as
-positional-encoding rows added to the tokens, never as metadata.
+are Q @ K^T scaled by 1/sqrt(d_head); each head is one fused
+``autograd.attention`` op. Encoder blocks use the pre-norm residual form:
+x + MHA(LN(x)) followed by x + FFN(LN(x)). A ``TokenSequence`` carries
+only the token matrix: patch positions enter as positional-encoding rows
+added to the tokens, never as metadata.
+
+Training starts from ``mae.init_model``, whose blocks come from
+``init_encoder_block`` and track gradients. A loaded checkpoint is
+inference-only: its weights track no gradients, so running its blocks
+builds no autograd graph.
 """
 
 from __future__ import annotations
@@ -131,18 +137,6 @@ def positional_rows(positions, d_model: int) -> Tensor:
     return Tensor(table.data[positions])
 
 
-def scaled_attention(q: Tensor, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-    """softmax(Q K^T / sqrt(d)) V; returns (output, attention map)."""
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2 or q.shape[1] != k.shape[1]:
-        raise ShapeError(f"scaled_attention: Q {q.shape} vs K {k.shape}")
-    if k.shape[0] != v.shape[0]:
-        raise ShapeError(f"scaled_attention: K {k.shape} vs V {v.shape}")
-    scale = 1.0 / math.sqrt(q.shape[1])
-    logits = ag.mul(ag.matmul(q, ag.transpose(k)), scale)
-    attn = ag.softmax_rows(logits)
-    return ag.matmul(attn, v), attn
-
-
 def multi_head_attention(x: TokenSequence, params: EncoderBlockParams) -> Tensor:
     """Per-head attention on projected tokens, concatenated and re-projected."""
     cfg = params.config
@@ -155,8 +149,7 @@ def multi_head_attention(x: TokenSequence, params: EncoderBlockParams) -> Tensor
         q = ag.matmul(x.tokens, params.wq[h])
         k = ag.matmul(x.tokens, params.wk[h])
         v = ag.matmul(x.tokens, params.wv[h])
-        out, _ = scaled_attention(q, k, v)
-        heads.append(out)
+        heads.append(ag.attention(q, k, v))
     merged = heads[0] if len(heads) == 1 else ag.concat_cols(heads)
     return ag.add(ag.matmul(merged, params.wo), params.bo)
 

@@ -96,6 +96,45 @@ def test_softmax_rows_matches_reference_bitwise():
         assert np.array_equal(out.data, reference(x))
 
 
+def _attention_chain(q, k, v):
+    scale = 1.0 / math.sqrt(q.shape[1])
+    return ag.matmul(ag.softmax_rows(ag.mul(ag.matmul(q, ag.transpose(k)), scale)), v)
+
+
+@pytest.mark.parametrize(
+    "n_q,n_k,d,d_v",
+    [(1, 1, 1, 1), (1, 6, 4, 3), (5, 1, 2, 2), (6, 3, 8, 5), (9, 9, 16, 4),
+     (40, 33, 4, 8), (300, 257, 8, 8)],
+)
+def test_attention_matches_op_chain_bitwise(n_q, n_k, d, d_v):
+    rng = np.random.default_rng(n_q * 1000 + n_k)
+    arrays = [rng.normal(size=(n_q, d)) * 3, rng.normal(size=(n_k, d)) * 3,
+              rng.normal(size=(n_k, d_v))]
+    w = Tensor(rng.normal(size=(n_q, d_v)))
+    fused = [Tensor(a, requires_grad=True) for a in arrays]
+    chain = [Tensor(a, requires_grad=True) for a in arrays]
+    out_f = ag.attention(*fused)
+    out_c = _attention_chain(*chain)
+    assert np.array_equal(out_f.data, out_c.data)
+    ag.backward(ag.sum_all(ag.mul(out_f, w)))
+    ag.backward(ag.sum_all(ag.mul(out_c, w)))
+    for name, a, b in zip("qkv", fused, chain):
+        assert np.array_equal(a.grad, b.grad), name
+
+
+def test_attention_rejects_non_finite_logits():
+    q = t([[0.0, float("inf")]])
+    with pytest.raises(NumericError):
+        ag.attention(q, t(np.ones((3, 2))), t(np.ones((3, 1))))
+
+
+def test_attention_without_tracked_inputs_builds_no_graph():
+    rng = np.random.default_rng(9)
+    q, k, v = (Tensor(rng.normal(size=(4, 2))) for _ in range(3))
+    out = ag.attention(q, k, v)
+    assert not out.requires_grad and out._grad_fn is None and out._parents == ()
+
+
 def test_layer_norm_constant_row_is_zero():
     out = ag.layer_norm(t([[3.0, 3.0, 3.0]]), t(np.ones(3)), t(np.zeros(3)))
     np.testing.assert_allclose(out.data, np.zeros((1, 3)), atol=1e-9)
@@ -241,6 +280,18 @@ def test_grad_softmax():
     w = Tensor(rng.normal(size=(3, 5)))
     assert_grads_close(
         lambda: ag.sum_all(ag.mul(ag.softmax_rows(x), w)), [("x", x)]
+    )
+
+
+def test_grad_attention():
+    rng = np.random.default_rng(8)
+    q = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    k = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    v = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 2)))
+    assert_grads_close(
+        lambda: ag.sum_all(ag.mul(ag.attention(q, k, v), w)),
+        [("q", q), ("k", k), ("v", v)],
     )
 
 

@@ -1,6 +1,8 @@
 """Masked autoencoder: staged oracles, passthrough, gradients, checkpoints."""
 
 import hashlib
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,7 +306,7 @@ def test_checkpoint_round_trip(tiny_mae_config):
     for (n1, a), (n2, b) in zip(model.named_parameters(), clone.named_parameters()):
         assert n1 == n2
         np.testing.assert_array_equal(a.data.astype(np.float32), b.data.astype(np.float32))
-        assert b.requires_grad
+        assert not b.requires_grad
 
 
 def test_checkpoint_save_load_save_is_bitwise_fixed_point(tiny_mae_config):
@@ -384,6 +386,73 @@ def test_decode_golden_digest():
         digest.update(pred.data.tobytes())
         digest.update(pl.decompress(container, model).tobytes())
     assert digest.hexdigest() == GOLDEN_DECODE_SHA256
+
+
+def _peak_alloc_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_header_only_checkpoint_rejected_before_allocating():
+    # patch 16, 3 channels, 8-deep 256-wide encoder and decoder, d_ff 1024:
+    # about 13M float64 weights, and not one tensor present
+    blob = struct.pack("<4sB10I", b"TMCK", 1, 16, 3, 256, 8, 8, 1024, 256, 8, 8, 1024)
+    assert len(blob) == 45
+
+    def load():
+        with pytest.raises(CheckpointError, match="0 tensors"):
+            mae.load_bytes(blob)
+
+    assert _peak_alloc_bytes(load) < 2**20
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        mae.TMAEConfig(),
+        mae.TMAEConfig(patch_size=2, channels=1, enc_d_model=8, enc_depth=1, enc_heads=2,
+                       enc_d_ff=8, dec_d_model=4, dec_depth=1, dec_heads=2, dec_d_ff=4),
+        mae.TMAEConfig(patch_size=4, channels=3, enc_d_model=12, enc_depth=3, enc_heads=3,
+                       enc_d_ff=20, dec_d_model=6, dec_depth=0, dec_heads=1, dec_d_ff=6),
+        mae.TMAEConfig(patch_size=16, channels=3, enc_d_model=32, enc_depth=2, enc_heads=8,
+                       enc_d_ff=32, dec_d_model=16, dec_depth=2, dec_heads=4, dec_d_ff=48),
+    ],
+)
+def test_parameter_counts_match_init_model(cfg):
+    named = mae.init_model(cfg).named_parameters()
+    assert mae._parameter_counts(cfg) == (len(named), sum(t.data.size for _, t in named))
+
+
+def test_checkpoint_with_missing_elements_rejected(tiny_mae_config):
+    blob = mae.save_bytes(_tiny_model(tiny_mae_config, seed=23))
+    # drop the last element of head_b and shrink its declared length to match
+    rank_at = len(blob) - 4 * tiny_mae_config.patch_dim - 5
+    assert blob[rank_at] == 1
+    shrunk = blob[: rank_at + 1] + struct.pack("<I", tiny_mae_config.patch_dim - 1)
+    shrunk += blob[rank_at + 5 : -4]
+    with pytest.raises(CheckpointError, match="elements"):
+        mae.load_bytes(shrunk)
+
+
+def test_decompress_with_loaded_model_keeps_one_attention_map():
+    cfg = mae.TMAEConfig(patch_size=4, channels=1, enc_d_model=8, enc_depth=1, enc_heads=2,
+                         enc_d_ff=8, dec_d_model=4, dec_depth=1, dec_heads=2, dec_d_ff=4)
+    model = mae.load_bytes(mae.save_bytes(mae.init_model(cfg, seed=24)))
+    image = np.random.default_rng(25).integers(0, 256, (128, 128, 1), dtype=np.uint8)
+    container = pl.compress(image, pl.PipelineConfig(4, 0.5, 3, CodecParams()))
+    n = container.n_patches
+    assert n == 1024
+    # one float64 n x n map is 8 MiB; the old op chain peaked near 8x that
+    assert _peak_alloc_bytes(lambda: pl.decompress(container, model)) < 2 * n * n * 8
+
+    spec = container.mask_spec()
+    visible = np.random.default_rng(26).random((spec.keep_count, cfg.patch_dim))
+    pred = mae.decode_full(mae.encode_visible(visible, spec.keep_indices, model), spec, model)
+    assert not pred.requires_grad and pred._grad_fn is None
 
 
 def test_init_model_deterministic(tiny_mae_config):

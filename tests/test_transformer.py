@@ -126,12 +126,17 @@ def test_positional_rows_match_table():
 # -- scaled attention ----------------------------------------------------------
 
 
+def _attention_map(q, k):
+    """The attention map itself: attending over the identity as values."""
+    return ag.attention(q, k, Tensor(np.eye(k.shape[0])))
+
+
 def test_attention_single_key():
     rng = np.random.default_rng(1)
     q = Tensor(rng.normal(size=(3, 4)))
     k = Tensor(rng.normal(size=(1, 4)))
     v = Tensor(rng.normal(size=(1, 5)))
-    out, attn = tf.scaled_attention(q, k, v)
+    out, attn = ag.attention(q, k, v), _attention_map(q, k)
     np.testing.assert_allclose(attn.data, np.ones((3, 1)))
     np.testing.assert_allclose(out.data, np.repeat(v.data, 3, axis=0))
 
@@ -142,7 +147,7 @@ def test_attention_identical_keys_average_values():
     krow = rng.normal(size=4)
     k = Tensor(np.stack([krow, krow]))
     v = Tensor(rng.normal(size=(2, 3)))
-    out, _ = tf.scaled_attention(q, k, v)
+    out = ag.attention(q, k, v)
     np.testing.assert_allclose(out.data, np.tile(v.data.mean(axis=0), (2, 1)))
 
 
@@ -150,7 +155,8 @@ def test_attention_matches_formula_oracle():
     rng = np.random.default_rng(3)
     q, k = rng.normal(size=(3, 4)), rng.normal(size=(5, 4))
     v = rng.normal(size=(5, 2))
-    out, attn = tf.scaled_attention(Tensor(q), Tensor(k), Tensor(v))
+    out = ag.attention(Tensor(q), Tensor(k), Tensor(v))
+    attn = _attention_map(Tensor(q), Tensor(k))
     expect_attn = _np_softmax_rows(q @ k.T / 2.0)
     np.testing.assert_allclose(attn.data, expect_attn, atol=1e-12)
     np.testing.assert_allclose(out.data, expect_attn @ v, atol=1e-12)
@@ -158,9 +164,9 @@ def test_attention_matches_formula_oracle():
 
 def test_attention_shape_errors():
     with pytest.raises(ShapeError):
-        tf.scaled_attention(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))), Tensor(np.ones((2, 2))))
+        ag.attention(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))), Tensor(np.ones((2, 2))))
     with pytest.raises(ShapeError):
-        tf.scaled_attention(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 3))), Tensor(np.ones((2, 2))))
+        ag.attention(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 3))), Tensor(np.ones((2, 2))))
 
 
 # -- multi-head attention -------------------------------------------------------
@@ -173,7 +179,7 @@ def test_single_head_reduces_to_scaled_attention():
     x = rng.normal(size=(3, 4))
     out = tf.multi_head_attention(tf.TokenSequence(Tensor(x)), params)
     q, k, v = x @ params.wq[0].data, x @ params.wk[0].data, x @ params.wv[0].data
-    single, _ = tf.scaled_attention(Tensor(q), Tensor(k), Tensor(v))
+    single = ag.attention(Tensor(q), Tensor(k), Tensor(v))
     expect = single.data @ params.wo.data + params.bo.data
     np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
@@ -302,6 +308,5 @@ def test_attention_row_stochastic_property(n_tokens, arch, seed):
     x = rng.normal(size=(n_tokens, d_model)) * 3
     q = Tensor(x @ rng.normal(size=(d_model, cfg.d_head)))
     k = Tensor(x @ rng.normal(size=(d_model, cfg.d_head)))
-    v = Tensor(x @ rng.normal(size=(d_model, cfg.d_head)))
-    _, attn = tf.scaled_attention(q, k, v)
+    attn = _attention_map(q, k)
     np.testing.assert_allclose(attn.data.sum(axis=1), np.ones(n_tokens), atol=1e-9)
