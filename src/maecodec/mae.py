@@ -353,7 +353,7 @@ def _parameter_counts(config: TMAEConfig) -> tuple[int, int]:
 
 
 def _assemble(config: TMAEConfig, arrays: list[np.ndarray]) -> MaskedAutoencoder:
-    """Rebuild an inference-only model from the flat array list, validating every shape."""
+    """Rebuild an inference-only model from the flat array list, checking every shape."""
     template = init_model(config, seed=0)
     for (name, slot), data in zip(template.named_parameters(), arrays):
         if data.shape != slot.shape:

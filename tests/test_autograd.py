@@ -128,13 +128,6 @@ def test_attention_rejects_non_finite_logits():
         ag.attention(q, t(np.ones((3, 2))), t(np.ones((3, 1))))
 
 
-def test_attention_without_tracked_inputs_builds_no_graph():
-    rng = np.random.default_rng(9)
-    q, k, v = (Tensor(rng.normal(size=(4, 2))) for _ in range(3))
-    out = ag.attention(q, k, v)
-    assert not out.requires_grad and out._grad_fn is None and out._parents == ()
-
-
 def test_layer_norm_constant_row_is_zero():
     out = ag.layer_norm(t([[3.0, 3.0, 3.0]]), t(np.ones(3)), t(np.zeros(3)))
     np.testing.assert_allclose(out.data, np.zeros((1, 3)), atol=1e-9)

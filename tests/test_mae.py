@@ -397,15 +397,26 @@ def _peak_alloc_bytes(fn):
         tracemalloc.stop()
 
 
-def test_header_only_checkpoint_rejected_before_allocating():
-    # patch 16, 3 channels, 8-deep 256-wide encoder and decoder, d_ff 1024:
-    # about 13M float64 weights, and not one tensor present
-    blob = struct.pack("<4sB10I", b"TMCK", 1, 16, 3, 256, 8, 8, 1024, 256, 8, 8, 1024)
-    assert len(blob) == 45
+# patch 16, 3 channels, 8-deep 256-wide encoder and decoder, d_ff 1024:
+# 552 tensors holding about 13M weights
+_BIG_HEADER = struct.pack("<4sB10I", b"TMCK", 1, 16, 3, 256, 8, 8, 1024, 256, 8, 8, 1024)
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        (b"", "0 tensors"),
+        (b"\x01\x01\x00\x00\x00" + b"\x00" * 4, "1 tensors"),
+        ((b"\x01\x01\x00\x00\x00" + b"\x00" * 4) * 552, "552 tensors of 552 elements"),
+    ],
+    ids=["header-only", "one-tensor", "552-one-element-tensors"],
+)
+def test_checkpoint_counts_rejected_before_allocating(body, message):
+    assert len(_BIG_HEADER) == 45
 
     def load():
-        with pytest.raises(CheckpointError, match="0 tensors"):
-            mae.load_bytes(blob)
+        with pytest.raises(CheckpointError, match=message):
+            mae.load_bytes(_BIG_HEADER + body)
 
     assert _peak_alloc_bytes(load) < 2**20
 
@@ -427,17 +438,6 @@ def test_parameter_counts_match_init_model(cfg):
     assert mae._parameter_counts(cfg) == (len(named), sum(t.data.size for _, t in named))
 
 
-def test_checkpoint_with_missing_elements_rejected(tiny_mae_config):
-    blob = mae.save_bytes(_tiny_model(tiny_mae_config, seed=23))
-    # drop the last element of head_b and shrink its declared length to match
-    rank_at = len(blob) - 4 * tiny_mae_config.patch_dim - 5
-    assert blob[rank_at] == 1
-    shrunk = blob[: rank_at + 1] + struct.pack("<I", tiny_mae_config.patch_dim - 1)
-    shrunk += blob[rank_at + 5 : -4]
-    with pytest.raises(CheckpointError, match="elements"):
-        mae.load_bytes(shrunk)
-
-
 def test_decompress_with_loaded_model_keeps_one_attention_map():
     cfg = mae.TMAEConfig(patch_size=4, channels=1, enc_d_model=8, enc_depth=1, enc_heads=2,
                          enc_d_ff=8, dec_d_model=4, dec_depth=1, dec_heads=2, dec_d_ff=4)
@@ -451,7 +451,8 @@ def test_decompress_with_loaded_model_keeps_one_attention_map():
 
     spec = container.mask_spec()
     visible = np.random.default_rng(26).random((spec.keep_count, cfg.patch_dim))
-    pred = mae.decode_full(mae.encode_visible(visible, spec.keep_indices, model), spec, model)
+    latent = mae.encode_visible(visible, spec.keep_indices, model)
+    pred = mae.decode_full(latent, spec, model)
     assert not pred.requires_grad and pred._grad_fn is None
 
 
