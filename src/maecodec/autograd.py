@@ -25,6 +25,9 @@ from .errors import ContractError, NumericError, ShapeError
 # tanh-approximation GELU constants, pinned for portability
 _GELU_C = 0.7978845608
 _GELU_A = 0.044715
+# Elements of the attention map that one softmax_rows call normalizes:
+# 512 KiB of float64, so each block's temporaries stay in cache.
+_SOFTMAX_BLOCK = 1 << 16
 
 
 class Tensor:
@@ -155,15 +158,6 @@ def transpose(a: Tensor) -> Tensor:
 # -- nonlinearities and normalization -------------------------------------
 
 
-def _softmax_inplace(y: np.ndarray, op: str) -> None:
-    """Row-wise softmax of ``y`` in place, with per-row max subtraction."""
-    if not np.isfinite(y).all():
-        raise NumericError(f"{op}: non-finite input")
-    y -= y.max(axis=1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=1, keepdims=True)
-
-
 def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Input gradient of a row softmax with output y: y * (g - sum(g * y, per row))."""
     dot = (g * y).sum(axis=1, keepdims=True)
@@ -174,22 +168,27 @@ def softmax_rows(a: Tensor) -> Tensor:
     """Row-wise softmax with per-row max subtraction for stability."""
     if a.ndim != 2:
         raise ShapeError(f"softmax_rows: expected a matrix, got shape {a.shape}")
-    y = a.data.copy()
-    _softmax_inplace(y, "softmax_rows")
+    if not np.isfinite(a.data).all():
+        raise NumericError("softmax_rows: non-finite input")
+    # The subtraction yields a fresh array, so exp and normalize it in place.
+    y = a.data - a.data.max(axis=1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=1, keepdims=True)
     return _result(y, (a,), lambda g: _accumulate(a, _softmax_grad(y, g)))
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(q k^T / sqrt(d)) v with one (queries, keys) buffer.
+    """softmax(q k^T / sqrt(d)) v in one (queries, keys) buffer.
 
-    The logits are scaled, exponentiated and normalized in place, and the
-    backward pass keeps only the attention map. Forward output and
-    gradients equal, bit for bit, those of the op chain
-    ``matmul(softmax_rows(mul(matmul(q, transpose(k)), s)), v)``.
+    The logits are scaled in place, and :func:`softmax_rows` normalizes
+    them block of rows by block of rows outside the graph, each block
+    written back over its logits. The backward pass keeps only the
+    attention map. Forward output and gradients equal, bit for bit, those
+    of the op chain ``matmul(softmax_rows(mul(matmul(q, transpose(k)), s)), v)``.
     """
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2 or q.shape[1] != k.shape[1]:
         raise ShapeError(f"attention: Q {q.shape} vs K {k.shape}")
-    if k.shape[0] != v.shape[0]:
+    if k.shape[0] == 0 or k.shape[0] != v.shape[0]:
         raise ShapeError(f"attention: K {k.shape} vs V {v.shape}")
     scale = 1.0 / math.sqrt(q.shape[1])
     # BLAS may round differently for a transposed operand than for a
@@ -197,7 +196,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     kt = k.data.T.copy()
     y = q.data @ kt
     y *= scale
-    _softmax_inplace(y, "attention")
+    rows = max(1, _SOFTMAX_BLOCK // y.shape[1])
+    for r in range(0, y.shape[0], rows):
+        y[r:r + rows] = softmax_rows(_result(y[r:r + rows], (), None)).data
 
     def back(g):
         # the chain's rules, in the order its backward sweep runs them

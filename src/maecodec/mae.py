@@ -333,14 +333,9 @@ def load_bytes(blob: bytes) -> MaskedAutoencoder:
 
 def _parameter_counts(config: TMAEConfig) -> tuple[int, int]:
     """(tensor count, element count) of ``init_model(config)``'s parameters."""
-
-    def block(d: int, heads: int, d_ff: int) -> tuple[int, int]:
-        # two layer norms, per-head Q/K/V, output projection, feed-forward
-        return 10 + 3 * heads, 4 * d * d + 2 * d * d_ff + 6 * d + d_ff
-
     p, d_enc, d_dec = config.patch_dim, config.enc_d_model, config.dec_d_model
-    enc = block(d_enc, config.enc_heads, config.enc_d_ff)
-    dec = block(d_dec, config.dec_heads, config.dec_d_ff)
+    enc = tf.encoder_block_size(config.encoder_attention, config.enc_d_ff)
+    dec = tf.encoder_block_size(config.decoder_attention, config.dec_d_ff)
     tensors = 8 + config.enc_depth * enc[0] + config.dec_depth * dec[0]
     elements = (
         p * d_enc  # embed

@@ -192,3 +192,10 @@ def init_encoder_block(cfg: AttentionConfig, d_ff: int, rng: np.random.Generator
         ln2_gain=Tensor(np.ones(d), requires_grad=True),
         ln2_bias=Tensor(np.zeros(d), requires_grad=True),
     )
+
+
+def encoder_block_size(cfg: AttentionConfig, d_ff: int) -> tuple[int, int]:
+    """(tensor count, element count) of the weights ``init_encoder_block`` makes."""
+    d = cfg.d_model
+    # per-head Q/K/V (3 d^2 in all), wo, bo, w1, b1, w2, b2, two layer norms
+    return 3 * cfg.n_heads + 10, 4 * d * d + 2 * d * d_ff + 6 * d + d_ff

@@ -104,7 +104,7 @@ def _attention_chain(q, k, v):
 @pytest.mark.parametrize(
     "n_q,n_k,d,d_v",
     [(1, 1, 1, 1), (1, 6, 4, 3), (5, 1, 2, 2), (6, 3, 8, 5), (9, 9, 16, 4),
-     (40, 33, 4, 8), (300, 257, 8, 8)],
+     (40, 33, 4, 8), (300, 257, 8, 8), (3, 70000, 2, 2)],
 )
 def test_attention_matches_op_chain_bitwise(n_q, n_k, d, d_v):
     rng = np.random.default_rng(n_q * 1000 + n_k)

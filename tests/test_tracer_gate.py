@@ -53,7 +53,7 @@ def test_tracer_installs_and_restores_every_original(tiny_mae_config):
     assert {
         "pipeline.compress", "pipeline.to_bytes", "pipeline.container_parse",
         "pipeline.decompress", "codec.encode", "codec.decode", "mae.reconstruct",
-        "transformer.encoder_block", "transformer.attention",
+        "transformer.encoder_block", "transformer.attention", "autograd.softmax_rows",
     } <= names
     assert t.counts["autograd.op_calls"] > 0
     assert all(vars(o)[a] is f for (o, a), f in zip(sites, originals))

@@ -167,6 +167,8 @@ def test_attention_shape_errors():
         ag.attention(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))), Tensor(np.ones((2, 2))))
     with pytest.raises(ShapeError):
         ag.attention(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 3))), Tensor(np.ones((2, 2))))
+    with pytest.raises(ShapeError):
+        ag.attention(Tensor(np.ones((2, 3))), Tensor(np.ones((0, 3))), Tensor(np.ones((0, 2))))
 
 
 # -- multi-head attention -------------------------------------------------------
