@@ -8,18 +8,22 @@ verbatim; only masked positions take the decoder's output.
 
 Checkpoint layout (little-endian): magic "TMCK", version u8 = 1, ten u32
 config fields (patch_size, channels, enc d_model/depth/heads/d_ff, dec
-d_model/depth/heads/d_ff), then every weight tensor in the fixed
-``named_parameters`` order as rank u8, dims u32 x rank, float32 data.
+d_model/depth/heads/d_ff, in ``TMAEConfig`` field order), then every
+weight tensor as rank u8, dims u32 x rank, float32 data.
 
-Training starts from ``init_model``, whose weights track gradients. A
-loaded checkpoint is inference-only: its weights track no gradients, so
+``_build`` states each weight's name, shape and initial value once, asking
+a ``make`` callable for it; its call order is the serialization order.
+``init_model`` passes a random maker, so training starts from weights that
+track gradients. ``load_bytes`` passes a maker that hands out the stored
+arrays in order, checking each one's shape as the builder asks for it; a
+loaded model is inference-only, its weights track no gradients, so
 reconstructing with it builds no autograd graph.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -84,96 +88,64 @@ class TMAEConfig:
     def decoder_attention(self) -> tf.AttentionConfig:
         return tf.AttentionConfig(self.dec_d_model, self.dec_heads)
 
-    def as_ints(self) -> tuple[int, ...]:
-        return (
-            self.patch_size,
-            self.channels,
-            self.enc_d_model,
-            self.enc_depth,
-            self.enc_heads,
-            self.enc_d_ff,
-            self.dec_d_model,
-            self.dec_depth,
-            self.dec_heads,
-            self.dec_d_ff,
-        )
 
-
+@dataclass(eq=False)
 class MaskedAutoencoder:
-    def __init__(
-        self,
-        config: TMAEConfig,
-        embed: Tensor,
-        enc_blocks: list[tf.EncoderBlockParams],
-        enc_ln_gain: Tensor,
-        enc_ln_bias: Tensor,
-        enc2dec_w: Tensor,
-        enc2dec_b: Tensor,
-        mask_token: Tensor,
-        dec_blocks: list[tf.EncoderBlockParams],
-        head_w: Tensor,
-        head_b: Tensor,
-    ):
-        self.config = config
-        self.embed = embed
-        self.enc_blocks = enc_blocks
-        self.enc_ln_gain = enc_ln_gain
-        self.enc_ln_bias = enc_ln_bias
-        self.enc2dec_w = enc2dec_w
-        self.enc2dec_b = enc2dec_b
-        self.mask_token = mask_token
-        self.dec_blocks = dec_blocks
-        self.head_w = head_w
-        self.head_b = head_b
+    """Weights of the encoder/decoder pair, made by ``_build``."""
+
+    config: TMAEConfig
+    embed: Tensor
+    enc_blocks: list[tf.EncoderBlockParams]
+    enc_ln_gain: Tensor
+    enc_ln_bias: Tensor
+    enc2dec_w: Tensor
+    enc2dec_b: Tensor
+    mask_token: Tensor
+    dec_blocks: list[tf.EncoderBlockParams]
+    head_w: Tensor
+    head_b: Tensor
+    _named: list[tuple[str, Tensor]] = field(repr=False)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        """Every weight tensor in the frozen serialization order."""
-        named: list[tuple[str, Tensor]] = [("embed", self.embed)]
-        for i, block in enumerate(self.enc_blocks):
-            named += [(f"enc{i}.{n}", t) for n, t in block.tensors()]
-        named += [
-            ("enc_ln_gain", self.enc_ln_gain),
-            ("enc_ln_bias", self.enc_ln_bias),
-            ("enc2dec_w", self.enc2dec_w),
-            ("enc2dec_b", self.enc2dec_b),
-            ("mask_token", self.mask_token),
-        ]
-        for i, block in enumerate(self.dec_blocks):
-            named += [(f"dec{i}.{n}", t) for n, t in block.tensors()]
-        named += [("head_w", self.head_w), ("head_b", self.head_b)]
-        return named
+        """Every weight tensor in the order ``_build`` made it: the serialization order."""
+        return list(self._named)
 
     def parameters(self) -> list[Tensor]:
-        return [t for _, t in self.named_parameters()]
+        return [t for _, t in self._named]
+
+
+def _build(config: TMAEConfig, make: tf.Make) -> MaskedAutoencoder:
+    """Ask ``make`` for each weight; the call order is the serialization order."""
+    p, d_enc, d_dec = config.patch_dim, config.enc_d_model, config.dec_d_model
+    make, named = tf.recording(make)
+
+    def blocks(side, attention, d_ff, depth):
+        return [
+            tf.build_encoder_block(
+                attention, d_ff, lambda name, shape, init: make(f"{side}{i}.{name}", shape, init)
+            )
+            for i in range(depth)
+        ]
+
+    return MaskedAutoencoder(
+        config=config,
+        embed=make("embed", (p, d_enc), tf.fan_in_normal),
+        enc_blocks=blocks("enc", config.encoder_attention, config.enc_d_ff, config.enc_depth),
+        enc_ln_gain=make("enc_ln_gain", (d_enc,), tf.ones),
+        enc_ln_bias=make("enc_ln_bias", (d_enc,), tf.zeros),
+        enc2dec_w=make("enc2dec_w", (d_enc, d_dec), tf.fan_in_normal),
+        enc2dec_b=make("enc2dec_b", (d_dec,), tf.zeros),
+        mask_token=make("mask_token", (d_dec,), tf.normal(0.02)),
+        dec_blocks=blocks("dec", config.decoder_attention, config.dec_d_ff, config.dec_depth),
+        head_w=make("head_w", (d_dec, p), tf.fan_in_normal),
+        head_b=make("head_b", (p,), tf.zeros),
+        _named=named,
+    )
 
 
 def init_model(config: TMAEConfig, seed: int = 0) -> MaskedAutoencoder:
     """Fresh random weights; deterministic for a given seed."""
-    rng = np.random.default_rng(seed)
-    d_in, d_enc, d_dec = config.patch_dim, config.enc_d_model, config.dec_d_model
-
-    def w(rows, cols):
-        return Tensor(rng.normal(0.0, 1.0 / np.sqrt(rows), (rows, cols)), requires_grad=True)
-
-    return MaskedAutoencoder(
-        config=config,
-        embed=w(d_in, d_enc),
-        enc_blocks=[
-            tf.init_encoder_block(config.encoder_attention, config.enc_d_ff, rng)
-            for _ in range(config.enc_depth)
-        ],
-        enc_ln_gain=Tensor(np.ones(d_enc), requires_grad=True),
-        enc_ln_bias=Tensor(np.zeros(d_enc), requires_grad=True),
-        enc2dec_w=w(d_enc, d_dec),
-        enc2dec_b=Tensor(np.zeros(d_dec), requires_grad=True),
-        mask_token=Tensor(rng.normal(0.0, 0.02, d_dec), requires_grad=True),
-        dec_blocks=[
-            tf.init_encoder_block(config.decoder_attention, config.dec_d_ff, rng)
-            for _ in range(config.dec_depth)
-        ],
-        head_w=w(d_dec, d_in),
-        head_b=Tensor(np.zeros(d_in), requires_grad=True),
-    )
+    return _build(config, tf.random_maker(np.random.default_rng(seed)))
 
 
 def _as_tensor(x) -> Tensor:
@@ -277,7 +249,7 @@ def forward_loss(model: MaskedAutoencoder, patches, spec: MaskSpec) -> Tensor:
 
 def save_bytes(model: MaskedAutoencoder) -> bytes:
     out = bytearray(
-        _CKPT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, *model.config.as_ints())
+        _CKPT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, *astuple(model.config))
     )
     for _, tensor in model.named_parameters():
         arr = np.ascontiguousarray(tensor.data, dtype=np.float32)
@@ -316,48 +288,25 @@ def load_bytes(blob: bytes) -> MaskedAutoencoder:
             raise CheckpointError(f"implausible tensor shape {dims} at byte {pos}")
         if pos + 4 * count > len(blob):
             raise CheckpointError(f"tensor data truncated at byte {pos}")
-        data = np.frombuffer(blob, dtype="<f4", count=count, offset=pos)
+        arrays.append(np.frombuffer(blob, dtype="<f4", count=count, offset=pos).reshape(dims))
         pos += 4 * count
-        arrays.append(data.astype(np.float64).reshape(dims))
-    # The header alone sizes the model, so check it against the tensors
-    # actually present before init_model allocates anything.
-    expected = _parameter_counts(config)
-    found = (len(arrays), sum(a.size for a in arrays))
-    if found != expected:
-        raise CheckpointError(
-            f"checkpoint holds {found[0]} tensors of {found[1]} elements, "
-            f"config needs {expected[0]} of {expected[1]}"
-        )
-    return _assemble(config, arrays)
+    held = f"checkpoint holds {len(arrays)} tensors of {sum(a.size for a in arrays)} elements"
+    stored = iter(arrays)
 
+    def take(name, shape, init):
+        # The header alone sizes the model, so each weight is checked
+        # against the tensor actually present before it is converted.
+        data = next(stored, None)
+        if data is None:
+            raise CheckpointError(f"{held}; none left for {name}")
+        if data.shape != shape:
+            raise CheckpointError(f"{held}; tensor {name} has shape {data.shape}, expected {shape}")
+        return Tensor(data)
 
-def _parameter_counts(config: TMAEConfig) -> tuple[int, int]:
-    """(tensor count, element count) of ``init_model(config)``'s parameters."""
-    p, d_enc, d_dec = config.patch_dim, config.enc_d_model, config.dec_d_model
-    enc = tf.encoder_block_size(config.encoder_attention, config.enc_d_ff)
-    dec = tf.encoder_block_size(config.decoder_attention, config.dec_d_ff)
-    tensors = 8 + config.enc_depth * enc[0] + config.dec_depth * dec[0]
-    elements = (
-        p * d_enc  # embed
-        + config.enc_depth * enc[1]
-        + 2 * d_enc + d_enc * d_dec + 2 * d_dec  # encoder norm, enc2dec, mask token
-        + config.dec_depth * dec[1]
-        + d_dec * p + p  # head
-    )
-    return tensors, elements
-
-
-def _assemble(config: TMAEConfig, arrays: list[np.ndarray]) -> MaskedAutoencoder:
-    """Rebuild an inference-only model from the flat array list, checking every shape."""
-    template = init_model(config, seed=0)
-    for (name, slot), data in zip(template.named_parameters(), arrays):
-        if data.shape != slot.shape:
-            raise CheckpointError(
-                f"tensor {name} has shape {data.shape}, expected {slot.shape}"
-            )
-        slot.data = data
-        slot.requires_grad = False
-    return template
+    model = _build(config, take)
+    if next(stored, None) is not None:
+        raise CheckpointError(f"{held}; config needs {len(model.named_parameters())}")
+    return model
 
 
 def save_checkpoint(model: MaskedAutoencoder, path) -> None:

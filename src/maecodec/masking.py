@@ -170,7 +170,7 @@ def patchify(image, patch_size: int) -> tuple[Tensor, PatchGrid]:
     if patch_size <= 0:
         raise ContractError(f"patch_size must be positive, got {patch_size}")
     if np.issubdtype(arr.dtype, np.integer):
-        arr = arr.astype(np.float64) / 255.0
+        arr = arr / 255.0  # float64 for every integer dtype, no intermediate copy
     else:
         arr = arr.astype(np.float64, copy=False)
     h, w, c = arr.shape

@@ -7,16 +7,19 @@ x + MHA(LN(x)) followed by x + FFN(LN(x)). A ``TokenSequence`` carries
 only the token matrix: patch positions enter as positional-encoding rows
 added to the tokens, never as metadata.
 
-Training starts from ``mae.init_model``, whose blocks come from
-``init_encoder_block`` and track gradients. A loaded checkpoint is
-inference-only: its weights track no gradients, so running its blocks
-builds no autograd graph.
+``build_encoder_block`` states each block weight's name, shape and
+initial value once, asking a ``make`` callable for it; the call order is
+the serialization order. Fresh and loaded models differ only in the maker:
+``random_maker`` gives weights that track gradients, while a loaded
+checkpoint hands out stored arrays that track none, so running its
+blocks builds no autograd graph.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +28,12 @@ from .autograd import Tensor
 from .errors import ContractError, ShapeError
 
 POSITIONAL_BASE = 10000.0
+
+# An initial value maps (rng, shape) to an array.
+Init = Callable[[np.random.Generator, tuple[int, ...]], np.ndarray]
+# A maker returns the weight ``name`` of ``shape``: a fresh one drawn from
+# its initial value, or the next array of a loaded checkpoint.
+Make = Callable[[str, tuple[int, ...], Init], Tensor]
 
 
 @dataclass(frozen=True)
@@ -51,47 +60,31 @@ class AttentionConfig:
 
 @dataclass
 class EncoderBlockParams:
-    """Weights of one encoder block.
+    """Weights of one encoder block, made by ``build_encoder_block``.
 
     Q/K/V projections carry no bias; the output projection and the two
     feed-forward layers do. Layer norms come with their own gain/bias.
     """
 
     config: AttentionConfig
+    ln1_gain: Tensor
+    ln1_bias: Tensor
     wq: list[Tensor]  # per head, (d_model, d_head)
     wk: list[Tensor]
     wv: list[Tensor]
     wo: Tensor  # (d_model, d_model)
     bo: Tensor  # (d_model,)
+    ln2_gain: Tensor
+    ln2_bias: Tensor
     w1: Tensor  # (d_model, d_ff)
     b1: Tensor  # (d_ff,)
     w2: Tensor  # (d_ff, d_model)
     b2: Tensor  # (d_model,)
-    ln1_gain: Tensor
-    ln1_bias: Tensor
-    ln2_gain: Tensor
-    ln2_bias: Tensor
+    _named: list[tuple[str, Tensor]] = field(repr=False, compare=False)
 
     def tensors(self) -> list[tuple[str, Tensor]]:
-        """All weights in their fixed serialization order."""
-        named: list[tuple[str, Tensor]] = [
-            ("ln1_gain", self.ln1_gain),
-            ("ln1_bias", self.ln1_bias),
-        ]
-        named += [(f"wq{h}", t) for h, t in enumerate(self.wq)]
-        named += [(f"wk{h}", t) for h, t in enumerate(self.wk)]
-        named += [(f"wv{h}", t) for h, t in enumerate(self.wv)]
-        named += [
-            ("wo", self.wo),
-            ("bo", self.bo),
-            ("ln2_gain", self.ln2_gain),
-            ("ln2_bias", self.ln2_bias),
-            ("w1", self.w1),
-            ("b1", self.b1),
-            ("w2", self.w2),
-            ("b2", self.b2),
-        ]
-        return named
+        """All weights in the order the builder made them: the serialization order."""
+        return list(self._named)
 
 
 @dataclass
@@ -167,35 +160,65 @@ def encoder_block(x: TokenSequence, params: EncoderBlockParams) -> TokenSequence
     return TokenSequence(ag.add(mid, feed_forward(normed2, params)))
 
 
-def init_encoder_block(cfg: AttentionConfig, d_ff: int, rng: np.random.Generator) -> EncoderBlockParams:
-    """Random block weights: scaled-normal projections, identity layer norms."""
+def zeros(rng, shape):
+    return np.zeros(shape)
+
+
+def ones(rng, shape):
+    return np.ones(shape)
+
+
+def fan_in_normal(rng, shape):
+    """normal(0, 1/sqrt(rows)), so x @ w keeps the scale of x."""
+    return rng.normal(0.0, 1.0 / math.sqrt(shape[0]), shape)
+
+
+def normal(std: float) -> Init:
+    return lambda rng, shape: rng.normal(0.0, std, shape)
+
+
+def random_maker(rng: np.random.Generator) -> Make:
+    """Fresh weights drawn from their initial values in call order; they track gradients."""
+    return lambda name, shape, init: Tensor(init(rng, shape), requires_grad=True)
+
+
+def recording(make: Make) -> tuple[Make, list[tuple[str, Tensor]]]:
+    """``make`` that also lists every weight it hands out, by name, in call order."""
+    named: list[tuple[str, Tensor]] = []
+
+    def record(name, shape, init):
+        tensor = make(name, shape, init)
+        named.append((name, tensor))
+        return tensor
+
+    return record, named
+
+
+def build_encoder_block(cfg: AttentionConfig, d_ff: int, make: Make) -> EncoderBlockParams:
+    """Ask ``make`` for each weight; the call order is the serialization order."""
     if d_ff < cfg.d_model:
         raise ContractError(f"d_ff ({d_ff}) must be >= d_model ({cfg.d_model})")
-    d, dh = cfg.d_model, cfg.d_head
-
-    def w(rows, cols):
-        return Tensor(rng.normal(0.0, 1.0 / math.sqrt(rows), (rows, cols)), requires_grad=True)
-
+    d, dh, heads = cfg.d_model, cfg.d_head, range(cfg.n_heads)
+    make, named = recording(make)
     return EncoderBlockParams(
         config=cfg,
-        wq=[w(d, dh) for _ in range(cfg.n_heads)],
-        wk=[w(d, dh) for _ in range(cfg.n_heads)],
-        wv=[w(d, dh) for _ in range(cfg.n_heads)],
-        wo=w(d, d),
-        bo=Tensor(np.zeros(d), requires_grad=True),
-        w1=w(d, d_ff),
-        b1=Tensor(np.zeros(d_ff), requires_grad=True),
-        w2=w(d_ff, d),
-        b2=Tensor(np.zeros(d), requires_grad=True),
-        ln1_gain=Tensor(np.ones(d), requires_grad=True),
-        ln1_bias=Tensor(np.zeros(d), requires_grad=True),
-        ln2_gain=Tensor(np.ones(d), requires_grad=True),
-        ln2_bias=Tensor(np.zeros(d), requires_grad=True),
+        ln1_gain=make("ln1_gain", (d,), ones),
+        ln1_bias=make("ln1_bias", (d,), zeros),
+        wq=[make(f"wq{h}", (d, dh), fan_in_normal) for h in heads],
+        wk=[make(f"wk{h}", (d, dh), fan_in_normal) for h in heads],
+        wv=[make(f"wv{h}", (d, dh), fan_in_normal) for h in heads],
+        wo=make("wo", (d, d), fan_in_normal),
+        bo=make("bo", (d,), zeros),
+        ln2_gain=make("ln2_gain", (d,), ones),
+        ln2_bias=make("ln2_bias", (d,), zeros),
+        w1=make("w1", (d, d_ff), fan_in_normal),
+        b1=make("b1", (d_ff,), zeros),
+        w2=make("w2", (d_ff, d), fan_in_normal),
+        b2=make("b2", (d,), zeros),
+        _named=named,
     )
 
 
-def encoder_block_size(cfg: AttentionConfig, d_ff: int) -> tuple[int, int]:
-    """(tensor count, element count) of the weights ``init_encoder_block`` makes."""
-    d = cfg.d_model
-    # per-head Q/K/V (3 d^2 in all), wo, bo, w1, b1, w2, b2, two layer norms
-    return 3 * cfg.n_heads + 10, 4 * d * d + 2 * d * d_ff + 6 * d + d_ff
+def init_encoder_block(cfg: AttentionConfig, d_ff: int, rng: np.random.Generator) -> EncoderBlockParams:
+    """Random block weights: scaled-normal projections, identity layer norms."""
+    return build_encoder_block(cfg, d_ff, random_maker(rng))

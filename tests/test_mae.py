@@ -58,13 +58,6 @@ def test_config_rejects_bad_values(kwargs):
         mae.TMAEConfig(**kwargs)
 
 
-def test_config_as_ints_round_trip():
-    cfg = mae.TMAEConfig(patch_size=4, channels=3, enc_d_model=16, enc_heads=2,
-                         enc_d_ff=32, dec_d_model=8, dec_heads=2, dec_d_ff=16,
-                         enc_depth=2, dec_depth=1)
-    assert mae.TMAEConfig(*cfg.as_ints()) == cfg
-
-
 def test_named_parameters_order_and_count(tiny_mae_config):
     model = _tiny_model(tiny_mae_config)
     names = [n for n, _ in model.named_parameters()]
@@ -309,10 +302,37 @@ def test_checkpoint_round_trip(tiny_mae_config):
         assert not b.requires_grad
 
 
-def test_checkpoint_save_load_save_is_bitwise_fixed_point(tiny_mae_config):
-    model = _tiny_model(tiny_mae_config, seed=17)
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        mae.TMAEConfig(),
+        mae.TMAEConfig(patch_size=2, channels=1, enc_d_model=8, enc_depth=1, enc_heads=2,
+                       enc_d_ff=8, dec_d_model=4, dec_depth=1, dec_heads=2, dec_d_ff=4),
+        mae.TMAEConfig(patch_size=4, channels=3, enc_d_model=12, enc_depth=3, enc_heads=3,
+                       enc_d_ff=20, dec_d_model=6, dec_depth=0, dec_heads=1, dec_d_ff=6),
+        mae.TMAEConfig(patch_size=16, channels=3, enc_d_model=32, enc_depth=2, enc_heads=8,
+                       enc_d_ff=32, dec_d_model=16, dec_depth=2, dec_heads=4, dec_d_ff=48),
+    ],
+)
+def test_checkpoint_save_load_save_is_bitwise_fixed_point(cfg):
+    model = _tiny_model(cfg, seed=17)
     blob = mae.save_bytes(model)
     assert mae.save_bytes(mae.load_bytes(blob)) == blob
+
+
+def test_load_draws_no_random_weights(tiny_mae_config, monkeypatch):
+    model = _tiny_model(tiny_mae_config, seed=23)
+    blob = mae.save_bytes(model)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("load_bytes drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    clone = mae.load_bytes(blob)
+    assert clone.config == model.config
+    for (n1, a), (n2, b) in zip(model.named_parameters(), clone.named_parameters(), strict=True):
+        assert n1 == n2
+        np.testing.assert_array_equal(b.data, a.data.astype(np.float32))
 
 
 def test_checkpoint_file_round_trip(tiny_mae_config, tmp_path):
@@ -334,6 +354,7 @@ def test_checkpoint_file_round_trip(tiny_mae_config, tmp_path):
         lambda b: b[: len(b) // 2],  # tensor data truncated
         lambda b: b + b"\x01\x02\x00\x00\x00" + b"\x00" * 8,  # trailing extra tensor
         lambda b: b[:45] + bytes([7]) + b[46:],  # bad rank byte
+        lambda b: b[:46] + b[50:54] + b[46:50] + b[54:],  # embed dims swapped
     ],
 )
 def test_checkpoint_malformed_inputs(tiny_mae_config, mutate):
@@ -419,23 +440,6 @@ def test_checkpoint_counts_rejected_before_allocating(body, message):
             mae.load_bytes(_BIG_HEADER + body)
 
     assert _peak_alloc_bytes(load) < 2**20
-
-
-@pytest.mark.parametrize(
-    "cfg",
-    [
-        mae.TMAEConfig(),
-        mae.TMAEConfig(patch_size=2, channels=1, enc_d_model=8, enc_depth=1, enc_heads=2,
-                       enc_d_ff=8, dec_d_model=4, dec_depth=1, dec_heads=2, dec_d_ff=4),
-        mae.TMAEConfig(patch_size=4, channels=3, enc_d_model=12, enc_depth=3, enc_heads=3,
-                       enc_d_ff=20, dec_d_model=6, dec_depth=0, dec_heads=1, dec_d_ff=6),
-        mae.TMAEConfig(patch_size=16, channels=3, enc_d_model=32, enc_depth=2, enc_heads=8,
-                       enc_d_ff=32, dec_d_model=16, dec_depth=2, dec_heads=4, dec_d_ff=48),
-    ],
-)
-def test_parameter_counts_match_init_model(cfg):
-    named = mae.init_model(cfg).named_parameters()
-    assert mae._parameter_counts(cfg) == (len(named), sum(t.data.size for _, t in named))
 
 
 def test_decompress_with_loaded_model_keeps_one_attention_map():
