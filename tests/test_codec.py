@@ -372,6 +372,34 @@ def test_run_overflow_rejected():
         codec_decode(header + payload)
 
 
+def _dct_stream(w, h, c, payload):
+    return codec._HEADER.pack(b"BDC1", CODEC_DCT, 50, w, h, c, len(payload)) + payload
+
+
+# (width, height, channels, payload, message, offset) of hand-built streams
+# whose entropy payload is malformed; offsets count from the stream's start.
+PAYLOAD_ERRORS = [
+    # a run of 63, value 1, then a run of 63 lands past coefficient 63
+    (8, 8, 1, bytes([63, 2, 63]), "coefficient run overflows the block (127)", 21),
+    # one (run, value) pair, then the payload ends before END_OF_BLOCK
+    (8, 8, 1, bytes([0, 2]), "block truncated before end marker", 21),
+    # a varint continuation bit on the last payload byte
+    (8, 8, 1, bytes([0, 0x80]), "varint runs past end of payload", 21),
+    # ten bytes with the continuation bit make an 11-byte varint
+    (8, 8, 1, bytes([0] + [0xFF] * 10 + [0x01]), "varint longer than 64 bits", 30),
+    # 16x8x3: channel 0 is two empty blocks, channel 1's first block ends early
+    (16, 8, 3, bytes([0xFF, 0xFF, 0, 2, 3, 4]), "block truncated before end marker", 25),
+]
+
+
+@pytest.mark.parametrize("w,h,c,payload,message,offset", PAYLOAD_ERRORS)
+def test_payload_error_messages_and_offsets(w, h, c, payload, message, offset):
+    with pytest.raises(BitstreamError) as err:
+        codec_decode(_dct_stream(w, h, c, payload))
+    assert str(err.value) == f"{message} (byte offset {offset})"
+    assert err.value.offset == offset
+
+
 def test_trailing_garbage_rejected():
     img = np.zeros((8, 8, 1), dtype=np.uint8)
     bits = bytearray(codec_encode(img, CodecParams(CODEC_DCT, 50)))
