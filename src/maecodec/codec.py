@@ -15,7 +15,9 @@ never exceed 63, so 0xFF is unambiguous. Blocks are emitted channel-major,
 then row-major over the block grid.
 
 Transform and quantization run over all blocks of a plane at once, as one
-(rows, cols, 8, 8) stack; only entropy coding runs block by block.
+(rows, cols, 8, 8) stack. Entropy coding is one loop per plane in each
+direction: _encode_blocks over the plane's coefficient rows, _decode_blocks
+over its payload bytes, which it reads straight into one (blocks, 64) array.
 """
 
 from __future__ import annotations
@@ -152,92 +154,73 @@ def _ycbcr_to_rgb(ycc: np.ndarray) -> np.ndarray:
     return np.stack([r, g, b], axis=-1)
 
 
-def _zigzag_varint(value: int) -> bytes:
-    """Signed integer as zigzag-mapped LEB128."""
-    u = (value << 1) if value >= 0 else ((-value << 1) - 1)
+def _encode_blocks(zigzagged: np.ndarray) -> bytes:
+    """Entropy-code a plane's (blocks, 64) zigzagged coefficients.
+
+    Each nonzero coefficient becomes a (run u8, value) pair, the value
+    zigzag-mapped and written as LEB128; each block ends with END_OF_BLOCK.
+    """
     out = bytearray()
-    while True:
-        byte = u & 0x7F
-        u >>= 7
-        if u:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
+    for block in zigzagged:
+        prev = -1
+        # one row at a time: a whole-plane .tolist() holds ~1 MB of ints
+        for idx, value in enumerate(block.tolist()):
+            if value:
+                out.append(idx - prev - 1)
+                u = value << 1 if value >= 0 else (-value << 1) - 1
+                while u > 0x7F:
+                    out.append(u & 0x7F | 0x80)
+                    u >>= 7
+                out.append(u)
+                prev = idx
+        out.append(END_OF_BLOCK)
+    return bytes(out)
 
 
-def _read_varint(buf: bytes, pos: int) -> tuple[int, int]:
-    u = 0
-    shift = 0
-    while True:
-        if pos >= len(buf):
-            raise BitstreamError("varint runs past end of payload", offset=pos)
+def _decode_blocks(buf: bytes, pos: int, n_blocks: int) -> tuple[np.ndarray, int]:
+    """Read n_blocks entropy-coded blocks starting at buf[pos].
+
+    One pass over the payload bytes: ``shift`` is -1 while a run byte or
+    END_OF_BLOCK is expected, else the bit position of the next varint
+    byte. Returns the (n_blocks, 64) zigzagged coefficients and the offset
+    after the last block; malformed input raises BitstreamError at the
+    offending byte.
+    """
+    coeffs = np.zeros(n_blocks * 64, dtype=np.int64)
+    slots = memoryview(coeffs)
+    stop = n_blocks * 64
+    base = slot = u = 0  # base: the current block's first slot
+    shift = -1
+    for pos in range(pos, len(buf)):
         byte = buf[pos]
-        pos += 1
-        u |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            break
-        shift += 7
-        if shift > 63:
-            raise BitstreamError("varint longer than 64 bits", offset=pos)
-    value = (u >> 1) if not u & 1 else -((u + 1) >> 1)
-    return value, pos
-
-
-def _encode_block(zz: np.ndarray, out: bytearray) -> None:
-    nonzero = np.flatnonzero(zz)
-    prev = -1
-    for idx in nonzero:
-        out.append(int(idx) - prev - 1)
-        out += _zigzag_varint(int(zz[idx]))
-        prev = int(idx)
-    out.append(END_OF_BLOCK)
-
-
-def _decode_block(buf: bytes, pos: int) -> tuple[np.ndarray, int]:
-    zz = np.zeros(64, dtype=np.int64)
-    filled = 0
-    while True:
-        if pos >= len(buf):
-            raise BitstreamError("block truncated before end marker", offset=pos)
-        run = buf[pos]
-        pos += 1
-        if run == END_OF_BLOCK:
-            return zz, pos
-        filled += run
-        if filled >= 64:
-            raise BitstreamError(
-                f"coefficient run overflows the block ({filled})", offset=pos - 1
-            )
-        value, pos = _read_varint(buf, pos)
-        zz[filled] = value
-        filled += 1
-
-
-def _pad_to_blocks(channel: np.ndarray) -> np.ndarray:
-    h, w = channel.shape
-    return np.pad(channel, ((0, (-h) % 8), (0, (-w) % 8)), mode="edge")
-
-
-def _encode_channel(channel: np.ndarray, quality: int, out: bytearray) -> None:
-    padded = _pad_to_blocks(channel) - 128.0
-    bh, bw = padded.shape[0] // 8, padded.shape[1] // 8
-    blocks = padded.reshape(bh, 8, bw, 8).transpose(0, 2, 1, 3)
-    zigzagged = quantize(dct_block(blocks), quality).reshape(bh * bw, 64)[:, ZIGZAG]
-    for zz in zigzagged:
-        _encode_block(zz, out)
-
-
-def _decode_channel(buf: bytes, pos: int, h: int, w: int, quality: int) -> tuple[np.ndarray, int]:
-    bh, bw = -(-h // 8), -(-w // 8)
-    zigzagged = np.empty((bh * bw, 64), dtype=np.int64)
-    for i in range(bh * bw):
-        zigzagged[i], pos = _decode_block(buf, pos)
-    qcoeffs = np.empty_like(zigzagged)
-    qcoeffs[:, ZIGZAG] = zigzagged
-    blocks = idct_block(dequantize(qcoeffs.reshape(bh, bw, 8, 8), quality))
-    channel = blocks.transpose(0, 2, 1, 3).reshape(bh * 8, bw * 8)
-    return channel[:h, :w] + 128.0, pos
+        if shift < 0:
+            if byte == END_OF_BLOCK:
+                base += 64
+                if base == stop:
+                    return coeffs.reshape(n_blocks, 64), pos + 1
+                slot = base
+                continue
+            slot += byte
+            if slot - base >= 64:
+                raise BitstreamError(
+                    f"coefficient run overflows the block ({slot - base})", offset=pos
+                )
+            u = shift = 0
+        elif byte < 0x80:
+            u |= byte << shift
+            if u >> 64:  # only a tenth byte above 1 gets here
+                raise BitstreamError("varint longer than 64 bits", offset=pos)
+            slots[slot] = (u >> 1) ^ -(u & 1)
+            slot += 1
+            shift = -1
+        else:
+            u |= (byte & 0x7F) << shift
+            shift += 7
+            if shift > 63:
+                raise BitstreamError("varint longer than 64 bits", offset=pos + 1)
+    if shift < 0:
+        raise BitstreamError("block truncated before end marker", offset=len(buf))
+    raise BitstreamError("varint runs past end of payload", offset=len(buf))
 
 
 def codec_encode(image: np.ndarray, params: CodecParams) -> bytes:
@@ -257,10 +240,16 @@ def codec_encode(image: np.ndarray, params: CodecParams) -> bytes:
         pixels = arr.astype(np.float64)
         if c == 3:
             pixels = _rgb_to_ycbcr(pixels)
-        body = bytearray()
+        bh, bw = -(-h // 8), -(-w // 8)
+        planes = []
         for ch in range(c):
-            _encode_channel(pixels[:, :, ch], params.quality, body)
-        payload = bytes(body)
+            # Rebinding one name at each step keeps no array of the previous
+            # plane alive while this plane's are made.
+            blocks = np.pad(pixels[:, :, ch], ((0, bh * 8 - h), (0, bw * 8 - w)), mode="edge")
+            blocks = (blocks - 128.0).reshape(bh, 8, bw, 8).transpose(0, 2, 1, 3)
+            blocks = quantize(dct_block(blocks), params.quality).reshape(-1, 64)
+            planes.append(_encode_blocks(blocks[:, ZIGZAG]))
+        payload = b"".join(planes)
 
     header = _HEADER.pack(MAGIC, params.codec_id, params.quality, w, h, c, len(payload))
     return header + payload
@@ -305,21 +294,24 @@ def codec_decode(bits: bytes) -> np.ndarray:
             .copy()
         )
 
-    n_blocks = -(-h // 8) * -(-w // 8) * c
-    if payload_len < n_blocks:
+    bh, bw = -(-h // 8), -(-w // 8)
+    if payload_len < bh * bw * c:
         raise BitstreamError(
-            f"payload {payload_len} bytes cannot hold {n_blocks} blocks", offset=15
+            f"payload {payload_len} bytes cannot hold {bh * bw * c} blocks", offset=15
         )
-    channels = []
+    pixels = np.empty((h, w, c))
     pos = HEADER_BYTES
-    for _ in range(c):
-        channel, pos = _decode_channel(bits, pos, h, w, quality)
-        channels.append(channel)
+    for ch in range(c):
+        zigzagged, pos = _decode_blocks(bits, pos, bh * bw)
+        blocks = np.empty_like(zigzagged)
+        blocks[:, ZIGZAG] = zigzagged
+        blocks = idct_block(dequantize(blocks.reshape(bh, bw, 8, 8), quality))
+        blocks = blocks.transpose(0, 2, 1, 3).reshape(bh * 8, bw * 8)
+        pixels[:, :, ch] = blocks[:h, :w] + 128.0
     if pos != len(bits):
         raise BitstreamError(
             f"{len(bits) - pos} trailing bytes after last block", offset=pos
         )
-    pixels = np.stack(channels, axis=-1)
     if c == 3:
         pixels = _ycbcr_to_rgb(pixels)
     return np.clip(np.rint(pixels), 0, 255).astype(np.uint8)

@@ -207,9 +207,9 @@ def to_uint8(image) -> np.ndarray:
     return np.rint(np.clip(arr, 0.0, 1.0) * 255.0).astype(np.uint8)
 
 
-def condensed_grid_for(spec: MaskSpec, grid: PatchGrid) -> PatchGrid:
-    """Layout of the stacked visible patches: full-width rows, last row padded."""
-    rows = -(-spec.keep_count // grid.grid_cols)
+def condensed_grid_for(keep_count: int, grid: PatchGrid) -> PatchGrid:
+    """Layout of keep_count stacked patches: full-width rows, last row padded."""
+    rows = -(-keep_count // grid.grid_cols)
     return PatchGrid(
         width=grid.width,
         height=rows * grid.patch_size,
@@ -233,7 +233,7 @@ def stack_visible(patches, spec: MaskSpec, grid: PatchGrid) -> tuple[np.ndarray,
         raise ShapeError(
             f"expected {grid.n_patches}x{grid.patch_dim} patches, got {arr.shape}"
         )
-    cgrid = condensed_grid_for(spec, grid)
+    cgrid = condensed_grid_for(spec.keep_count, grid)
     slots = np.full((cgrid.n_patches, grid.patch_dim), PAD_VALUE)
     slots[: spec.keep_count] = arr[list(spec.keep_indices)]
     return unpatchify(slots, cgrid), cgrid
@@ -244,7 +244,7 @@ def unstack_visible(condensed, spec: MaskSpec, grid: PatchGrid) -> np.ndarray:
     arr = np.asarray(condensed)
     if arr.ndim == 2:
         arr = arr[:, :, None]
-    cgrid = condensed_grid_for(spec, grid)
+    cgrid = condensed_grid_for(spec.keep_count, grid)
     if arr.shape != (cgrid.height, cgrid.width, cgrid.channels):
         raise ContainerError(
             f"condensed image is {arr.shape}, header implies "

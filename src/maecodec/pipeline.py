@@ -224,8 +224,7 @@ class RateReport:
 
 def rate_report(container: Container) -> RateReport:
     """Rates per pixel of the container's original image dimensions."""
-    spec = container.mask_spec()
-    cgrid = condensed_grid_for(spec, container.padded_grid())
+    cgrid = condensed_grid_for(container.keep_count, container.padded_grid())
     original_pixels = container.orig_width * container.orig_height
     condensed_pixels = cgrid.width * cgrid.height
     payload_bits = 8 * len(container.payload)

@@ -409,12 +409,38 @@ def test_trailing_garbage_rejected():
         codec_decode(bytes(bits))
 
 
-@given(st.integers(min_value=-(2**40), max_value=2**40))
+# u = 0x7F << 63 | (2**63 - 1) and u = 2**64: ten varint bytes, too many bits
+OVERSIZED_VARINTS = [bytes([0xFF] * 9 + [0x7F]), bytes([0x80] * 9 + [0x02])]
+
+
+@pytest.mark.parametrize("varint", OVERSIZED_VARINTS)
+def test_oversized_varint_rejected(varint):
+    bits = _dct_stream(8, 8, 1, bytes([0]) + varint + bytes([0xFF]))
+    assert len(bits) == 31
+    with pytest.raises(BitstreamError) as err:
+        codec_decode(bits)
+    assert str(err.value) == "varint longer than 64 bits (byte offset 29)"
+
+
+def test_largest_varint_decodes():
+    # u = 2**64 - 1 zigzag-maps to -2**63, the smallest int64
+    payload = bytes([0] + [0xFF] * 9 + [0x01, 0xFF])
+    coeffs, pos = codec._decode_blocks(payload, 0, 1)
+    assert coeffs[0, 0] == -(2**63) and not coeffs[0, 1:].any() and pos == len(payload)
+    assert codec_decode(_dct_stream(8, 8, 1, payload)).shape == (8, 8, 1)
+
+
+@given(st.integers(min_value=-(2**63), max_value=2**63 - 1), st.integers(0, 63))
 @settings(max_examples=100, deadline=None)
-def test_varint_round_trip(value):
-    encoded = codec._zigzag_varint(value)
-    decoded, pos = codec._read_varint(encoded, 0)
-    assert decoded == value and pos == len(encoded)
+def test_varint_round_trip(value, index):
+    # the value alone in one block, between an all-zero block and a block
+    # whose 64 coefficients are all nonzero
+    zigzagged = np.zeros((3, 64), dtype=np.int64)
+    zigzagged[1, index] = value
+    zigzagged[2] = np.arange(1, 65) * (-1) ** np.arange(64)
+    bits = codec._encode_blocks(zigzagged)
+    decoded, pos = codec._decode_blocks(bits, 0, 3)
+    assert np.array_equal(decoded, zigzagged) and pos == len(bits)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=100))

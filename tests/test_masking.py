@@ -257,7 +257,7 @@ def test_stack_exact_fill_no_pads():
 def test_stack_pad_arithmetic_kodak():
     grid = masking.PatchGrid(768, 512, 3, 16)
     spec = masking.mask_from_counts(0, 1536, 506)
-    cgrid = masking.condensed_grid_for(spec, grid)
+    cgrid = masking.condensed_grid_for(spec.keep_count, grid)
     assert cgrid.grid_cols == 48
     assert cgrid.grid_rows == 11
     assert cgrid.n_patches - spec.keep_count == 22

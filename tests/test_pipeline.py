@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from maecodec import mae
 from maecodec import pipeline as pl
 from maecodec.codec import CODEC_DCT, CODEC_NULL, CodecParams, codec_decode
-from maecodec.errors import ContainerError, ContractError
+from maecodec.errors import BitstreamError, ContainerError, ContractError
 from maecodec.masking import generate_mask, unstack_visible
 
 # 8x8 constant-gray image, patch 8, nothing masked, null codec, seed 7.
@@ -100,6 +100,17 @@ def _header(**overrides):
 def test_container_rejects_malformed(blob):
     with pytest.raises(ContainerError):
         pl.container_from_bytes(blob)
+
+
+def test_decompress_rejects_oversized_varint():
+    # an 8x8x1 image, nothing masked; its one block holds a ten-byte varint
+    # whose value needs more than 64 bits
+    payload = bytes([0] + [0xFF] * 9 + [0x7F, 0xFF])
+    bits = struct.pack("<4sBBIIBI", b"BDC1", CODEC_DCT, 50, 8, 8, 1, len(payload)) + payload
+    blob = _header(w=8, h=8, n_patches=1, keep=1, codec=CODEC_DCT) + bits
+    with pytest.raises(BitstreamError) as err:
+        pl.decompress(pl.container_from_bytes(blob), model=None)
+    assert err.value.offset == 29
 
 
 def test_lossless_degenerate_path():
