@@ -1,12 +1,12 @@
 """Dense float64 arrays with reverse-mode automatic differentiation.
 
-Just enough machinery to train a small transformer: matmul, transpose,
-add/sub/mul, row softmax, fused scaled dot-product attention, layer
-norm, GELU, reductions, row gather/scatter/tile and column
-concatenation. Every op is a plain function; ``Tensor`` has no operator
-overloads. There is deliberately no broadcasting beyond adding a 1-D
-vector to every row of a matrix and scaling by a number; every other
-shape mismatch is an error, which keeps the gradient rules small and
+Just enough machinery to train a small transformer: matmul, add/sub/mul,
+row softmax, fused scaled dot-product attention, layer norm, GELU, the
+mean of all elements, row gather/scatter/tile and column concatenation.
+Every op is a plain function; ``Tensor`` has no operator overloads.
+There is deliberately no broadcasting beyond adding a 1-D vector to
+every row of a matrix and scaling by a number; every other shape
+mismatch is an error, which keeps the gradient rules small and
 auditable.
 
 Graph edges live on the output tensor (parent references plus a closure
@@ -25,6 +25,8 @@ from .errors import ContractError, NumericError, ShapeError
 # tanh-approximation GELU constants, pinned for portability
 _GELU_C = 0.7978845608
 _GELU_A = 0.044715
+# layer norm's variance floor
+_LN_EPS = 1e-5
 # Elements of the attention map that one softmax_rows call normalizes:
 # 512 KiB of float64, so each block's temporaries stay in cache.
 _SOFTMAX_BLOCK = 1 << 16
@@ -149,12 +151,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data @ b.data, (a, b), back)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError(f"transpose: expected a matrix, got shape {a.shape}")
-    return _result(a.data.T.copy(), (a,), lambda g: _accumulate(a, g.T))
-
-
 # -- nonlinearities and normalization -------------------------------------
 
 
@@ -184,7 +180,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     them block of rows by block of rows outside the graph, each block
     written back over its logits. The backward pass keeps only the
     attention map. Forward output and gradients equal, bit for bit, those
-    of the op chain ``matmul(softmax_rows(mul(matmul(q, transpose(k)), s)), v)``.
+    of the op chain ``matmul(softmax_rows(mul(matmul(q, kt), s)), v)``,
+    where ``kt`` is K^T as a contiguous matrix.
     """
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2 or q.shape[1] != k.shape[1]:
         raise ShapeError(f"attention: Q {q.shape} vs K {k.shape}")
@@ -192,7 +189,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         raise ShapeError(f"attention: K {k.shape} vs V {v.shape}")
     scale = 1.0 / math.sqrt(q.shape[1])
     # BLAS may round differently for a transposed operand than for a
-    # contiguous one, so K^T is laid out as transpose() lays it out.
+    # contiguous one, so K^T is laid out as one contiguous matrix.
     kt = k.data.T.copy()
     y = q.data @ kt
     y *= scale
@@ -211,10 +208,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     return _result(y @ v.data, (q, k, v), back)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row standardization (population variance) then gain and bias."""
-    if eps <= 0:
-        raise ContractError(f"layer_norm: eps must be positive, got {eps}")
     if x.ndim != 2:
         raise ShapeError(f"layer_norm: expected a matrix, got shape {x.shape}")
     d = x.shape[1]
@@ -225,7 +220,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         )
     mean = x.data.mean(axis=1, keepdims=True)
     var = x.data.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = (x.data - mean) * inv
 
     def back(g):
@@ -257,13 +252,6 @@ def gelu(a: Tensor) -> Tensor:
 
 
 # -- reductions ------------------------------------------------------------
-
-
-def sum_all(a: Tensor) -> Tensor:
-    def back(g):
-        _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
-
-    return _result(np.array(a.data.sum()), (a,), back)
 
 
 def mean_all(a: Tensor) -> Tensor:

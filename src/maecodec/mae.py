@@ -167,9 +167,8 @@ def encode_visible(visible, keep_indices, model: MaskedAutoencoder) -> Tensor:
         raise ContractError("negative patch index")
     if len(set(keep)) != len(keep):
         raise ContractError("keep indices must be distinct")
-    seq = tf.patch_embed(vis, model.embed)
-    pe = tf.positional_rows(keep, cfg.enc_d_model)
-    seq = tf.TokenSequence(ag.add(seq.tokens, pe))
+    pe = tf.positional_encoding(keep, cfg.enc_d_model)
+    seq = tf.TokenSequence(ag.add(ag.matmul(vis, model.embed), pe))
     for block in model.enc_blocks:
         seq = tf.encoder_block(seq, block)
     return ag.layer_norm(seq.tokens, model.enc_ln_gain, model.enc_ln_bias)
@@ -189,7 +188,7 @@ def decode_full(latent: Tensor, spec: MaskSpec, model: MaskedAutoencoder) -> Ten
     if spec.masked_indices:
         mask_rows = ag.tile_rows(model.mask_token, len(spec.masked_indices))
         tokens = ag.add(tokens, ag.scatter_rows(n, spec.masked_indices, mask_rows))
-    tokens = ag.add(tokens, tf.positional_encoding(n, cfg.dec_d_model))
+    tokens = ag.add(tokens, tf.positional_encoding(range(n), cfg.dec_d_model))
     seq = tf.TokenSequence(tokens)
     for block in model.dec_blocks:
         seq = tf.encoder_block(seq, block)

@@ -169,10 +169,6 @@ def patchify(image, patch_size: int) -> tuple[Tensor, PatchGrid]:
         raise ShapeError(f"expected a non-empty HxWxC image, got shape {arr.shape}")
     if patch_size <= 0:
         raise ContractError(f"patch_size must be positive, got {patch_size}")
-    if np.issubdtype(arr.dtype, np.integer):
-        arr = arr / 255.0  # float64 for every integer dtype, no intermediate copy
-    else:
-        arr = arr.astype(np.float64, copy=False)
     h, w, c = arr.shape
     pad_h = (-h) % patch_size
     pad_w = (-w) % patch_size
@@ -182,8 +178,12 @@ def patchify(image, patch_size: int) -> tuple[Tensor, PatchGrid]:
     grid = PatchGrid(width=w, height=h, channels=c, patch_size=patch_size)
     p = patch_size
     tiles = arr.reshape(grid.grid_rows, p, grid.grid_cols, p, c)
+    # Reordered in the input's dtype, so an integer image is scaled once and
+    # a float image is widened only by Tensor's own copy.
     patches = tiles.transpose(0, 2, 1, 3, 4).reshape(grid.n_patches, grid.patch_dim)
-    return Tensor(np.ascontiguousarray(patches)), grid
+    if np.issubdtype(patches.dtype, np.integer):
+        patches = patches / 255.0
+    return Tensor(patches), grid
 
 
 def unpatchify(patches, grid: PatchGrid) -> np.ndarray:

@@ -51,8 +51,8 @@ class PipelineConfig:
     codec: CodecParams = field(default_factory=CodecParams)
 
     def __post_init__(self):
-        if self.patch_size <= 0:
-            raise ContractError(f"patch_size must be positive, got {self.patch_size}")
+        if not 0 < self.patch_size <= 0xFFFF:
+            raise ContractError(f"patch_size out of u16 range 1..65535: {self.patch_size}")
         if not 0.0 <= self.mask_ratio < 1.0:
             raise ContractError(f"mask_ratio must lie in [0, 1), got {self.mask_ratio}")
         if not 0 <= self.seed <= 0xFFFFFFFFFFFFFFFF:

@@ -223,8 +223,8 @@ def read_csv(path) -> list[RDPoint]:
         parts = line.split(",")
         if len(parts) != 7:
             raise ContractError(f"{path}:{ln}: expected 7 fields, got {len(parts)}")
-        points.append(
-            RDPoint(
+        try:
+            point = RDPoint(
                 image_id=parts[0],
                 mask_ratio=float(parts[1]),
                 quality=int(parts[2]),
@@ -233,7 +233,9 @@ def read_csv(path) -> list[RDPoint]:
                 ssim=float(parts[5]),
                 psnr=float(parts[6]),
             )
-        )
+        except ValueError as exc:
+            raise ContractError(f"{path}:{ln}: {exc}") from exc
+        points.append(point)
     return points
 
 

@@ -25,9 +25,13 @@ from .mae import (
     forward_loss,
     init_model,
 )
-from .masking import generate_mask, patchify
+from .masking import PAD_VALUE, generate_mask, patchify
 
 _MASK_SEED_BOUND = 1 << 63
+# Adam's moment decay rates and denominator floor (Kingma & Ba defaults)
+_BETA1 = 0.9
+_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -52,12 +56,9 @@ class TrainConfig:
 
 
 class Adam:
-    def __init__(self, params: list[Tensor], lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: list[Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
@@ -68,17 +69,17 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - _BETA1**self.t
+        bc2 = 1.0 - _BETA2**self.t
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             if g is None:
                 continue
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * g * g
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
 
 
 @dataclass
@@ -151,11 +152,11 @@ def train(
     return TrainResult(model=model, epoch_losses=epoch_losses)
 
 
-def baseline_fill_mse(patches, spec, fill: float = 0.5) -> float:
-    """Masked-row MSE of a constant fill; the floor a model must beat."""
+def baseline_fill_mse(patches, spec) -> float:
+    """Masked-row MSE of a mid-gray fill; the floor a model must beat."""
     arr = patches.data if isinstance(patches, Tensor) else np.asarray(patches)
     masked = arr[list(spec.masked_indices)]
-    return float(np.mean((masked - fill) ** 2))
+    return float(np.mean((masked - PAD_VALUE) ** 2))
 
 
 def masked_model_mse(model: MaskedAutoencoder, patches, spec) -> float:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,11 +80,6 @@ class EncoderBlockParams:
     b1: Tensor  # (d_ff,)
     w2: Tensor  # (d_ff, d_model)
     b2: Tensor  # (d_model,)
-    _named: list[tuple[str, Tensor]] = field(repr=False, compare=False)
-
-    def tensors(self) -> list[tuple[str, Tensor]]:
-        """All weights in the order the builder made them: the serialization order."""
-        return list(self._named)
 
 
 @dataclass
@@ -98,36 +93,25 @@ class TokenSequence:
             raise ShapeError(f"tokens must be a matrix, got shape {self.tokens.shape}")
 
 
-def patch_embed(patches: Tensor, projection: Tensor) -> TokenSequence:
-    """Project flattened patches into the embedding space."""
-    return TokenSequence(ag.matmul(patches, projection))
-
-
-def positional_encoding(n_positions: int, d_model: int) -> Tensor:
-    """Sinusoidal position table.
+def positional_encoding(positions, d_model: int) -> Tensor:
+    """Sinusoidal encoding, one row per patch index in ``positions``.
 
     PE[pos, 2i] = sin(pos / base^(2i/d_model)) and the matching cosine in
     the odd channel, base 10000.
     """
     if d_model % 2 != 0:
         raise ContractError(f"d_model must be even, got {d_model}")
-    pos = np.arange(n_positions, dtype=np.float64)[:, None]
+    pos = np.asarray(positions, dtype=np.float64)
+    if pos.ndim != 1:
+        raise ShapeError(f"positions must be 1-D, got shape {pos.shape}")
     freq = np.exp(
         -math.log(POSITIONAL_BASE) * np.arange(0, d_model, 2, dtype=np.float64) / d_model
     )
-    table = np.empty((n_positions, d_model))
-    table[:, 0::2] = np.sin(pos * freq)
-    table[:, 1::2] = np.cos(pos * freq)
+    angles = pos[:, None] * freq
+    table = np.empty((pos.size, d_model))
+    table[:, 0::2] = np.sin(angles)
+    table[:, 1::2] = np.cos(angles)
     return Tensor(table)
-
-
-def positional_rows(positions, d_model: int) -> Tensor:
-    """Positional encoding rows for an arbitrary set of patch indices."""
-    positions = list(positions)
-    if not positions:
-        raise ContractError("positional_rows: empty position list")
-    table = positional_encoding(max(positions) + 1, d_model)
-    return Tensor(table.data[positions])
 
 
 def multi_head_attention(x: TokenSequence, params: EncoderBlockParams) -> Tensor:
@@ -199,7 +183,6 @@ def build_encoder_block(cfg: AttentionConfig, d_ff: int, make: Make) -> EncoderB
     if d_ff < cfg.d_model:
         raise ContractError(f"d_ff ({d_ff}) must be >= d_model ({cfg.d_model})")
     d, dh, heads = cfg.d_model, cfg.d_head, range(cfg.n_heads)
-    make, named = recording(make)
     return EncoderBlockParams(
         config=cfg,
         ln1_gain=make("ln1_gain", (d,), ones),
@@ -215,10 +198,4 @@ def build_encoder_block(cfg: AttentionConfig, d_ff: int, make: Make) -> EncoderB
         b1=make("b1", (d_ff,), zeros),
         w2=make("w2", (d_ff, d), fan_in_normal),
         b2=make("b2", (d,), zeros),
-        _named=named,
     )
-
-
-def init_encoder_block(cfg: AttentionConfig, d_ff: int, rng: np.random.Generator) -> EncoderBlockParams:
-    """Random block weights: scaled-normal projections, identity layer norms."""
-    return build_encoder_block(cfg, d_ff, random_maker(rng))

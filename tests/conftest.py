@@ -13,6 +13,11 @@ FD_STEP = 1e-5
 FD_TOL = 1e-4
 
 
+def total(x: Tensor) -> Tensor:
+    """Sum of all elements as the mean times the count; its gradient is exactly 1."""
+    return ag.mul(ag.mean_all(x), float(x.data.size))
+
+
 def numeric_grad(loss_fn, param: Tensor, step: float = FD_STEP) -> np.ndarray:
     """Central finite differences of loss_fn() w.r.t. every param entry."""
     grad = np.zeros_like(param.data)

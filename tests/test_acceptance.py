@@ -191,7 +191,7 @@ def test_acceptance_gradient_suite(verdict):
 def test_acceptance_attention_invariants(verdict):
     rng = np.random.default_rng(5)
     cfg = tf.AttentionConfig(d_model=8, n_heads=2)
-    block = tf.init_encoder_block(cfg, d_ff=16, rng=rng)
+    block = tf.build_encoder_block(cfg, 16, tf.random_maker(rng))
 
     # row-stochastic attention maps
     worst = 0.0
@@ -212,7 +212,7 @@ def test_acceptance_attention_invariants(verdict):
     equiv_ok = equiv_gap < 1e-9
 
     # and broken once positions are encoded
-    pe = tf.positional_encoding(6, 8).data
+    pe = tf.positional_encoding(range(6), 8).data
     with_pe = tf.encoder_block(tf.TokenSequence(Tensor(x + pe)), block).tokens.data
     with_pe_perm = tf.encoder_block(
         tf.TokenSequence(Tensor(x[perm] + pe)), block

@@ -1,8 +1,10 @@
 """Masked autoencoder: staged oracles, passthrough, gradients, checkpoints."""
 
 import hashlib
+import json
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,8 @@ from maecodec.masking import (
 )
 
 from conftest import assert_grads_close
+
+BENCH_FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 
 
 def _tiny_model(cfg, seed=0):
@@ -114,7 +118,7 @@ def test_encode_visible_matches_manual_stages(tiny_mae_config):
     vis = np.random.default_rng(2).random((3, tiny_mae_config.patch_dim))
 
     x = vis @ model.embed.data
-    x = x + tf.positional_rows(keep, tiny_mae_config.enc_d_model).data
+    x = x + tf.positional_encoding(keep, tiny_mae_config.enc_d_model).data
     seq = tf.TokenSequence(Tensor(x))
     for block in model.enc_blocks:
         seq = tf.encoder_block(seq, block)
@@ -141,7 +145,7 @@ def test_decode_full_depth_zero_masked_rows_oracle():
     latent = Tensor(np.random.default_rng(4).random((2, cfg.enc_d_model)))
     out = mae.decode_full(latent, spec, model).data
 
-    pe = tf.positional_encoding(6, cfg.dec_d_model).data
+    pe = tf.positional_encoding(range(6), cfg.dec_d_model).data
     for i in spec.masked_indices:
         expected = (model.mask_token.data + pe[i]) @ model.head_w.data + model.head_b.data
         np.testing.assert_allclose(out[i], expected, rtol=1e-12)
@@ -318,6 +322,24 @@ def test_checkpoint_save_load_save_is_bitwise_fixed_point(cfg):
     model = _tiny_model(cfg, seed=17)
     blob = mae.save_bytes(model)
     assert mae.save_bytes(mae.load_bytes(blob)) == blob
+
+
+@pytest.mark.parametrize(
+    "path", sorted(BENCH_FIXTURES.glob("*.tmck")), ids=lambda p: p.name
+)
+def test_benchmark_fixture_checkpoints_load_and_resave(path):
+    """The benchmark's trained checkpoints match their manifest and still load.
+
+    A change to the weight layout that breaks them fails here, not only in a
+    benchmark run.
+    """
+    manifest = json.loads((BENCH_FIXTURES / "manifest.json").read_text(encoding="utf-8"))
+    assert sorted(manifest) == sorted(p.name for p in BENCH_FIXTURES.glob("*.tmck"))
+    blob = path.read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == manifest[path.name]["sha256"]
+    model = mae.load_bytes(blob)
+    assert model.config == mae.TMAEConfig(**manifest[path.name]["model"])
+    assert mae.save_bytes(model) == blob
 
 
 def test_load_draws_no_random_weights(tiny_mae_config, monkeypatch):

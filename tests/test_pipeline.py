@@ -195,6 +195,11 @@ def test_pipeline_config_validation():
         pl.PipelineConfig(seed=-1)
     with pytest.raises(ContractError):
         pl.PipelineConfig(seed=1 << 64)
+    # the TMAE header holds patch_size as u16; a larger one must fail here,
+    # before compress pads the image to patch_size^2 pixels
+    assert pl.PipelineConfig(patch_size=0xFFFF).patch_size == 0xFFFF
+    with pytest.raises(ContractError, match="u16"):
+        pl.PipelineConfig(patch_size=70000)
 
 
 # -- rate accounting -----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Rate-distortion sweep, Pareto selection, budget fitting, file emission."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -330,6 +331,13 @@ def test_read_csv_rejects_bad_files(tmp_path):
     bad_fields.write_text(sweep.CSV_HEADER + "\na,b,c\n", encoding="utf-8")
     with pytest.raises(ContractError):
         sweep.read_csv(bad_fields)
+    # a non-numeric float or int field is named by file and line
+    good = "img,0.5,50,1.0,0.9,0.8,30.0"
+    for bad in ("img,x,50,1.0,0.9,0.8,30.0", "img,0.5,x,1.0,0.9,0.8,30.0"):
+        bad_value = tmp_path / "v.csv"
+        bad_value.write_text(f"{sweep.CSV_HEADER}\n{good}\n{bad}\n", encoding="utf-8")
+        with pytest.raises(ContractError, match=re.escape(f"{bad_value}:3: ") + ".*'x'"):
+            sweep.read_csv(bad_value)
 
 
 def test_write_curve_dat_sorted_two_columns(tmp_path):

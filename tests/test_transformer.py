@@ -10,7 +10,7 @@ from maecodec import transformer as tf
 from maecodec.autograd import Tensor
 from maecodec.errors import ContractError, ShapeError
 
-from conftest import assert_grads_close
+from conftest import assert_grads_close, total
 
 
 def _np_softmax_rows(x):
@@ -45,7 +45,13 @@ def _np_block(x, params):
 
 
 def _random_block(cfg, d_ff, seed):
-    return tf.init_encoder_block(cfg, d_ff, np.random.default_rng(seed))
+    return _recorded_block(cfg, d_ff, seed)[0]
+
+
+def _recorded_block(cfg, d_ff, seed):
+    """A random block and its weights by name, in the order the builder made them."""
+    make, named = tf.recording(tf.random_maker(np.random.default_rng(seed)))
+    return tf.build_encoder_block(cfg, d_ff, make), named
 
 
 # -- configs and sequences ----------------------------------------------------
@@ -61,45 +67,23 @@ def test_attention_config_rejects_bad_split():
         tf.AttentionConfig(10, 3)
 
 
-# -- patch embedding ----------------------------------------------------------
-
-
-def test_patch_embed_zero_projection():
-    out = tf.patch_embed(Tensor(np.ones((3, 4))), Tensor(np.zeros((4, 5))))
-    np.testing.assert_array_equal(out.tokens.data, np.zeros((3, 5)))
-
-
-def test_patch_embed_identity_projection():
-    patch = np.arange(4.0)[None, :]
-    out = tf.patch_embed(Tensor(patch), Tensor(np.eye(4)))
-    np.testing.assert_array_equal(out.tokens.data, patch)
-
-
-def test_patch_embed_matches_matmul_oracle():
-    rng = np.random.default_rng(0)
-    patches = rng.normal(size=(4, 6))
-    proj = rng.normal(size=(6, 8))
-    out = tf.patch_embed(Tensor(patches), Tensor(proj))
-    np.testing.assert_allclose(out.tokens.data, patches @ proj)
-
-
 # -- positional encoding -------------------------------------------------------
 
 
 def test_positional_encoding_row_zero():
-    pe = tf.positional_encoding(3, 8).data
+    pe = tf.positional_encoding(range(3), 8).data
     np.testing.assert_array_equal(pe[0, 0::2], np.zeros(4))
     np.testing.assert_array_equal(pe[0, 1::2], np.ones(4))
 
 
 def test_positional_encoding_in_range():
-    pe = tf.positional_encoding(50, 16).data
+    pe = tf.positional_encoding(range(50), 16).data
     assert (pe >= -1).all() and (pe <= 1).all()
 
 
 def test_positional_encoding_closed_form():
     d = 16
-    pe = tf.positional_encoding(5, d).data
+    pe = tf.positional_encoding(range(5), d).data
     for pos in range(5):
         for i in range(d // 2):
             angle = pos / 10000 ** (2 * i / d)
@@ -108,19 +92,32 @@ def test_positional_encoding_closed_form():
 
 
 def test_positional_encoding_distinguishes_positions():
-    pe = tf.positional_encoding(3, 16).data
+    pe = tf.positional_encoding(range(3), 16).data
     assert np.abs(pe[1] - pe[2]).max() > 1e-3
 
 
 def test_positional_encoding_rejects_odd_width():
     with pytest.raises(ContractError):
-        tf.positional_encoding(4, 7)
+        tf.positional_encoding(range(4), 7)
 
 
 def test_positional_rows_match_table():
-    table = tf.positional_encoding(9, 8).data
-    rows = tf.positional_rows([8, 2, 5], 8).data
+    """Rows for a set of positions equal the full table's rows, bit for bit."""
+    table = tf.positional_encoding(range(9), 8).data
+    rows = tf.positional_encoding([8, 2, 5], 8).data
     np.testing.assert_array_equal(rows, table[[8, 2, 5]])
+    rng = np.random.default_rng(0)
+    for d, n in [(16, 64), (32, 1536), (64, 4096)]:
+        keep = rng.permutation(n)[: n // 3]
+        table = tf.positional_encoding(range(n), d).data
+        np.testing.assert_array_equal(tf.positional_encoding(keep, d).data, table[keep])
+
+
+def test_positional_encoding_rejects_non_1d_positions():
+    with pytest.raises(ShapeError):
+        tf.positional_encoding(6, 8)
+    with pytest.raises(ShapeError):
+        tf.positional_encoding([[0, 1], [2, 3]], 8)
 
 
 # -- scaled attention ----------------------------------------------------------
@@ -217,8 +214,8 @@ def test_mha_width_mismatch():
 
 
 def _zero_block(cfg, d_ff):
-    params = _random_block(cfg, d_ff, seed=0)
-    for _, tensor in params.tensors():
+    params, named = _recorded_block(cfg, d_ff, seed=0)
+    for _, tensor in named:
         tensor.data[...] = 0.0
     return params
 
@@ -271,7 +268,7 @@ def test_block_equivariance_and_positional_breaking():
     plain_p = tf.encoder_block(tf.TokenSequence(Tensor(x[perm])), params).tokens.data
     np.testing.assert_allclose(plain_p, plain[perm], atol=1e-9)
 
-    pe = tf.positional_encoding(6, 8).data
+    pe = tf.positional_encoding(range(6), 8).data
     with_pe = tf.encoder_block(tf.TokenSequence(Tensor(x + pe)), params).tokens.data
     with_pe_p = tf.encoder_block(tf.TokenSequence(Tensor(x[perm] + pe)), params).tokens.data
     assert np.abs(with_pe_p - with_pe[perm]).max() > 1e-3
@@ -279,22 +276,21 @@ def test_block_equivariance_and_positional_breaking():
 
 def test_init_rejects_narrow_ffn():
     with pytest.raises(ContractError):
-        tf.init_encoder_block(tf.AttentionConfig(8, 2), 4, np.random.default_rng(0))
+        _random_block(tf.AttentionConfig(8, 2), 4, seed=0)
 
 
 def test_encoder_block_gradients():
     cfg = tf.AttentionConfig(4, 2)
-    params = _random_block(cfg, 6, seed=20)
+    params, named = _recorded_block(cfg, 6, seed=20)
     rng = np.random.default_rng(21)
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     w = Tensor(rng.normal(size=(3, 4)))
 
     def loss():
         out = tf.encoder_block(tf.TokenSequence(x), params)
-        return ag.sum_all(ag.mul(out.tokens, w))
+        return total(ag.mul(out.tokens, w))
 
-    named = [("x", x)] + params.tensors()
-    assert_grads_close(loss, named)
+    assert_grads_close(loss, [("x", x)] + named)
 
 
 @given(
