@@ -35,14 +35,16 @@ _SOFTMAX_BLOCK = 1 << 16
 class Tensor:
     """A float64 array with an optional gradient.
 
-    Treat ``data`` as immutable once the tensor participates in a
-    computation; ``grad`` is filled in (accumulated) by :func:`backward`.
+    A float64 array passed in is kept, not copied, so the tensor shares
+    its memory; anything else is converted to a new float64 array. Treat
+    ``data`` as immutable once the tensor participates in a computation;
+    ``grad`` is filled in (accumulated) by :func:`backward`.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fn")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.array(data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = ()
@@ -67,17 +69,11 @@ class Tensor:
 
 def _result(data: np.ndarray, parents, grad_fn) -> Tensor:
     """Build an op output; graph edges are recorded only when needed."""
-    out = Tensor.__new__(Tensor)
-    out.data = data
-    out.grad = None
+    out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._grad_fn = grad_fn
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._grad_fn = None
     return out
 
 

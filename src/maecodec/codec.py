@@ -223,6 +223,11 @@ def _decode_blocks(buf: bytes, pos: int, n_blocks: int) -> tuple[np.ndarray, int
     raise BitstreamError("varint runs past end of payload", offset=len(buf))
 
 
+def stream_header(params: CodecParams, width: int, height: int, channels: int, payload_len: int) -> bytes:
+    """The 19 bytes that open a bitstream with these fields."""
+    return _HEADER.pack(MAGIC, params.codec_id, params.quality, width, height, channels, payload_len)
+
+
 def codec_encode(image: np.ndarray, params: CodecParams) -> bytes:
     """Compress an 8-bit image into a self-describing bitstream."""
     arr = np.asarray(image)
@@ -251,8 +256,7 @@ def codec_encode(image: np.ndarray, params: CodecParams) -> bytes:
             planes.append(_encode_blocks(blocks[:, ZIGZAG]))
         payload = b"".join(planes)
 
-    header = _HEADER.pack(MAGIC, params.codec_id, params.quality, w, h, c, len(payload))
-    return header + payload
+    return stream_header(params, w, h, c, len(payload)) + payload
 
 
 def codec_decode(bits: bytes) -> np.ndarray:

@@ -148,14 +148,10 @@ def init_model(config: TMAEConfig, seed: int = 0) -> MaskedAutoencoder:
     return _build(config, tf.random_maker(np.random.default_rng(seed)))
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-
-
-def encode_visible(visible, keep_indices, model: MaskedAutoencoder) -> Tensor:
+def encode_visible(visible: np.ndarray, keep_indices, model: MaskedAutoencoder) -> Tensor:
     """Latents of the visible tokens: embed, add positions, encode, norm."""
     cfg = model.config
-    vis = _as_tensor(visible)
+    vis = Tensor(visible)
     keep = tuple(int(i) for i in keep_indices)
     if vis.ndim != 2 or vis.shape[1] != cfg.patch_dim:
         raise ShapeError(
@@ -177,7 +173,6 @@ def encode_visible(visible, keep_indices, model: MaskedAutoencoder) -> Tensor:
 def decode_full(latent: Tensor, spec: MaskSpec, model: MaskedAutoencoder) -> Tensor:
     """Predict every patch from visible latents plus mask tokens."""
     cfg = model.config
-    latent = _as_tensor(latent)
     if latent.shape != (spec.keep_count, cfg.enc_d_model):
         raise ShapeError(
             f"latent must be {spec.keep_count} x {cfg.enc_d_model}, got {latent.shape}"
@@ -195,36 +190,34 @@ def decode_full(latent: Tensor, spec: MaskSpec, model: MaskedAutoencoder) -> Ten
     return ag.add(ag.matmul(seq.tokens, model.head_w), model.head_b)
 
 
-def reconstruct(visible, spec: MaskSpec, grid: PatchGrid, model: MaskedAutoencoder | None) -> np.ndarray:
+def reconstruct(visible: np.ndarray, spec: MaskSpec, grid: PatchGrid, model: MaskedAutoencoder | None) -> np.ndarray:
     """Full image in [0, 1]: received patches verbatim, predictions elsewhere."""
-    vis = np.asarray(visible.data if isinstance(visible, Tensor) else visible, dtype=np.float64)
-    if vis.shape != (spec.keep_count, grid.patch_dim):
+    if visible.shape != (spec.keep_count, grid.patch_dim):
         raise ShapeError(
-            f"visible patches must be {spec.keep_count} x {grid.patch_dim}, got {vis.shape}"
+            f"visible patches must be {spec.keep_count} x {grid.patch_dim}, got {visible.shape}"
         )
     if spec.n_patches != grid.n_patches:
         raise ContractError(
             f"mask is for {spec.n_patches} patches, grid has {grid.n_patches}"
         )
     if not spec.masked_indices:
-        return unpatchify(vis, grid)
+        return unpatchify(visible, grid)
     if model is None:
         raise ContractError("masked positions present but no model supplied")
     if model.config.patch_dim != grid.patch_dim:
         raise ContractError(
             f"model expects {model.config.patch_dim}-dim patches, grid has {grid.patch_dim}"
         )
-    latent = encode_visible(vis, spec.keep_indices, model)
+    latent = encode_visible(visible, spec.keep_indices, model)
     pred = decode_full(latent, spec, model).data
     full = np.empty((spec.n_patches, grid.patch_dim))
     full[list(spec.masked_indices)] = np.clip(pred[list(spec.masked_indices)], 0.0, 1.0)
-    full[list(spec.keep_indices)] = vis
+    full[list(spec.keep_indices)] = visible
     return unpatchify(full, grid)
 
 
-def masked_mse(pred: Tensor, target, spec: MaskSpec) -> Tensor:
+def masked_mse(pred: Tensor, target: Tensor, spec: MaskSpec) -> Tensor:
     """Mean squared error over the masked rows only (differentiable)."""
-    target = _as_tensor(target)
     if pred.shape != target.shape:
         raise ShapeError(f"pred {pred.shape} vs target {target.shape}")
     if not spec.masked_indices:
@@ -234,13 +227,11 @@ def masked_mse(pred: Tensor, target, spec: MaskSpec) -> Tensor:
     return ag.mean_all(ag.mul(diff, diff))
 
 
-def forward_loss(model: MaskedAutoencoder, patches, spec: MaskSpec) -> Tensor:
+def forward_loss(model: MaskedAutoencoder, patches: Tensor, spec: MaskSpec) -> Tensor:
     """Training objective for one image's patch matrix."""
-    target = _as_tensor(patches)
-    vis = ag.gather_rows(target, list(spec.keep_indices))
-    latent = encode_visible(vis, spec.keep_indices, model)
+    latent = encode_visible(patches.data[list(spec.keep_indices)], spec.keep_indices, model)
     pred = decode_full(latent, spec, model)
-    return masked_mse(pred, target, spec)
+    return masked_mse(pred, patches, spec)
 
 
 # -- checkpoint serialization ------------------------------------------------

@@ -4,6 +4,9 @@ The mask protocol must reproduce bit-identically on both ends of the link,
 so the random source is pinned to SplitMix64 (state advance by the golden
 gamma, the published finalizer) driving a Fisher-Yates shuffle with modulo
 draws. Modulo bias is negligible for n <= 2^20.
+
+``patchify`` is the only function here that returns a ``Tensor`` (one that
+owns its array); every other function takes and returns plain ndarrays.
 """
 
 from __future__ import annotations
@@ -149,10 +152,6 @@ def generate_mask(seed: int, n_patches: int, mask_ratio: float) -> MaskSpec:
     return _build_spec(seed, n_patches, keep_count)
 
 
-def _as_array(patches) -> np.ndarray:
-    return patches.data if isinstance(patches, Tensor) else np.asarray(patches)
-
-
 def patchify(image, patch_size: int) -> tuple[Tensor, PatchGrid]:
     """Cut an image into flattened patches scaled to [0, 1].
 
@@ -178,33 +177,32 @@ def patchify(image, patch_size: int) -> tuple[Tensor, PatchGrid]:
     grid = PatchGrid(width=w, height=h, channels=c, patch_size=patch_size)
     p = patch_size
     tiles = arr.reshape(grid.grid_rows, p, grid.grid_cols, p, c)
-    # Reordered in the input's dtype, so an integer image is scaled once and
-    # a float image is widened only by Tensor's own copy.
-    patches = tiles.transpose(0, 2, 1, 3, 4).reshape(grid.n_patches, grid.patch_dim)
-    if np.issubdtype(patches.dtype, np.integer):
-        patches = patches / 255.0
+    # One float64 buffer, filled in patch order straight from the input and
+    # scaled in place, is the only full-size array made; the Tensor keeps it.
+    patches = np.empty((grid.n_patches, grid.patch_dim))
+    patches.reshape(grid.grid_rows, grid.grid_cols, p, p, c)[...] = tiles.transpose(0, 2, 1, 3, 4)
+    if np.issubdtype(arr.dtype, np.integer):
+        patches /= 255.0
     return Tensor(patches), grid
 
 
-def unpatchify(patches, grid: PatchGrid) -> np.ndarray:
+def unpatchify(patches: np.ndarray, grid: PatchGrid) -> np.ndarray:
     """Exact inverse of patchify; returns the float image, unclamped."""
-    arr = _as_array(patches)
-    if arr.ndim != 2 or arr.shape != (grid.n_patches, grid.patch_dim):
+    if patches.shape != (grid.n_patches, grid.patch_dim):
         raise ShapeError(
-            f"expected {grid.n_patches}x{grid.patch_dim} patches, got {arr.shape}"
+            f"expected {grid.n_patches}x{grid.patch_dim} patches, got {patches.shape}"
         )
     p = grid.patch_size
-    tiles = arr.reshape(grid.grid_rows, grid.grid_cols, p, p, grid.channels)
+    tiles = patches.reshape(grid.grid_rows, grid.grid_cols, p, p, grid.channels)
     image = tiles.transpose(0, 2, 1, 3, 4).reshape(
         grid.height, grid.width, grid.channels
     )
     return np.ascontiguousarray(image)
 
 
-def to_uint8(image) -> np.ndarray:
+def to_uint8(image: np.ndarray) -> np.ndarray:
     """Export helper: clamp to [0, 1], quantize to 8 bits."""
-    arr = _as_array(image)
-    return np.rint(np.clip(arr, 0.0, 1.0) * 255.0).astype(np.uint8)
+    return np.rint(np.clip(image, 0.0, 1.0) * 255.0).astype(np.uint8)
 
 
 def condensed_grid_for(keep_count: int, grid: PatchGrid) -> PatchGrid:
@@ -218,37 +216,33 @@ def condensed_grid_for(keep_count: int, grid: PatchGrid) -> PatchGrid:
     )
 
 
-def stack_visible(patches, spec: MaskSpec, grid: PatchGrid) -> tuple[np.ndarray, PatchGrid]:
+def stack_visible(patches: np.ndarray, spec: MaskSpec, grid: PatchGrid) -> tuple[np.ndarray, PatchGrid]:
     """Lay the kept patches row-major into a condensed image.
 
     Slot s holds the patch at keep_indices[s]; trailing slots in the last
     row are mid-gray pad patches.
     """
-    arr = _as_array(patches)
     if spec.n_patches != grid.n_patches:
         raise ContractError(
             f"mask is for {spec.n_patches} patches, grid has {grid.n_patches}"
         )
-    if arr.shape != (grid.n_patches, grid.patch_dim):
+    if patches.shape != (grid.n_patches, grid.patch_dim):
         raise ShapeError(
-            f"expected {grid.n_patches}x{grid.patch_dim} patches, got {arr.shape}"
+            f"expected {grid.n_patches}x{grid.patch_dim} patches, got {patches.shape}"
         )
     cgrid = condensed_grid_for(spec.keep_count, grid)
     slots = np.full((cgrid.n_patches, grid.patch_dim), PAD_VALUE)
-    slots[: spec.keep_count] = arr[list(spec.keep_indices)]
+    slots[: spec.keep_count] = patches[list(spec.keep_indices)]
     return unpatchify(slots, cgrid), cgrid
 
 
-def unstack_visible(condensed, spec: MaskSpec, grid: PatchGrid) -> np.ndarray:
-    """Recover the visible patches (keep-index order) from a condensed image."""
-    arr = np.asarray(condensed)
-    if arr.ndim == 2:
-        arr = arr[:, :, None]
+def unstack_visible(condensed: np.ndarray, spec: MaskSpec, grid: PatchGrid) -> np.ndarray:
+    """Recover the visible patches (keep-index order) from an HxWxC condensed image."""
     cgrid = condensed_grid_for(spec.keep_count, grid)
-    if arr.shape != (cgrid.height, cgrid.width, cgrid.channels):
+    if condensed.shape != (cgrid.height, cgrid.width, cgrid.channels):
         raise ContainerError(
-            f"condensed image is {arr.shape}, header implies "
+            f"condensed image is {condensed.shape}, header implies "
             f"({cgrid.height}, {cgrid.width}, {cgrid.channels})"
         )
-    patches, _ = patchify(arr, grid.patch_size)
+    patches, _ = patchify(condensed, grid.patch_size)
     return patches.data[: spec.keep_count]

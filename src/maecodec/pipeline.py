@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mae
-from .codec import CodecParams, codec_decode, codec_encode
+from .codec import HEADER_BYTES as STREAM_HEADER_BYTES
+from .codec import CodecParams, codec_decode, codec_encode, stream_header
 from .errors import ContainerError, ContractError
 from .masking import (
     MASK_ALGORITHM_ID,
@@ -167,11 +168,9 @@ def container_from_bytes(blob: bytes) -> Container:
 def compress(image, config: PipelineConfig) -> Container:
     """Transmitter path: patchify, mask, stack, codec, assemble. Model-free."""
     arr = np.asarray(image)
-    if arr.ndim == 2:
-        arr = arr[:, :, None]
     patches, grid = patchify(arr, config.patch_size)
     spec = generate_mask(config.seed, grid.n_patches, config.mask_ratio)
-    condensed, _ = stack_visible(patches, spec, grid)
+    condensed, _ = stack_visible(patches.data, spec, grid)
     payload = codec_encode(to_uint8(condensed), config.codec)
     return Container(
         orig_width=arr.shape[1],
@@ -202,7 +201,20 @@ def decompress(container: Container, model: mae.MaskedAutoencoder | None) -> np.
         raise ContractError(
             f"model channels {model.config.channels} != container {container.channels}"
         )
-    condensed = codec_decode(container.payload)
+    # The header fixes the condensed image's codec, quality and size, so a
+    # payload that declares others is refused before it is decoded.
+    payload = container.payload
+    if len(payload) >= STREAM_HEADER_BYTES:  # a shorter one is codec_decode's to reject
+        cgrid = condensed_grid_for(spec.keep_count, grid)
+        implied = stream_header(
+            container.codec, cgrid.width, cgrid.height, cgrid.channels, len(payload) - STREAM_HEADER_BYTES
+        )
+        if payload[:STREAM_HEADER_BYTES] != implied:
+            raise ContainerError(
+                f"payload stream header {payload[:STREAM_HEADER_BYTES].hex()} is not "
+                f"{implied.hex()}, the one the container implies"
+            )
+    condensed = codec_decode(payload)
     visible = unstack_visible(condensed, spec, grid)
     recon = mae.reconstruct(visible, spec, grid, model)
     cropped = recon[: container.orig_height, : container.orig_width]

@@ -152,16 +152,15 @@ def train(
     return TrainResult(model=model, epoch_losses=epoch_losses)
 
 
-def baseline_fill_mse(patches, spec) -> float:
+def baseline_fill_mse(patches: Tensor, spec) -> float:
     """Masked-row MSE of a mid-gray fill; the floor a model must beat."""
-    arr = patches.data if isinstance(patches, Tensor) else np.asarray(patches)
-    masked = arr[list(spec.masked_indices)]
+    masked = patches.data[list(spec.masked_indices)]
     return float(np.mean((masked - PAD_VALUE) ** 2))
 
 
-def masked_model_mse(model: MaskedAutoencoder, patches, spec) -> float:
+def masked_model_mse(model: MaskedAutoencoder, patches: Tensor, spec) -> float:
     """Masked-row MSE of the model's clamped predictions."""
-    arr = patches.data if isinstance(patches, Tensor) else np.asarray(patches)
+    arr = patches.data
     latent = encode_visible(arr[list(spec.keep_indices)], spec.keep_indices, model)
     pred = np.clip(decode_full(latent, spec, model).data, 0.0, 1.0)
     masked = list(spec.masked_indices)

@@ -127,8 +127,7 @@ def multi_head_attention(x: TokenSequence, params: EncoderBlockParams) -> Tensor
         k = ag.matmul(x.tokens, params.wk[h])
         v = ag.matmul(x.tokens, params.wv[h])
         heads.append(ag.attention(q, k, v))
-    merged = heads[0] if len(heads) == 1 else ag.concat_cols(heads)
-    return ag.add(ag.matmul(merged, params.wo), params.bo)
+    return ag.add(ag.matmul(ag.concat_cols(heads), params.wo), params.bo)
 
 
 def feed_forward(x: Tensor, params: EncoderBlockParams) -> Tensor:

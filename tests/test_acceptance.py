@@ -169,7 +169,7 @@ def test_acceptance_gradient_suite(verdict):
         enc_d_ff=8, dec_d_model=4, dec_depth=1, dec_heads=2, dec_d_ff=4,
     )
     model = mae.init_model(config, seed=3)
-    patches = np.random.default_rng(4).random((6, config.patch_dim))
+    patches = Tensor(np.random.default_rng(4).random((6, config.patch_dim)))
     spec = mask_from_counts(seed=7, n_patches=6, keep_count=2)
 
     t0 = time.perf_counter()

@@ -19,6 +19,14 @@ def t(data, grad=True):
     return Tensor(np.array(data, dtype=np.float64), requires_grad=grad)
 
 
+def test_tensor_keeps_a_float64_array_it_is_given():
+    a = np.arange(6.0).reshape(2, 3)
+    assert np.shares_memory(Tensor(a).data, a)
+    ints = np.arange(6).reshape(2, 3)
+    converted = Tensor(ints).data
+    assert converted.dtype == np.float64 and not np.shares_memory(converted, ints)
+
+
 # -- forward values ---------------------------------------------------------
 
 

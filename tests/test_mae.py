@@ -240,7 +240,7 @@ def test_reconstruct_validates_grid_and_shapes(tiny_mae_config):
 def test_masked_mse_zero_for_equal_inputs():
     spec = mask_from_counts(seed=0, n_patches=6, keep_count=2)
     x = np.random.default_rng(9).random((6, 4))
-    assert mae.masked_mse(Tensor(x), x, spec).data == 0.0
+    assert mae.masked_mse(Tensor(x), Tensor(x), spec).data == 0.0
 
 
 def test_masked_mse_ignores_visible_rows():
@@ -248,7 +248,7 @@ def test_masked_mse_ignores_visible_rows():
     target = np.random.default_rng(10).random((6, 4))
     pred = target.copy()
     pred[list(spec.keep_indices)] += 99.0
-    assert mae.masked_mse(Tensor(pred), target, spec).data == 0.0
+    assert mae.masked_mse(Tensor(pred), Tensor(target), spec).data == 0.0
 
 
 def test_masked_mse_constant_offset():
@@ -256,16 +256,16 @@ def test_masked_mse_constant_offset():
     target = np.zeros((5, 3))
     pred = np.zeros((5, 3))
     pred[list(spec.masked_indices)] = 0.25
-    assert abs(mae.masked_mse(Tensor(pred), target, spec).data - 0.0625) < 1e-15
+    assert abs(mae.masked_mse(Tensor(pred), Tensor(target), spec).data - 0.0625) < 1e-15
 
 
 def test_masked_mse_rejects_empty_mask_and_mismatch():
     spec = mask_from_counts(seed=0, n_patches=4, keep_count=4)
     with pytest.raises(ContractError):
-        mae.masked_mse(Tensor(np.zeros((4, 2))), np.zeros((4, 2)), spec)
+        mae.masked_mse(Tensor(np.zeros((4, 2))), Tensor(np.zeros((4, 2))), spec)
     spec2 = mask_from_counts(seed=0, n_patches=4, keep_count=2)
     with pytest.raises(ShapeError):
-        mae.masked_mse(Tensor(np.zeros((4, 2))), np.zeros((4, 3)), spec2)
+        mae.masked_mse(Tensor(np.zeros((4, 2))), Tensor(np.zeros((4, 3))), spec2)
 
 
 # -- gradients -----------------------------------------------------------------
@@ -273,7 +273,7 @@ def test_masked_mse_rejects_empty_mask_and_mismatch():
 
 def test_forward_loss_gradient_reaches_every_parameter(tiny_mae_config):
     model = _tiny_model(tiny_mae_config, seed=12)
-    patches = np.random.default_rng(13).random((8, tiny_mae_config.patch_dim))
+    patches = Tensor(np.random.default_rng(13).random((8, tiny_mae_config.patch_dim)))
     spec = mask_from_counts(seed=5, n_patches=8, keep_count=3)
     loss = mae.forward_loss(model, patches, spec)
     ag.backward(loss)
@@ -284,7 +284,7 @@ def test_forward_loss_gradient_reaches_every_parameter(tiny_mae_config):
 
 def test_forward_loss_full_gradcheck(tiny_mae_config):
     model = _tiny_model(tiny_mae_config, seed=14)
-    patches = np.random.default_rng(15).random((6, tiny_mae_config.patch_dim))
+    patches = Tensor(np.random.default_rng(15).random((6, tiny_mae_config.patch_dim)))
     spec = mask_from_counts(seed=6, n_patches=6, keep_count=2)
 
     def loss_fn():

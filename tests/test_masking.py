@@ -7,13 +7,14 @@ generator's published test vectors. The same scalar oracle is re-run
 in-process for randomized cross-checks.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maecodec import masking
-from maecodec.autograd import Tensor
 from maecodec.errors import ContainerError, ContractError, ShapeError
 
 MASK64 = (1 << 64) - 1
@@ -192,7 +193,7 @@ def test_patchify_round_trip_exact_on_8bit():
     rng = np.random.default_rng(1)
     img = rng.integers(0, 256, (48, 32, 3), dtype=np.uint8)
     patches, grid = masking.patchify(img, 16)
-    assert np.array_equal(masking.to_uint8(masking.unpatchify(patches, grid)), img)
+    assert np.array_equal(masking.to_uint8(masking.unpatchify(patches.data, grid)), img)
 
 
 def test_patchify_pads_by_edge_replication():
@@ -200,7 +201,7 @@ def test_patchify_pads_by_edge_replication():
     img[4, 4] = 200
     patches, grid = masking.patchify(img, 4)
     assert (grid.height, grid.width) == (8, 8)
-    back = masking.unpatchify(patches, grid)
+    back = masking.unpatchify(patches.data, grid)
     assert back[7, 7, 0] == 200 / 255.0  # corner replicated
     assert back[0, 7, 0] == 9 / 255.0
 
@@ -214,6 +215,28 @@ def test_patchify_accepts_float_input_as_scaled():
     img = np.full((4, 4, 1), 0.25)
     patches, _ = masking.patchify(img, 4)
     np.testing.assert_array_equal(patches.data, np.full((1, 16), 0.25))
+
+
+def test_patchify_owns_its_array_for_float_input():
+    # On a one-column grid (8x8x1 at patch 8) the input is already in patch
+    # order, so a view of it could pass for the patch matrix.
+    for shape, p in [((8, 8, 1), 8), ((16, 24, 3), 4)]:
+        for dtype in (np.float64, np.float32):
+            img = np.random.default_rng(0).random(shape).astype(dtype)
+            patches, _ = masking.patchify(img, p)
+            assert not np.shares_memory(patches.data, img), (shape, dtype)
+
+
+def test_patchify_peak_memory_on_kodak_sized_uint8():
+    img = np.random.default_rng(0).integers(0, 256, (512, 768, 3), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        masking.patchify(img, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 9 MiB float64 patch matrix, not a second full-size copy of it
+    assert peak <= 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_unpatchify_single_patch():
@@ -249,7 +272,7 @@ def test_stack_exact_fill_no_pads():
     img = rng.integers(0, 256, (16, 16, 1), dtype=np.uint8)
     patches, grid = masking.patchify(img, 4)  # 4x4 grid
     spec = masking.mask_from_counts(5, grid.n_patches, 8)  # two full rows
-    condensed, cgrid = masking.stack_visible(patches, spec, grid)
+    condensed, cgrid = masking.stack_visible(patches.data, spec, grid)
     assert condensed.shape == (8, 16, 1)
     assert cgrid.n_patches == 8  # no pad slots
 
@@ -267,7 +290,7 @@ def test_stack_pads_are_mid_gray():
     img = np.zeros((8, 8, 1), dtype=np.uint8)
     patches, grid = masking.patchify(img, 4)
     spec = masking.mask_from_counts(1, 4, 1)
-    condensed, _ = masking.stack_visible(patches, spec, grid)
+    condensed, _ = masking.stack_visible(patches.data, spec, grid)
     assert condensed.shape == (4, 8, 1)
     np.testing.assert_array_equal(condensed[:, 4:], np.full((4, 4, 1), 0.5))
 
@@ -278,13 +301,13 @@ def test_stack_unstack_round_trip_bit_exact():
     patches, grid = masking.patchify(img, 8)
     for keep in (1, 5, grid.n_patches):
         spec = masking.mask_from_counts(11, grid.n_patches, keep)
-        condensed, _ = masking.stack_visible(patches, spec, grid)
+        condensed, _ = masking.stack_visible(patches.data, spec, grid)
         vis = masking.unstack_visible(condensed, spec, grid)
         assert np.array_equal(vis, patches.data[list(spec.keep_indices)])
 
 
 def test_unstack_single_patch():
-    patches = Tensor(np.full((4, 16), 0.25))
+    patches = np.full((4, 16), 0.25)
     grid = masking.PatchGrid(8, 8, 1, 4)
     spec = masking.mask_from_counts(2, 4, 1)
     condensed, _ = masking.stack_visible(patches, spec, grid)
@@ -321,6 +344,6 @@ def test_stack_unstack_property(seed, rows, cols, ratio):
     img = rng.integers(0, 256, (rows * 4, cols * 4, 1), dtype=np.uint8)
     patches, grid = masking.patchify(img, 4)
     spec = masking.generate_mask(seed, grid.n_patches, ratio)
-    condensed, _ = masking.stack_visible(patches, spec, grid)
+    condensed, _ = masking.stack_visible(patches.data, spec, grid)
     vis = masking.unstack_visible(condensed, spec, grid)
     assert np.array_equal(vis, patches.data[list(spec.keep_indices)])

@@ -1,6 +1,8 @@
 """Container format, compress/decompress paths, rate accounting."""
 
+import dataclasses
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from maecodec import mae
 from maecodec import pipeline as pl
-from maecodec.codec import CODEC_DCT, CODEC_NULL, CodecParams, codec_decode
+from maecodec.codec import CODEC_DCT, CODEC_NULL, CodecParams, codec_decode, codec_encode
 from maecodec.errors import BitstreamError, ContainerError, ContractError
 from maecodec.masking import generate_mask, unstack_visible
 
@@ -111,6 +113,35 @@ def test_decompress_rejects_oversized_varint():
     with pytest.raises(BitstreamError) as err:
         pl.decompress(pl.container_from_bytes(blob), model=None)
     assert err.value.offset == 29
+
+
+@pytest.mark.parametrize(
+    "codec", [CodecParams(CODEC_NULL, 7), CodecParams(CODEC_DCT, 7), CodecParams(CODEC_NULL, 90)]
+)
+def test_decompress_rejects_payload_of_another_codec(codec):
+    img = np.random.default_rng(4).integers(0, 256, (16, 16, 1), dtype=np.uint8)
+    cfg = pl.PipelineConfig(patch_size=8, mask_ratio=0.0, seed=1, codec=CodecParams(CODEC_DCT, 90))
+    forged = dataclasses.replace(pl.compress(img, cfg), codec=codec)
+    with pytest.raises(ContainerError, match="stream header"):
+        pl.decompress(pl.container_from_bytes(forged.to_bytes()), model=None)
+
+
+def test_decompress_rejects_oversized_payload_before_decoding():
+    # a 16x16 container whose payload declares a 512x512 image
+    params = CodecParams(CODEC_DCT, 50)
+    payload = codec_encode(np.zeros((512, 512, 1), dtype=np.uint8), params)
+    container = pl.Container(
+        orig_width=16, orig_height=16, channels=1, patch_size=8, n_patches=4,
+        keep_count=4, seed=0, codec=params, payload=payload,
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContainerError):
+            pl.decompress(container, model=None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak} bytes"
 
 
 def test_lossless_degenerate_path():

@@ -171,9 +171,9 @@ def test_train_aborts_on_nonfinite_loss():
 
 def test_baseline_fill_mse_known_values():
     spec = mask_from_counts(seed=0, n_patches=4, keep_count=2)
-    patches = np.full((4, 3), 0.75)
+    patches = Tensor(np.full((4, 3), 0.75))
     assert abs(training.baseline_fill_mse(patches, spec) - 0.0625) < 1e-15
-    assert training.baseline_fill_mse(np.full((4, 3), 0.5), spec) == 0.0
+    assert training.baseline_fill_mse(Tensor(np.full((4, 3), 0.5)), spec) == 0.0
 
 
 def test_masked_model_mse_matches_manual():
