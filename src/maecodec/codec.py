@@ -11,13 +11,26 @@ Bitstream layout, all little-endian:
     channels u8 | payload_len u32 | payload bytes
 Per 8x8 block the payload holds (run u8, varint value) pairs over the 64
 zigzagged coefficients, terminated by 0xFF once the rest are zero. Runs
-never exceed 63, so 0xFF is unambiguous. Blocks are emitted channel-major,
-then row-major over the block grid.
+never exceed 63, so 0xFF where a run byte may stand is unambiguous; inside
+a varint it is an ordinary continuation byte. Blocks are emitted
+channel-major, then row-major over the block grid.
 
 Transform and quantization run over all blocks of a plane at once, as one
-(rows, cols, 8, 8) stack. Entropy coding is one loop per plane in each
-direction: _encode_blocks over the plane's coefficient rows, _decode_blocks
-over its payload bytes, which it reads straight into one (blocks, 64) array.
+(rows, cols, 8, 8) stack. The entropy coder works by array passes over
+_CHUNK_BLOCKS blocks at a time, with no per-byte loop:
+
+- _encode_blocks finds the nonzero coefficients, sizes every pair from its
+  zigzag-mapped value, places each pair by a cumulative sum of sizes, and
+  scatters run bytes and 7-bit groups into a buffer of END_OF_BLOCK bytes.
+- _decode_blocks reads all planes in one call. Up to the first error, a
+  parse is in one of two states: E, expecting a run byte (0..63, go to V)
+  or END_OF_BLOCK (stay in E); V, inside a varint, where a byte below 0x80
+  ends it (go to E) and any other byte continues it. Every other byte in E
+  already overflows its block. So the parse is in V before a byte exactly
+  when an odd number of bytes below 0x80 precede it: one cumulative count
+  mod 256 locates every END_OF_BLOCK, run byte and varint byte. Errors are
+  found as array conditions, and the one at the smallest offset is raised,
+  with the message and offset a byte-by-byte parse would give.
 """
 
 from __future__ import annotations
@@ -37,6 +50,13 @@ _HEADER = struct.Struct("<4sBBIIBI")
 HEADER_BYTES = _HEADER.size
 
 END_OF_BLOCK = 0xFF
+# Blocks that one array pass of the entropy coder handles: 64K coefficients,
+# so each pass's per-pair arrays stay near 512 KiB apiece.
+_CHUNK_BLOCKS = 1 << 10
+# Longest valid block: 64 (run, 10-byte varint) pairs and its END_OF_BLOCK.
+_MAX_BLOCK_BYTES = 64 * 11 + 1
+# u needs k + 1 varint bytes when it is at least the k-th limit.
+_VARINT_LIMITS = np.array([1 << (7 * k) for k in range(1, 10)], dtype=np.uint64)
 _MAX_PIXELS = 1 << 28  # allocation guard on header-declared dims
 
 # ITU T.81 Annex K.1 luminance quantization table, zigzag applied later.
@@ -159,68 +179,100 @@ def _encode_blocks(zigzagged: np.ndarray) -> bytes:
 
     Each nonzero coefficient becomes a (run u8, value) pair, the value
     zigzag-mapped and written as LEB128; each block ends with END_OF_BLOCK.
+    Runs _CHUNK_BLOCKS blocks at a time: every pair's offset comes from a
+    cumulative sum of pair sizes, then run bytes and 7-bit groups are
+    scattered into a buffer prefilled with END_OF_BLOCK.
     """
-    out = bytearray()
-    for block in zigzagged:
-        prev = -1
-        # one row at a time: a whole-plane .tolist() holds ~1 MB of ints
-        for idx, value in enumerate(block.tolist()):
-            if value:
-                out.append(idx - prev - 1)
-                u = value << 1 if value >= 0 else (-value << 1) - 1
-                while u > 0x7F:
-                    out.append(u & 0x7F | 0x80)
-                    u >>= 7
-                out.append(u)
-                prev = idx
-        out.append(END_OF_BLOCK)
-    return bytes(out)
+    chunks = []
+    for first in range(0, len(zigzagged), _CHUNK_BLOCKS):
+        coeffs = zigzagged[first:first + _CHUNK_BLOCKS].reshape(-1)
+        nonzero = np.flatnonzero(coeffs)
+        value = coeffs[nonzero]
+        u = ((value << 1) ^ (value >> 63)).view(np.uint64)
+        # a run counts the zeros since the previous nonzero of its block
+        prev = np.empty_like(nonzero)
+        prev[:1] = -1
+        prev[1:] = nonzero[:-1]
+        run = nonzero - 1 - np.maximum(prev, (nonzero & -64) - 1)
+        size = np.full(len(u), 2, dtype=np.intp)  # run byte + varint bytes
+        for limit in _VARINT_LIMITS[_VARINT_LIMITS <= u.max(initial=0)]:
+            size += u >= limit
+        at = np.cumsum(size) - size + (nonzero >> 6)
+        chunk = np.full(int(size.sum()) + coeffs.size // 64, END_OF_BLOCK, dtype=np.uint8)
+        chunk[at] = run
+        at += 1
+        while at.size:
+            more = u > 0x7F
+            chunk[at] = u.astype(np.uint8) | more.view(np.uint8) << 7
+            u, at = u[more] >> 7, at[more] + 1
+        chunks.append(chunk)
+    return b"".join(chunks)
 
 
 def _decode_blocks(buf: bytes, pos: int, n_blocks: int) -> tuple[np.ndarray, int]:
     """Read n_blocks entropy-coded blocks starting at buf[pos].
 
-    One pass over the payload bytes: ``shift`` is -1 while a run byte or
-    END_OF_BLOCK is expected, else the bit position of the next varint
-    byte. Returns the (n_blocks, 64) zigzagged coefficients and the offset
-    after the last block; malformed input raises BitstreamError at the
-    offending byte.
+    Returns the (n_blocks, 64) zigzagged coefficients and the offset after
+    the last block. Malformed input raises BitstreamError at the byte a
+    byte-by-byte parse would stop at. The parity rule of the module
+    docstring finds every END_OF_BLOCK at once; the pairs are then decoded
+    _CHUNK_BLOCKS blocks at a time.
     """
-    coeffs = np.zeros(n_blocks * 64, dtype=np.int64)
-    slots = memoryview(coeffs)
-    stop = n_blocks * 64
-    base = slot = u = 0  # base: the current block's first slot
-    shift = -1
-    for pos in range(pos, len(buf)):
-        byte = buf[pos]
-        if shift < 0:
-            if byte == END_OF_BLOCK:
-                base += 64
-                if base == stop:
-                    return coeffs.reshape(n_blocks, 64), pos + 1
-                slot = base
-                continue
-            slot += byte
-            if slot - base >= 64:
-                raise BitstreamError(
-                    f"coefficient run overflows the block ({slot - base})", offset=pos
-                )
-            u = shift = 0
-        elif byte < 0x80:
-            u |= byte << shift
-            if u >> 64:  # only a tenth byte above 1 gets here
-                raise BitstreamError("varint longer than 64 bits", offset=pos)
-            slots[slot] = (u >> 1) ^ -(u & 1)
-            slot += 1
-            shift = -1
-        else:
-            u |= (byte & 0x7F) << shift
-            shift += 7
-            if shift > 63:
-                raise BitstreamError("varint longer than 64 bits", offset=pos + 1)
-    if shift < 0:
-        raise BitstreamError("block truncated before end marker", offset=len(buf))
-    raise BitstreamError("varint runs past end of payload", offset=len(buf))
+    data = np.frombuffer(buf, dtype=np.uint8, offset=pos)
+    low = data < 0x80
+    lows = np.cumsum(low, dtype=np.uint8)  # bytes below 0x80 so far, mod 256
+    ends = np.flatnonzero((data == END_OF_BLOCK) & (lows & 1 == 0))[:n_blocks]
+    flat = np.zeros(n_blocks * 64, dtype=np.int64)
+    start = 0
+    for first in range(0, n_blocks, _CHUNK_BLOCKS):
+        want = min(_CHUNK_BLOCKS, n_blocks - first)
+        chunk_ends = ends[first:first + want] - start
+        complete = len(chunk_ends) == want
+        stop = int(chunk_ends[-1]) + 1 if complete else len(data) - start
+        # A block start reaches END_OF_BLOCK or an error within
+        # _MAX_BLOCK_BYTES, so a longer chunk has an error in this window.
+        stop = min(stop, want * _MAX_BLOCK_BYTES)
+        seg = data[start:start + stop]
+        before = lows[start:start + stop] - low[start:start + stop]
+        in_varint = (before & 1).astype(bool)
+        lead = np.flatnonzero(~in_varint)  # run bytes and END_OF_BLOCKs
+        eob = seg[lead] == END_OF_BLOCK
+        block = np.cumsum(eob)[~eob]  # END_OF_BLOCKs before each run byte
+        opener = lead[~eob]
+        run = seg[opener].astype(np.intp)
+        # slot - base for each run byte: (run + 1) summed over its block so
+        # far, minus one; a block's base is the sum over earlier blocks
+        step = np.cumsum(run + 1)
+        base = np.concatenate(([0], step))[np.searchsorted(block, np.arange(want))]
+        slot = step - 1 - base[block]
+        # A varint byte with no byte below 0x80 among the nine before it is
+        # a tenth byte; above 1, it takes the value past 64 bits.
+        tenth = np.flatnonzero(in_varint[9:] & (before[9:] == before[:-9]) & (seg[9:] > 1)) + 9
+        overflow = np.flatnonzero(slot > 63)
+        errors = []
+        if overflow.size:
+            at = int(opener[overflow[0]])
+            errors.append((at, f"coefficient run overflows the block ({slot[overflow[0]]})", at))
+        if tenth.size:
+            at = int(tenth[0])
+            errors.append((at, "varint longer than 64 bits", at + int(seg[at] >= 0x80)))
+        if errors:
+            _, message, at = min(errors)
+            raise BitstreamError(message, offset=pos + start + at)
+        if not complete:
+            if lows.size and lows[-1] & 1:
+                raise BitstreamError("varint runs past end of payload", offset=len(buf))
+            raise BitstreamError("block truncated before end marker", offset=len(buf))
+        digit = np.flatnonzero(in_varint)
+        # varint bytes before each run byte: all bytes before it, less the
+        # run bytes and END_OF_BLOCKs
+        starts = opener - np.arange(len(opener)) - block
+        shift = 7 * (digit - np.repeat(opener + 1, np.diff(starts, append=digit.size)))
+        groups = (seg[digit] & 0x7F).astype(np.uint64) << shift.astype(np.uint64)
+        u = np.bitwise_or.reduceat(groups, starts)
+        flat[(first + block) * 64 + slot] = (u >> 1).view(np.int64) ^ -(u & 1).view(np.int64)
+        start += stop
+    return flat.reshape(n_blocks, 64), pos + start
 
 
 def stream_header(params: CodecParams, width: int, height: int, channels: int, payload_len: int) -> bytes:
@@ -238,6 +290,11 @@ def codec_encode(image: np.ndarray, params: CodecParams) -> bytes:
     if arr.dtype != np.uint8:
         raise ContractError(f"codec operates on uint8 samples, got {arr.dtype}")
     h, w, c = arr.shape
+    # codec_decode refuses these, so they are never written
+    if c not in (1, 3):
+        raise ShapeError(f"channels must be 1 or 3, got {c}")
+    if w * h * c > _MAX_PIXELS:
+        raise ShapeError(f"size {w}x{h}x{c} exceeds the decoder's sanity bound")
 
     if params.codec_id == CODEC_NULL:
         payload = arr.tobytes()
@@ -303,19 +360,19 @@ def codec_decode(bits: bytes) -> np.ndarray:
         raise BitstreamError(
             f"payload {payload_len} bytes cannot hold {bh * bw * c} blocks", offset=15
         )
-    pixels = np.empty((h, w, c))
-    pos = HEADER_BYTES
-    for ch in range(c):
-        zigzagged, pos = _decode_blocks(bits, pos, bh * bw)
-        blocks = np.empty_like(zigzagged)
-        blocks[:, ZIGZAG] = zigzagged
-        blocks = idct_block(dequantize(blocks.reshape(bh, bw, 8, 8), quality))
-        blocks = blocks.transpose(0, 2, 1, 3).reshape(bh * 8, bw * 8)
-        pixels[:, :, ch] = blocks[:h, :w] + 128.0
+    zigzagged, pos = _decode_blocks(bits, HEADER_BYTES, bh * bw * c)
     if pos != len(bits):
         raise BitstreamError(
             f"{len(bits) - pos} trailing bytes after last block", offset=pos
         )
+    pixels = np.empty((h, w, c))
+    for ch in range(c):
+        blocks = np.empty((bh * bw, 64), dtype=np.int64)
+        blocks[:, ZIGZAG] = zigzagged[ch * bh * bw:(ch + 1) * bh * bw]
+        blocks = idct_block(dequantize(blocks.reshape(bh, bw, 8, 8), quality))
+        blocks = blocks.transpose(0, 2, 1, 3).reshape(bh * 8, bw * 8)
+        pixels[:, :, ch] = blocks[:h, :w] + 128.0
+    del zigzagged  # 8 bytes a coefficient, not kept through the colour conversion
     if c == 3:
         pixels = _ycbcr_to_rgb(pixels)
     return np.clip(np.rint(pixels), 0, 255).astype(np.uint8)

@@ -22,7 +22,7 @@ import numpy as np
 from . import mae
 from .codec import HEADER_BYTES as STREAM_HEADER_BYTES
 from .codec import CodecParams, codec_decode, codec_encode, stream_header
-from .errors import ContainerError, ContractError
+from .errors import ContainerError, ContractError, ShapeError
 from .masking import (
     MASK_ALGORITHM_ID,
     MaskSpec,
@@ -166,8 +166,19 @@ def container_from_bytes(blob: bytes) -> Container:
 
 
 def compress(image, config: PipelineConfig) -> Container:
-    """Transmitter path: patchify, mask, stack, codec, assemble. Model-free."""
+    """Transmitter path: patchify, mask, stack, codec, assemble. Model-free.
+
+    Channel and patch counts that container_from_bytes refuses are refused
+    here, from the image's shape alone, before any array is made.
+    """
     arr = np.asarray(image)
+    if arr.ndim == 3 and arr.shape[2] not in (1, 3):
+        raise ShapeError(f"channels must be 1 or 3, got {arr.shape[2]}")
+    if arr.ndim in (2, 3):
+        p = config.patch_size
+        n_patches = -(-arr.shape[0] // p) * -(-arr.shape[1] // p)
+        if n_patches > _MAX_PATCHES:
+            raise ShapeError(f"patch count {n_patches} exceeds the container's sanity bound")
     patches, grid = patchify(arr, config.patch_size)
     spec = generate_mask(config.seed, grid.n_patches, config.mask_ratio)
     condensed, _ = stack_visible(patches.data, spec, grid)

@@ -2,6 +2,7 @@
 round trips, rate/quality monotonicity, malformed-stream handling."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from maecodec import codec, metrics
 from maecodec.codec import (
     CODEC_DCT,
     CODEC_NULL,
+    END_OF_BLOCK,
     HEADER_BYTES,
     CodecParams,
     codec_decode,
@@ -268,6 +270,49 @@ def test_encode_rejects_empty():
         codec_encode(np.zeros((0, 8, 1), dtype=np.uint8), CodecParams(CODEC_DCT, 50))
 
 
+# Shapes that codec_decode refuses: channels other than 1 or 3, and more
+# than 2**28 samples.
+UNDECODABLE_SHAPES = [(8, 8, 2), (8, 8, 4), (8, 8, 256), (16385, 16384, 1), (9460, 9460, 3)]
+
+
+@pytest.mark.parametrize("codec_id", [CODEC_NULL, CODEC_DCT])
+@pytest.mark.parametrize("shape", UNDECODABLE_SHAPES)
+def test_encode_refuses_what_decode_refuses(shape, codec_id):
+    # a broadcast view costs nothing, so only a look at the shape stays small
+    img = np.broadcast_to(np.zeros((1, 1, 1), dtype=np.uint8), shape)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeError):
+            codec_encode(img, CodecParams(codec_id, 50))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak} bytes"
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_codec_peak_memory_on_kodak_sized_noise():
+    # uniform noise at q100 makes the largest payload of any 768x512x3 image
+    img = np.random.default_rng(0).integers(0, 256, (512, 768, 3), dtype=np.uint8)
+    params = CodecParams(CODEC_DCT, 100)
+    bits = codec_encode(img, params)
+    assert len(bits) > 2_500_000
+    encode_peak = _traced_peak(codec_encode, img, params)
+    decode_peak = _traced_peak(codec_decode, bits)
+    # the entropy coder works in bounded chunks: its arrays add little to
+    # the float64 planes and the payload itself
+    assert encode_peak <= 36 * 2**20, f"encode peak {encode_peak / 2**20:.1f} MiB"
+    assert decode_peak <= 48 * 2**20, f"decode peak {decode_peak / 2**20:.1f} MiB"
+
+
 def test_params_validate():
     with pytest.raises(ContractError):
         CodecParams(CODEC_DCT, 0)
@@ -453,3 +498,228 @@ def test_dct_round_trip_dims_property(seed, quality):
     img = rng.integers(0, 256, (h, w, c), dtype=np.uint8)
     out = codec_decode(codec_encode(img, CodecParams(CODEC_DCT, quality)))
     assert out.shape == img.shape
+
+
+# -- the entropy coder against its byte-by-byte statement -----------------------
+
+# The BDC1 entropy format as a sequential coder, one coefficient and one byte
+# at a time. codec._encode_blocks must write its bytes, and codec._decode_blocks
+# must return its coefficients and end offset or raise its message and offset.
+
+
+def sequential_encode_blocks(zigzagged: np.ndarray) -> bytes:
+    """Entropy-code a plane's (blocks, 64) zigzagged coefficients.
+
+    Each nonzero coefficient becomes a (run u8, value) pair, the value
+    zigzag-mapped and written as LEB128; each block ends with END_OF_BLOCK.
+    """
+    out = bytearray()
+    for block in zigzagged:
+        prev = -1
+        # one row at a time: a whole-plane .tolist() holds ~1 MB of ints
+        for idx, value in enumerate(block.tolist()):
+            if value:
+                out.append(idx - prev - 1)
+                u = value << 1 if value >= 0 else (-value << 1) - 1
+                while u > 0x7F:
+                    out.append(u & 0x7F | 0x80)
+                    u >>= 7
+                out.append(u)
+                prev = idx
+        out.append(END_OF_BLOCK)
+    return bytes(out)
+
+
+def sequential_decode_blocks(buf: bytes, pos: int, n_blocks: int) -> tuple[np.ndarray, int]:
+    """Read n_blocks entropy-coded blocks starting at buf[pos].
+
+    One pass over the payload bytes: ``shift`` is -1 while a run byte or
+    END_OF_BLOCK is expected, else the bit position of the next varint
+    byte. Returns the (n_blocks, 64) zigzagged coefficients and the offset
+    after the last block; malformed input raises BitstreamError at the
+    offending byte.
+    """
+    coeffs = np.zeros(n_blocks * 64, dtype=np.int64)
+    slots = memoryview(coeffs)
+    stop = n_blocks * 64
+    base = slot = u = 0  # base: the current block's first slot
+    shift = -1
+    for pos in range(pos, len(buf)):
+        byte = buf[pos]
+        if shift < 0:
+            if byte == END_OF_BLOCK:
+                base += 64
+                if base == stop:
+                    return coeffs.reshape(n_blocks, 64), pos + 1
+                slot = base
+                continue
+            slot += byte
+            if slot - base >= 64:
+                raise BitstreamError(
+                    f"coefficient run overflows the block ({slot - base})", offset=pos
+                )
+            u = shift = 0
+        elif byte < 0x80:
+            u |= byte << shift
+            if u >> 64:  # only a tenth byte above 1 gets here
+                raise BitstreamError("varint longer than 64 bits", offset=pos)
+            slots[slot] = (u >> 1) ^ -(u & 1)
+            slot += 1
+            shift = -1
+        else:
+            u |= (byte & 0x7F) << shift
+            shift += 7
+            if shift > 63:
+                raise BitstreamError("varint longer than 64 bits", offset=pos + 1)
+    if shift < 0:
+        raise BitstreamError("block truncated before end marker", offset=len(buf))
+    raise BitstreamError("varint runs past end of payload", offset=len(buf))
+
+
+def sequential_decode_planes(buf, pos, n_blocks, planes):
+    """One sequential call per plane, the planes stacked in stream order."""
+    decoded = []
+    for _ in range(planes):
+        coeffs, pos = sequential_decode_blocks(buf, pos, n_blocks)
+        decoded.append(coeffs)
+    return np.concatenate(decoded), pos
+
+
+def _decode_outcome(decode, *args):
+    try:
+        coeffs, end = decode(*args)
+    except BitstreamError as err:
+        return "error", str(err), err.offset
+    return "decoded", coeffs.shape, coeffs.tobytes(), end
+
+
+# Values on either side of each LEB128 length step of the zigzag map (63 and
+# -64 take one byte, 64 and -65 two, ...), and the int64 extremes.
+LEB128_EDGES = sorted(
+    {v for k in range(1, 10) for b in [1 << (7 * k - 1)] for v in (b - 1, b, -b, -b - 1)}
+    | {1, -1, -(2**63), 2**63 - 1}
+)
+# Chunk sizes that put a chunk boundary after every block, after every other
+# block, and (for these small planes) nowhere.
+CHUNK_SIZES = [1, 2, codec._CHUNK_BLOCKS]
+
+block_pairs = st.lists(st.tuples(st.integers(0, 63), st.sampled_from(LEB128_EDGES)), max_size=64)
+
+
+def _plane(blocks):
+    """A (blocks, 64) plane from each block's (run, value) pairs, cut at 64."""
+    plane = np.zeros((len(blocks), 64), dtype=np.int64)
+    for row, pairs in zip(plane, blocks):
+        idx = -1
+        for run, value in pairs:
+            idx += run + 1
+            if idx > 63:
+                break
+            row[idx] = value
+    return plane
+
+
+planes = st.lists(block_pairs, min_size=1, max_size=6).map(_plane)
+
+
+@pytest.mark.parametrize("chunk_blocks", CHUNK_SIZES)
+@given(plane=planes)
+@settings(max_examples=150, deadline=None)
+def test_encode_blocks_matches_sequential(chunk_blocks, plane):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codec, "_CHUNK_BLOCKS", chunk_blocks)
+        assert codec._encode_blocks(plane) == sequential_encode_blocks(plane)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_encode_blocks_matches_sequential_on_random_int64_planes(seed):
+    # more blocks than one chunk holds; dense, sparse and empty blocks
+    rng = np.random.default_rng(seed)
+    plane = rng.integers(-(2**63), 2**63 - 1, (codec._CHUNK_BLOCKS + 300, 64), dtype=np.int64, endpoint=True)
+    plane >>= rng.integers(0, 64, plane.shape)
+    plane[rng.random(plane.shape) < rng.random((len(plane), 1))] = 0
+    assert codec._encode_blocks(plane) == sequential_encode_blocks(plane)
+
+
+# Bytes inserted by the mutations: each side of every state change and bound.
+INSERTED_BYTES = [0x00, 0x01, 0x02, 63, 64, 0x7F, 0x80, 0x81, 0xFE, END_OF_BLOCK]
+
+mutation = st.one_of(
+    st.tuples(st.just("set"), st.integers(0, 2**16), st.integers(0, 255)),
+    st.tuples(st.just("insert"), st.integers(0, 2**16), st.sampled_from(INSERTED_BYTES)),
+    st.tuples(st.just("continue"), st.integers(0, 2**16), st.integers(1, 12)),
+    st.tuples(st.just("cut"), st.integers(0, 2**16), st.just(0)),
+)
+
+
+def _mutate(payload: bytes, edits) -> bytes:
+    out = bytearray(payload)
+    for kind, where, arg in edits:
+        at = where % (len(out) + 1)
+        if kind == "set" and out:
+            out[min(at, len(out) - 1)] = arg
+        elif kind == "insert":
+            out[at:at] = bytes([arg])
+        elif kind == "continue":  # a run of continuation bytes
+            out[at:at] = bytes([0x80 | (where & 0x7F)] * arg)
+        elif kind == "cut":
+            del out[at:]
+    return bytes(out)
+
+
+@st.composite
+def mutated_streams(draw):
+    """(buf, pos, blocks per plane, planes): a valid 1- or 3-plane payload
+    after a header-sized prefix, then up to four mutations."""
+    n_planes = draw(st.sampled_from([1, 3]))
+    n_blocks = draw(st.integers(1, 4))
+    blocks = draw(st.lists(block_pairs, min_size=n_planes * n_blocks, max_size=n_planes * n_blocks))
+    payload = _mutate(sequential_encode_blocks(_plane(blocks)), draw(st.lists(mutation, max_size=4)))
+    return bytes(HEADER_BYTES) + payload, HEADER_BYTES, n_blocks, n_planes
+
+
+@pytest.mark.parametrize("chunk_blocks", CHUNK_SIZES)
+@given(stream=mutated_streams())
+@settings(max_examples=300, deadline=None)
+def test_decode_blocks_matches_sequential_on_mutated_streams(chunk_blocks, stream):
+    buf, pos, n_blocks, n_planes = stream
+    expected = _decode_outcome(sequential_decode_planes, buf, pos, n_blocks, n_planes)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codec, "_CHUNK_BLOCKS", chunk_blocks)
+        assert _decode_outcome(codec._decode_blocks, buf, pos, n_blocks * n_planes) == expected
+
+
+@pytest.mark.parametrize("chunk_blocks", CHUNK_SIZES)
+def test_decode_blocks_matches_sequential_on_mutated_image_payloads(chunk_blocks):
+    # 3000 seeded mutations of real 3-plane payloads, some with 10-byte varints
+    rng = np.random.default_rng(chunk_blocks)
+    streams = []
+    for quality in (10, 90):
+        img = rng.integers(0, 256, (16, 24, 3), dtype=np.uint8)
+        streams.append((codec_encode(img, CodecParams(CODEC_DCT, quality)), 6))
+    wide = rng.integers(-(2**63), 2**63 - 1, (6, 64), dtype=np.int64, endpoint=True)
+    streams.append((bytes(HEADER_BYTES) + sequential_encode_blocks(wide), 2))
+    outcomes = set()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codec, "_CHUNK_BLOCKS", chunk_blocks)
+        for i in range(3000):
+            bits, n_blocks = streams[i % len(streams)]
+            payload = bits[HEADER_BYTES:]
+            edits = [
+                (("set", "insert", "continue", "cut")[rng.integers(4)], int(rng.integers(2**16)),
+                 int(rng.choice(INSERTED_BYTES)) if rng.random() < 0.5 else int(rng.integers(1, 256)))
+                for _ in range(rng.integers(1, 4))
+            ]
+            buf = bits[:HEADER_BYTES] + _mutate(payload, edits)
+            expected = _decode_outcome(sequential_decode_planes, buf, HEADER_BYTES, n_blocks, 3)
+            got = _decode_outcome(codec._decode_blocks, buf, HEADER_BYTES, n_blocks * 3)
+            assert got == expected, (i, buf[HEADER_BYTES:].hex())
+            outcomes.add(expected[0] if expected[0] == "decoded" else expected[1].split(" (")[0])
+    # every kind of outcome came up
+    assert outcomes == {
+        "decoded",
+        "coefficient run overflows the block",
+        "varint longer than 64 bits",
+        "varint runs past end of payload",
+        "block truncated before end marker",
+    }

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from maecodec import mae
 from maecodec import pipeline as pl
 from maecodec.codec import CODEC_DCT, CODEC_NULL, CodecParams, codec_decode, codec_encode
-from maecodec.errors import BitstreamError, ContainerError, ContractError
+from maecodec.errors import BitstreamError, ContainerError, ContractError, ShapeError
 from maecodec.masking import generate_mask, unstack_visible
 
 # 8x8 constant-gray image, patch 8, nothing masked, null codec, seed 7.
@@ -138,6 +138,25 @@ def test_decompress_rejects_oversized_payload_before_decoding():
     try:
         with pytest.raises(ContainerError):
             pl.decompress(container, model=None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak} bytes"
+
+
+# (shape, patch size) of images whose container container_from_bytes refuses:
+# channels other than 1 or 3, and 2049 * 2048 patches, past the 2**22 bound.
+UNPARSABLE_IMAGES = [((8, 8, 2), 8), ((8, 8, 4), 8), ((8, 8, 256), 8), ((2049, 2048), 1), ((2049, 2048, 3), 1)]
+
+
+@pytest.mark.parametrize("shape,patch", UNPARSABLE_IMAGES)
+def test_compress_refuses_what_the_parser_refuses(shape, patch):
+    # a broadcast view costs nothing, so only a look at the shape stays small
+    img = np.broadcast_to(np.zeros((1,) * len(shape), dtype=np.uint8), shape)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeError):
+            pl.compress(img, pl.PipelineConfig(patch_size=patch, mask_ratio=0.5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
