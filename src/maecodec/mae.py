@@ -2,9 +2,10 @@
 
 The encoder runs only on the visible tokens; the decoder sees projected
 latents at the kept positions and a shared learnable mask token at every
-masked position, plus a full-length positional encoding, and predicts all
-patches. At reconstruction the received visible patches pass through
-verbatim; only masked positions take the decoder's output.
+masked position, plus a full-length positional encoding. In training it
+predicts all patches. At reconstruction the received visible patches pass
+through verbatim, so the decoder's last block and the head run only at
+the masked rows; keys and values still come from every token.
 
 Checkpoint layout (little-endian): magic "TMCK", version u8 = 1, ten u32
 config fields (patch_size, channels, enc d_model/depth/heads/d_ff, dec
@@ -170,8 +171,16 @@ def encode_visible(visible: np.ndarray, keep_indices, model: MaskedAutoencoder) 
     return ag.layer_norm(seq.tokens, model.enc_ln_gain, model.enc_ln_bias)
 
 
-def decode_full(latent: Tensor, spec: MaskSpec, model: MaskedAutoencoder) -> Tensor:
-    """Predict every patch from visible latents plus mask tokens."""
+def decode_full(latent: Tensor, spec: MaskSpec, model: MaskedAutoencoder, rows=None) -> Tensor:
+    """Predict every patch from visible latents plus mask tokens.
+
+    With ``rows`` (patch indices), predict only those patches, in that
+    order. Every token still passes through every block but the last;
+    the last block, or with no decoder blocks the head, runs only at
+    ``rows``. Each predicted row equals the same row of the full
+    prediction as far as ``tf.encoder_block`` says its rows do.
+    """
+    rows, lone = tf.pad_lone_row(rows)
     cfg = model.config
     if latent.shape != (spec.keep_count, cfg.enc_d_model):
         raise ShapeError(
@@ -185,9 +194,15 @@ def decode_full(latent: Tensor, spec: MaskSpec, model: MaskedAutoencoder) -> Ten
         tokens = ag.add(tokens, ag.scatter_rows(n, spec.masked_indices, mask_rows))
     tokens = ag.add(tokens, tf.positional_encoding(range(n), cfg.dec_d_model))
     seq = tf.TokenSequence(tokens)
-    for block in model.dec_blocks:
+    blocks = model.dec_blocks
+    for block in blocks[:-1]:
         seq = tf.encoder_block(seq, block)
-    return ag.add(ag.matmul(seq.tokens, model.head_w), model.head_b)
+    if blocks:
+        seq = tf.encoder_block(seq, blocks[-1], rows)
+    elif rows is not None:
+        seq = tf.TokenSequence(ag.gather_rows(seq.tokens, rows))
+    pred = ag.add(ag.matmul(seq.tokens, model.head_w), model.head_b)
+    return ag.gather_rows(pred, [0]) if lone else pred
 
 
 def reconstruct(visible: np.ndarray, spec: MaskSpec, grid: PatchGrid, model: MaskedAutoencoder | None) -> np.ndarray:
@@ -209,9 +224,10 @@ def reconstruct(visible: np.ndarray, spec: MaskSpec, grid: PatchGrid, model: Mas
             f"model expects {model.config.patch_dim}-dim patches, grid has {grid.patch_dim}"
         )
     latent = encode_visible(visible, spec.keep_indices, model)
-    pred = decode_full(latent, spec, model).data
+    masked = list(spec.masked_indices)
+    pred = decode_full(latent, spec, model, masked).data
     full = np.empty((spec.n_patches, grid.patch_dim))
-    full[list(spec.masked_indices)] = np.clip(pred[list(spec.masked_indices)], 0.0, 1.0)
+    full[masked] = np.clip(pred, 0.0, 1.0)
     full[list(spec.keep_indices)] = visible
     return unpatchify(full, grid)
 

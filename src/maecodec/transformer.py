@@ -114,16 +114,25 @@ def positional_encoding(positions, d_model: int) -> Tensor:
     return Tensor(table)
 
 
-def multi_head_attention(x: TokenSequence, params: EncoderBlockParams) -> Tensor:
-    """Per-head attention on projected tokens, concatenated and re-projected."""
+def multi_head_attention(
+    x: TokenSequence, params: EncoderBlockParams, queries: Tensor | None = None
+) -> Tensor:
+    """Per-head attention on projected tokens, concatenated and re-projected.
+
+    Keys and values come from every token of ``x``. Queries come from the
+    rows of ``queries`` (``x.tokens`` when it is None), and the output has
+    one row per query row.
+    """
     cfg = params.config
     if x.tokens.shape[1] != cfg.d_model:
         raise ShapeError(
             f"multi_head_attention: token width {x.tokens.shape[1]} != d_model {cfg.d_model}"
         )
+    if queries is None:
+        queries = x.tokens
     heads = []
     for h in range(cfg.n_heads):
-        q = ag.matmul(x.tokens, params.wq[h])
+        q = ag.matmul(queries, params.wq[h])
         k = ag.matmul(x.tokens, params.wk[h])
         v = ag.matmul(x.tokens, params.wv[h])
         heads.append(ag.attention(q, k, v))
@@ -135,12 +144,40 @@ def feed_forward(x: Tensor, params: EncoderBlockParams) -> Tensor:
     return ag.add(ag.matmul(hidden, params.w2), params.b2)
 
 
-def encoder_block(x: TokenSequence, params: EncoderBlockParams) -> TokenSequence:
-    """Pre-norm residual block; positions enter only as PE rows in the tokens."""
+def encoder_block(x: TokenSequence, params: EncoderBlockParams, rows=None) -> TokenSequence:
+    """Pre-norm residual block; positions enter only as PE rows in the tokens.
+
+    With ``rows`` (token indices), the output holds the block's result at
+    those rows only, in that order. Every token still supplies keys and
+    values; the queries, the residual, the second norm and the
+    feed-forward cover only ``rows``. Each output row equals the same row
+    of the full block's output, bit for bit, wherever BLAS rounds a row of
+    a product the same whatever the other rows are. OpenBLAS does not for
+    a product of at most 10^6 multiply-adds with a long inner dimension,
+    such as a few query rows attending over 1536 tokens: its small-matrix
+    kernel sums that dimension in one pass, its blocked kernel in parts.
+    """
+    rows, lone = pad_lone_row(rows)
     normed = ag.layer_norm(x.tokens, params.ln1_gain, params.ln1_bias)
-    mid = ag.add(x.tokens, multi_head_attention(TokenSequence(normed), params))
+    queries, residual = normed, x.tokens
+    if rows is not None:
+        queries, residual = ag.gather_rows(normed, rows), ag.gather_rows(x.tokens, rows)
+    mid = ag.add(residual, multi_head_attention(TokenSequence(normed), params, queries))
     normed2 = ag.layer_norm(mid, params.ln2_gain, params.ln2_bias)
-    return TokenSequence(ag.add(mid, feed_forward(normed2, params)))
+    out = ag.add(mid, feed_forward(normed2, params))
+    return TokenSequence(ag.gather_rows(out, [0]) if lone else out)
+
+
+def pad_lone_row(rows):
+    """``rows`` with a lone row listed twice, and whether it was.
+
+    numpy computes a one-row matrix product with gemv, which rounds
+    differently from the gemm that computes the same row among others;
+    two rows keep every product on gemm.
+    """
+    if rows is not None and len(rows) == 1:
+        return [*rows, *rows], True
+    return rows, False
 
 
 def zeros(rng, shape):

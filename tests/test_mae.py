@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -431,6 +434,55 @@ def test_decode_golden_digest():
     assert digest.hexdigest() == GOLDEN_DECODE_SHA256
 
 
+# -- the last decoder block at a subset of rows --------------------------------
+
+# Above 256 tokens at these widths, one attention map spans several
+# softmax blocks of rows.
+_ROW_SUBSET_PATCHES = 300
+_ROW_SUBSET_CASES = [
+    pytest.param(cfg, keep, id=f"dec_depth{cfg.dec_depth}-keep{keep}")
+    for cfg in [_no_decoder_config()] + [cfg for cfg, _, _ in _golden_decode_cases()]
+    for keep in (1, _ROW_SUBSET_PATCHES - 1)
+]
+
+
+def _check_row_subsets(cfg, keep_count):
+    """At masked, single and all rows, decode_full and every block equal the full run's rows."""
+    n = _ROW_SUBSET_PATCHES
+    model = mae.init_model(cfg, seed=keep_count)
+    spec = mask_from_counts(seed=keep_count, n_patches=n, keep_count=keep_count)
+    rng = np.random.default_rng(keep_count)
+    latent = Tensor(rng.random((keep_count, cfg.enc_d_model)))
+    blocks = model.enc_blocks + model.dec_blocks
+    seqs = [tf.TokenSequence(Tensor(rng.standard_normal((n, b.config.d_model)))) for b in blocks]
+    pred = mae.decode_full(latent, spec, model).data
+    outs = [tf.encoder_block(seq, block).tokens.data for seq, block in zip(seqs, blocks)]
+    for rows in (list(spec.masked_indices), [n // 2], list(range(n))):
+        assert np.array_equal(mae.decode_full(latent, spec, model, rows).data, pred[rows])
+        for seq, block, out in zip(seqs, blocks, outs):
+            assert np.array_equal(tf.encoder_block(seq, block, rows).tokens.data, out[rows])
+
+
+@pytest.mark.parametrize("cfg,keep_count", _ROW_SUBSET_CASES)
+def test_row_subset_matches_full_rows(cfg, keep_count):
+    _check_row_subsets(cfg, keep_count)
+
+
+def test_row_subset_matches_full_rows_with_two_blas_threads():
+    """Every case above, in one child process whose BLAS runs two threads."""
+    code = (
+        "import test_mae as t\n"
+        "for case in t._ROW_SUBSET_CASES:\n"
+        "    t._check_row_subsets(*case.values)\n"
+    )
+    path = [str(Path(__file__).resolve().parent), str(Path(mae.__file__).resolve().parents[1])]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(path))
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert child.returncode == 0, child.stderr
+
+
 def _peak_alloc_bytes(fn):
     tracemalloc.start()
     try:
@@ -473,7 +525,11 @@ def test_decompress_with_loaded_model_keeps_one_attention_map():
     n = container.n_patches
     assert n == 1024
     # one float64 n x n map is 8 MiB; the old op chain peaked near 8x that
-    assert _peak_alloc_bytes(lambda: pl.decompress(container, model)) < 2 * n * n * 8
+    peak = _peak_alloc_bytes(lambda: pl.decompress(container, model))
+    assert peak < 2 * n * n * 8
+    # Run at every row, the last decoder block peaked at 9.9 MiB. Run at
+    # the 512 masked rows only, its map is half as tall: 6.0 MiB.
+    assert peak < n * n * 8
 
     spec = container.mask_spec()
     visible = np.random.default_rng(26).random((spec.keep_count, cfg.patch_dim))
