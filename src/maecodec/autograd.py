@@ -2,7 +2,8 @@
 
 Just enough machinery to train a small transformer: matmul, add/sub/mul,
 row softmax, fused scaled dot-product attention, layer norm, GELU, the
-mean of all elements, row gather/scatter/tile and column concatenation.
+mean of all elements, row gather/scatter/tile and row or column
+concatenation.
 Every op is a plain function; ``Tensor`` has no operator overloads.
 There is deliberately no broadcasting beyond adding a 1-D vector to
 every row of a matrix and scaling by a number; every other shape
@@ -277,7 +278,7 @@ def gather_rows(a: Tensor, indices) -> Tensor:
         np.add.at(full, idx, g)
         _accumulate(a, full)
 
-    return _result(a.data[idx].copy(), (a,), back)
+    return _result(a.data[idx], (a,), back)
 
 
 def scatter_rows(n_rows: int, indices, rows: Tensor) -> Tensor:
@@ -305,26 +306,31 @@ def tile_rows(vec: Tensor, n_rows: int) -> Tensor:
     )
 
 
-def concat_cols(parts: list[Tensor]) -> Tensor:
+def _concat(parts: list[Tensor], axis: int, name: str) -> Tensor:
+    """Join matrices along ``axis``; the gradient splits back at the seams."""
     if not parts:
-        raise ContractError("concat_cols: empty input")
-    rows = parts[0].shape[0]
+        raise ContractError(f"{name}: empty input")
+    across = parts[0].shape[1 - axis]
     for p in parts:
-        if p.ndim != 2 or p.shape[0] != rows:
-            raise ShapeError(
-                f"concat_cols: inconsistent shapes {[p.shape for p in parts]}"
-            )
-    widths = [p.shape[1] for p in parts]
+        if p.ndim != 2 or p.shape[1 - axis] != across:
+            raise ShapeError(f"{name}: inconsistent shapes {[p.shape for p in parts]}")
+    sizes = [p.shape[axis] for p in parts]
 
     def back(g):
         at = 0
-        for p, w in zip(parts, widths):
-            _accumulate(p, g[:, at : at + w])
-            at += w
+        for p, size in zip(parts, sizes):
+            _accumulate(p, g[:, at : at + size] if axis else g[at : at + size])
+            at += size
 
-    return _result(
-        np.concatenate([p.data for p in parts], axis=1), tuple(parts), back
-    )
+    return _result(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), back)
+
+
+def concat_cols(parts: list[Tensor]) -> Tensor:
+    return _concat(parts, 1, "concat_cols")
+
+
+def concat_rows(parts: list[Tensor]) -> Tensor:
+    return _concat(parts, 0, "concat_rows")
 
 
 # -- backward sweep ---------------------------------------------------------

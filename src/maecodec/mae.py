@@ -227,7 +227,7 @@ def reconstruct(visible: np.ndarray, spec: MaskSpec, grid: PatchGrid, model: Mas
     masked = list(spec.masked_indices)
     pred = decode_full(latent, spec, model, masked).data
     full = np.empty((spec.n_patches, grid.patch_dim))
-    full[masked] = np.clip(pred, 0.0, 1.0)
+    full[masked] = np.clip(pred, 0.0, 1.0, out=pred)
     full[list(spec.keep_indices)] = visible
     return unpatchify(full, grid)
 

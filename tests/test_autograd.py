@@ -262,6 +262,18 @@ def test_concat_cols_places_parts_side_by_side():
     np.testing.assert_array_equal(merged.data[:, 2:], b.data)
 
 
+def test_concat_rows_stacks_parts():
+    a, b = t(np.ones((2, 3))), t(np.full((1, 3), 2.0))
+    merged = ag.concat_rows([a, b])
+    assert merged.shape == (3, 3)
+    np.testing.assert_array_equal(merged.data[:2], a.data)
+    np.testing.assert_array_equal(merged.data[2:], b.data)
+    with pytest.raises(ShapeError):
+        ag.concat_rows([a, t(np.ones((2, 2)))])
+    with pytest.raises(ContractError):
+        ag.concat_rows([])
+
+
 # -- gradients vs finite differences ----------------------------------------
 
 
@@ -343,6 +355,19 @@ def test_grad_concat_cols():
 
     def loss():
         merged = ag.concat_cols([a, b])
+        return total(ag.mul(ag.matmul(merged, w), ag.matmul(merged, w)))
+
+    assert_grads_close(loss, [("a", a), ("b", b)])
+
+
+def test_grad_concat_rows():
+    rng = np.random.default_rng(12)
+    a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 4)))
+
+    def loss():
+        merged = ag.concat_rows([a, b])
         return total(ag.mul(ag.matmul(merged, w), ag.matmul(merged, w)))
 
     assert_grads_close(loss, [("a", a), ("b", b)])

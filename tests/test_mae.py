@@ -530,6 +530,10 @@ def test_decompress_with_loaded_model_keeps_one_attention_map():
     # Run at every row, the last decoder block peaked at 9.9 MiB. Run at
     # the 512 masked rows only, its map is half as tall: 6.0 MiB.
     assert peak < n * n * 8
+    # At ratio 0.8 the 819 masked rows attend in two halves of at most 410
+    # rows: 4.1 MiB. One 819-row map peaked at 7.3 MiB, every row at 8.8.
+    denser = pl.compress(image, pl.PipelineConfig(4, 0.8, 3, CodecParams()))
+    assert _peak_alloc_bytes(lambda: pl.decompress(denser, model)) < 0.6 * n * n * 8
 
     spec = container.mask_spec()
     visible = np.random.default_rng(26).random((spec.keep_count, cfg.patch_dim))
