@@ -178,7 +178,7 @@ def decode_full(latent: Tensor, spec: MaskSpec, model: MaskedAutoencoder, rows=N
     order. Every token still passes through every block but the last;
     the last block, or with no decoder blocks the head, runs only at
     ``rows``. Each predicted row equals the same row of the full
-    prediction as far as ``tf.encoder_block`` says its rows do.
+    prediction under the condition ``tf.encoder_block`` states.
     """
     rows, lone = tf.pad_lone_row(rows)
     cfg = model.config

@@ -436,8 +436,8 @@ def test_decode_golden_digest():
 
 # -- the last decoder block at a subset of rows --------------------------------
 
-# Above 256 tokens at these widths, one attention map spans several
-# softmax blocks of rows.
+# Above 256 tokens one attention map spans several softmax blocks of rows.
+# The masked set at keep_count 1 and the all-rows case attend in halves.
 _ROW_SUBSET_PATCHES = 300
 _ROW_SUBSET_CASES = [
     pytest.param(cfg, keep, id=f"dec_depth{cfg.dec_depth}-keep{keep}")
