@@ -148,30 +148,77 @@ def quant_table(quality: int) -> np.ndarray:
 
 def quantize(coeffs: np.ndarray, quality: int) -> np.ndarray:
     """Integer coefficients: round-half-away-from-zero of coeff/table."""
-    table = quant_table(quality)
-    ratio = np.asarray(coeffs, dtype=np.float64) / table
-    return (np.sign(ratio) * np.floor(np.abs(ratio) + 0.5)).astype(np.int64)
+    return _quantize_in_place(np.array(coeffs, dtype=np.float64), quality)
+
+
+def _quantize_in_place(coeffs: np.ndarray, quality: int) -> np.ndarray:
+    """quantize, overwriting the float64 array coeffs on the way."""
+    coeffs /= quant_table(quality)
+    sign = np.sign(coeffs)
+    np.abs(coeffs, out=coeffs)
+    coeffs += 0.5
+    np.floor(coeffs, out=coeffs)
+    coeffs *= sign
+    return coeffs.astype(np.int64)
 
 
 def dequantize(qcoeffs: np.ndarray, quality: int) -> np.ndarray:
-    return np.asarray(qcoeffs, dtype=np.float64) * quant_table(quality)
+    coeffs = np.array(qcoeffs, dtype=np.float64)
+    coeffs *= quant_table(quality)
+    return coeffs
 
 
-def _rgb_to_ycbcr(rgb: np.ndarray) -> np.ndarray:
-    """BT.601 full-range, float in/out on the 0..255 scale."""
-    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
-    y = 0.299 * r + 0.587 * g + 0.114 * b
-    cb = 128.0 - 0.168736 * r - 0.331264 * g + 0.5 * b
-    cr = 128.0 + 0.5 * r - 0.418688 * g - 0.081312 * b
-    return np.stack([y, cb, cr], axis=-1)
+# BT.601 full range on the 0..255 scale. Each YCbCr plane is
+# ((offset + w_r*r) + w_g*g) + w_b*b, summed in that order.
+_TO_YCBCR = (
+    (0.0, 0.299, 0.587, 0.114),
+    (128.0, -0.168736, -0.331264, 0.5),
+    (128.0, 0.5, -0.418688, -0.081312),
+)
 
 
-def _ycbcr_to_rgb(ycc: np.ndarray) -> np.ndarray:
-    y, cb, cr = ycc[..., 0], ycc[..., 1] - 128.0, ycc[..., 2] - 128.0
-    r = y + 1.402 * cr
-    g = y - 0.344136 * cb - 0.714136 * cr
-    b = y + 1.772 * cb
-    return np.stack([r, g, b], axis=-1)
+def _level_shifted_plane(arr: np.ndarray, ch: int, out: np.ndarray) -> None:
+    """Write plane ch of the uint8 HxWxC image, colour-converted and minus 128, into out.
+
+    One channel is taken as it is; three are converted to YCbCr first.
+    """
+    if arr.shape[2] == 1:
+        np.subtract(arr[:, :, 0], 128.0, out=out, dtype=np.float64)
+        return
+    offset, w_r, w_g, w_b = _TO_YCBCR[ch]
+    np.multiply(arr[:, :, 0], w_r, out=out, dtype=np.float64)
+    if offset:
+        out += offset
+    term = np.empty_like(out)
+    for k, weight in ((1, w_g), (2, w_b)):
+        np.multiply(arr[:, :, k], weight, out=term, dtype=np.float64)
+        out += term
+    out -= 128.0
+
+
+# Inverse of _TO_YCBCR: each RGB channel is (y + w_cb*cb) + w_cr*cr, with
+# cb and cr centred on 0; a zero weight adds nothing.
+_TO_RGB = ((0.0, 1.402), (-0.344136, -0.714136), (1.772, 0.0))
+
+
+def _ycbcr_to_rgb_bytes(y: np.ndarray, cb: np.ndarray, cr: np.ndarray, out: np.ndarray) -> None:
+    """Write the RGB bytes of float planes y, cb - 128 and cr - 128 into the uint8 HxWx3 out."""
+    value = np.empty_like(y)
+    term = np.empty_like(y)
+    for k, (w_cb, w_cr) in enumerate(_TO_RGB):
+        value[...] = y
+        for plane, weight in ((cb, w_cb), (cr, w_cr)):
+            if weight:
+                np.multiply(plane, weight, out=term)
+                value += term
+        _round_into(value, out[:, :, k])
+
+
+def _round_into(value: np.ndarray, out: np.ndarray) -> None:
+    """Round value to the nearest integer and clip it to 0..255 in place, then store it in uint8 out."""
+    np.rint(value, out=value)
+    np.clip(value, 0, 255, out=value)
+    out[...] = value
 
 
 def _encode_blocks(zigzagged: np.ndarray) -> bytes:
@@ -299,17 +346,18 @@ def codec_encode(image: np.ndarray, params: CodecParams) -> bytes:
     if params.codec_id == CODEC_NULL:
         payload = arr.tobytes()
     else:
-        pixels = arr.astype(np.float64)
-        if c == 3:
-            pixels = _rgb_to_ycbcr(pixels)
         bh, bw = -(-h // 8), -(-w // 8)
         planes = []
         for ch in range(c):
-            # Rebinding one name at each step keeps no array of the previous
-            # plane alive while this plane's are made.
-            blocks = np.pad(pixels[:, :, ch], ((0, bh * 8 - h), (0, bw * 8 - w)), mode="edge")
-            blocks = (blocks - 128.0).reshape(bh, 8, bw, 8).transpose(0, 2, 1, 3)
-            blocks = quantize(dct_block(blocks), params.quality).reshape(-1, 64)
+            # One float64 plane at a time, edge-padded to whole blocks in
+            # place; rebinding one name at each step keeps no array of the
+            # previous plane alive while this plane's are made.
+            blocks = np.empty((bh * 8, bw * 8))
+            _level_shifted_plane(arr, ch, blocks[:h, :w])
+            blocks[:h, w:] = blocks[:h, w - 1:w]
+            blocks[h:] = blocks[h - 1]
+            blocks = blocks.reshape(bh, 8, bw, 8).transpose(0, 2, 1, 3)
+            blocks = _quantize_in_place(dct_block(blocks), params.quality).reshape(-1, 64)
             planes.append(_encode_blocks(blocks[:, ZIGZAG]))
         payload = b"".join(planes)
 
@@ -365,14 +413,20 @@ def codec_decode(bits: bytes) -> np.ndarray:
         raise BitstreamError(
             f"{len(bits) - pos} trailing bytes after last block", offset=pos
         )
-    pixels = np.empty((h, w, c))
+    planes = []
     for ch in range(c):
         blocks = np.empty((bh * bw, 64), dtype=np.int64)
         blocks[:, ZIGZAG] = zigzagged[ch * bh * bw:(ch + 1) * bh * bw]
         blocks = idct_block(dequantize(blocks.reshape(bh, bw, 8, 8), quality))
         blocks = blocks.transpose(0, 2, 1, 3).reshape(bh * 8, bw * 8)
-        pixels[:, :, ch] = blocks[:h, :w] + 128.0
-    del zigzagged  # 8 bytes a coefficient, not kept through the colour conversion
+        plane = blocks[:h, :w] + 128.0
+        if ch:
+            plane -= 128.0  # cb and cr centred on 0, as the colour conversion takes them
+        planes.append(plane)
+    del zigzagged, blocks  # 8 bytes a coefficient, not kept through the colour conversion
+    out = np.empty((h, w, c), dtype=np.uint8)
     if c == 3:
-        pixels = _ycbcr_to_rgb(pixels)
-    return np.clip(np.rint(pixels), 0, 255).astype(np.uint8)
+        _ycbcr_to_rgb_bytes(*planes, out)
+    else:
+        _round_into(planes[0], out[:, :, 0])
+    return out

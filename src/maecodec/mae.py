@@ -32,7 +32,7 @@ from . import autograd as ag
 from . import transformer as tf
 from .autograd import Tensor
 from .errors import CheckpointError, ContractError, ShapeError
-from .masking import MaskSpec, PatchGrid, unpatchify
+from .masking import MaskSpec, PatchGrid, to_uint8, unpatchify
 
 CHECKPOINT_MAGIC = b"TMCK"
 CHECKPOINT_VERSION = 1
@@ -206,7 +206,12 @@ def decode_full(latent: Tensor, spec: MaskSpec, model: MaskedAutoencoder, rows=N
 
 
 def reconstruct(visible: np.ndarray, spec: MaskSpec, grid: PatchGrid, model: MaskedAutoencoder | None) -> np.ndarray:
-    """Full image in [0, 1]: received patches verbatim, predictions elsewhere."""
+    """The padded uint8 image: received patches verbatim, predictions elsewhere.
+
+    visible is float64 on the model's scale, as unstack_visible returns it;
+    it is u8 / 255, so to_uint8 gives back exactly the decoded bytes. Only
+    the masked predictions are clamped to [0, 1] and quantized.
+    """
     if visible.shape != (spec.keep_count, grid.patch_dim):
         raise ShapeError(
             f"visible patches must be {spec.keep_count} x {grid.patch_dim}, got {visible.shape}"
@@ -216,7 +221,7 @@ def reconstruct(visible: np.ndarray, spec: MaskSpec, grid: PatchGrid, model: Mas
             f"mask is for {spec.n_patches} patches, grid has {grid.n_patches}"
         )
     if not spec.masked_indices:
-        return unpatchify(visible, grid)
+        return unpatchify(to_uint8(visible), grid)
     if model is None:
         raise ContractError("masked positions present but no model supplied")
     if model.config.patch_dim != grid.patch_dim:
@@ -225,10 +230,9 @@ def reconstruct(visible: np.ndarray, spec: MaskSpec, grid: PatchGrid, model: Mas
         )
     latent = encode_visible(visible, spec.keep_indices, model)
     masked = list(spec.masked_indices)
-    pred = decode_full(latent, spec, model, masked).data
-    full = np.empty((spec.n_patches, grid.patch_dim))
-    full[masked] = np.clip(pred, 0.0, 1.0, out=pred)
-    full[list(spec.keep_indices)] = visible
+    full = np.empty((spec.n_patches, grid.patch_dim), dtype=np.uint8)
+    full[masked] = to_uint8(decode_full(latent, spec, model, masked).data)
+    full[list(spec.keep_indices)] = to_uint8(visible)
     return unpatchify(full, grid)
 
 

@@ -7,6 +7,12 @@ draws. Modulo bias is negligible for n <= 2^20.
 
 ``patchify`` is the only function here that returns a ``Tensor`` (one that
 owns its array); every other function takes and returns plain ndarrays.
+
+Samples are uint8 on the transmitter: ``gather_patches`` cuts the kept
+patches out of the image as bytes and ``stack_visible`` lays them into the
+condensed uint8 image the codec takes. Float64 in [0, 1] is the model's
+scale: ``patchify`` (training, and the receiver through
+``unstack_visible``) returns it, and ``to_uint8`` turns it back into bytes.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from .errors import ContainerError, ContractError, ShapeError
 
 MASK_ALGORITHM_ID = 1  # SplitMix64 + Fisher-Yates, modulo draw
 PAD_VALUE = 0.5  # mid-gray pad patches carry the least DCT energy
+PAD_BYTE = 128  # to_uint8(PAD_VALUE), the pad sample of the condensed uint8 image
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -152,15 +159,18 @@ def generate_mask(seed: int, n_patches: int, mask_ratio: float) -> MaskSpec:
     return _build_spec(seed, n_patches, keep_count)
 
 
-def patchify(image, patch_size: int) -> tuple[Tensor, PatchGrid]:
-    """Cut an image into flattened patches scaled to [0, 1].
+def padded_grid(height: int, width: int, channels: int, patch_size: int) -> PatchGrid:
+    """Grid of an image of these dimensions, edge-padded to patch multiples."""
+    return PatchGrid(
+        width=-(-width // patch_size) * patch_size,
+        height=-(-height // patch_size) * patch_size,
+        channels=channels,
+        patch_size=patch_size,
+    )
 
-    Integer images are divided by 255; float images are taken as already
-    scaled. Dimensions that are not multiples of patch_size are padded by
-    edge replication (the caller records true dims and crops after decode).
-    Patches are enumerated row-major over the grid and each patch is
-    flattened row-major as (row, col, channel).
-    """
+
+def image_grid(image, patch_size: int) -> tuple[np.ndarray, PatchGrid]:
+    """The image as an HxWxC array and its padded grid, from the shape alone."""
     arr = np.asarray(image)
     if arr.ndim == 2:
         arr = arr[:, :, None]
@@ -168,26 +178,63 @@ def patchify(image, patch_size: int) -> tuple[Tensor, PatchGrid]:
         raise ShapeError(f"expected a non-empty HxWxC image, got shape {arr.shape}")
     if patch_size <= 0:
         raise ContractError(f"patch_size must be positive, got {patch_size}")
-    h, w, c = arr.shape
-    pad_h = (-h) % patch_size
-    pad_w = (-w) % patch_size
-    if pad_h or pad_w:
-        arr = np.pad(arr, ((0, pad_h), (0, pad_w), (0, 0)), mode="edge")
+    return arr, padded_grid(*arr.shape, patch_size)
+
+
+def _tiles(arr: np.ndarray, grid: PatchGrid) -> np.ndarray:
+    """(grid_rows, p, grid_cols, p, C) view of arr edge-padded to the grid.
+
+    Dimensions that are not multiples of the patch size are padded by edge
+    replication, in arr's own dtype; the patch at row r, column c of the
+    grid is [r, :, c].
+    """
     h, w = arr.shape[:2]
-    grid = PatchGrid(width=w, height=h, channels=c, patch_size=patch_size)
-    p = patch_size
-    tiles = arr.reshape(grid.grid_rows, p, grid.grid_cols, p, c)
+    if (h, w) != (grid.height, grid.width):
+        arr = np.pad(arr, ((0, grid.height - h), (0, grid.width - w), (0, 0)), mode="edge")
+    p = grid.patch_size
+    return arr.reshape(grid.grid_rows, p, grid.grid_cols, p, grid.channels)
+
+
+def patchify(image, patch_size: int) -> tuple[Tensor, PatchGrid]:
+    """Cut an image into flattened float64 patches scaled to [0, 1].
+
+    Integer images are divided by 255; float images are taken as already
+    scaled. Dimensions that are not multiples of patch_size are padded by
+    edge replication (the caller records true dims and crops after decode).
+    Patches are enumerated row-major over the grid and each patch is
+    flattened row-major as (row, col, channel).
+    """
+    arr, grid = image_grid(image, patch_size)
+    in_patch_order = _tiles(arr, grid).transpose(0, 2, 1, 3, 4)
     # One float64 buffer, filled in patch order straight from the input and
     # scaled in place, is the only full-size array made; the Tensor keeps it.
     patches = np.empty((grid.n_patches, grid.patch_dim))
-    patches.reshape(grid.grid_rows, grid.grid_cols, p, p, c)[...] = tiles.transpose(0, 2, 1, 3, 4)
+    patches.reshape(in_patch_order.shape)[...] = in_patch_order
     if np.issubdtype(arr.dtype, np.integer):
         patches /= 255.0
     return Tensor(patches), grid
 
 
+def gather_patches(image: np.ndarray, indices, grid: PatchGrid) -> np.ndarray:
+    """The patches at `indices` as uint8 rows, flattened like patchify's.
+
+    image is HxWxC and grid its padded grid (see image_grid). uint8
+    samples are copied as they are. Only the gathered samples of any other
+    dtype are converted, as to_uint8(patchify(image)) would: integers by
+    to_uint8(x / 255.0), everything else by to_uint8(x) in float64.
+    """
+    idx = np.asarray(indices, dtype=np.intp)
+    samples = _tiles(image, grid)[idx // grid.grid_cols, :, idx % grid.grid_cols]
+    if samples.dtype != np.uint8:
+        scaled = samples.astype(np.float64)
+        if np.issubdtype(samples.dtype, np.integer):
+            scaled /= 255.0
+        samples = to_uint8(scaled)
+    return samples.reshape(len(idx), grid.patch_dim)
+
+
 def unpatchify(patches: np.ndarray, grid: PatchGrid) -> np.ndarray:
-    """Exact inverse of patchify; returns the float image, unclamped."""
+    """Exact inverse of patchify's patch order; keeps the patches' dtype and values."""
     if patches.shape != (grid.n_patches, grid.patch_dim):
         raise ShapeError(
             f"expected {grid.n_patches}x{grid.patch_dim} patches, got {patches.shape}"
@@ -201,8 +248,11 @@ def unpatchify(patches: np.ndarray, grid: PatchGrid) -> np.ndarray:
 
 
 def to_uint8(image: np.ndarray) -> np.ndarray:
-    """Export helper: clamp to [0, 1], quantize to 8 bits."""
-    return np.rint(np.clip(image, 0.0, 1.0) * 255.0).astype(np.uint8)
+    """Bytes of samples on the model's scale: clamp to [0, 1], round x * 255."""
+    scaled = np.asarray(np.clip(image, 0.0, 1.0))  # the one float temporary
+    scaled *= 255.0
+    np.rint(scaled, out=scaled)
+    return scaled.astype(np.uint8)
 
 
 def condensed_grid_for(keep_count: int, grid: PatchGrid) -> PatchGrid:
@@ -216,28 +266,35 @@ def condensed_grid_for(keep_count: int, grid: PatchGrid) -> PatchGrid:
     )
 
 
-def stack_visible(patches: np.ndarray, spec: MaskSpec, grid: PatchGrid) -> tuple[np.ndarray, PatchGrid]:
-    """Lay the kept patches row-major into a condensed image.
+def stack_visible(kept: np.ndarray, spec: MaskSpec, grid: PatchGrid) -> tuple[np.ndarray, PatchGrid]:
+    """Lay the kept patches row-major into a condensed uint8 image.
 
-    Slot s holds the patch at keep_indices[s]; trailing slots in the last
-    row are mid-gray pad patches.
+    kept holds the uint8 patches at keep_indices, in that order, one per
+    row as gather_patches returns them. Slot s holds kept[s]; trailing
+    slots in the last row are mid-gray pad patches of PAD_BYTE.
     """
     if spec.n_patches != grid.n_patches:
         raise ContractError(
             f"mask is for {spec.n_patches} patches, grid has {grid.n_patches}"
         )
-    if patches.shape != (grid.n_patches, grid.patch_dim):
+    if kept.shape != (spec.keep_count, grid.patch_dim):
         raise ShapeError(
-            f"expected {grid.n_patches}x{grid.patch_dim} patches, got {patches.shape}"
+            f"expected {spec.keep_count}x{grid.patch_dim} kept patches, got {kept.shape}"
         )
+    if kept.dtype != np.uint8:
+        raise ContractError(f"condensed images hold uint8 samples, got {kept.dtype}")
     cgrid = condensed_grid_for(spec.keep_count, grid)
-    slots = np.full((cgrid.n_patches, grid.patch_dim), PAD_VALUE)
-    slots[: spec.keep_count] = patches[list(spec.keep_indices)]
+    slots = np.full((cgrid.n_patches, grid.patch_dim), PAD_BYTE, dtype=np.uint8)
+    slots[: spec.keep_count] = kept
     return unpatchify(slots, cgrid), cgrid
 
 
 def unstack_visible(condensed: np.ndarray, spec: MaskSpec, grid: PatchGrid) -> np.ndarray:
-    """Recover the visible patches (keep-index order) from an HxWxC condensed image."""
+    """Recover the visible patches (keep-index order) from an HxWxC condensed image.
+
+    The patches come back as patchify gives them: float64 in [0, 1], the
+    model's scale.
+    """
     cgrid = condensed_grid_for(spec.keep_count, grid)
     if condensed.shape != (cgrid.height, cgrid.width, cgrid.channels):
         raise ContainerError(

@@ -1,9 +1,10 @@
 """End-to-end compression scheme: mask, stack, codec, container.
 
-The transmitter is model-free: compress only cuts, masks, stacks and runs
-the block codec. The receiver regenerates the mask from the header triple
-(seed, n_patches, keep_count), decodes the condensed image, and lets the
-autoencoder fill in the masked patches.
+The transmitter is model-free: compress only masks, cuts out the kept
+patches, stacks them and runs the block codec, all on uint8 samples. The
+receiver regenerates the mask from the header triple (seed, n_patches,
+keep_count), decodes the condensed image, and lets the autoencoder fill in
+the masked patches; samples are float64 only on their way through the model.
 
 Container layout (little-endian):
     magic "TMAE" | version u8 | orig_width u32 | orig_height u32 |
@@ -21,20 +22,25 @@ import numpy as np
 
 from . import mae
 from .codec import HEADER_BYTES as STREAM_HEADER_BYTES
-from .codec import CodecParams, codec_decode, codec_encode, stream_header
-from .errors import ContainerError, ContractError, ShapeError
+from .codec import _MAX_PIXELS, CodecParams, codec_decode, codec_encode, stream_header
+from .errors import ContainerError, ContractError, NumericError, ShapeError
 from .masking import (
     MASK_ALGORITHM_ID,
     MaskSpec,
     PatchGrid,
     condensed_grid_for,
+    gather_patches,
     generate_mask,
+    image_grid,
+    keep_count_for_ratio,
     mask_from_counts,
-    patchify,
+    padded_grid,
     stack_visible,
-    to_uint8,
     unstack_visible,
 )
+# Bound here only so that perfbench/tracer.py can wrap pipeline.patchify;
+# nothing in this module calls it. ROADMAP item 5 retires that site.
+from .masking import patchify
 
 CONTAINER_MAGIC = b"TMAE"
 CONTAINER_VERSION = 1
@@ -97,13 +103,7 @@ class Container:
         return mask_from_counts(self.seed, self.n_patches, self.keep_count)
 
     def padded_grid(self) -> PatchGrid:
-        p = self.patch_size
-        return PatchGrid(
-            width=-(-self.orig_width // p) * p,
-            height=-(-self.orig_height // p) * p,
-            channels=self.channels,
-            patch_size=p,
-        )
+        return padded_grid(self.orig_height, self.orig_width, self.channels, self.patch_size)
 
 
 def container_from_bytes(blob: bytes) -> Container:
@@ -166,23 +166,31 @@ def container_from_bytes(blob: bytes) -> Container:
 
 
 def compress(image, config: PipelineConfig) -> Container:
-    """Transmitter path: patchify, mask, stack, codec, assemble. Model-free.
+    """Transmitter path: mask, gather, stack, codec, assemble. Model-free.
 
-    Channel and patch counts that container_from_bytes refuses are refused
-    here, from the image's shape alone, before any array is made.
+    Samples stay uint8 throughout: only the kept patches are cut out of
+    the image, as bytes (see gather_patches for other dtypes). Channel,
+    patch and condensed-sample counts that container_from_bytes or
+    codec_decode refuse are refused here, from the image's shape alone,
+    before any array is made; a float image with a NaN or infinite sample
+    is refused before anything is encoded.
     """
-    arr = np.asarray(image)
-    if arr.ndim == 3 and arr.shape[2] not in (1, 3):
-        raise ShapeError(f"channels must be 1 or 3, got {arr.shape[2]}")
-    if arr.ndim in (2, 3):
-        p = config.patch_size
-        n_patches = -(-arr.shape[0] // p) * -(-arr.shape[1] // p)
-        if n_patches > _MAX_PATCHES:
-            raise ShapeError(f"patch count {n_patches} exceeds the container's sanity bound")
-    patches, grid = patchify(arr, config.patch_size)
+    arr, grid = image_grid(image, config.patch_size)
+    if grid.channels not in (1, 3):
+        raise ShapeError(f"channels must be 1 or 3, got {grid.channels}")
+    if grid.n_patches > _MAX_PATCHES:
+        raise ShapeError(f"patch count {grid.n_patches} exceeds the container's sanity bound")
+    cgrid = condensed_grid_for(keep_count_for_ratio(grid.n_patches, config.mask_ratio), grid)
+    if cgrid.width * cgrid.height * cgrid.channels > _MAX_PIXELS:
+        raise ShapeError(
+            f"condensed image {cgrid.width}x{cgrid.height}x{cgrid.channels} exceeds "
+            "the decoder's sanity bound"
+        )
+    if np.issubdtype(arr.dtype, np.inexact) and not np.isfinite(arr).all():
+        raise NumericError("image has a NaN or infinite sample")
     spec = generate_mask(config.seed, grid.n_patches, config.mask_ratio)
-    condensed, _ = stack_visible(patches.data, spec, grid)
-    payload = codec_encode(to_uint8(condensed), config.codec)
+    condensed, _ = stack_visible(gather_patches(arr, spec.keep_indices, grid), spec, grid)
+    payload = codec_encode(condensed, config.codec)
     return Container(
         orig_width=arr.shape[1],
         orig_height=arr.shape[0],
@@ -200,7 +208,9 @@ def decompress(container: Container, model: mae.MaskedAutoencoder | None) -> np.
     """Receiver path: regenerate mask, decode, unstack, reconstruct, crop.
 
     The model may be None only when nothing was masked. Returns a uint8
-    HxWxC image at the original dimensions.
+    HxWxC image at the original dimensions, an array of its own. Samples
+    are float64 only between unstack_visible and the model; reconstruct
+    returns bytes, the kept ones as the codec decoded them.
     """
     spec = container.mask_spec()
     grid = container.padded_grid()
@@ -228,8 +238,9 @@ def decompress(container: Container, model: mae.MaskedAutoencoder | None) -> np.
     condensed = codec_decode(payload)
     visible = unstack_visible(condensed, spec, grid)
     recon = mae.reconstruct(visible, spec, grid, model)
-    cropped = recon[: container.orig_height, : container.orig_width]
-    return to_uint8(cropped)
+    if recon.shape[:2] != (container.orig_height, container.orig_width):
+        recon = recon[: container.orig_height, : container.orig_width].copy()
+    return recon
 
 
 @dataclass(frozen=True)

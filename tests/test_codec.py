@@ -307,9 +307,10 @@ def test_codec_peak_memory_on_kodak_sized_noise():
     assert len(bits) > 2_500_000
     encode_peak = _traced_peak(codec_encode, img, params)
     decode_peak = _traced_peak(codec_decode, bits)
-    # the entropy coder works in bounded chunks: its arrays add little to
-    # the float64 planes and the payload itself
-    assert encode_peak <= 36 * 2**20, f"encode peak {encode_peak / 2**20:.1f} MiB"
+    # the entropy coder works in bounded chunks and the encoder converts one
+    # plane at a time: its arrays add little to one plane's float64 transform
+    # and the payload itself (13.6 MiB measured, bound at that plus 10 %)
+    assert encode_peak <= 15 * 2**20, f"encode peak {encode_peak / 2**20:.1f} MiB"
     assert decode_peak <= 48 * 2**20, f"decode peak {decode_peak / 2**20:.1f} MiB"
 
 

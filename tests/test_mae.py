@@ -183,7 +183,8 @@ def test_reconstruct_no_masked_needs_no_model():
     patches, grid = patchify(img, 2)
     spec = generate_mask(seed=0, n_patches=grid.n_patches, mask_ratio=0.0)
     out = mae.reconstruct(patches.data, spec, grid, model=None)
-    np.testing.assert_allclose(out, img.astype(np.float64) / 255.0)
+    assert out.dtype == np.uint8
+    np.testing.assert_array_equal(out, img)
 
 
 def test_reconstruct_masked_requires_model():
@@ -196,7 +197,7 @@ def test_reconstruct_masked_requires_model():
 
 
 def test_reconstruct_visible_patches_pass_through_verbatim(tiny_mae_config):
-    """Received pixels are copied exactly no matter what the weights are."""
+    """Received bytes come back exactly, whatever the weights are."""
     model = _tiny_model(tiny_mae_config, seed=11)
     rng = np.random.default_rng(6)
     img = rng.integers(0, 256, (10, 8, 1), dtype=np.uint8)
@@ -205,25 +206,33 @@ def test_reconstruct_visible_patches_pass_through_verbatim(tiny_mae_config):
     keep = spec.keep_indices
     vis = patches.data[list(keep)]
     out = mae.reconstruct(vis, spec, grid, model)
+    assert out.dtype == np.uint8 and out.shape == img.shape
     p = tiny_mae_config.patch_size
-    ref = img.astype(np.float64) / 255.0
     for idx in keep:
         r, c = divmod(idx, grid.grid_cols)
         np.testing.assert_array_equal(
             out[r * p : (r + 1) * p, c * p : (c + 1) * p],
-            ref[r * p : (r + 1) * p, c * p : (c + 1) * p],
+            img[r * p : (r + 1) * p, c * p : (c + 1) * p],
         )
 
 
-def test_reconstruct_output_clipped(tiny_mae_config):
+def test_reconstruct_saturates_wild_predictions(tiny_mae_config):
+    """Predictions far outside [0, 1] clamp to 0 or 255; they never wrap."""
     model = _tiny_model(tiny_mae_config, seed=7)
     for _, t in model.named_parameters():
         t.data = t.data * 50.0  # force wild predictions
     img = np.random.default_rng(8).integers(0, 256, (8, 8, 1), dtype=np.uint8)
     patches, grid = patchify(img, tiny_mae_config.patch_size)
     spec = generate_mask(seed=1, n_patches=grid.n_patches, mask_ratio=0.5)
-    out = mae.reconstruct(patches.data[list(spec.keep_indices)], spec, grid, model)
-    assert out.min() >= 0.0 and out.max() <= 1.0
+    visible = patches.data[list(spec.keep_indices)]
+    masked = list(spec.masked_indices)
+    pred = mae.decode_full(mae.encode_visible(visible, spec.keep_indices, model), spec, model).data[masked]
+    assert not ((pred >= 0.0) & (pred <= 1.0)).any()
+    out = mae.reconstruct(visible, spec, grid, model)
+    got, _ = patchify(out, tiny_mae_config.patch_size)
+    masked_bytes = np.rint(got.data[masked] * 255.0)
+    np.testing.assert_array_equal(masked_bytes, np.where(pred > 1.0, 255.0, 0.0))
+    assert set(np.unique(masked_bytes)) == {0.0, 255.0}
 
 
 def test_reconstruct_validates_grid_and_shapes(tiny_mae_config):

@@ -264,16 +264,62 @@ def test_grid_validates_divisibility():
         masking.PatchGrid(10, 8, 1, 4)
 
 
+# -- to_uint8 and gather_patches --------------------------------------------------
+
+
+def test_to_uint8_maps_pad_value_to_pad_byte():
+    assert masking.to_uint8(np.array([masking.PAD_VALUE])).tolist() == [masking.PAD_BYTE]
+
+
+def test_to_uint8_makes_one_float_temporary():
+    x = np.random.default_rng(0).normal(0.5, 1.0, 1 << 20)
+    tracemalloc.start()
+    try:
+        out = masking.to_uint8(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, np.rint(np.clip(x, 0.0, 1.0) * 255.0).astype(np.uint8))
+    # one 8 MiB float64 temporary and the 1 MiB result
+    assert peak < x.nbytes + 2 * out.nbytes, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64, np.float64, np.float32, bool])
+def test_gather_patches_equals_bytes_of_patchify(dtype):
+    rng = np.random.default_rng(7)
+    img = rng.normal(100.0, 200.0, (13, 21, 3))
+    if dtype is bool:
+        img = img > 100.0
+    elif np.issubdtype(dtype, np.integer):
+        info = np.iinfo(dtype)
+        img = np.clip(img, info.min, info.max)
+    else:
+        img /= 255.0
+    img = img.astype(dtype)
+    patches, grid = masking.patchify(img, 4)  # edge-padded to 16x24
+    arr, gathered_grid = masking.image_grid(img, 4)
+    assert gathered_grid == grid
+    indices = [0, 5, 11, 17, 23]  # the last column and row are padding
+    kept = masking.gather_patches(arr, indices, grid)
+    assert kept.dtype == np.uint8 and kept.shape == (5, grid.patch_dim)
+    assert np.array_equal(kept, masking.to_uint8(patches.data[indices]))
+
+
 # -- stacking ----------------------------------------------------------------------
+
+
+def _kept_patches(img, patch_size, spec):
+    arr, grid = masking.image_grid(img, patch_size)
+    return masking.gather_patches(arr, spec.keep_indices, grid)
 
 
 def test_stack_exact_fill_no_pads():
     rng = np.random.default_rng(2)
     img = rng.integers(0, 256, (16, 16, 1), dtype=np.uint8)
-    patches, grid = masking.patchify(img, 4)  # 4x4 grid
+    grid = masking.PatchGrid(16, 16, 1, 4)  # 4x4 grid
     spec = masking.mask_from_counts(5, grid.n_patches, 8)  # two full rows
-    condensed, cgrid = masking.stack_visible(patches.data, spec, grid)
-    assert condensed.shape == (8, 16, 1)
+    condensed, cgrid = masking.stack_visible(_kept_patches(img, 4, spec), spec, grid)
+    assert condensed.shape == (8, 16, 1) and condensed.dtype == np.uint8
     assert cgrid.n_patches == 8  # no pad slots
 
 
@@ -288,11 +334,12 @@ def test_stack_pad_arithmetic_kodak():
 
 def test_stack_pads_are_mid_gray():
     img = np.zeros((8, 8, 1), dtype=np.uint8)
-    patches, grid = masking.patchify(img, 4)
+    grid = masking.PatchGrid(8, 8, 1, 4)
     spec = masking.mask_from_counts(1, 4, 1)
-    condensed, _ = masking.stack_visible(patches.data, spec, grid)
+    condensed, _ = masking.stack_visible(_kept_patches(img, 4, spec), spec, grid)
     assert condensed.shape == (4, 8, 1)
-    np.testing.assert_array_equal(condensed[:, 4:], np.full((4, 4, 1), 0.5))
+    np.testing.assert_array_equal(condensed[:, :4], np.zeros((4, 4, 1), dtype=np.uint8))
+    np.testing.assert_array_equal(condensed[:, 4:], np.full((4, 4, 1), 128, dtype=np.uint8))
 
 
 def test_stack_unstack_round_trip_bit_exact():
@@ -301,18 +348,18 @@ def test_stack_unstack_round_trip_bit_exact():
     patches, grid = masking.patchify(img, 8)
     for keep in (1, 5, grid.n_patches):
         spec = masking.mask_from_counts(11, grid.n_patches, keep)
-        condensed, _ = masking.stack_visible(patches.data, spec, grid)
+        condensed, _ = masking.stack_visible(_kept_patches(img, 8, spec), spec, grid)
         vis = masking.unstack_visible(condensed, spec, grid)
         assert np.array_equal(vis, patches.data[list(spec.keep_indices)])
 
 
 def test_unstack_single_patch():
-    patches = np.full((4, 16), 0.25)
+    kept = np.full((1, 16), 64, dtype=np.uint8)
     grid = masking.PatchGrid(8, 8, 1, 4)
     spec = masking.mask_from_counts(2, 4, 1)
-    condensed, _ = masking.stack_visible(patches, spec, grid)
+    condensed, _ = masking.stack_visible(kept, spec, grid)
     vis = masking.unstack_visible(condensed, spec, grid)
-    np.testing.assert_array_equal(vis, np.full((1, 16), 0.25))
+    np.testing.assert_array_equal(vis, np.full((1, 16), 64 / 255.0))
 
 
 def test_unstack_dimension_mismatch_is_container_error():
@@ -332,6 +379,15 @@ def test_stack_rejects_mismatched_spec():
         masking.stack_visible(patches, spec, grid)
 
 
+def test_stack_takes_only_the_kept_uint8_patches():
+    grid = masking.PatchGrid(8, 8, 1, 4)
+    spec = masking.mask_from_counts(0, 4, 2)
+    with pytest.raises(ShapeError):
+        masking.stack_visible(np.zeros((4, 16), dtype=np.uint8), spec, grid)
+    with pytest.raises(ContractError):
+        masking.stack_visible(np.zeros((2, 16)), spec, grid)
+
+
 @given(
     st.integers(min_value=0, max_value=2**64 - 1),
     st.integers(min_value=1, max_value=6),
@@ -344,6 +400,6 @@ def test_stack_unstack_property(seed, rows, cols, ratio):
     img = rng.integers(0, 256, (rows * 4, cols * 4, 1), dtype=np.uint8)
     patches, grid = masking.patchify(img, 4)
     spec = masking.generate_mask(seed, grid.n_patches, ratio)
-    condensed, _ = masking.stack_visible(patches.data, spec, grid)
+    condensed, _ = masking.stack_visible(_kept_patches(img, 4, spec), spec, grid)
     vis = masking.unstack_visible(condensed, spec, grid)
     assert np.array_equal(vis, patches.data[list(spec.keep_indices)])

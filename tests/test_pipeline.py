@@ -1,6 +1,7 @@
 """Container format, compress/decompress paths, rate accounting."""
 
 import dataclasses
+import hashlib
 import struct
 import tracemalloc
 from fractions import Fraction
@@ -10,11 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maecodec import mae
+from maecodec import dataset, mae
 from maecodec import pipeline as pl
 from maecodec.codec import CODEC_DCT, CODEC_NULL, CodecParams, codec_decode, codec_encode
-from maecodec.errors import BitstreamError, ContainerError, ContractError, ShapeError
-from maecodec.masking import generate_mask, unstack_visible
+from maecodec.errors import BitstreamError, ContainerError, ContractError, NumericError, ShapeError
+from maecodec.masking import (
+    PAD_VALUE,
+    condensed_grid_for,
+    generate_mask,
+    patchify,
+    to_uint8,
+    unpatchify,
+    unstack_visible,
+)
 
 # 8x8 constant-gray image, patch 8, nothing masked, null codec, seed 7.
 # 35-byte container header + 19-byte codec header + 64 raw samples.
@@ -163,6 +172,56 @@ def test_compress_refuses_what_the_parser_refuses(shape, patch):
     assert peak < 2**20, f"peak {peak} bytes"
 
 
+def test_compress_refuses_an_oversized_condensed_image_from_its_shape(monkeypatch):
+    # 17x17 = 289 patches of 1024, well inside the patch bound; at ratio 0
+    # they make a 17408x17408 condensed image, more samples than codec_encode
+    # takes. A broadcast view costs nothing, so only a look at the shape
+    # stays small.
+    img = np.broadcast_to(np.zeros((1, 1, 1), dtype=np.uint8), (17000, 17000, 1))
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("compress cut patches out of an image it must refuse")
+
+    # every step that cuts patches out of the image, before and after the
+    # uint8 gather, so that no version of compress allocates here
+    for name in ("patchify", "gather_patches", "stack_visible"):
+        monkeypatch.setattr(pl, name, unreachable, raising=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeError, match="condensed image"):
+            pl.compress(img, pl.PipelineConfig(patch_size=1024, mask_ratio=0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak} bytes"
+
+
+@pytest.mark.parametrize("where,value", [("kept", np.nan), ("masked", np.nan), ("kept", np.inf)])
+def test_compress_refuses_non_finite_samples(where, value, monkeypatch):
+    img = np.random.default_rng(9).random((16, 16, 3))
+    config = pl.PipelineConfig(patch_size=8, mask_ratio=0.5, seed=4)
+    spec = generate_mask(config.seed, 4, config.mask_ratio)
+    patch = (spec.keep_indices if where == "kept" else spec.masked_indices)[0]
+    r, c = divmod(patch, 2)
+    img[8 * r + 3, 8 * c + 5, 1] = value
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a non-finite image reached the codec")
+
+    monkeypatch.setattr(pl, "codec_encode", unreachable)
+    with pytest.raises(NumericError):
+        pl.compress(img, config)
+
+
+@pytest.mark.parametrize("shape", [(21, 13, 1), (21, 16, 1), (16, 13, 3)])
+def test_decompress_of_a_padded_image_returns_its_own_array(shape):
+    img = np.random.default_rng(10).integers(0, 256, shape, dtype=np.uint8)
+    cfg = pl.PipelineConfig(patch_size=8, mask_ratio=0.0, seed=0, codec=CodecParams(CODEC_NULL, 50))
+    out = pl.decompress(pl.compress(img, cfg), model=None)
+    assert out.flags.c_contiguous and out.flags.owndata
+    np.testing.assert_array_equal(out, img)
+
+
 def test_lossless_degenerate_path():
     """Nothing masked plus the raw codec reproduces the image bit for bit."""
     rng = np.random.default_rng(2)
@@ -234,6 +293,121 @@ def test_end_to_end_reconstruction_shape_and_range():
     cfg = pl.PipelineConfig(patch_size=8, mask_ratio=0.6, seed=1)
     out = pl.decompress(pl.compress(img, cfg), _pipeline_model())
     assert out.shape == img.shape and out.dtype == np.uint8
+
+
+# -- the uint8 path against the float composition it replaced --------------------
+
+
+def _float_compress(image, config):
+    """The transmitter in float64: patchify, stack with PAD_VALUE pads, then to_uint8."""
+    patches, grid = patchify(image, config.patch_size)
+    spec = generate_mask(config.seed, grid.n_patches, config.mask_ratio)
+    cgrid = condensed_grid_for(spec.keep_count, grid)
+    slots = np.full((cgrid.n_patches, grid.patch_dim), PAD_VALUE)
+    slots[: spec.keep_count] = patches.data[list(spec.keep_indices)]
+    payload = codec_encode(to_uint8(unpatchify(slots, cgrid)), config.codec)
+    return pl.Container(
+        orig_width=image.shape[1], orig_height=image.shape[0], channels=grid.channels,
+        patch_size=config.patch_size, n_patches=grid.n_patches, keep_count=spec.keep_count,
+        seed=config.seed, codec=config.codec, payload=payload,
+    )
+
+
+def _float_decompress(container, model):
+    """The receiver in float64: reconstruct in [0, 1], then to_uint8 of the crop."""
+    spec, grid = container.mask_spec(), container.padded_grid()
+    visible = unstack_visible(codec_decode(container.payload), spec, grid)
+    full = np.empty((spec.n_patches, grid.patch_dim))
+    full[list(spec.keep_indices)] = visible
+    if spec.masked_indices:
+        masked = list(spec.masked_indices)
+        latent = mae.encode_visible(visible, spec.keep_indices, model)
+        full[masked] = np.clip(mae.decode_full(latent, spec, model, masked).data, 0.0, 1.0)
+    recon = unpatchify(full, grid)
+    return to_uint8(recon[: container.orig_height, : container.orig_width])
+
+
+def _sample_image(rng, shape, dtype):
+    """Samples of dtype that reach past the 8-bit range where the dtype can."""
+    if dtype is bool:
+        return rng.random(shape) > 0.5
+    if dtype is np.float64:
+        return rng.normal(0.5, 0.5, shape)
+    if dtype is np.uint8:
+        return rng.integers(0, 256, shape, dtype=np.uint8)
+    low = 0 if dtype is np.uint16 else -300
+    return rng.integers(low, 1000, shape).astype(dtype)
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64, np.float64, bool])
+def test_compress_and_decompress_match_the_float_path(dtype, channels):
+    rng = np.random.default_rng(channels)
+    cfg = mae.TMAEConfig(
+        patch_size=8, channels=channels, enc_d_model=16, enc_depth=1, enc_heads=2,
+        enc_d_ff=16, dec_d_model=8, dec_depth=1, dec_heads=2, dec_d_ff=8,
+    )
+    model = mae.init_model(cfg, seed=channels)
+    for height, width in [(21, 13), (33, 70)]:
+        shape = (height, width) if channels == 1 else (height, width, channels)
+        image = _sample_image(rng, shape, dtype)
+        for ratio in (0.0, 0.5, 0.9):
+            for codec in (CodecParams(CODEC_NULL, 50), CodecParams(CODEC_DCT, 50)):
+                config = pl.PipelineConfig(patch_size=8, mask_ratio=ratio, seed=3, codec=codec)
+                container = pl.compress(image, config)
+                expected = _float_compress(image, config)
+                assert container.to_bytes() == expected.to_bytes(), (shape, ratio, codec)
+                out = pl.decompress(container, model)
+                assert out.dtype == np.uint8 and out.shape == (height, width, channels)
+                assert np.array_equal(out, _float_decompress(expected, model)), (shape, ratio, codec)
+
+
+# One 768x512x3 round trip at patch 16, ratio 0.67, q50, decoded with an
+# untrained model of the benchmark's rgb_p16 shape after save_bytes/load_bytes.
+# It reaches what the small goldens do not: 48-patch condensed rows, several
+# 1024-block entropy passes and the receiver's two attention row halves.
+KODAK_CONTAINER_SHA256 = "70373342c932508e4f54b794534ee8b940e2a402910a548569aa4741519d7194"
+KODAK_DECODE_SHA256 = "ef778fd5918ce5fc3713b506b398db563b87652b97d74efa93e38a38da5777ec"
+
+
+@pytest.fixture(scope="module")
+def kodak_case():
+    cfg = mae.TMAEConfig(
+        patch_size=16, channels=3, enc_d_model=32, enc_depth=2, enc_heads=2,
+        enc_d_ff=64, dec_d_model=16, dec_depth=1, dec_heads=2, dec_d_ff=32,
+    )
+    model = mae.load_bytes(mae.save_bytes(mae.init_model(cfg, seed=0)))
+    image = np.ascontiguousarray(dataset.synthetic_corpus(1, 768, 3, seed=1)[0][1][:512])
+    config = pl.PipelineConfig(16, 0.67, 1, CodecParams(CODEC_DCT, 50))
+    return image, config, model
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kodak_sized_round_trip_golden_digest(kodak_case):
+    image, config, model = kodak_case
+    blob = pl.compress(image, config).to_bytes()
+    out = pl.decompress(pl.container_from_bytes(blob), model)
+    assert out.shape == image.shape
+    assert hashlib.sha256(blob).hexdigest() == KODAK_CONTAINER_SHA256
+    assert hashlib.sha256(out.tobytes()).hexdigest() == KODAK_DECODE_SHA256
+
+
+def test_kodak_sized_round_trip_peak_memory(kodak_case):
+    image, config, model = kodak_case
+    container, compress_peak = _traced_peak(lambda: pl.compress(image, config))
+    _, decompress_peak = _traced_peak(lambda: pl.decompress(container, model))
+    # the 1.2 MB uint8 image stays uint8 outside the codec's per-plane
+    # transform and the model
+    assert compress_peak < 12 * 2**20, f"compress peak {compress_peak / 2**20:.1f} MiB"
+    assert decompress_peak < 24 * 2**20, f"decompress peak {decompress_peak / 2**20:.1f} MiB"
 
 
 def test_pipeline_config_validation():

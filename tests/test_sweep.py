@@ -78,6 +78,15 @@ def test_sweep_isolates_per_cell_failures():
     assert "ContractError" in result.failures[0].error
 
 
+def test_sweep_records_a_non_finite_image_as_a_cell_failure():
+    bad = _gray(5).astype(np.float64) / 255.0
+    bad[3, 4, 0] = np.nan
+    corpus = [("nan", bad), ("ok", _gray(6))]
+    result = sweep.rd_sweep(corpus, [0.5], [50], _sweep_model())
+    assert [p.image_id for p in result.points] == ["ok"]
+    assert [(f.image_id, f.error.split(":")[0]) for f in result.failures] == [("nan", "NumericError")]
+
+
 def test_sweep_propagates_unexpected_errors(monkeypatch):
     """Only the package's own error types are per-cell failures; bugs surface."""
 
