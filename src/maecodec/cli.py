@@ -160,10 +160,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compress", help="image -> container")
     p.add_argument("--input", required=True, help="PPM/PGM image")
     p.add_argument("--output", required=True, help="container path")
-    p.add_argument("--mask-ratio", type=float, default=0.67)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--quality", type=int, default=50)
-    p.add_argument("--patch-size", type=int, default=16)
+    p.add_argument("--mask-ratio", type=float, default=PipelineConfig.mask_ratio)
+    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
+    p.add_argument("--quality", type=int, default=CodecParams.quality)
+    p.add_argument("--patch-size", type=int, default=PipelineConfig.patch_size)
     p.add_argument("--codec", choices=sorted(_CODEC_IDS), default="dct")
     p.set_defaults(func=_cmd_compress)
 
@@ -185,21 +185,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", default=None, help="PPM/PGM directory")
     p.add_argument("--synthetic", type=int, default=500, help="corpus size when no dataset")
     p.add_argument("--out", required=True, help="checkpoint path")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--crop-size", type=int, default=64)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--patch-size", type=int, default=8)
-    p.add_argument("--channels", type=int, default=1)
-    p.add_argument("--enc-width", type=int, default=64)
-    p.add_argument("--enc-depth", type=int, default=4)
-    p.add_argument("--enc-heads", type=int, default=4)
-    p.add_argument("--enc-ff", type=int, default=128)
-    p.add_argument("--dec-width", type=int, default=32)
-    p.add_argument("--dec-depth", type=int, default=2)
-    p.add_argument("--dec-heads", type=int, default=4)
-    p.add_argument("--dec-ff", type=int, default=64)
+    p.add_argument("--seed", type=int, default=training.TrainConfig.seed)
+    p.add_argument("--epochs", type=int, default=training.TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=training.TrainConfig.batch_size)
+    p.add_argument("--crop-size", type=int, default=training.TrainConfig.crop_size)
+    p.add_argument("--lr", type=float, default=training.TrainConfig.learning_rate)
+    p.add_argument("--patch-size", type=int, default=mae.TMAEConfig.patch_size)
+    p.add_argument("--channels", type=int, default=mae.TMAEConfig.channels)
+    p.add_argument("--enc-width", type=int, default=mae.TMAEConfig.enc_d_model)
+    p.add_argument("--enc-depth", type=int, default=mae.TMAEConfig.enc_depth)
+    p.add_argument("--enc-heads", type=int, default=mae.TMAEConfig.enc_heads)
+    p.add_argument("--enc-ff", type=int, default=mae.TMAEConfig.enc_d_ff)
+    p.add_argument("--dec-width", type=int, default=mae.TMAEConfig.dec_d_model)
+    p.add_argument("--dec-depth", type=int, default=mae.TMAEConfig.dec_depth)
+    p.add_argument("--dec-heads", type=int, default=mae.TMAEConfig.dec_heads)
+    p.add_argument("--dec-ff", type=int, default=mae.TMAEConfig.dec_d_ff)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("sweep", help="rate-distortion sweep to CSV/plot files")

@@ -148,6 +148,8 @@ def synthetic_corpus(
     """Deterministic toy corpus of structured images."""
     if count < 1:
         raise ContractError(f"count must be >= 1, got {count}")
+    if size < 2:
+        raise ContractError(f"size must be >= 2, got {size}")
     rng = np.random.default_rng(seed)
     width = len(str(count - 1))
     return [

@@ -8,11 +8,13 @@ draws. Modulo bias is negligible for n <= 2^20.
 ``patchify`` is the only function here that returns a ``Tensor`` (one that
 owns its array); every other function takes and returns plain ndarrays.
 
-Samples are uint8 on the transmitter: ``gather_patches`` cuts the kept
-patches out of the image as bytes and ``stack_visible`` lays them into the
-condensed uint8 image the codec takes. Float64 in [0, 1] is the model's
-scale: ``patchify`` (training, and the receiver through
-``unstack_visible``) returns it, and ``to_uint8`` turns it back into bytes.
+Images enter as uint8 HxW or HxWxC arrays; ``image_grid``, the one entry
+point of ``compress`` and ``patchify``, refuses any other dtype.
+``gather_patches`` cuts patches out of the image as bytes and
+``stack_visible`` lays the kept ones into the condensed uint8 image the
+codec takes. Float64 in [0, 1] is the model's scale: ``patchify``
+(training, and the receiver through ``unstack_visible``) is the u8 / 255
+view of every patch, and ``to_uint8`` turns it back into bytes.
 """
 
 from __future__ import annotations
@@ -170,8 +172,10 @@ def padded_grid(height: int, width: int, channels: int, patch_size: int) -> Patc
 
 
 def image_grid(image, patch_size: int) -> tuple[np.ndarray, PatchGrid]:
-    """The image as an HxWxC array and its padded grid, from the shape alone."""
+    """The uint8 image as an HxWxC array and its padded grid, from dtype and shape alone."""
     arr = np.asarray(image)
+    if arr.dtype != np.uint8:
+        raise ContractError(f"images hold uint8 samples, got {arr.dtype}")
     if arr.ndim == 2:
         arr = arr[:, :, None]
     if arr.ndim != 3 or arr.size == 0:
@@ -185,8 +189,7 @@ def _tiles(arr: np.ndarray, grid: PatchGrid) -> np.ndarray:
     """(grid_rows, p, grid_cols, p, C) view of arr edge-padded to the grid.
 
     Dimensions that are not multiples of the patch size are padded by edge
-    replication, in arr's own dtype; the patch at row r, column c of the
-    grid is [r, :, c].
+    replication; the patch at row r, column c of the grid is [r, :, c].
     """
     h, w = arr.shape[:2]
     if (h, w) != (grid.height, grid.width):
@@ -196,40 +199,27 @@ def _tiles(arr: np.ndarray, grid: PatchGrid) -> np.ndarray:
 
 
 def patchify(image, patch_size: int) -> tuple[Tensor, PatchGrid]:
-    """Cut an image into flattened float64 patches scaled to [0, 1].
+    """Every patch of a uint8 image as a float64 row of u8 / 255, in [0, 1].
 
-    Integer images are divided by 255; float images are taken as already
-    scaled. Dimensions that are not multiples of patch_size are padded by
-    edge replication (the caller records true dims and crops after decode).
-    Patches are enumerated row-major over the grid and each patch is
-    flattened row-major as (row, col, channel).
+    The rows are gather_patches' over all patch indices: dimensions that
+    are not multiples of patch_size are padded by edge replication (the
+    caller records true dims and crops after decode), patches are
+    enumerated row-major over the grid and each is flattened row-major as
+    (row, col, channel).
     """
     arr, grid = image_grid(image, patch_size)
-    in_patch_order = _tiles(arr, grid).transpose(0, 2, 1, 3, 4)
-    # One float64 buffer, filled in patch order straight from the input and
-    # scaled in place, is the only full-size array made; the Tensor keeps it.
-    patches = np.empty((grid.n_patches, grid.patch_dim))
-    patches.reshape(in_patch_order.shape)[...] = in_patch_order
-    if np.issubdtype(arr.dtype, np.integer):
-        patches /= 255.0
-    return Tensor(patches), grid
+    return Tensor(gather_patches(arr, np.arange(grid.n_patches), grid) / 255.0), grid
 
 
 def gather_patches(image: np.ndarray, indices, grid: PatchGrid) -> np.ndarray:
-    """The patches at `indices` as uint8 rows, flattened like patchify's.
+    """The patches at `indices` as uint8 rows, copied as they are.
 
-    image is HxWxC and grid its padded grid (see image_grid). uint8
-    samples are copied as they are. Only the gathered samples of any other
-    dtype are converted, as to_uint8(patchify(image)) would: integers by
-    to_uint8(x / 255.0), everything else by to_uint8(x) in float64.
+    image is the uint8 HxWxC array and grid its padded grid, as image_grid
+    returns them. Patch i is row i // grid_cols, column i % grid_cols of
+    the grid, flattened row-major as (row, col, channel).
     """
     idx = np.asarray(indices, dtype=np.intp)
     samples = _tiles(image, grid)[idx // grid.grid_cols, :, idx % grid.grid_cols]
-    if samples.dtype != np.uint8:
-        scaled = samples.astype(np.float64)
-        if np.issubdtype(samples.dtype, np.integer):
-            scaled /= 255.0
-        samples = to_uint8(scaled)
     return samples.reshape(len(idx), grid.patch_dim)
 
 

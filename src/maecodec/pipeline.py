@@ -23,7 +23,7 @@ import numpy as np
 from . import mae
 from .codec import HEADER_BYTES as STREAM_HEADER_BYTES
 from .codec import _MAX_PIXELS, CodecParams, codec_decode, codec_encode, stream_header
-from .errors import ContainerError, ContractError, NumericError, ShapeError
+from .errors import ContainerError, ContractError, ShapeError
 from .masking import (
     MASK_ALGORITHM_ID,
     MaskSpec,
@@ -138,12 +138,9 @@ def container_from_bytes(blob: bytes) -> Container:
         raise ContainerError(f"channels must be 1 or 3, got {channels}")
     if patch_size == 0:
         raise ContainerError("zero patch size")
-    grid_cols = -(-orig_w // patch_size)
-    grid_rows = -(-orig_h // patch_size)
-    if n_patches != grid_cols * grid_rows:
-        raise ContainerError(
-            f"header says {n_patches} patches, dimensions imply {grid_cols * grid_rows}"
-        )
+    implied = padded_grid(orig_h, orig_w, channels, patch_size).n_patches
+    if n_patches != implied:
+        raise ContainerError(f"header says {n_patches} patches, dimensions imply {implied}")
     if n_patches > _MAX_PATCHES:
         raise ContainerError(f"patch count {n_patches} exceeds sanity bound")
     if not 1 <= keep_count <= n_patches:
@@ -168,12 +165,11 @@ def container_from_bytes(blob: bytes) -> Container:
 def compress(image, config: PipelineConfig) -> Container:
     """Transmitter path: mask, gather, stack, codec, assemble. Model-free.
 
-    Samples stay uint8 throughout: only the kept patches are cut out of
-    the image, as bytes (see gather_patches for other dtypes). Channel,
-    patch and condensed-sample counts that container_from_bytes or
-    codec_decode refuse are refused here, from the image's shape alone,
-    before any array is made; a float image with a NaN or infinite sample
-    is refused before anything is encoded.
+    image is a uint8 HxW or HxWxC array; any other dtype is a
+    ContractError. Samples stay uint8 throughout: only the kept patches are
+    cut out of the image, as bytes. Channel, patch and condensed-sample
+    counts that container_from_bytes or codec_decode refuse are refused
+    here, from the image's shape alone, before any array is made.
     """
     arr, grid = image_grid(image, config.patch_size)
     if grid.channels not in (1, 3):
@@ -186,8 +182,6 @@ def compress(image, config: PipelineConfig) -> Container:
             f"condensed image {cgrid.width}x{cgrid.height}x{cgrid.channels} exceeds "
             "the decoder's sanity bound"
         )
-    if np.issubdtype(arr.dtype, np.inexact) and not np.isfinite(arr).all():
-        raise NumericError("image has a NaN or infinite sample")
     spec = generate_mask(config.seed, grid.n_patches, config.mask_ratio)
     condensed, _ = stack_visible(gather_patches(arr, spec.keep_indices, grid), spec, grid)
     payload = codec_encode(condensed, config.codec)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .codec import CODEC_DCT, CodecParams
+from .codec import CodecParams
 from .errors import (
     BitstreamError,
     CheckpointError,
@@ -70,18 +70,15 @@ def rd_sweep(
     corpus: list[tuple[str, np.ndarray]],
     ratios: list[float],
     qualities: list[int],
-    model: MaskedAutoencoder | None,
-    patch_size: int | None = None,
+    model: MaskedAutoencoder,
     seed: int = 0,
-    codec_id: int = CODEC_DCT,
 ) -> SweepResult:
-    """Evaluate every (image, ratio, quality) cell in deterministic order."""
+    """Evaluate every (image, ratio, quality) cell in deterministic order.
+
+    Cells run at the model's patch size with the DCT codec.
+    """
     if not corpus or not ratios or not qualities:
         raise ContractError("corpus, ratios and qualities must all be non-empty")
-    if patch_size is None:
-        if model is None:
-            raise ContractError("need either a model or an explicit patch_size")
-        patch_size = model.config.patch_size
     # Checked before the first cell: a bad id would otherwise surface only
     # when the written CSV is read back.
     for image_id, _ in corpus:
@@ -97,10 +94,10 @@ def rd_sweep(
             for quality in qualities:
                 try:
                     config = PipelineConfig(
-                        patch_size=patch_size,
+                        patch_size=model.config.patch_size,
                         mask_ratio=ratio,
                         seed=seed,
-                        codec=CodecParams(codec_id, quality),
+                        codec=CodecParams(quality=quality),
                     )
                     container = compress(image, config)
                     output = decompress(container, model)

@@ -73,3 +73,18 @@ def tiny_mae_config():
         dec_heads=2,
         dec_d_ff=4,
     )
+
+
+@pytest.fixture(params=["uint16", "int64", "float32", "float64-nan", "bool"])
+def non_uint8_image(request):
+    """A 16x16x1 image of a sample type other than uint8; images enter as uint8 only."""
+    samples = np.random.default_rng(0).integers(0, 256, (16, 16, 1))
+    if request.param == "bool":
+        return samples > 127
+    if request.param == "float32":
+        return (samples / 255.0).astype(np.float32)
+    if request.param == "float64-nan":
+        image = samples / 255.0
+        image[3, 4, 0] = np.nan
+        return image
+    return samples.astype(request.param)

@@ -306,7 +306,7 @@ def test_acceptance_rate_distortion_behavior(trained_toy, tmp_path, verdict):
     masked = run_masked()
     plain = sweep.rd_sweep(
         corpus, [0.0], [1, 2, 3, 5, 8, 10, 20, 30, 50, 70, 90],
-        model=None, patch_size=trained_toy.model.config.patch_size, seed=0,
+        trained_toy.model, seed=0,
     )
     assert not masked.failures and not plain.failures
     masked_mean = sweep.corpus_mean(masked.points)

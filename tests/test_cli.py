@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from maecodec import cli, dataset, mae, sweep
-from maecodec.pipeline import container_from_bytes
+from maecodec import cli, dataset, mae, sweep, training
+from maecodec.codec import CodecParams
+from maecodec.pipeline import PipelineConfig, container_from_bytes
 
 
 def _write_image(path, seed=0, size=24, channels=1):
@@ -186,3 +187,18 @@ def test_sweep_creates_missing_csv_directory(tmp_path):
 def test_unknown_command_exits_nonzero():
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])
+
+
+def test_parsed_defaults_are_the_dataclass_defaults():
+    parser = cli.build_parser()
+    args = parser.parse_args(["compress", "--input", "in.pgm", "--output", "out.tmae"])
+    assert PipelineConfig(
+        patch_size=args.patch_size, mask_ratio=args.mask_ratio, seed=args.seed,
+        codec=CodecParams(quality=args.quality),
+    ) == PipelineConfig()
+    args = parser.parse_args(["train", "--out", "model.ckpt"])
+    assert cli._model_config_from_args(args) == mae.TMAEConfig()
+    assert training.TrainConfig(
+        crop_size=args.crop_size, epochs=args.epochs, batch_size=args.batch_size,
+        learning_rate=args.lr, seed=args.seed,
+    ) == training.TrainConfig()

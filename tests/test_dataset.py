@@ -115,3 +115,11 @@ def test_synthetic_image_has_structure():
 def test_synthetic_corpus_rejects_nonpositive_count():
     with pytest.raises(ContractError):
         dataset.synthetic_corpus(0)
+
+
+@pytest.mark.parametrize("size", [0, 1])
+def test_synthetic_corpus_rejects_sizes_below_two(size):
+    with pytest.raises(ContractError, match="size"):
+        dataset.synthetic_corpus(1, size=size)
+    # the smallest size it takes
+    assert dataset.synthetic_corpus(1, size=2)[0][1].shape == (2, 2, 1)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from maecodec import dataset, mae
 from maecodec import pipeline as pl
 from maecodec.codec import CODEC_DCT, CODEC_NULL, CodecParams, codec_decode, codec_encode
-from maecodec.errors import BitstreamError, ContainerError, ContractError, NumericError, ShapeError
+from maecodec.errors import BitstreamError, ContainerError, ContractError, ShapeError
 from maecodec.masking import (
     PAD_VALUE,
     condensed_grid_for,
@@ -196,21 +196,14 @@ def test_compress_refuses_an_oversized_condensed_image_from_its_shape(monkeypatc
     assert peak < 2**20, f"peak {peak} bytes"
 
 
-@pytest.mark.parametrize("where,value", [("kept", np.nan), ("masked", np.nan), ("kept", np.inf)])
-def test_compress_refuses_non_finite_samples(where, value, monkeypatch):
-    img = np.random.default_rng(9).random((16, 16, 3))
-    config = pl.PipelineConfig(patch_size=8, mask_ratio=0.5, seed=4)
-    spec = generate_mask(config.seed, 4, config.mask_ratio)
-    patch = (spec.keep_indices if where == "kept" else spec.masked_indices)[0]
-    r, c = divmod(patch, 2)
-    img[8 * r + 3, 8 * c + 5, 1] = value
-
+def test_compress_refuses_non_uint8_images(non_uint8_image, monkeypatch):
     def unreachable(*args, **kwargs):
-        raise AssertionError("a non-finite image reached the codec")
+        raise AssertionError("compress cut or encoded an image it must refuse")
 
-    monkeypatch.setattr(pl, "codec_encode", unreachable)
-    with pytest.raises(NumericError):
-        pl.compress(img, config)
+    for name in ("gather_patches", "codec_encode"):
+        monkeypatch.setattr(pl, name, unreachable)
+    with pytest.raises(ContractError, match="uint8"):
+        pl.compress(non_uint8_image, pl.PipelineConfig(patch_size=8, mask_ratio=0.5, seed=4))
 
 
 @pytest.mark.parametrize("shape", [(21, 13, 1), (21, 16, 1), (16, 13, 3)])
@@ -327,21 +320,8 @@ def _float_decompress(container, model):
     return to_uint8(recon[: container.orig_height, : container.orig_width])
 
 
-def _sample_image(rng, shape, dtype):
-    """Samples of dtype that reach past the 8-bit range where the dtype can."""
-    if dtype is bool:
-        return rng.random(shape) > 0.5
-    if dtype is np.float64:
-        return rng.normal(0.5, 0.5, shape)
-    if dtype is np.uint8:
-        return rng.integers(0, 256, shape, dtype=np.uint8)
-    low = 0 if dtype is np.uint16 else -300
-    return rng.integers(low, 1000, shape).astype(dtype)
-
-
 @pytest.mark.parametrize("channels", [1, 3])
-@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64, np.float64, bool])
-def test_compress_and_decompress_match_the_float_path(dtype, channels):
+def test_compress_and_decompress_match_the_float_path(channels):
     rng = np.random.default_rng(channels)
     cfg = mae.TMAEConfig(
         patch_size=8, channels=channels, enc_d_model=16, enc_depth=1, enc_heads=2,
@@ -350,7 +330,7 @@ def test_compress_and_decompress_match_the_float_path(dtype, channels):
     model = mae.init_model(cfg, seed=channels)
     for height, width in [(21, 13), (33, 70)]:
         shape = (height, width) if channels == 1 else (height, width, channels)
-        image = _sample_image(rng, shape, dtype)
+        image = rng.integers(0, 256, shape, dtype=np.uint8)
         for ratio in (0.0, 0.5, 0.9):
             for codec in (CodecParams(CODEC_NULL, 50), CodecParams(CODEC_DCT, 50)):
                 config = pl.PipelineConfig(patch_size=8, mask_ratio=ratio, seed=3, codec=codec)

@@ -106,6 +106,12 @@ def test_train_rejects_empty_corpus():
         training.train([], _tiny_model_config(), _tiny_train_config())
 
 
+def test_train_refuses_non_uint8_images(non_uint8_image):
+    corpus = [("ok", np.zeros((8, 8, 1), dtype=np.uint8)), ("bad", non_uint8_image)]
+    with pytest.raises(ContractError, match="uint8"):
+        training.train(corpus, _tiny_model_config(), _tiny_train_config(batch_size=1))
+
+
 def test_train_is_deterministic():
     corpus = _toy_corpus()
     a = training.train(corpus, _tiny_model_config(), _tiny_train_config())
