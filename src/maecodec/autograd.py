@@ -2,8 +2,7 @@
 
 Just enough machinery to train a small transformer: matmul, add/sub/mul,
 row softmax, fused scaled dot-product attention, layer norm, GELU, the
-mean of all elements, row gather/scatter/tile and row or column
-concatenation.
+mean of all elements, row gather/scatter/tile and column concatenation.
 Every op is a plain function; ``Tensor`` has no operator overloads.
 There is deliberately no broadcasting beyond adding a 1-D vector to
 every row of a matrix and scaling by a number; every other shape
@@ -28,8 +27,8 @@ _GELU_C = 0.7978845608
 _GELU_A = 0.044715
 # layer norm's variance floor
 _LN_EPS = 1e-5
-# Elements of the attention map that one softmax_rows call normalizes:
-# 512 KiB of float64, so each block's temporaries stay in cache.
+# Elements in one row block of the attention map, which one softmax_rows
+# call normalizes: 512 KiB of float64, so its temporaries stay in cache.
 _SOFTMAX_BLOCK = 1 << 16
 
 
@@ -171,14 +170,17 @@ def softmax_rows(a: Tensor) -> Tensor:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(q k^T / sqrt(d)) v in one (queries, keys) buffer.
+    """softmax(q k^T / sqrt(d)) v, normalized by softmax_rows block by block.
 
-    The logits are scaled in place, and :func:`softmax_rows` normalizes
-    them block of rows by block of rows outside the graph, each block
-    written back over its logits. The backward pass keeps only the
-    attention map. Forward output and gradients equal, bit for bit, those
-    of the op chain ``matmul(softmax_rows(mul(matmul(q, kt), s)), v)``,
-    where ``kt`` is K^T as a contiguous matrix.
+    When none of q, k, v tracks gradients, each block of query rows is
+    multiplied by K^T, scaled, normalized and multiplied by v in turn, so
+    only one block of the (queries, keys) map exists at once. Otherwise the
+    backward pass keeps the whole map: the logits fill one buffer, and each
+    block is normalized outside the graph and written back over its own.
+    Tracked output and gradients equal, bit for bit, those of the op chain
+    ``matmul(softmax_rows(mul(matmul(q, kt), s)), v)``, where ``kt`` is K^T
+    as a contiguous matrix; so does untracked output when the map is one
+    block.
     """
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2 or q.shape[1] != k.shape[1]:
         raise ShapeError(f"attention: Q {q.shape} vs K {k.shape}")
@@ -188,11 +190,23 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     # BLAS may round differently for a transposed operand than for a
     # contiguous one, so K^T is laid out as one contiguous matrix.
     kt = k.data.T.copy()
+    m, rows = q.shape[0], max(1, _SOFTMAX_BLOCK // k.shape[0])
+    # A lone last row joins the block before it, unless every block is one
+    # row: numpy computes a one-row product with gemv, which rounds
+    # differently from the gemm that computes the same row among others.
+    bounds = [0, *range(rows, m - (rows > 1), rows), m]
+    blocks = list(zip(bounds, bounds[1:]))
+    if not (q.requires_grad or k.requires_grad or v.requires_grad):
+        out = np.empty((m, v.shape[1]))
+        for a, b in blocks:
+            y = q.data[a:b] @ kt
+            y *= scale
+            out[a:b] = softmax_rows(Tensor(y)).data @ v.data
+        return Tensor(out)
     y = q.data @ kt
     y *= scale
-    rows = max(1, _SOFTMAX_BLOCK // y.shape[1])
-    for r in range(0, y.shape[0], rows):
-        y[r:r + rows] = softmax_rows(_result(y[r:r + rows], (), None)).data
+    for a, b in blocks:
+        y[a:b] = softmax_rows(Tensor(y[a:b])).data
 
     def back(g):
         # the chain's rules, in the order its backward sweep runs them
@@ -306,31 +320,23 @@ def tile_rows(vec: Tensor, n_rows: int) -> Tensor:
     )
 
 
-def _concat(parts: list[Tensor], axis: int, name: str) -> Tensor:
-    """Join matrices along ``axis``; the gradient splits back at the seams."""
+def concat_cols(parts: list[Tensor]) -> Tensor:
+    """Join matrices side by side; the gradient splits back at the seams."""
     if not parts:
-        raise ContractError(f"{name}: empty input")
-    across = parts[0].shape[1 - axis]
+        raise ContractError("concat_cols: empty input")
+    n_rows = parts[0].shape[0]
     for p in parts:
-        if p.ndim != 2 or p.shape[1 - axis] != across:
-            raise ShapeError(f"{name}: inconsistent shapes {[p.shape for p in parts]}")
-    sizes = [p.shape[axis] for p in parts]
+        if p.ndim != 2 or p.shape[0] != n_rows:
+            raise ShapeError(f"concat_cols: inconsistent shapes {[p.shape for p in parts]}")
+    widths = [p.shape[1] for p in parts]
 
     def back(g):
         at = 0
-        for p, size in zip(parts, sizes):
-            _accumulate(p, g[:, at : at + size] if axis else g[at : at + size])
-            at += size
+        for p, width in zip(parts, widths):
+            _accumulate(p, g[:, at : at + width])
+            at += width
 
-    return _result(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), back)
-
-
-def concat_cols(parts: list[Tensor]) -> Tensor:
-    return _concat(parts, 1, "concat_cols")
-
-
-def concat_rows(parts: list[Tensor]) -> Tensor:
-    return _concat(parts, 0, "concat_rows")
+    return _result(np.concatenate([p.data for p in parts], axis=1), tuple(parts), back)
 
 
 # -- backward sweep ---------------------------------------------------------

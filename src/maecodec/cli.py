@@ -52,8 +52,8 @@ def _cmd_decompress(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     corpus = dataset.synthetic_corpus(args.count, args.size, args.channels, args.seed)
+    os.makedirs(args.out, exist_ok=True)
     ext = "ppm" if args.channels == 3 else "pgm"
     for name, image in corpus:
         dataset.save_image(os.path.join(args.out, f"{name}.{ext}"), image)
@@ -224,7 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except sweep.CELL_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -256,7 +256,7 @@ def condensed_grid_for(keep_count: int, grid: PatchGrid) -> PatchGrid:
     )
 
 
-def stack_visible(kept: np.ndarray, spec: MaskSpec, grid: PatchGrid) -> tuple[np.ndarray, PatchGrid]:
+def stack_visible(kept: np.ndarray, spec: MaskSpec, grid: PatchGrid) -> np.ndarray:
     """Lay the kept patches row-major into a condensed uint8 image.
 
     kept holds the uint8 patches at keep_indices, in that order, one per
@@ -276,7 +276,7 @@ def stack_visible(kept: np.ndarray, spec: MaskSpec, grid: PatchGrid) -> tuple[np
     cgrid = condensed_grid_for(spec.keep_count, grid)
     slots = np.full((cgrid.n_patches, grid.patch_dim), PAD_BYTE, dtype=np.uint8)
     slots[: spec.keep_count] = kept
-    return unpatchify(slots, cgrid), cgrid
+    return unpatchify(slots, cgrid)
 
 
 def unstack_visible(condensed: np.ndarray, spec: MaskSpec, grid: PatchGrid) -> np.ndarray:

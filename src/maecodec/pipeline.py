@@ -183,7 +183,7 @@ def compress(image, config: PipelineConfig) -> Container:
             "the decoder's sanity bound"
         )
     spec = generate_mask(config.seed, grid.n_patches, config.mask_ratio)
-    condensed, _ = stack_visible(gather_patches(arr, spec.keep_indices, grid), spec, grid)
+    condensed = stack_visible(gather_patches(arr, spec.keep_indices, grid), spec, grid)
     payload = codec_encode(condensed, config.codec)
     return Container(
         orig_width=arr.shape[1],

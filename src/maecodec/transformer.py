@@ -121,37 +121,22 @@ def multi_head_attention(
 
     Keys and values come from every token of ``x``. Queries come from the
     rows of ``queries`` (``x.tokens`` when it is None); the output has one
-    row per query row. Queries given for more than half of the n tokens
-    (and at least four, so that neither half is a one-row product) attend
-    in two row halves, so that no map exceeds half of the n x n one. Maps
-    whose height follows the mask ratio otherwise strand heap holes that a
-    later, taller map cannot reuse; on a sweep over three ratios at
-    n = 1024 that raised the peak resident memory above that of the n x n
-    map. Without ``queries`` each head computes its one n x n map, as
-    training always has.
+    row per query row. How much of each head's map exists at once is
+    ``autograd.attention``'s decision.
     """
     cfg = params.config
     if x.tokens.shape[1] != cfg.d_model:
         raise ShapeError(
             f"multi_head_attention: token width {x.tokens.shape[1]} != d_model {cfg.d_model}"
         )
-    halves = False
     if queries is None:
         queries = x.tokens
-    else:
-        halves = 4 <= queries.shape[0] and 2 * queries.shape[0] > x.tokens.shape[0]
-    m = queries.shape[0]
     heads = []
     for h in range(cfg.n_heads):
         q = ag.matmul(queries, params.wq[h])
         k = ag.matmul(x.tokens, params.wk[h])
         v = ag.matmul(x.tokens, params.wv[h])
-        if halves:
-            cut = (m + 1) // 2
-            parts = [ag.gather_rows(q, range(cut)), ag.gather_rows(q, range(cut, m))]
-            heads.append(ag.concat_rows([ag.attention(part, k, v) for part in parts]))
-        else:
-            heads.append(ag.attention(q, k, v))
+        heads.append(ag.attention(q, k, v))
     return ag.add(ag.matmul(ag.concat_cols(heads), params.wo), params.bo)
 
 
@@ -168,10 +153,12 @@ def encoder_block(x: TokenSequence, params: EncoderBlockParams, rows=None) -> To
     values; the queries, the residual, the second norm and the
     feed-forward cover only ``rows``. Each output row equals the same row
     of the full block's output, bit for bit, wherever BLAS rounds a row of
-    a product the same whatever the other rows are. OpenBLAS does not for
-    a product of at most 10^6 multiply-adds with a long inner dimension,
-    such as a few query rows attending over 1536 tokens: its small-matrix
-    kernel sums that dimension in one pass, its blocked kernel in parts.
+    a product the same whatever the other rows are. OpenBLAS does not when
+    one product has at most 10^6 multiply-adds and a long inner dimension
+    and the other more: its small-matrix kernel sums that dimension in one
+    pass, its blocked kernel in parts. Without gradients, attention forms
+    its map in row blocks of one height in both runs, bar the last (see
+    ``autograd.attention``), not in one product whose size follows ``rows``.
     """
     rows, lone = pad_lone_row(rows)
     normed = ag.layer_norm(x.tokens, params.ln1_gain, params.ln1_bias)

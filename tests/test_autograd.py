@@ -133,6 +133,28 @@ def test_attention_matches_op_chain_bitwise(n_q, n_k, d, d_v):
         assert np.array_equal(a.grad, b), name
 
 
+@pytest.mark.parametrize(
+    "n_q,n_k,d,d_v,one_block",
+    [(1, 1, 1, 1, True), (6, 3, 8, 5, True), (40, 33, 4, 8, True),
+     # a block of 218 rows and a lone row, which joins it
+     (219, 300, 4, 4, True),
+     (300, 257, 8, 8, False), (1030, 1536, 8, 8, False),
+     # 70000 keys leave one row per block
+     (3, 70000, 2, 2, False)],
+)
+def test_untracked_attention_matches_tracked(n_q, n_k, d, d_v, one_block):
+    rng = np.random.default_rng(n_q * 1000 + n_k)
+    arrays = [rng.normal(size=(n_q, d)) * 3, rng.normal(size=(n_k, d)) * 3,
+              rng.normal(size=(n_k, d_v))]
+    tracked = ag.attention(*(Tensor(a, requires_grad=True) for a in arrays))
+    untracked = ag.attention(*(Tensor(a) for a in arrays))
+    assert not untracked.requires_grad and untracked._grad_fn is None
+    if one_block:
+        assert np.array_equal(untracked.data, tracked.data)
+    else:
+        np.testing.assert_allclose(untracked.data, tracked.data, rtol=0, atol=1e-12)
+
+
 def test_attention_rejects_non_finite_logits():
     q = t([[0.0, float("inf")]])
     with pytest.raises(NumericError):
@@ -262,18 +284,6 @@ def test_concat_cols_places_parts_side_by_side():
     np.testing.assert_array_equal(merged.data[:, 2:], b.data)
 
 
-def test_concat_rows_stacks_parts():
-    a, b = t(np.ones((2, 3))), t(np.full((1, 3), 2.0))
-    merged = ag.concat_rows([a, b])
-    assert merged.shape == (3, 3)
-    np.testing.assert_array_equal(merged.data[:2], a.data)
-    np.testing.assert_array_equal(merged.data[2:], b.data)
-    with pytest.raises(ShapeError):
-        ag.concat_rows([a, t(np.ones((2, 2)))])
-    with pytest.raises(ContractError):
-        ag.concat_rows([])
-
-
 # -- gradients vs finite differences ----------------------------------------
 
 
@@ -355,19 +365,6 @@ def test_grad_concat_cols():
 
     def loss():
         merged = ag.concat_cols([a, b])
-        return total(ag.mul(ag.matmul(merged, w), ag.matmul(merged, w)))
-
-    assert_grads_close(loss, [("a", a), ("b", b)])
-
-
-def test_grad_concat_rows():
-    rng = np.random.default_rng(12)
-    a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-    b = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-    w = Tensor(rng.normal(size=(3, 4)))
-
-    def loss():
-        merged = ag.concat_rows([a, b])
         return total(ag.mul(ag.matmul(merged, w), ag.matmul(merged, w)))
 
     assert_grads_close(loss, [("a", a), ("b", b)])

@@ -184,6 +184,43 @@ def test_sweep_creates_missing_csv_directory(tmp_path):
     assert len(sweep.read_csv(csv_path)) == 2  # one cell plus its mean
 
 
+def test_corpus_refuses_a_size_below_two_before_making_its_directory(tmp_path, capsys):
+    out_dir = tmp_path / "toy"
+    assert cli.main(["corpus", "--out", str(out_dir), "--size", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out_dir.exists()
+
+
+_PACKAGE_ERRORS = {
+    "compress": "error: mask_ratio must lie in [0, 1), got 1.0\n",
+    "decompress": "error: bad container magic b'JUNK'\n",
+    "decompress-model": "error: bad checkpoint magic b'JUNK'\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_PACKAGE_ERRORS))
+def test_package_errors_print_one_line_and_exit_2(tmp_path, capsys, command):
+    img_path = tmp_path / "in.pgm"
+    _write_image(img_path, seed=4, size=16)
+    good = tmp_path / "good.tmae"
+    assert cli.main(["compress", "--input", str(img_path), "--output", str(good),
+                     "--mask-ratio", "0.5", "--patch-size", "8"]) == 0
+    junk = tmp_path / "junk.bin"
+    junk.write_bytes(b"JUNK" + bytes(60))
+    out = tmp_path / "out"
+    argv = {
+        "compress": ["compress", "--input", str(img_path), "--output", str(out),
+                     "--mask-ratio", "1.0"],
+        "decompress": ["decompress", "--input", str(junk), "--output", str(out)],
+        "decompress-model": ["decompress", "--input", str(good), "--output", str(out),
+                             "--model", str(junk)],
+    }[command]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == _PACKAGE_ERRORS[command]
+    assert not out.exists()
+
+
 def test_unknown_command_exits_nonzero():
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])

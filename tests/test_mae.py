@@ -445,20 +445,30 @@ def test_decode_golden_digest():
 
 # -- the last decoder block at a subset of rows --------------------------------
 
-# Above 256 tokens one attention map spans several softmax blocks of rows.
-# The masked set at keep_count 1 and the all-rows case attend in halves.
-_ROW_SUBSET_PATCHES = 300
+def _row_subset_case(cfg, n, keep, loaded):
+    size = "" if n == 300 else f"-n{n}"
+    tag = "-loaded" if loaded else ""
+    return pytest.param(cfg, n, keep, loaded, id=f"dec_depth{cfg.dec_depth}{size}-keep{keep}{tag}")
+
+
+# Above 256 tokens one attention map spans several blocks of rows: the full
+# run at 300 tokens cuts blocks of 218 and 82 rows. A model after
+# save_bytes/load_bytes tracks no gradients, so its attention computes one
+# block at a time. Its 219 masked rows at keep_count 81 are a block of 218
+# and a lone row, which joins that block; at 1024 tokens the blocks hold 64.
 _ROW_SUBSET_CASES = [
-    pytest.param(cfg, keep, id=f"dec_depth{cfg.dec_depth}-keep{keep}")
+    _row_subset_case(cfg, n, keep, loaded)
+    for loaded in (False, True)
     for cfg in [_no_decoder_config()] + [cfg for cfg, _, _ in _golden_decode_cases()]
-    for keep in (1, _ROW_SUBSET_PATCHES - 1)
+    for n, keep in ((300, 1), (300, 81), (300, 299)) + (((1024, 205),) if loaded else ())
 ]
 
 
-def _check_row_subsets(cfg, keep_count):
+def _check_row_subsets(cfg, n, keep_count, loaded):
     """At masked, single and all rows, decode_full and every block equal the full run's rows."""
-    n = _ROW_SUBSET_PATCHES
     model = mae.init_model(cfg, seed=keep_count)
+    if loaded:
+        model = mae.load_bytes(mae.save_bytes(model))
     spec = mask_from_counts(seed=keep_count, n_patches=n, keep_count=keep_count)
     rng = np.random.default_rng(keep_count)
     latent = Tensor(rng.random((keep_count, cfg.enc_d_model)))
@@ -472,9 +482,9 @@ def _check_row_subsets(cfg, keep_count):
             assert np.array_equal(tf.encoder_block(seq, block, rows).tokens.data, out[rows])
 
 
-@pytest.mark.parametrize("cfg,keep_count", _ROW_SUBSET_CASES)
-def test_row_subset_matches_full_rows(cfg, keep_count):
-    _check_row_subsets(cfg, keep_count)
+@pytest.mark.parametrize("cfg,n,keep_count,loaded", _ROW_SUBSET_CASES)
+def test_row_subset_matches_full_rows(cfg, n, keep_count, loaded):
+    _check_row_subsets(cfg, n, keep_count, loaded)
 
 
 def test_row_subset_matches_full_rows_with_two_blas_threads():
@@ -525,30 +535,43 @@ def test_checkpoint_counts_rejected_before_allocating(body, message):
     assert _peak_alloc_bytes(load) < 2**20
 
 
-def test_decompress_with_loaded_model_keeps_one_attention_map():
+def _loaded_attention_model():
     cfg = mae.TMAEConfig(patch_size=4, channels=1, enc_d_model=8, enc_depth=1, enc_heads=2,
                          enc_d_ff=8, dec_d_model=4, dec_depth=1, dec_heads=2, dec_d_ff=4)
-    model = mae.load_bytes(mae.save_bytes(mae.init_model(cfg, seed=24)))
+    return mae.load_bytes(mae.save_bytes(mae.init_model(cfg, seed=24)))
+
+
+def test_decompress_with_loaded_model_keeps_one_attention_map():
+    model = _loaded_attention_model()
     image = np.random.default_rng(25).integers(0, 256, (128, 128, 1), dtype=np.uint8)
     container = pl.compress(image, pl.PipelineConfig(4, 0.5, 3, CodecParams()))
     n = container.n_patches
     assert n == 1024
-    # one float64 n x n map is 8 MiB; the old op chain peaked near 8x that
+    # One float64 n x n map is 8 MiB. A loaded model's attention holds one
+    # block of 64 map rows at a time: 2.5 MiB at ratio 0.5 and 1.4 MiB at
+    # ratio 0.8. Whole maps, one per head, peaked at 6.0 and 4.1 MiB.
     peak = _peak_alloc_bytes(lambda: pl.decompress(container, model))
-    assert peak < 2 * n * n * 8
-    # Run at every row, the last decoder block peaked at 9.9 MiB. Run at
-    # the 512 masked rows only, its map is half as tall: 6.0 MiB.
-    assert peak < n * n * 8
-    # At ratio 0.8 the 819 masked rows attend in two halves of at most 410
-    # rows: 4.1 MiB. One 819-row map peaked at 7.3 MiB, every row at 8.8.
+    assert peak < 0.5 * n * n * 8
     denser = pl.compress(image, pl.PipelineConfig(4, 0.8, 3, CodecParams()))
-    assert _peak_alloc_bytes(lambda: pl.decompress(denser, model)) < 0.6 * n * n * 8
+    assert _peak_alloc_bytes(lambda: pl.decompress(denser, model)) < 0.25 * n * n * 8
 
     spec = container.mask_spec()
-    visible = np.random.default_rng(26).random((spec.keep_count, cfg.patch_dim))
+    visible = np.random.default_rng(26).random((spec.keep_count, model.config.patch_dim))
     latent = mae.encode_visible(visible, spec.keep_indices, model)
     pred = mae.decode_full(latent, spec, model)
     assert not pred.requires_grad and pred._grad_fn is None
+
+
+@pytest.mark.parametrize("ratio", [0.5, 0.8])
+def test_decompress_peak_memory_at_4096_patches(ratio):
+    """A 256x256 image at patch 4: one n x n map is 128 MiB, one row block 0.5 MiB."""
+    model = _loaded_attention_model()
+    image = np.random.default_rng(27).integers(0, 256, (256, 256, 1), dtype=np.uint8)
+    container = pl.compress(image, pl.PipelineConfig(4, ratio, 3, CodecParams()))
+    assert container.n_patches == 4096
+    # whole maps peaked at 66.0 MiB (ratio 0.5) and 53.1 MiB (ratio 0.8)
+    peak = _peak_alloc_bytes(lambda: pl.decompress(container, model))
+    assert peak < 8 * 2**20, f"decompress peak {peak / 2**20:.1f} MiB"
 
 
 def test_init_model_deterministic(tiny_mae_config):

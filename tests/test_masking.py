@@ -307,9 +307,9 @@ def test_stack_exact_fill_no_pads():
     img = rng.integers(0, 256, (16, 16, 1), dtype=np.uint8)
     grid = masking.PatchGrid(16, 16, 1, 4)  # 4x4 grid
     spec = masking.mask_from_counts(5, grid.n_patches, 8)  # two full rows
-    condensed, cgrid = masking.stack_visible(_kept_patches(img, 4, spec), spec, grid)
+    condensed = masking.stack_visible(_kept_patches(img, 4, spec), spec, grid)
     assert condensed.shape == (8, 16, 1) and condensed.dtype == np.uint8
-    assert cgrid.n_patches == 8  # no pad slots
+    assert masking.condensed_grid_for(spec.keep_count, grid).n_patches == 8  # no pad slots
 
 
 def test_stack_pad_arithmetic_kodak():
@@ -325,7 +325,7 @@ def test_stack_pads_are_mid_gray():
     img = np.zeros((8, 8, 1), dtype=np.uint8)
     grid = masking.PatchGrid(8, 8, 1, 4)
     spec = masking.mask_from_counts(1, 4, 1)
-    condensed, _ = masking.stack_visible(_kept_patches(img, 4, spec), spec, grid)
+    condensed = masking.stack_visible(_kept_patches(img, 4, spec), spec, grid)
     assert condensed.shape == (4, 8, 1)
     np.testing.assert_array_equal(condensed[:, :4], np.zeros((4, 4, 1), dtype=np.uint8))
     np.testing.assert_array_equal(condensed[:, 4:], np.full((4, 4, 1), 128, dtype=np.uint8))
@@ -337,7 +337,7 @@ def test_stack_unstack_round_trip_bit_exact():
     patches, grid = masking.patchify(img, 8)
     for keep in (1, 5, grid.n_patches):
         spec = masking.mask_from_counts(11, grid.n_patches, keep)
-        condensed, _ = masking.stack_visible(_kept_patches(img, 8, spec), spec, grid)
+        condensed = masking.stack_visible(_kept_patches(img, 8, spec), spec, grid)
         vis = masking.unstack_visible(condensed, spec, grid)
         assert np.array_equal(vis, patches.data[list(spec.keep_indices)])
 
@@ -346,7 +346,7 @@ def test_unstack_single_patch():
     kept = np.full((1, 16), 64, dtype=np.uint8)
     grid = masking.PatchGrid(8, 8, 1, 4)
     spec = masking.mask_from_counts(2, 4, 1)
-    condensed, _ = masking.stack_visible(kept, spec, grid)
+    condensed = masking.stack_visible(kept, spec, grid)
     vis = masking.unstack_visible(condensed, spec, grid)
     np.testing.assert_array_equal(vis, np.full((1, 16), 64 / 255.0))
 
@@ -389,6 +389,6 @@ def test_stack_unstack_property(seed, rows, cols, ratio):
     img = rng.integers(0, 256, (rows * 4, cols * 4, 1), dtype=np.uint8)
     patches, grid = masking.patchify(img, 4)
     spec = masking.generate_mask(seed, grid.n_patches, ratio)
-    condensed, _ = masking.stack_visible(_kept_patches(img, 4, spec), spec, grid)
+    condensed = masking.stack_visible(_kept_patches(img, 4, spec), spec, grid)
     vis = masking.unstack_visible(condensed, spec, grid)
     assert np.array_equal(vis, patches.data[list(spec.keep_indices)])

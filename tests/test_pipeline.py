@@ -345,7 +345,7 @@ def test_compress_and_decompress_match_the_float_path(channels):
 # One 768x512x3 round trip at patch 16, ratio 0.67, q50, decoded with an
 # untrained model of the benchmark's rgb_p16 shape after save_bytes/load_bytes.
 # It reaches what the small goldens do not: 48-patch condensed rows, several
-# 1024-block entropy passes and the receiver's two attention row halves.
+# 1024-block entropy passes and attention maps of many row blocks.
 KODAK_CONTAINER_SHA256 = "70373342c932508e4f54b794534ee8b940e2a402910a548569aa4741519d7194"
 KODAK_DECODE_SHA256 = "ef778fd5918ce5fc3713b506b398db563b87652b97d74efa93e38a38da5777ec"
 
