@@ -136,6 +136,18 @@ def mul(a: Tensor, b) -> Tensor:
 # -- linear algebra -------------------------------------------------------
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``, with a one-row ``a`` computed as two copies of that row.
+
+    numpy computes a one-row matrix product with gemv, which rounds
+    differently from the gemm that computes the same row among others;
+    two rows keep every forward product on gemm.
+    """
+    if a.shape[0] == 1:
+        return (np.concatenate((a, a)) @ b)[:1]
+    return a @ b
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
@@ -144,7 +156,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(a, g @ b.data.T)
         _accumulate(b, a.data.T @ g)
 
-    return _result(a.data @ b.data, (a, b), back)
+    return _result(_product(a.data, b.data), (a, b), back)
 
 
 # -- nonlinearities and normalization -------------------------------------
@@ -172,15 +184,16 @@ def softmax_rows(a: Tensor) -> Tensor:
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """softmax(q k^T / sqrt(d)) v, normalized by softmax_rows block by block.
 
-    When none of q, k, v tracks gradients, each block of query rows is
-    multiplied by K^T, scaled, normalized and multiplied by v in turn, so
-    only one block of the (queries, keys) map exists at once. Otherwise the
-    backward pass keeps the whole map: the logits fill one buffer, and each
-    block is normalized outside the graph and written back over its own.
-    Tracked output and gradients equal, bit for bit, those of the op chain
+    Query rows are cut into blocks of about ``_SOFTMAX_BLOCK`` map entries.
+    When none of q, k, v tracks gradients, each block is multiplied by K^T,
+    scaled, normalized and multiplied by v in turn, so only one block of
+    the (queries, keys) map exists at once. Otherwise the backward pass
+    keeps the whole map: the logits fill one buffer, and each block is
+    normalized outside the graph and written back over its own. Tracked
+    output and gradients equal, bit for bit, those of the op chain
     ``matmul(softmax_rows(mul(matmul(q, kt), s)), v)``, where ``kt`` is K^T
     as a contiguous matrix; so does untracked output when the map is one
-    block.
+    block. Non-finite logits raise NumericError, without a numpy warning.
     """
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2 or q.shape[1] != k.shape[1]:
         raise ShapeError(f"attention: Q {q.shape} vs K {k.shape}")
@@ -191,22 +204,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     # contiguous one, so K^T is laid out as one contiguous matrix.
     kt = k.data.T.copy()
     m, rows = q.shape[0], max(1, _SOFTMAX_BLOCK // k.shape[0])
-    # A lone last row joins the block before it, unless every block is one
-    # row: numpy computes a one-row product with gemv, which rounds
-    # differently from the gemm that computes the same row among others.
-    bounds = [0, *range(rows, m - (rows > 1), rows), m]
-    blocks = list(zip(bounds, bounds[1:]))
-    if not (q.requires_grad or k.requires_grad or v.requires_grad):
-        out = np.empty((m, v.shape[1]))
-        for a, b in blocks:
-            y = q.data[a:b] @ kt
-            y *= scale
-            out[a:b] = softmax_rows(Tensor(y)).data @ v.data
-        return Tensor(out)
-    y = q.data @ kt
-    y *= scale
-    for a, b in blocks:
-        y[a:b] = softmax_rows(Tensor(y[a:b])).data
+    starts = range(0, m, rows)
+    # numpy warns as it forms logits that are or become non-finite;
+    # softmax_rows refuses them with NumericError instead.
+    with np.errstate(invalid="ignore", over="ignore"):
+        if not (q.requires_grad or k.requires_grad or v.requires_grad):
+            out = np.empty((m, v.shape[1]))
+            for a in starts:
+                y = _product(q.data[a : a + rows], kt)
+                y *= scale
+                out[a : a + rows] = _product(softmax_rows(Tensor(y)).data, v.data)
+            return Tensor(out)
+        y = _product(q.data, kt)
+        y *= scale
+        for a in starts:
+            y[a : a + rows] = softmax_rows(Tensor(y[a : a + rows])).data
+        out = _product(y, v.data)
 
     def back(g):
         # the chain's rules, in the order its backward sweep runs them
@@ -216,7 +229,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         _accumulate(q, gl @ kt.T)
         _accumulate(k, (q.data.T @ gl).T)
 
-    return _result(y @ v.data, (q, k, v), back)
+    return _result(out, (q, k, v), back)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:

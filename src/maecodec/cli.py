@@ -77,14 +77,7 @@ def _model_config_from_args(args) -> mae.TMAEConfig:
 
 
 def _cmd_train(args) -> int:
-    # Create the checkpoint's directory now, not after the whole training run.
-    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-    if args.dataset:
-        corpus = dataset.load_corpus(args.dataset)
-    else:
-        corpus = dataset.synthetic_corpus(
-            args.synthetic, size=args.crop_size, channels=args.channels, seed=args.seed
-        )
+    model_cfg = _model_config_from_args(args)
     cfg = training.TrainConfig(
         crop_size=args.crop_size,
         epochs=args.epochs,
@@ -92,24 +85,29 @@ def _cmd_train(args) -> int:
         learning_rate=args.lr,
         seed=args.seed,
     )
-    result = training.train(corpus, _model_config_from_args(args), cfg, log=print)
+    if args.dataset:
+        corpus = dataset.load_corpus(args.dataset)
+    else:
+        corpus = dataset.synthetic_corpus(
+            args.synthetic, size=args.crop_size, channels=args.channels, seed=args.seed
+        )
+    # Create the checkpoint's directory once the inputs are valid, not
+    # after the whole training run.
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
+    result = training.train(corpus, model_cfg, cfg, log=print)
     mae.save_checkpoint(result.model, args.out)
     print(f"saved {args.out} (final loss {result.epoch_losses[-1]:.6f})")
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    # Create the CSV's directory now, not after every cell has run.
-    os.makedirs(os.path.dirname(args.csv_out) or ".", exist_ok=True)
+    ratios, qualities = _parse_floats(args.ratios), _parse_ints(args.qualities)
     corpus = dataset.load_corpus(args.dataset)
     model = mae.load_checkpoint(args.model)
-    result = sweep.rd_sweep(
-        corpus,
-        _parse_floats(args.ratios),
-        _parse_ints(args.qualities),
-        model,
-        seed=args.seed,
-    )
+    # Create the CSV's directory once the inputs are loaded, not after
+    # every cell has run.
+    os.makedirs(os.path.dirname(args.csv_out) or ".", exist_ok=True)
+    result = sweep.rd_sweep(corpus, ratios, qualities, model, seed=args.seed)
     for failure in result.failures:
         print(
             f"failed: {failure.image_id} ratio {failure.mask_ratio:g} "
@@ -226,7 +224,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except sweep.CELL_ERRORS as exc:
+    except (*sweep.CELL_ERRORS, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

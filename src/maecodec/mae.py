@@ -16,9 +16,9 @@ weight tensor as rank u8, dims u32 x rank, float32 data.
 a ``make`` callable for it; its call order is the serialization order.
 ``init_model`` passes a random maker, so training starts from weights that
 track gradients. ``load_bytes`` passes a maker that hands out the stored
-arrays in order, checking each one's shape as the builder asks for it; a
-loaded model is inference-only, its weights track no gradients, so
-reconstructing with it builds no autograd graph.
+arrays in order, checking each one's shape and finiteness as the builder
+asks for it; a loaded model is inference-only, its weights track no
+gradients, so reconstructing with it builds no autograd graph.
 """
 
 from __future__ import annotations
@@ -177,10 +177,9 @@ def decode_full(latent: Tensor, spec: MaskSpec, model: MaskedAutoencoder, rows=N
     With ``rows`` (patch indices), predict only those patches, in that
     order. Every token still passes through every block but the last;
     the last block, or with no decoder blocks the head, runs only at
-    ``rows``. Each predicted row equals the same row of the full
-    prediction under the condition ``tf.encoder_block`` states.
+    ``rows``, however few. Each predicted row equals the same row of the
+    full prediction under the condition ``tf.encoder_block`` states.
     """
-    rows, lone = tf.pad_lone_row(rows)
     cfg = model.config
     if latent.shape != (spec.keep_count, cfg.enc_d_model):
         raise ShapeError(
@@ -201,8 +200,7 @@ def decode_full(latent: Tensor, spec: MaskSpec, model: MaskedAutoencoder, rows=N
         seq = tf.encoder_block(seq, blocks[-1], rows)
     elif rows is not None:
         seq = tf.TokenSequence(ag.gather_rows(seq.tokens, rows))
-    pred = ag.add(ag.matmul(seq.tokens, model.head_w), model.head_b)
-    return ag.gather_rows(pred, [0]) if lone else pred
+    return ag.add(ag.matmul(seq.tokens, model.head_w), model.head_b)
 
 
 def reconstruct(visible: np.ndarray, spec: MaskSpec, grid: PatchGrid, model: MaskedAutoencoder | None) -> np.ndarray:
@@ -311,6 +309,8 @@ def load_bytes(blob: bytes) -> MaskedAutoencoder:
             raise CheckpointError(f"{held}; none left for {name}")
         if data.shape != shape:
             raise CheckpointError(f"{held}; tensor {name} has shape {data.shape}, expected {shape}")
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"tensor {name} holds non-finite values")
         return Tensor(data)
 
     model = _build(config, take)

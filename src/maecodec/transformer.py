@@ -151,36 +151,23 @@ def encoder_block(x: TokenSequence, params: EncoderBlockParams, rows=None) -> To
     With ``rows`` (token indices), the output holds the block's result at
     those rows only, in that order. Every token still supplies keys and
     values; the queries, the residual, the second norm and the
-    feed-forward cover only ``rows``. Each output row equals the same row
-    of the full block's output, bit for bit, wherever BLAS rounds a row of
-    a product the same whatever the other rows are. OpenBLAS does not when
+    feed-forward cover only ``rows``, even a single one. Each output row
+    equals the same row of the full block's output, bit for bit, wherever
+    BLAS rounds a row of a product the same whatever the other rows are
+    (``autograd`` keeps one-row products on gemm). OpenBLAS does not when
     one product has at most 10^6 multiply-adds and a long inner dimension
     and the other more: its small-matrix kernel sums that dimension in one
     pass, its blocked kernel in parts. Without gradients, attention forms
     its map in row blocks of one height in both runs, bar the last (see
     ``autograd.attention``), not in one product whose size follows ``rows``.
     """
-    rows, lone = pad_lone_row(rows)
     normed = ag.layer_norm(x.tokens, params.ln1_gain, params.ln1_bias)
     queries, residual = None, x.tokens
     if rows is not None:
         queries, residual = ag.gather_rows(normed, rows), ag.gather_rows(x.tokens, rows)
     mid = ag.add(residual, multi_head_attention(TokenSequence(normed), params, queries))
     normed2 = ag.layer_norm(mid, params.ln2_gain, params.ln2_bias)
-    out = ag.add(mid, feed_forward(normed2, params))
-    return TokenSequence(ag.gather_rows(out, [0]) if lone else out)
-
-
-def pad_lone_row(rows):
-    """``rows`` with a lone row listed twice, and whether it was.
-
-    numpy computes a one-row matrix product with gemv, which rounds
-    differently from the gemm that computes the same row among others;
-    two rows keep every product on gemm.
-    """
-    if rows is not None and len(rows) == 1:
-        return [*rows, *rows], True
-    return rows, False
+    return TokenSequence(ag.add(mid, feed_forward(normed2, params)))
 
 
 def zeros(rng, shape):

@@ -2,6 +2,7 @@
 central finite differences."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,19 @@ def test_matmul_identity():
     a = t([[1.0, 2.0], [3.0, 4.0]])
     out = ag.matmul(a, t(np.eye(2)))
     np.testing.assert_array_equal(out.data, [[1, 2], [3, 4]])
+
+
+# At output widths that are multiples of 4, OpenBLAS's gemm rounds a row the
+# same whatever the other rows are; so must a one-row matmul.
+@pytest.mark.parametrize(
+    "inner,width", [(8, 16), (13, 4), (64, 8), (100, 32), (257, 64), (300, 16)]
+)
+def test_matmul_of_one_row_equals_that_row_among_others(inner, width):
+    rng = np.random.default_rng(inner)
+    a, b = rng.normal(size=(6, inner)), rng.normal(size=(inner, width))
+    full = ag.matmul(Tensor(a), Tensor(b)).data
+    for i in range(a.shape[0]):
+        assert np.array_equal(ag.matmul(Tensor(a[i : i + 1]), Tensor(b)).data, full[i : i + 1])
 
 
 def test_matmul_hand_value():
@@ -136,7 +150,8 @@ def test_attention_matches_op_chain_bitwise(n_q, n_k, d, d_v):
 @pytest.mark.parametrize(
     "n_q,n_k,d,d_v,one_block",
     [(1, 1, 1, 1, True), (6, 3, 8, 5, True), (40, 33, 4, 8, True),
-     # a block of 218 rows and a lone row, which joins it
+     # a block of 218 rows and a lone row, a block of its own computed as
+     # two copies of that row
      (219, 300, 4, 4, True),
      (300, 257, 8, 8, False), (1030, 1536, 8, 8, False),
      # 70000 keys leave one row per block
@@ -156,9 +171,18 @@ def test_untracked_attention_matches_tracked(n_q, n_k, d, d_v, one_block):
 
 
 def test_attention_rejects_non_finite_logits():
-    q = t([[0.0, float("inf")]])
-    with pytest.raises(NumericError):
-        ag.attention(q, t(np.ones((3, 2))), t(np.ones((3, 1))))
+    # 1 and 2 query rows, and 300 rows whose map spans two blocks of 218
+    # and 82 rows; inf in q, or finite q whose logits overflow
+    for n_q, bad_row in ((1, 0), (2, 1), (300, 250)):
+        for bad in (float("inf"), 1e300):
+            for tracked in (False, True):
+                q = np.ones((n_q, 2))
+                q[bad_row, 1] = bad
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(NumericError):
+                        ag.attention(Tensor(q, requires_grad=tracked),
+                                     Tensor(np.full((300, 2), 1e300)), Tensor(np.ones((300, 1))))
 
 
 def test_layer_norm_constant_row_is_zero():

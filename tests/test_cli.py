@@ -221,6 +221,44 @@ def test_package_errors_print_one_line_and_exit_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["decompress", "sweep", "budget"])
+def test_os_errors_print_one_line_and_exit_2(tmp_path, capsys, command):
+    missing = str(tmp_path / "missing")
+    argv = {
+        "decompress": ["decompress", "--input", missing, "--output", str(tmp_path / "out.pgm")],
+        "sweep": ["sweep", "--dataset", missing, "--model", missing,
+                  "--csv-out", str(tmp_path / "rd.csv")],
+        # a directory where a sweep CSV belongs
+        "budget": ["budget", "--bits", "1000", "--width", "16", "--height", "16",
+                   "--calibration", str(tmp_path)],
+    }[command]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["train-config", "sweep-dataset", "sweep-model"])
+def test_train_and_sweep_check_inputs_before_making_their_directory(tmp_path, capsys, command):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    _write_image(data_dir / "img0.pgm", seed=3, size=16)
+    junk = tmp_path / "junk.tmck"
+    junk.write_bytes(b"JUNK" + bytes(60))
+    out_dir = tmp_path / "newdir"
+    sweep_args = ["--ratios", "0.5", "--qualities", "50", "--csv-out", str(out_dir / "rd.csv")]
+    argv = {
+        # 3 heads do not divide the default encoder width of 64
+        "train-config": ["train", "--synthetic", "2", "--out", str(out_dir / "m.tmck"),
+                         "--enc-heads", "3"],
+        "sweep-dataset": ["sweep", "--dataset", str(tmp_path / "missing"), "--model", str(junk),
+                          *sweep_args],
+        "sweep-model": ["sweep", "--dataset", str(data_dir), "--model", str(junk), *sweep_args],
+    }[command]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out_dir.exists()
+
+
 def test_unknown_command_exits_nonzero():
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])

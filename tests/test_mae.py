@@ -389,6 +389,8 @@ def test_checkpoint_file_round_trip(tiny_mae_config, tmp_path):
         lambda b: b + b"\x01\x02\x00\x00\x00" + b"\x00" * 8,  # trailing extra tensor
         lambda b: b[:45] + bytes([7]) + b[46:],  # bad rank byte
         lambda b: b[:46] + b[50:54] + b[46:50] + b[54:],  # embed dims swapped
+        lambda b: b[:-4] + struct.pack("<f", float("nan")),  # last head_b value NaN
+        lambda b: b[:-4] + struct.pack("<f", float("inf")),  # last head_b value +inf
     ],
 )
 def test_checkpoint_malformed_inputs(tiny_mae_config, mutate):
@@ -455,7 +457,9 @@ def _row_subset_case(cfg, n, keep, loaded):
 # run at 300 tokens cuts blocks of 218 and 82 rows. A model after
 # save_bytes/load_bytes tracks no gradients, so its attention computes one
 # block at a time. Its 219 masked rows at keep_count 81 are a block of 218
-# and a lone row, which joins that block; at 1024 tokens the blocks hold 64.
+# and a lone row, a one-row block that autograd computes as two copies of
+# that row, as it does the single row n // 2; at 1024 tokens the blocks
+# hold 64.
 _ROW_SUBSET_CASES = [
     _row_subset_case(cfg, n, keep, loaded)
     for loaded in (False, True)
@@ -487,19 +491,31 @@ def test_row_subset_matches_full_rows(cfg, n, keep_count, loaded):
     _check_row_subsets(cfg, n, keep_count, loaded)
 
 
+# Every row-subset case and golden digest: outputs that must not depend on
+# how many threads BLAS runs.
+_TWO_THREAD_TESTS = [
+    "test_mae.py::test_row_subset_matches_full_rows",
+    "test_mae.py::test_decode_golden_digest",
+    "test_codec.py::test_codec_golden_digest",
+    "test_codec.py::test_container_golden_digest",
+    "test_pipeline.py::test_kodak_sized_round_trip_golden_digest",
+    "test_training.py::test_train_golden_digest",
+]
+
+
 def test_row_subset_matches_full_rows_with_two_blas_threads():
-    """Every case above, in one child process whose BLAS runs two threads."""
-    code = (
-        "import test_mae as t\n"
-        "for case in t._ROW_SUBSET_CASES:\n"
-        "    t._check_row_subsets(*case.values)\n"
-    )
-    path = [str(Path(__file__).resolve().parent), str(Path(mae.__file__).resolve().parents[1])]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(path))
+    """Every test in _TWO_THREAD_TESTS, in one child pytest run whose BLAS runs two threads."""
+    tests = Path(__file__).resolve().parent
+    src = str(Path(mae.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=src)
     child = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         *(str(tests / t) for t in _TWO_THREAD_TESTS)],
+        cwd=tests.parent, env=env, capture_output=True, text=True, timeout=300,
     )
-    assert child.returncode == 0, child.stderr
+    assert child.returncode == 0, child.stdout + child.stderr
+    expected = len(_ROW_SUBSET_CASES) + len(_TWO_THREAD_TESTS) - 1
+    assert child.stdout.splitlines()[-1].startswith(f"{expected} passed"), child.stdout
 
 
 def _peak_alloc_bytes(fn):
