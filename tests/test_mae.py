@@ -410,7 +410,7 @@ def test_checkpoint_invalid_config_rejected(tiny_mae_config):
 # SHA-256 over the float64 latents and decode_full output and the decompressed
 # pixels of the seeded containers below, each reconstructed with a model that
 # went through save_bytes/load_bytes. Any change to an inference op shows here.
-GOLDEN_DECODE_SHA256 = "4290fa160160c816fa0241086b7858937a108cc6ad959759655abd47898d79d6"
+GOLDEN_DECODE_SHA256 = "9ce142fe85aeeff7bd6ef2ec07810eac7d1e3427d2afb9d97da0f543e72a8196"
 
 
 def _golden_decode_cases():
