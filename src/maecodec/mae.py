@@ -3,9 +3,10 @@
 The encoder runs only on the visible tokens; the decoder sees projected
 latents at the kept positions and a shared learnable mask token at every
 masked position, plus a full-length positional encoding. In training it
-predicts all patches. At reconstruction the received visible patches pass
-through verbatim, so the decoder's last block and the head run only at
-the masked rows; keys and values still come from every token.
+predicts the masked patches, which alone enter the loss. At reconstruction
+the received visible patches pass through verbatim. Either way the
+decoder's last block and the head run only at the masked rows; keys and
+values still come from every token.
 
 Checkpoint layout (little-endian): magic "TMCK", version u8 = 1, ten u32
 config fields (patch_size, channels, enc d_model/depth/heads/d_ff, dec
@@ -177,8 +178,12 @@ def decode_full(latent: Tensor, spec: MaskSpec, model: MaskedAutoencoder, rows=N
     With ``rows`` (patch indices), predict only those patches, in that
     order. Every token still passes through every block but the last;
     the last block, or with no decoder blocks the head, runs only at
-    ``rows``, however few. Each predicted row equals the same row of the
-    full prediction under the condition ``tf.encoder_block`` states.
+    ``rows``, however few. Both ``reconstruct`` and training
+    (``forward_loss``) pass the masked rows. Each predicted row equals the
+    same row of the full prediction under the conditions
+    ``tf.encoder_block`` states; gradients through ``rows`` add their
+    terms in another order than the full run's, so they agree with it to
+    rounding, not bit for bit.
     """
     cfg = model.config
     if latent.shape != (spec.keep_count, cfg.enc_d_model):
@@ -235,20 +240,26 @@ def reconstruct(visible: np.ndarray, spec: MaskSpec, grid: PatchGrid, model: Mas
 
 
 def masked_mse(pred: Tensor, target: Tensor, spec: MaskSpec) -> Tensor:
-    """Mean squared error over the masked rows only (differentiable)."""
-    if pred.shape != target.shape:
-        raise ShapeError(f"pred {pred.shape} vs target {target.shape}")
+    """Mean squared error over the masked rows only (differentiable).
+
+    ``pred`` holds the predictions at ``spec.masked_indices`` only, one row
+    each in that order, as ``decode_full`` returns them for those rows;
+    ``target`` holds every patch.
+    """
     if not spec.masked_indices:
         raise ContractError("masked_mse undefined for an empty masked set")
-    idx = list(spec.masked_indices)
-    diff = ag.sub(ag.gather_rows(pred, idx), ag.gather_rows(target, idx))
+    diff = ag.sub(pred, ag.gather_rows(target, list(spec.masked_indices)))
     return ag.mean_all(ag.mul(diff, diff))
 
 
 def forward_loss(model: MaskedAutoencoder, patches: Tensor, spec: MaskSpec) -> Tensor:
-    """Training objective for one image's patch matrix."""
+    """Training objective for one image's patch matrix.
+
+    The loss reads only the masked rows, so only those are predicted: the
+    last decoder block, or the head's gather, runs at them alone.
+    """
     latent = encode_visible(patches.data[list(spec.keep_indices)], spec.keep_indices, model)
-    pred = decode_full(latent, spec, model)
+    pred = decode_full(latent, spec, model, list(spec.masked_indices))
     return masked_mse(pred, patches, spec)
 
 

@@ -159,9 +159,9 @@ def baseline_fill_mse(patches: Tensor, spec) -> float:
 
 
 def masked_model_mse(model: MaskedAutoencoder, patches: Tensor, spec) -> float:
-    """Masked-row MSE of the model's clamped predictions."""
+    """Masked-row MSE of the model's clamped predictions, made at the masked rows only."""
     arr = patches.data
-    latent = encode_visible(arr[list(spec.keep_indices)], spec.keep_indices, model)
-    pred = np.clip(decode_full(latent, spec, model).data, 0.0, 1.0)
     masked = list(spec.masked_indices)
-    return float(np.mean((pred[masked] - arr[masked]) ** 2))
+    latent = encode_visible(arr[list(spec.keep_indices)], spec.keep_indices, model)
+    pred = np.clip(decode_full(latent, spec, model, masked).data, 0.0, 1.0)
+    return float(np.mean((pred - arr[masked]) ** 2))

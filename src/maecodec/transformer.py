@@ -154,12 +154,16 @@ def encoder_block(x: TokenSequence, params: EncoderBlockParams, rows=None) -> To
     feed-forward cover only ``rows``, even a single one. Each output row
     equals the same row of the full block's output, bit for bit, wherever
     BLAS rounds a row of a product the same whatever the other rows are
-    (``autograd`` keeps one-row products on gemm). OpenBLAS does not when
-    one product has at most 10^6 multiply-adds and a long inner dimension
-    and the other more: its small-matrix kernel sums that dimension in one
-    pass, its blocked kernel in parts. Without gradients, attention forms
-    its map in row blocks of one height in both runs, bar the last (see
-    ``autograd.attention``), not in one product whose size follows ``rows``.
+    (``autograd`` keeps one-row products on gemm). OpenBLAS does not in
+    two cases. First, when one product has at most 10^6 multiply-adds and
+    a long inner dimension and the other more: its small-matrix kernel
+    sums that dimension in one pass, its blocked kernel in parts. Second,
+    when the output width is not a multiple of 4 and the inner dimension
+    is 64 or more: gemm then rounds a row by its position in the product,
+    as in p·V with a decoder ``d_head`` of 2 over 300 keys, or a head of
+    width 9. Without gradients, attention forms its map in row blocks of
+    one height in both runs, bar the last (see ``autograd.attention``),
+    not in one product whose size follows ``rows``.
     """
     normed = ag.layer_norm(x.tokens, params.ln1_gain, params.ln1_bias)
     queries, residual = None, x.tokens

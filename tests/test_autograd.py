@@ -217,6 +217,20 @@ def test_gelu_fixed_points():
     assert abs(out.data[2]) < 1e-6
 
 
+def test_gelu_matches_the_pow_cube_formula_within_2_ulp():
+    """gelu cubes with two multiplies; the x**3 formula agrees to 2 ulp of |x|.
+
+    Ulps are of |x|, which bounds |gelu(x)|, not of the output itself: for
+    x below about -2, 1 + tanh cancels, and the one-ulp change in tanh that
+    a last-bit change in the cube can cause is tens of ulps of the output.
+    """
+    x = np.random.default_rng(21).standard_normal(100_000)
+    formula = 0.5 * x * (1.0 + np.tanh(ag._GELU_C * (x + ag._GELU_A * x**3)))
+    out = ag.gelu(Tensor(x)).data
+    assert np.all(np.abs(out - formula) <= 2 * np.spacing(np.abs(x)))
+    assert np.any(out != formula)  # the two cubes do differ on this sample
+
+
 def test_backward_sum_gives_ones():
     x = t(np.arange(6.0).reshape(2, 3))
     ag.backward(total(x))

@@ -15,10 +15,11 @@ import pytest
 from maecodec import autograd as ag
 from maecodec import mae
 from maecodec import pipeline as pl
+from maecodec import training
 from maecodec import transformer as tf
 from maecodec.autograd import Tensor
 from maecodec.codec import CodecParams, codec_decode
-from maecodec.dataset import synthetic_image
+from maecodec.dataset import synthetic_corpus, synthetic_image
 from maecodec.errors import CheckpointError, ContractError, ShapeError
 from maecodec.masking import (
     PatchGrid,
@@ -252,32 +253,34 @@ def test_reconstruct_validates_grid_and_shapes(tiny_mae_config):
 def test_masked_mse_zero_for_equal_inputs():
     spec = mask_from_counts(seed=0, n_patches=6, keep_count=2)
     x = np.random.default_rng(9).random((6, 4))
-    assert mae.masked_mse(Tensor(x), Tensor(x), spec).data == 0.0
+    pred = x[list(spec.masked_indices)]
+    assert mae.masked_mse(Tensor(pred), Tensor(x), spec).data == 0.0
 
 
 def test_masked_mse_ignores_visible_rows():
     spec = mask_from_counts(seed=2, n_patches=6, keep_count=2)
     target = np.random.default_rng(10).random((6, 4))
-    pred = target.copy()
-    pred[list(spec.keep_indices)] += 99.0
+    pred = target[list(spec.masked_indices)]
+    target[list(spec.keep_indices)] += 99.0
     assert mae.masked_mse(Tensor(pred), Tensor(target), spec).data == 0.0
 
 
 def test_masked_mse_constant_offset():
     spec = mask_from_counts(seed=3, n_patches=5, keep_count=1)
     target = np.zeros((5, 3))
-    pred = np.zeros((5, 3))
-    pred[list(spec.masked_indices)] = 0.25
+    pred = np.full((len(spec.masked_indices), 3), 0.25)
     assert abs(mae.masked_mse(Tensor(pred), Tensor(target), spec).data - 0.0625) < 1e-15
 
 
 def test_masked_mse_rejects_empty_mask_and_mismatch():
     spec = mask_from_counts(seed=0, n_patches=4, keep_count=4)
     with pytest.raises(ContractError):
-        mae.masked_mse(Tensor(np.zeros((4, 2))), Tensor(np.zeros((4, 2))), spec)
+        mae.masked_mse(Tensor(np.zeros((0, 2))), Tensor(np.zeros((4, 2))), spec)
     spec2 = mask_from_counts(seed=0, n_patches=4, keep_count=2)
     with pytest.raises(ShapeError):
-        mae.masked_mse(Tensor(np.zeros((4, 2))), Tensor(np.zeros((4, 3))), spec2)
+        mae.masked_mse(Tensor(np.zeros((2, 2))), Tensor(np.zeros((4, 3))), spec2)
+    with pytest.raises(ShapeError):  # every row's prediction, not the masked rows'
+        mae.masked_mse(Tensor(np.zeros((4, 2))), Tensor(np.zeros((4, 2))), spec2)
 
 
 # -- gradients -----------------------------------------------------------------
@@ -303,6 +306,83 @@ def test_forward_loss_full_gradcheck(tiny_mae_config):
         return mae.forward_loss(model, patches, spec)
 
     assert_grads_close(loss_fn, model.named_parameters())
+
+
+@pytest.mark.parametrize("dec_depth", [0, 2])
+@pytest.mark.parametrize(
+    "objective", [mae.forward_loss, training.masked_model_mse], ids=lambda f: f.__name__
+)
+def test_training_and_evaluation_run_the_last_decoder_block_and_the_head_at_the_masked_rows(
+    objective, dec_depth, monkeypatch
+):
+    cfg = mae.TMAEConfig(patch_size=2, channels=1, enc_d_model=8, enc_depth=2, enc_heads=2,
+                         enc_d_ff=8, dec_d_model=4, dec_depth=dec_depth, dec_heads=2,
+                         dec_d_ff=4)
+    model = _tiny_model(cfg, seed=24)
+    patches = Tensor(np.random.default_rng(25).random((9, cfg.patch_dim)))
+    spec = mask_from_counts(seed=8, n_patches=9, keep_count=3)
+    block_rows, head_rows = [], []
+    encoder_block, matmul = tf.encoder_block, ag.matmul
+
+    def record_block(x, params, rows=None):
+        block_rows.append(rows)
+        return encoder_block(x, params, rows)
+
+    def record_head(a, b):
+        if b is model.head_w:
+            head_rows.append(a.shape[0])
+        return matmul(a, b)
+
+    monkeypatch.setattr(tf, "encoder_block", record_block)
+    monkeypatch.setattr(ag, "matmul", record_head)
+    objective(model, patches, spec)
+    masked = list(spec.masked_indices)
+    expected = [None] * cfg.enc_depth
+    if dec_depth:
+        expected += [None] * (dec_depth - 1) + [masked]
+    assert block_rows == expected
+    assert head_rows == [len(masked)]
+
+
+# the train_toy32 benchmark's model, which the acceptance test trains too
+_TOY32_CONFIG = mae.TMAEConfig(
+    patch_size=4, channels=1, enc_d_model=32, enc_depth=2, enc_heads=2,
+    enc_d_ff=64, dec_d_model=16, dec_depth=1, dec_heads=2, dec_d_ff=32,
+)
+
+
+def test_forward_loss_agrees_with_the_full_prediction_at_the_masked_rows():
+    """The loss and every weight gradient of the masked-row path match the full path.
+
+    The full path predicts every patch and gathers the masked rows. Their
+    losses agree to 1e-12 relative. The backward sums add their terms in
+    another order, so each weight's gradient agrees to 1e-13 of its
+    largest entry, not bit for bit.
+    """
+    cfg = _TOY32_CONFIG
+    for i, (_, image) in enumerate(synthetic_corpus(4, size=32, channels=1, seed=3)):
+        model = mae.init_model(cfg, seed=i)
+        patches, grid = patchify(image, cfg.patch_size)
+        spec = generate_mask(i, grid.n_patches, 0.5 + 0.1 * i)
+        masked = list(spec.masked_indices)
+
+        def full_loss():
+            latent = mae.encode_visible(patches.data[list(spec.keep_indices)],
+                                        spec.keep_indices, model)
+            pred = ag.gather_rows(mae.decode_full(latent, spec, model), masked)
+            return mae.masked_mse(pred, patches, spec)
+
+        losses, grads = [], []
+        for loss_fn in (lambda: mae.forward_loss(model, patches, spec), full_loss):
+            for p in model.parameters():
+                p.grad = None
+            loss = loss_fn()
+            ag.backward(loss)
+            losses.append(loss.item())
+            grads.append([p.grad.copy() for p in model.parameters()])
+        assert abs(losses[0] - losses[1]) <= 1e-12 * losses[1]
+        for (name, _), a, b in zip(model.named_parameters(), *grads, strict=True):
+            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max(), name
 
 
 # -- checkpoints ---------------------------------------------------------------
