@@ -8,18 +8,18 @@ import sys
 
 from . import dataset, mae, sweep, training
 from .codec import CODEC_DCT, CODEC_NULL, CodecParams
-from .errors import InfeasibleBudgetError
+from .errors import ContractError, InfeasibleBudgetError
 from .pipeline import PipelineConfig, compress, container_from_bytes, decompress, rate_report
 
 _CODEC_IDS = {"dct": CODEC_DCT, "null": CODEC_NULL}
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part]
-
-
-def _parse_ints(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
+def _parse_list(option: str, text: str, kind) -> list:
+    """Comma-separated values of ``kind``; a bad one is a ContractError naming ``option``."""
+    try:
+        return [kind(part) for part in text.split(",") if part]
+    except ValueError as exc:
+        raise ContractError(f"{option}: {exc}") from None
 
 
 def _cmd_compress(args) -> int:
@@ -87,6 +87,8 @@ def _cmd_train(args) -> int:
     )
     if args.dataset:
         corpus = dataset.load_corpus(args.dataset)
+        if not corpus:
+            raise ContractError(f"training corpus is empty: no readable PPM/PGM in {args.dataset}")
     else:
         corpus = dataset.synthetic_corpus(
             args.synthetic, size=args.crop_size, channels=args.channels, seed=args.seed
@@ -101,7 +103,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    ratios, qualities = _parse_floats(args.ratios), _parse_ints(args.qualities)
+    ratios = _parse_list("--ratios", args.ratios, float)
+    qualities = _parse_list("--qualities", args.qualities, int)
     corpus = dataset.load_corpus(args.dataset)
     model = mae.load_checkpoint(args.model)
     # Create the CSV's directory once the inputs are loaded, not after

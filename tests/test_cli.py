@@ -237,7 +237,9 @@ def test_os_errors_print_one_line_and_exit_2(tmp_path, capsys, command):
     assert err.startswith("error: [Errno ") and err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("command", ["train-config", "sweep-dataset", "sweep-model"])
+@pytest.mark.parametrize(
+    "command", ["train-config", "sweep-dataset", "sweep-model", "sweep-ratios", "sweep-qualities"]
+)
 def test_train_and_sweep_check_inputs_before_making_their_directory(tmp_path, capsys, command):
     data_dir = tmp_path / "data"
     data_dir.mkdir()
@@ -253,9 +255,28 @@ def test_train_and_sweep_check_inputs_before_making_their_directory(tmp_path, ca
         "sweep-dataset": ["sweep", "--dataset", str(tmp_path / "missing"), "--model", str(junk),
                           *sweep_args],
         "sweep-model": ["sweep", "--dataset", str(data_dir), "--model", str(junk), *sweep_args],
+        "sweep-ratios": ["sweep", "--dataset", str(data_dir), "--model", str(junk),
+                         *sweep_args, "--ratios", "0.5,x"],
+        "sweep-qualities": ["sweep", "--dataset", str(data_dir), "--model", str(junk),
+                            *sweep_args, "--qualities", "5,x"],
     }[command]
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    if command in ("sweep-ratios", "sweep-qualities"):  # refused before the junk model is read
+        assert err.startswith(f"error: --{command[6:]}: "), err
+    assert not out_dir.exists()
+
+
+def test_train_refuses_an_empty_dataset_before_making_its_directory(tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    out_dir = tmp_path / "newdir"
+    with pytest.warns(UserWarning, match="no readable PPM/PGM"):
+        rc = cli.main(["train", "--dataset", str(empty), "--out", str(out_dir / "m.tmck")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: training corpus is empty: no readable PPM/PGM in {empty}\n"
     assert not out_dir.exists()
 
 
