@@ -242,9 +242,8 @@ def reconstruct(visible: np.ndarray, spec: MaskSpec, grid: PatchGrid, model: Mas
 def masked_mse(pred: Tensor, target: Tensor, spec: MaskSpec) -> Tensor:
     """Mean squared error over the masked rows only (differentiable).
 
-    ``pred`` holds the predictions at ``spec.masked_indices`` only, one row
-    each in that order, as ``decode_full`` returns them for those rows;
-    ``target`` holds every patch.
+    ``pred`` is ``decode_full``'s output at ``spec.masked_indices``, one row
+    each; ``target`` holds every patch.
     """
     if not spec.masked_indices:
         raise ContractError("masked_mse undefined for an empty masked set")
@@ -253,11 +252,7 @@ def masked_mse(pred: Tensor, target: Tensor, spec: MaskSpec) -> Tensor:
 
 
 def forward_loss(model: MaskedAutoencoder, patches: Tensor, spec: MaskSpec) -> Tensor:
-    """Training objective for one image's patch matrix.
-
-    The loss reads only the masked rows, so only those are predicted: the
-    last decoder block, or the head's gather, runs at them alone.
-    """
+    """Training objective for one image's patch matrix, predicted at the masked rows only."""
     latent = encode_visible(patches.data[list(spec.keep_indices)], spec.keep_indices, model)
     pred = decode_full(latent, spec, model, list(spec.masked_indices))
     return masked_mse(pred, patches, spec)
