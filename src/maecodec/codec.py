@@ -15,9 +15,21 @@ never exceed 63, so 0xFF where a run byte may stand is unambiguous; inside
 a varint it is an ordinary continuation byte. Blocks are emitted
 channel-major, then row-major over the block grid.
 
-Transform and quantization run over all blocks of a plane at once, as one
-(rows, cols, 8, 8) stack. The entropy coder works by array passes over
-_CHUNK_BLOCKS blocks at a time, with no per-byte loop:
+Both directions work on bands of whole 8-row block strips, about
+_CHUNK_BLOCKS blocks of every plane at a time, so that no float64 array
+spans a plane. In a band, one product per strip multiplies the DCT matrix
+into the rows of every block of the strip, and one product over the band's
+(rows, 8) view applies it to the block columns. Each entry sums the same
+eight terms as the per-block DCT_MATRIX @ b @ DCT_MATRIX.T; the tests check
+that the two agree bit for bit at one and two BLAS threads. The encoder
+colour-converts a band of every plane, then per plane transforms it,
+quantizes it in the strip layout against the table tiled along the strip,
+zigzags it with one gather and entropy-codes it; the payload still holds
+the planes one after another. The decoder scatters each plane's band of
+coefficients straight into the strip layout, dequantizes in place, inverts
+the transform the same way and colour-converts the band's rows. The entropy
+coder works by array passes over _CHUNK_BLOCKS blocks at a time, with no
+per-byte loop:
 
 - _encode_blocks finds the nonzero coefficients, sizes every pair from its
   zigzag-mapped value, places each pair by a cumulative sum of sizes, and
@@ -88,6 +100,8 @@ def _zigzag_order() -> np.ndarray:
     return np.array([r * 8 + c for r, c in order], dtype=np.int64)
 
 ZIGZAG = _zigzag_order()
+# Row and column within the block of each zigzag position.
+_ZIGZAG_ROW, _ZIGZAG_COL = np.divmod(ZIGZAG, 8)
 
 
 def _dct_matrix() -> np.ndarray:
@@ -113,21 +127,6 @@ class CodecParams:
             raise ContractError(f"quality must lie in 1..100, got {self.quality}")
 
 
-def dct_block(block: np.ndarray) -> np.ndarray:
-    """Orthonormal 2-D DCT-II of an 8x8 block or a (..., 8, 8) stack of them."""
-    block = np.asarray(block, dtype=np.float64)
-    if block.shape[-2:] != (8, 8):
-        raise ShapeError(f"dct_block expects (..., 8, 8), got {block.shape}")
-    return DCT_MATRIX @ block @ DCT_MATRIX.T
-
-
-def idct_block(coeffs: np.ndarray) -> np.ndarray:
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.shape[-2:] != (8, 8):
-        raise ShapeError(f"idct_block expects (..., 8, 8), got {coeffs.shape}")
-    return DCT_MATRIX.T @ coeffs @ DCT_MATRIX
-
-
 def quant_table(quality: int) -> np.ndarray:
     """Quality-scaled table, exact integer arithmetic.
 
@@ -146,26 +145,37 @@ def quant_table(quality: int) -> np.ndarray:
     return np.clip(scaled, 1, 255).astype(np.int64)
 
 
-def quantize(coeffs: np.ndarray, quality: int) -> np.ndarray:
-    """Integer coefficients: round-half-away-from-zero of coeff/table."""
-    return _quantize_in_place(np.array(coeffs, dtype=np.float64), quality)
+def _quantize_in_place(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Integer coefficients: round-half-away-from-zero of coeffs / table.
 
-
-def _quantize_in_place(coeffs: np.ndarray, quality: int) -> np.ndarray:
-    """quantize, overwriting the float64 array coeffs on the way."""
-    coeffs /= quant_table(quality)
-    sign = np.sign(coeffs)
-    np.abs(coeffs, out=coeffs)
-    coeffs += 0.5
-    np.floor(coeffs, out=coeffs)
-    coeffs *= sign
+    Overwrites the float64 array coeffs on the way. c + copysign(0.5, c)
+    truncated toward zero is sign(c) * floor(|c| + 0.5): both add 0.5 to
+    |c| in the same rounding, and -0.0 and 0.0 give 0.
+    """
+    coeffs /= table
+    coeffs += np.copysign(0.5, coeffs)
     return coeffs.astype(np.int64)
 
 
-def dequantize(qcoeffs: np.ndarray, quality: int) -> np.ndarray:
-    coeffs = np.array(qcoeffs, dtype=np.float64)
-    coeffs *= quant_table(quality)
-    return coeffs
+def _strip_table(quality: int, blocks_per_strip: int) -> np.ndarray:
+    """The (8, 8 * blocks_per_strip) float64 table for a strip of coefficients."""
+    return np.tile(quant_table(quality).astype(np.float64), (1, blocks_per_strip))
+
+
+def _transform_strips(plane: np.ndarray, left: np.ndarray, right: np.ndarray, scratch: np.ndarray) -> None:
+    """Replace every 8x8 block b of the float64 plane by left @ b @ right, in place.
+
+    Both sides of the plane are multiples of 8; scratch is a float64
+    array of the same width and at least as many rows. One product per
+    8-row strip forms left @ b for every block of the strip; one product
+    over the strips' (rows, 8) view then applies right. Each output entry
+    sums the same eight terms as the per-block product; the tests check
+    that the two agree bit for bit.
+    """
+    width = plane.shape[1]
+    mixed = scratch[:plane.shape[0]].reshape(-1, 8, width)
+    np.matmul(left, plane.reshape(-1, 8, width), out=mixed)
+    np.matmul(mixed.reshape(-1, 8), right, out=plane.reshape(-1, 8))
 
 
 # BT.601 full range on the 0..255 scale. Each YCbCr plane is
@@ -177,23 +187,26 @@ _TO_YCBCR = (
 )
 
 
-def _level_shifted_plane(arr: np.ndarray, ch: int, out: np.ndarray) -> None:
-    """Write plane ch of the uint8 HxWxC image, colour-converted and minus 128, into out.
+def _level_shifted_planes(arr: np.ndarray, out: np.ndarray) -> None:
+    """Write the planes of the uint8 (rows, cols, C) arr, colour-converted and minus 128, into out.
 
-    One channel is taken as it is; three are converted to YCbCr first.
+    out is float64 (C, rows, cols). One channel is taken as it is; three
+    are converted to YCbCr first, from a channel-planar float64 copy, so
+    that every arithmetic pass reads contiguous rows.
     """
     if arr.shape[2] == 1:
-        np.subtract(arr[:, :, 0], 128.0, out=out, dtype=np.float64)
+        np.subtract(arr[:, :, 0], 128.0, out=out[0], dtype=np.float64)
         return
-    offset, w_r, w_g, w_b = _TO_YCBCR[ch]
-    np.multiply(arr[:, :, 0], w_r, out=out, dtype=np.float64)
-    if offset:
-        out += offset
-    term = np.empty_like(out)
-    for k, weight in ((1, w_g), (2, w_b)):
-        np.multiply(arr[:, :, k], weight, out=term, dtype=np.float64)
-        out += term
-    out -= 128.0
+    samples = np.moveaxis(arr, 2, 0).astype(np.float64)
+    term = np.empty_like(out[0])
+    for plane, (offset, w_r, w_g, w_b) in zip(out, _TO_YCBCR):
+        np.multiply(samples[0], w_r, out=plane)
+        if offset:
+            plane += offset
+        for k, weight in ((1, w_g), (2, w_b)):
+            np.multiply(samples[k], weight, out=term)
+            plane += term
+        plane -= 128.0
 
 
 # Inverse of _TO_YCBCR: each RGB channel is (y + w_cb*cb) + w_cr*cr, with
@@ -344,24 +357,29 @@ def codec_encode(image: np.ndarray, params: CodecParams) -> bytes:
         raise ShapeError(f"size {w}x{h}x{c} exceeds the decoder's sanity bound")
 
     if params.codec_id == CODEC_NULL:
-        payload = arr.tobytes()
-    else:
-        bh, bw = -(-h // 8), -(-w // 8)
-        planes = []
-        for ch in range(c):
-            # One float64 plane at a time, edge-padded to whole blocks in
-            # place; rebinding one name at each step keeps no array of the
-            # previous plane alive while this plane's are made.
-            blocks = np.empty((bh * 8, bw * 8))
-            _level_shifted_plane(arr, ch, blocks[:h, :w])
-            blocks[:h, w:] = blocks[:h, w - 1:w]
-            blocks[h:] = blocks[h - 1]
-            blocks = blocks.reshape(bh, 8, bw, 8).transpose(0, 2, 1, 3)
-            blocks = _quantize_in_place(dct_block(blocks), params.quality).reshape(-1, 64)
-            planes.append(_encode_blocks(blocks[:, ZIGZAG]))
-        payload = b"".join(planes)
-
-    return stream_header(params, w, h, c, len(payload)) + payload
+        return stream_header(params, w, h, c, arr.size) + arr.tobytes()
+    bh, bw = -(-h // 8), -(-w // 8)
+    table = _strip_table(params.quality, bw)
+    band = max(1, _CHUNK_BLOCKS // bw)  # strips per band
+    planes = np.empty((c, min(band, bh) * 8, bw * 8))  # one band of every plane
+    scratch = np.empty_like(planes[0])
+    chunks: list[list[bytes]] = [[] for _ in range(c)]
+    for first in range(0, bh, band):
+        n = min(band, bh - first)
+        top, rows = first * 8, min(h - first * 8, n * 8)  # image rows in the band
+        band_planes = planes[:, :n * 8]
+        # edge-padded to whole blocks: every strip holds at least one image row
+        _level_shifted_planes(arr[top:top + rows], band_planes[:, :rows, :w])
+        band_planes[:, :rows, w:] = band_planes[:, :rows, w - 1:w]
+        band_planes[:, rows:] = band_planes[:, rows - 1:rows]
+        for plane, plane_chunks in zip(band_planes, chunks):
+            _transform_strips(plane, DCT_MATRIX, DCT_MATRIX.T, scratch)
+            q = _quantize_in_place(plane.reshape(n, 8, bw * 8), table)
+            blocks = q.reshape(n, 8, bw, 8).transpose(0, 2, 1, 3)
+            plane_chunks.append(_encode_blocks(blocks[:, :, _ZIGZAG_ROW, _ZIGZAG_COL].reshape(-1, 64)))
+    payload = [chunk for plane_chunks in chunks for chunk in plane_chunks]
+    header = stream_header(params, w, h, c, sum(map(len, payload)))
+    return b"".join([header, *payload])
 
 
 def codec_decode(bits: bytes) -> np.ndarray:
@@ -413,20 +431,29 @@ def codec_decode(bits: bytes) -> np.ndarray:
         raise BitstreamError(
             f"{len(bits) - pos} trailing bytes after last block", offset=pos
         )
-    planes = []
-    for ch in range(c):
-        blocks = np.empty((bh * bw, 64), dtype=np.int64)
-        blocks[:, ZIGZAG] = zigzagged[ch * bh * bw:(ch + 1) * bh * bw]
-        blocks = idct_block(dequantize(blocks.reshape(bh, bw, 8, 8), quality))
-        blocks = blocks.transpose(0, 2, 1, 3).reshape(bh * 8, bw * 8)
-        plane = blocks[:h, :w] + 128.0
-        if ch:
-            plane -= 128.0  # cb and cr centred on 0, as the colour conversion takes them
-        planes.append(plane)
-    del zigzagged, blocks  # 8 bytes a coefficient, not kept through the colour conversion
+    table = _strip_table(quality, bw)
+    band = max(1, _CHUNK_BLOCKS // bw)  # strips per band
+    planes = np.empty((c, min(band, bh) * 8, bw * 8))  # one band of every plane
+    scratch = np.empty_like(planes[0])
     out = np.empty((h, w, c), dtype=np.uint8)
-    if c == 3:
-        _ycbcr_to_rgb_bytes(*planes, out)
-    else:
-        _round_into(planes[0], out[:, :, 0])
+    for first in range(0, bh, band):
+        n = min(band, bh - first)
+        top, rows = first * 8, min(h - first * 8, n * 8)  # image rows in the band
+        band_planes = planes[:, :n * 8]
+        for ch, plane in enumerate(band_planes):
+            # unzigzag straight into the strip layout, then dequantize in place
+            start = (ch * bh + first) * bw
+            blocks = plane.reshape(n, 8, bw, 8).transpose(0, 2, 1, 3)
+            blocks[:, :, _ZIGZAG_ROW, _ZIGZAG_COL] = zigzagged[start:start + n * bw].reshape(n, bw, 64)
+            strips = plane.reshape(n, 8, bw * 8)
+            strips *= table
+            _transform_strips(plane, DCT_MATRIX.T, DCT_MATRIX, scratch)
+            plane += 128.0
+            if ch:
+                plane -= 128.0  # cb and cr centred on 0, as the colour conversion takes them
+        pixels = band_planes[:, :rows, :w]
+        if c == 3:
+            _ycbcr_to_rgb_bytes(*pixels, out[top:top + rows])
+        else:
+            _round_into(pixels[0], out[top:top + rows, :, 0])
     return out

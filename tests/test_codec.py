@@ -2,7 +2,11 @@
 round trips, rate/quality monotonicity, malformed-stream handling."""
 
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,41 +50,94 @@ GOLDEN_CONTAINER_SHA256 = "301f6d46613c5982c15003d8d4de57c42cfb6a8e3a2d37cf3a728
 
 # -- transform ----------------------------------------------------------------
 
+# The per-block statement of the transforms; the codec runs them strip by strip.
+
+
+def dct_block(block: np.ndarray) -> np.ndarray:
+    """Orthonormal 2-D DCT-II of an 8x8 block or a (..., 8, 8) stack of them."""
+    return codec.DCT_MATRIX @ block @ codec.DCT_MATRIX.T
+
+
+def idct_block(coeffs: np.ndarray) -> np.ndarray:
+    return codec.DCT_MATRIX.T @ coeffs @ codec.DCT_MATRIX
+
+
+def quantize(coeffs: np.ndarray, quality: int) -> np.ndarray:
+    """Round-half-away-from-zero of coeffs / table, as sign(c) * floor(|c| + 0.5)."""
+    c = coeffs / codec.quant_table(quality)
+    return (np.sign(c) * np.floor(np.abs(c) + 0.5)).astype(np.int64)
+
+
+def dequantize(qcoeffs: np.ndarray, quality: int) -> np.ndarray:
+    coeffs = np.array(qcoeffs, dtype=np.float64)
+    coeffs *= codec.quant_table(quality)
+    return coeffs
+
+
+def _blocks(plane: np.ndarray) -> np.ndarray:
+    """(rows, cols, 8, 8) view of a plane's 8x8 blocks."""
+    h, w = plane.shape
+    return plane.reshape(h // 8, 8, w // 8, 8).transpose(0, 2, 1, 3)
+
 
 def test_dct_constant_block_single_coefficient():
-    coeffs = codec.dct_block(np.full((8, 8), 7.0))
-    assert abs(coeffs[0, 0] - 56.0) < 1e-10  # 8 * constant for the orthonormal DCT
-    off_dc = coeffs.copy()
-    off_dc[0, 0] = 0.0
-    assert np.abs(off_dc).max() < 1e-10
+    plane = np.full((8, 8), 7.0)
+    codec._transform_strips(plane, codec.DCT_MATRIX, codec.DCT_MATRIX.T, np.empty_like(plane))
+    assert abs(plane[0, 0] - 56.0) < 1e-10  # 8 * constant for the orthonormal DCT
+    plane[0, 0] = 0.0
+    assert np.abs(plane).max() < 1e-10
 
 
 def test_dct_zero_block():
-    assert not codec.dct_block(np.zeros((8, 8))).any()
+    plane = np.zeros((8, 8))
+    codec._transform_strips(plane, codec.DCT_MATRIX, codec.DCT_MATRIX.T, np.empty_like(plane))
+    assert not plane.any()
 
 
 def test_dct_round_trip_orthogonal():
     rng = np.random.default_rng(0)
     for _ in range(10):
         block = rng.normal(size=(8, 8)) * 100
-        np.testing.assert_allclose(codec.idct_block(codec.dct_block(block)), block, atol=1e-10)
+        np.testing.assert_allclose(idct_block(dct_block(block)), block, atol=1e-10)
     stack = rng.normal(size=(5, 8, 8)) * 100
-    coeffs = codec.dct_block(stack)
+    coeffs = dct_block(stack)
     for block, block_coeffs in zip(stack, coeffs):
-        np.testing.assert_array_equal(codec.dct_block(block), block_coeffs)
-    np.testing.assert_allclose(codec.idct_block(coeffs), stack, atol=1e-10)
+        np.testing.assert_array_equal(dct_block(block), block_coeffs)
+    np.testing.assert_allclose(idct_block(coeffs), stack, atol=1e-10)
 
 
 def test_dct_matrix_is_orthonormal():
     np.testing.assert_allclose(codec.DCT_MATRIX @ codec.DCT_MATRIX.T, np.eye(8), atol=1e-12)
 
 
-def test_dct_rejects_wrong_shape():
-    for shape in ((4, 4), (3, 4, 4)):
-        with pytest.raises(ShapeError):
-            codec.dct_block(np.zeros(shape))
-        with pytest.raises(ShapeError):
-            codec.idct_block(np.zeros(shape))
+def test_strip_transform_matches_per_block_products():
+    """The strip DCT and IDCT equal dct_block and idct_block bit for bit."""
+    rng = np.random.default_rng(17)
+    level_shifted = rng.integers(0, 256, (13, 21)) - 128.0
+    padded = np.pad(level_shifted, ((0, 3), (0, 3)), mode="edge")
+    planes = [rng.normal(size=(8, 8)) * 100, padded, rng.normal(size=(176, 768)) * 100]
+    d = codec.DCT_MATRIX
+    for plane in planes:
+        coeffs = plane.copy()
+        codec._transform_strips(coeffs, d, d.T, np.empty_like(plane))
+        assert np.array_equal(_blocks(coeffs), dct_block(_blocks(plane)))
+        pixels = coeffs.copy()
+        codec._transform_strips(pixels, d.T, d, np.empty_like(plane))
+        assert np.array_equal(_blocks(pixels), idct_block(_blocks(coeffs)))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_strip_transform_matches_per_block_products_at_blas_threads(threads):
+    """The same check in a child pytest run whose BLAS runs this many threads."""
+    test = Path(__file__).resolve()
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(Path(codec.__file__).resolve().parents[1]))
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{test}::test_strip_transform_matches_per_block_products"],
+        cwd=test.parents[1], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stdout + child.stderr
+    assert child.stdout.splitlines()[-1].startswith("1 passed"), child.stdout
 
 
 # -- quantizer ------------------------------------------------------------------
@@ -109,14 +166,26 @@ def test_quant_table_clamped_to_byte_range():
 
 
 def test_quantize_zero_coefficients():
-    assert not codec.quantize(np.zeros((8, 8)), 75).any()
+    assert not codec._quantize_in_place(np.zeros((8, 8)), codec.quant_table(75)).any()
 
 
 def test_quantize_rounds_half_away_from_zero():
     table = codec.quant_table(50)
-    coeffs = table * 0.5
-    np.testing.assert_array_equal(codec.quantize(coeffs, 50), np.ones((8, 8), dtype=np.int64))
-    np.testing.assert_array_equal(codec.quantize(-coeffs, 50), -np.ones((8, 8), dtype=np.int64))
+    ones = np.ones((8, 8), dtype=np.int64)
+    np.testing.assert_array_equal(codec._quantize_in_place(table * 0.5, table), ones)
+    np.testing.assert_array_equal(codec._quantize_in_place(table * -0.5, table), -ones)
+
+
+def test_quantize_rounding_matches_sign_times_floor_on_ties_and_zeros():
+    """c + copysign(0.5, c) truncated equals sign(c) * floor(|c| + 0.5)."""
+    k = np.concatenate([np.arange(0.0, 4096.0), 2.0 ** np.arange(12.0, 52.0)])
+    ties = k + 0.5
+    near = np.nextafter(ties, 0.0)
+    values = np.concatenate([ties, -ties, near, -near, k, -k, [0.0, -0.0]])
+    expected = (np.sign(values) * np.floor(np.abs(values) + 0.5)).astype(np.int64)
+    ones = np.ones_like(values)
+    assert np.array_equal(codec._quantize_in_place(values.copy(), ones), expected)
+    assert np.array_equal(codec._quantize_in_place(np.array([0.0, -0.0]), 1.0), [0, 0])
 
 
 def test_quant_rejects_out_of_range():
@@ -724,3 +793,43 @@ def test_decode_blocks_matches_sequential_on_mutated_image_payloads(chunk_blocks
         "varint runs past end of payload",
         "block truncated before end marker",
     }
+
+
+# -- the plane codec against its per-block statement ----------------------------
+
+
+def per_block_encode(plane: np.ndarray, quality: int) -> bytes:
+    """A level-shifted float plane's payload, one 8x8 block at a time."""
+    h, w = plane.shape
+    padded = np.pad(plane, ((0, -h % 8), (0, -w % 8)), mode="edge")
+    blocks = quantize(dct_block(_blocks(padded)), quality).reshape(-1, 64)
+    return sequential_encode_blocks(blocks[:, codec.ZIGZAG])
+
+
+def per_block_decode(payload: bytes, h: int, w: int, quality: int) -> np.ndarray:
+    """A gray payload's pixels, one 8x8 block at a time."""
+    bh, bw = -(-h // 8), -(-w // 8)
+    zigzagged, _ = sequential_decode_blocks(payload, 0, bh * bw)
+    blocks = np.empty_like(zigzagged)
+    blocks[:, codec.ZIGZAG] = zigzagged
+    pixels = idct_block(dequantize(blocks.reshape(bh, bw, 8, 8), quality))
+    plane = pixels.transpose(0, 2, 1, 3).reshape(bh * 8, bw * 8)[:h, :w] + 128.0
+    return np.clip(np.rint(plane), 0, 255).astype(np.uint8)
+
+
+# Bands of one strip each (a strip wider than _CHUNK_BLOCKS is a band of its
+# own), of two strips of the two wider images, and of whole images.
+@pytest.mark.parametrize("chunk_blocks", [1, 20, codec._CHUNK_BLOCKS])
+def test_gray_codec_matches_per_block_statement(chunk_blocks):
+    rng = np.random.default_rng(29)
+    images = [rng.integers(0, 256, (h, w, 1), dtype=np.uint8) for h, w in ((8, 8), (13, 21), (40, 72))]
+    images.append(synthetic_image(rng, 64, 1))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codec, "_CHUNK_BLOCKS", chunk_blocks)
+        for img in images:
+            h, w = img.shape[:2]
+            for quality in (1, 50, 100):
+                bits = codec_encode(img, CodecParams(CODEC_DCT, quality))
+                payload = bits[HEADER_BYTES:]
+                assert payload == per_block_encode(img[:, :, 0] - 128.0, quality)
+                assert np.array_equal(codec_decode(bits)[:, :, 0], per_block_decode(payload, h, w, quality))
