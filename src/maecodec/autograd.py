@@ -1,9 +1,12 @@
 """Dense float64 arrays with reverse-mode automatic differentiation.
 
 Just enough machinery to train a small transformer: matmul, add/sub/mul,
-row softmax, fused scaled dot-product attention, layer norm, GELU, the
-mean of all elements, row gather/scatter/tile and column concatenation.
-Every op is a plain function; ``Tensor`` has no operator overloads.
+``affine`` (a matmul and a row bias as one op, the bias added in place to
+the product), row softmax, fused scaled dot-product attention, layer norm,
+GELU, the mean of all elements, row gather/scatter/tile and column
+concatenation. ``softmax_rows`` can write its result into a given array,
+its own input included, which is how attention normalizes its map in
+place. Every op is a plain function; ``Tensor`` has no operator overloads.
 There is deliberately no broadcasting beyond adding a 1-D vector to
 every row of a matrix and scaling by a number; every other shape
 mismatch is an error, which keeps the gradient rules small and
@@ -136,16 +139,21 @@ def mul(a: Tensor, b) -> Tensor:
 # -- linear algebra -------------------------------------------------------
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``a @ b``, with a one-row ``a`` computed as two copies of that row.
 
     numpy computes a one-row matrix product with gemv, which rounds
     differently from the gemm that computes the same row among others;
-    two rows keep every forward product on gemm.
+    two rows keep every forward product on gemm. With ``out``, the
+    product is written there and ``out`` is returned.
     """
     if a.shape[0] == 1:
-        return (np.concatenate((a, a)) @ b)[:1]
-    return a @ b
+        row = (np.concatenate((a, a)) @ b)[:1]
+        if out is None:
+            return row
+        out[...] = row
+        return out
+    return np.matmul(a, b, out=out)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -159,6 +167,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(_product(a.data, b.data), (a, b), back)
 
 
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w plus the 1-D bias b on every row: ``add(matmul(x, w), b)`` as one op.
+
+    The bias is added in place to the product, so the output is written
+    once. Output and gradients equal the two-op chain's bit for bit.
+    """
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"affine: incompatible shapes {x.shape} and {w.shape}")
+    if b.shape != (w.shape[1],):
+        raise ShapeError(f"affine: bias shape {b.shape} for {w.shape[1]} columns")
+    y = _product(x.data, w.data)
+    y += b.data
+
+    def back(g):
+        _accumulate(b, g.sum(axis=0))
+        _accumulate(x, g @ w.data.T)
+        _accumulate(w, x.data.T @ g)
+
+    return _result(y, (x, w, b), back)
+
+
 # -- nonlinearities and normalization -------------------------------------
 
 
@@ -168,14 +197,17 @@ def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     return y * (g - dot)
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax with per-row max subtraction for stability."""
+def softmax_rows(a: Tensor, out: np.ndarray | None = None) -> Tensor:
+    """Row-wise softmax with per-row max subtraction for stability.
+
+    With ``out`` (a float64 array of a's shape, which may be ``a.data``
+    itself), the result is written there and becomes the output's data.
+    """
     if a.ndim != 2:
         raise ShapeError(f"softmax_rows: expected a matrix, got shape {a.shape}")
     if not np.isfinite(a.data).all():
         raise NumericError("softmax_rows: non-finite input")
-    # The subtraction yields a fresh array, so exp and normalize it in place.
-    y = a.data - a.data.max(axis=1, keepdims=True)
+    y = np.subtract(a.data, a.data.max(axis=1, keepdims=True), out=out)
     np.exp(y, out=y)
     y /= y.sum(axis=1, keepdims=True)
     return _result(y, (a,), lambda g: _accumulate(a, _softmax_grad(y, g)))
@@ -185,12 +217,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """softmax(q k^T / sqrt(d)) v, normalized by softmax_rows block by block.
 
     Query rows are cut into blocks of about ``_SOFTMAX_BLOCK`` map entries.
-    When none of q, k, v tracks gradients, each block is multiplied by K^T,
-    scaled, normalized and multiplied by v in turn, so only one block of
-    the (queries, keys) map exists at once. Otherwise the backward pass
-    keeps the whole map: the logits fill one buffer, and each block is
-    normalized outside the graph and written back over its own. Tracked
-    output and gradients equal, bit for bit, those of the op chain
+    When none of q, k, v tracks gradients, one block buffer serves the
+    whole call: each block's logits are written into it, scaled and
+    normalized in place, and multiplied by v straight into the output
+    rows, so only one block of the (queries, keys) map exists at once.
+    Otherwise the backward pass keeps the whole map: the logits fill one
+    buffer, and each block is normalized in place outside the graph.
+    Tracked output and gradients equal, bit for bit, those of the op chain
     ``matmul(softmax_rows(mul(matmul(q, kt), s)), v)``, where ``kt`` is K^T
     as a contiguous matrix; so does untracked output when the map is one
     block. Non-finite logits raise NumericError, without a numpy warning.
@@ -210,15 +243,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     with np.errstate(invalid="ignore", over="ignore"):
         if not (q.requires_grad or k.requires_grad or v.requires_grad):
             out = np.empty((m, v.shape[1]))
+            buf = np.empty((min(rows, m), k.shape[0]))
             for a in starts:
-                y = _product(q.data[a : a + rows], kt)
+                y = _product(q.data[a : a + rows], kt, buf[: min(rows, m - a)])
                 y *= scale
-                out[a : a + rows] = _product(softmax_rows(Tensor(y)).data, v.data)
+                softmax_rows(Tensor(y), out=y)
+                _product(y, v.data, out[a : a + rows])
             return Tensor(out)
         y = _product(q.data, kt)
         y *= scale
         for a in starts:
-            y[a : a + rows] = softmax_rows(Tensor(y[a : a + rows])).data
+            block = y[a : a + rows]
+            softmax_rows(Tensor(block), out=block)
         out = _product(y, v.data)
 
     def back(g):

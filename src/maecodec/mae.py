@@ -191,7 +191,7 @@ def decode_full(latent: Tensor, spec: MaskSpec, model: MaskedAutoencoder, rows=N
             f"latent must be {spec.keep_count} x {cfg.enc_d_model}, got {latent.shape}"
         )
     n = spec.n_patches
-    proj = ag.add(ag.matmul(latent, model.enc2dec_w), model.enc2dec_b)
+    proj = ag.affine(latent, model.enc2dec_w, model.enc2dec_b)
     tokens = ag.scatter_rows(n, spec.keep_indices, proj)
     if spec.masked_indices:
         mask_rows = ag.tile_rows(model.mask_token, len(spec.masked_indices))
@@ -205,7 +205,7 @@ def decode_full(latent: Tensor, spec: MaskSpec, model: MaskedAutoencoder, rows=N
         seq = tf.encoder_block(seq, blocks[-1], rows)
     elif rows is not None:
         seq = tf.TokenSequence(ag.gather_rows(seq.tokens, rows))
-    return ag.add(ag.matmul(seq.tokens, model.head_w), model.head_b)
+    return ag.affine(seq.tokens, model.head_w, model.head_b)
 
 
 def reconstruct(visible: np.ndarray, spec: MaskSpec, grid: PatchGrid, model: MaskedAutoencoder | None) -> np.ndarray:

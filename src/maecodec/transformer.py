@@ -137,12 +137,12 @@ def multi_head_attention(
         k = ag.matmul(x.tokens, params.wk[h])
         v = ag.matmul(x.tokens, params.wv[h])
         heads.append(ag.attention(q, k, v))
-    return ag.add(ag.matmul(ag.concat_cols(heads), params.wo), params.bo)
+    return ag.affine(ag.concat_cols(heads), params.wo, params.bo)
 
 
 def feed_forward(x: Tensor, params: EncoderBlockParams) -> Tensor:
-    hidden = ag.gelu(ag.add(ag.matmul(x, params.w1), params.b1))
-    return ag.add(ag.matmul(hidden, params.w2), params.b2)
+    hidden = ag.gelu(ag.affine(x, params.w1, params.b1))
+    return ag.affine(hidden, params.w2, params.b2)
 
 
 def encoder_block(x: TokenSequence, params: EncoderBlockParams, rows=None) -> TokenSequence:

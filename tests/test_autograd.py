@@ -118,6 +118,26 @@ def test_softmax_rows_matches_reference_bitwise():
         assert np.array_equal(out.data, reference(x))
 
 
+def test_softmax_rows_in_place_matches_a_fresh_output_bitwise():
+    rng = np.random.default_rng(8)
+    for shape in [(1, 1), (7, 13), (300, 300)]:
+        x = rng.normal(size=shape) * 10.0
+        expected = ag.softmax_rows(Tensor(x)).data
+        a = Tensor(x.copy())
+        out = ag.softmax_rows(a, out=a.data)
+        assert out.data is a.data and np.array_equal(out.data, expected)
+        other = np.empty(shape)
+        assert ag.softmax_rows(Tensor(x), out=other).data is other
+        assert np.array_equal(other, expected)
+
+
+def test_softmax_rows_in_place_rejects_non_finite_input():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        a = Tensor(np.array([[0.0, 1.0], [2.0, bad]]))
+        with pytest.raises(NumericError):
+            ag.softmax_rows(a, out=a.data)
+
+
 def _attention_chain(q, kt, v):
     scale = 1.0 / math.sqrt(q.shape[1])
     return ag.matmul(ag.softmax_rows(ag.mul(ag.matmul(q, kt), scale)), v)
@@ -285,6 +305,29 @@ def test_row_vector_bias_add():
     np.testing.assert_array_equal(b.grad, [3.0, 3.0])
 
 
+@pytest.mark.parametrize("n,d_in,d_out", [(1, 3, 4), (5, 8, 2), (40, 16, 32)])
+def test_affine_matches_matmul_then_add_bitwise(n, d_in, d_out):
+    rng = np.random.default_rng(n * 100 + d_in)
+    arrays = [rng.normal(size=(n, d_in)), rng.normal(size=(d_in, d_out)), rng.normal(size=d_out)]
+    up = Tensor(rng.normal(size=(n, d_out)))
+    fused = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    chain = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out_f = ag.affine(*fused)
+    out_c = ag.add(ag.matmul(chain[0], chain[1]), chain[2])
+    assert np.array_equal(out_f.data, out_c.data)
+    ag.backward(total(ag.mul(out_f, up)))
+    ag.backward(total(ag.mul(out_c, up)))
+    for name, a, b in zip("xwb", fused, chain):
+        assert np.array_equal(a.grad, b.grad), name
+
+
+def test_affine_shape_errors():
+    with pytest.raises(ShapeError):
+        ag.affine(t(np.ones((2, 3))), t(np.ones((2, 2))), t(np.ones(2)))
+    with pytest.raises(ShapeError):
+        ag.affine(t(np.ones((2, 3))), t(np.ones((3, 2))), t(np.ones(3)))
+
+
 def test_add_shape_mismatch():
     with pytest.raises(ShapeError):
         ag.add(t(np.ones((2, 3))), t(np.ones((3, 2))))
@@ -337,6 +380,15 @@ def test_grad_matmul():
     b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
     assert_grads_close(lambda: total(ag.mul(ag.matmul(a, b), ag.matmul(a, b))),
                        [("a", a), ("b", b)])
+
+
+def test_grad_affine():
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    b = Tensor(rng.normal(size=2), requires_grad=True)
+    assert_grads_close(lambda: total(ag.mul(ag.affine(x, w, b), ag.affine(x, w, b))),
+                       [("x", x), ("w", w), ("b", b)])
 
 
 def test_grad_softmax():

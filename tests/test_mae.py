@@ -322,19 +322,19 @@ def test_training_and_evaluation_run_the_last_decoder_block_and_the_head_at_the_
     patches = Tensor(np.random.default_rng(25).random((9, cfg.patch_dim)))
     spec = mask_from_counts(seed=8, n_patches=9, keep_count=3)
     block_rows, head_rows = [], []
-    encoder_block, matmul = tf.encoder_block, ag.matmul
+    encoder_block, affine = tf.encoder_block, ag.affine
 
     def record_block(x, params, rows=None):
         block_rows.append(rows)
         return encoder_block(x, params, rows)
 
-    def record_head(a, b):
-        if b is model.head_w:
-            head_rows.append(a.shape[0])
-        return matmul(a, b)
+    def record_head(x, w, b):
+        if w is model.head_w:
+            head_rows.append(x.shape[0])
+        return affine(x, w, b)
 
     monkeypatch.setattr(tf, "encoder_block", record_block)
-    monkeypatch.setattr(ag, "matmul", record_head)
+    monkeypatch.setattr(ag, "affine", record_head)
     objective(model, patches, spec)
     masked = list(spec.masked_indices)
     expected = [None] * cfg.enc_depth
