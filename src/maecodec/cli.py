@@ -85,6 +85,7 @@ def _cmd_train(args) -> int:
         learning_rate=args.lr,
         seed=args.seed,
     )
+    training.require_masked_patches(model_cfg, cfg)
     if args.dataset:
         corpus = dataset.load_corpus(args.dataset)
         if not corpus:

@@ -99,7 +99,9 @@ def load_corpus(directory) -> list[tuple[str, np.ndarray]]:
     """All .ppm/.pgm files in a directory, filename-sorted.
 
     Malformed files are skipped with a warning naming the file; the rest
-    of the corpus still loads.
+    of the corpus still loads. A directory with no readable image gives
+    an empty list and no further warning; callers decide whether that is
+    an error.
     """
     names = sorted(
         n for n in os.listdir(directory) if n.lower().endswith((".ppm", ".pgm"))
@@ -110,8 +112,6 @@ def load_corpus(directory) -> list[tuple[str, np.ndarray]]:
             corpus.append((os.path.splitext(name)[0], load_image(os.path.join(directory, name))))
         except (ContractError, OSError) as exc:
             warnings.warn(f"skipping {name}: {exc}", stacklevel=2)
-    if not corpus:
-        warnings.warn(f"no readable PPM/PGM images in {directory}", stacklevel=2)
     return corpus
 
 

@@ -25,7 +25,7 @@ from .mae import (
     forward_loss,
     init_model,
 )
-from .masking import PAD_VALUE, generate_mask, patchify
+from .masking import PAD_VALUE, generate_mask, keep_count_for_ratio, patchify
 
 _MASK_SEED_BOUND = 1 << 63
 # Adam's moment decay rates and denominator floor (Kingma & Ba defaults)
@@ -53,6 +53,22 @@ class TrainConfig:
             raise ContractError(
                 f"ratio range [{self.ratio_low}, {self.ratio_high}] must sit inside [0, 1)"
             )
+
+
+def require_masked_patches(model_config: TMAEConfig, cfg: TrainConfig) -> None:
+    """Refuse a config whose crops can hold no masked patch.
+
+    A full crop has ceil(crop_size / patch_size)^2 patches and the highest
+    ratio masks the most of them; smaller images and ratios mask no more.
+    With none masked, the loss has no row to average.
+    """
+    side = -(-cfg.crop_size // model_config.patch_size)
+    n_patches = side * side
+    if keep_count_for_ratio(n_patches, cfg.ratio_high) == n_patches:
+        raise ContractError(
+            f"crops of {cfg.crop_size} px at patch size {model_config.patch_size} hold "
+            f"{n_patches} patch(es), none masked at mask ratios up to {cfg.ratio_high}"
+        )
 
 
 class Adam:
@@ -110,6 +126,7 @@ def train(
     """
     if not corpus:
         raise ContractError("training corpus is empty")
+    require_masked_patches(model_config, cfg)
     images = [img for _, img in corpus]
     rng = np.random.default_rng(cfg.seed)
     model = init_model(model_config, seed=cfg.seed)

@@ -1,5 +1,7 @@
 """End-to-end runs of every CLI subcommand."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -238,7 +240,7 @@ def test_os_errors_print_one_line_and_exit_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
-    "command", ["train-config", "sweep-dataset", "sweep-model", "sweep-ratios", "sweep-qualities"]
+    "command", ["train-config", "train-one-patch-crop", "sweep-dataset", "sweep-model", "sweep-ratios", "sweep-qualities"]
 )
 def test_train_and_sweep_check_inputs_before_making_their_directory(tmp_path, capsys, command):
     data_dir = tmp_path / "data"
@@ -252,6 +254,9 @@ def test_train_and_sweep_check_inputs_before_making_their_directory(tmp_path, ca
         # 3 heads do not divide the default encoder width of 64
         "train-config": ["train", "--synthetic", "2", "--out", str(out_dir / "m.tmck"),
                          "--enc-heads", "3"],
+        # a 4 px crop at patch 4 is one patch, which every mask keeps
+        "train-one-patch-crop": ["train", "--synthetic", "2", "--out", str(out_dir / "m.tmck"),
+                                 "--crop-size", "4", "--patch-size", "4"],
         "sweep-dataset": ["sweep", "--dataset", str(tmp_path / "missing"), "--model", str(junk),
                           *sweep_args],
         "sweep-model": ["sweep", "--dataset", str(data_dir), "--model", str(junk), *sweep_args],
@@ -272,7 +277,8 @@ def test_train_refuses_an_empty_dataset_before_making_its_directory(tmp_path, ca
     empty = tmp_path / "empty"
     empty.mkdir()
     out_dir = tmp_path / "newdir"
-    with pytest.warns(UserWarning, match="no readable PPM/PGM"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rc = cli.main(["train", "--dataset", str(empty), "--out", str(out_dir / "m.tmck")])
     assert rc == 2
     err = capsys.readouterr().err

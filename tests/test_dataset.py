@@ -1,5 +1,7 @@
 """Netpbm IO and the synthetic corpus generator."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -82,8 +84,16 @@ def test_load_corpus_sorted_and_skips_bad(tmp_path):
     assert all(img.shape == (4, 4, 1) for _, img in corpus)
 
 
-def test_load_corpus_empty_dir_warns(tmp_path):
-    with pytest.warns(UserWarning, match="no readable"):
+def test_load_corpus_of_malformed_files_warns_by_name_only(tmp_path):
+    (tmp_path / "bad.pgm").write_bytes(b"P5\n9 9\n255\nshort")
+    with pytest.warns(UserWarning) as record:
+        assert dataset.load_corpus(tmp_path) == []
+    assert [str(w.message).split(":")[0] for w in record] == ["skipping bad.pgm"]
+
+
+def test_load_corpus_empty_dir_returns_nothing_without_a_warning(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert dataset.load_corpus(tmp_path) == []
 
 

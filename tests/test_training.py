@@ -106,6 +106,29 @@ def test_train_rejects_empty_corpus():
         training.train([], _tiny_model_config(), _tiny_train_config())
 
 
+@pytest.mark.parametrize(
+    "crop_size,ratio_low,ratio_high",
+    # a one-patch crop grid at patch 2, and a ratio range of [0, 0]
+    [(2, 0.5, 0.8), (8, 0.0, 0.0)],
+)
+def test_train_refuses_crops_that_hold_no_masked_patch_before_making_a_model(
+    crop_size, ratio_low, ratio_high, monkeypatch
+):
+    def no_model(*args, **kwargs):
+        raise AssertionError("init_model called")
+
+    monkeypatch.setattr(training, "init_model", no_model)
+    cfg = _tiny_train_config(crop_size=crop_size, ratio_low=ratio_low, ratio_high=ratio_high)
+    with pytest.raises(ContractError, match="none masked"):
+        training.train(_toy_corpus(), _tiny_model_config(), cfg)
+
+
+def test_train_accepts_the_smallest_crop_that_holds_a_masked_patch():
+    # 4 patches at patch 2; ratio 0.25 keeps 3 of them
+    cfg = _tiny_train_config(crop_size=4, ratio_low=0.25, ratio_high=0.25, epochs=1)
+    assert len(training.train(_toy_corpus(), _tiny_model_config(), cfg).epoch_losses) == 1
+
+
 def test_train_refuses_non_uint8_images(non_uint8_image):
     corpus = [("ok", np.zeros((8, 8, 1), dtype=np.uint8)), ("bad", non_uint8_image)]
     with pytest.raises(ContractError, match="uint8"):
