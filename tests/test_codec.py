@@ -130,7 +130,8 @@ def test_strip_transform_matches_per_block_products():
 def test_strip_transform_matches_per_block_products_at_blas_threads(threads):
     """The same check in a child pytest run whose BLAS runs this many threads."""
     test = Path(__file__).resolve()
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(Path(codec.__file__).resolve().parents[1]))
+    src = str(Path(codec.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
     child = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          f"{test}::test_strip_transform_matches_per_block_products"],
@@ -833,3 +834,19 @@ def test_gray_codec_matches_per_block_statement(chunk_blocks):
                 payload = bits[HEADER_BYTES:]
                 assert payload == per_block_encode(img[:, :, 0] - 128.0, quality)
                 assert np.array_equal(codec_decode(bits)[:, :, 0], per_block_decode(payload, h, w, quality))
+
+
+@pytest.mark.parametrize("chunk_blocks", [1, 20])
+def test_colour_codec_output_does_not_depend_on_the_band_size(chunk_blocks):
+    rng = np.random.default_rng(31)
+    images = [rng.integers(0, 256, (h, w, 3), dtype=np.uint8) for h, w in ((13, 21), (40, 72))]
+    images.append(synthetic_image(rng, 64, 3))
+    expected = []
+    for img in images:
+        bits = codec_encode(img, CodecParams(CODEC_DCT, 50))
+        expected.append((bits, codec_decode(bits)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codec, "_CHUNK_BLOCKS", chunk_blocks)
+        for img, (bits, pixels) in zip(images, expected):
+            assert codec_encode(img, CodecParams(CODEC_DCT, 50)) == bits
+            assert np.array_equal(codec_decode(bits), pixels)

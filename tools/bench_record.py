@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import subprocess
 import sys
@@ -49,7 +48,7 @@ def dumps(data) -> str:
 def write(path: str, data) -> None:
     text = dumps(data)
     if json.loads(text) != data:
-        raise AssertionError("the rewritten JSON reads back different data")
+        raise RuntimeError("the rewritten JSON reads back different data")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -60,9 +59,9 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
     lines = proc.stdout.splitlines()
-    env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), {})
     if not lines:
         raise RuntimeError(f"{checkout}: {' '.join(cmd)} printed nothing\n{proc.stderr}")
+    env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), {})
     return {"env": env, "result": json.loads(lines[-1])}
 
 
@@ -117,14 +116,11 @@ def compare(args) -> None:
 
     with open(args.file, encoding="utf-8") as fh:
         data = json.load(fh)
-    traced = {
-        workload: {
-            side: {k: v["value"] for k, v in r["result"]["metrics"].items()}
-            for side in ("parent", "change")
-            for r in runs if r["trace"] and r["workload"] == workload and r["side"] == side
-        }
-        for workload in args.traced
-    }
+    traced: dict[str, dict] = {}
+    for r in runs:
+        if r["trace"]:
+            metrics = {k: v["value"] for k, v in r["result"]["metrics"].items()}
+            traced.setdefault(r["workload"], {})[r["side"]] = metrics
     data["comparisons"].append({
         "what": args.what,
         "parent_commit": args.parent_commit,
