@@ -4,26 +4,30 @@ Run from the repository root:
 
     python3 tools/bench_record.py format BENCH_pipeline.json
     python3 tools/bench_record.py compare --parent ../parent --change ../change \\
-        --what "..." --pairs 10 --seconds 25 BENCH_pipeline.json
+        --what "..." BENCH_pipeline.json
 
 ``format`` rewrites the file in its layout: everything indented by one space,
 except that each raw run (an element of a ``runs`` list) is one compact line.
 ``json.load`` reads the same data before and after. ``compare`` runs
 ``perfbench/run.py`` untraced in two checkouts, parent and change alternated
-pair by pair on every workload, then one traced pair of ``--traced`` workloads,
-and appends the summary and every raw run as one comparison.
+pair by pair on every workload of the change's BENCHMARK.json for its
+``run_seconds``, then one traced ``kodak_rgb`` run per side, and appends the
+summary and every raw run as one comparison.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 
-WORKLOADS = ("kodak_rgb", "gray256_sweep", "train_toy32")
 METRICS = ("op_ms_p50", "op_ms_p80", "ops_per_s", "peak_rss_mb", "setup_s")
+# Ten pairs at least: a gain counts only when the change wins nine of ten.
+PAIRS = 10
+TRACED = "kodak_rgb"  # the workload that every stage of the codec and the MAE runs in
 
 
 def dumps(data) -> str:
@@ -95,40 +99,42 @@ def summarize(runs: list[dict], workloads) -> dict:
 
 def compare(args) -> None:
     checkouts = {"parent": args.parent, "change": args.change}
+    with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     runs = []
 
     def record(side, workload, seed, pair, trace):
-        out = run_once(checkouts[side], workload, seed, args.seconds, trace)
+        out = run_once(checkouts[side], workload, seed, seconds, trace)
         runs.append({"side": side, "workload": workload, "seed": seed, "trace": trace,
                      "pair": pair, **out})
         value = out["result"]["metrics"].get("op_ms_p50", {}).get("value")
         print(f"pair {pair} {workload} {side} trace {trace}: op_ms_p50 {value}", flush=True)
 
-    for pair in range(args.pairs):
+    for pair in range(PAIRS):
         # seeds alternate every pair; the side that runs first, every two pairs
         order = ("parent", "change") if (pair // 2) % 2 == 0 else ("change", "parent")
-        for workload in args.workloads:
+        for workload in workloads:
             for side in order:
                 record(side, workload, 1 + pair % 2, pair, 0)
-    for workload in args.traced:
-        for side in ("parent", "change"):
-            record(side, workload, 1, 0, 1)
+    for side in ("parent", "change"):
+        record(side, TRACED, 1, 0, 1)
 
     with open(args.file, encoding="utf-8") as fh:
         data = json.load(fh)
-    traced: dict[str, dict] = {}
-    for r in runs:
-        if r["trace"]:
-            metrics = {k: v["value"] for k, v in r["result"]["metrics"].items()}
-            traced.setdefault(r["workload"], {})[r["side"]] = metrics
+    traced = {
+        r["side"]: {k: v["value"] for k, v in r["result"]["metrics"].items()}
+        for r in runs if r["trace"]
+    }
     data["comparisons"].append({
         "what": args.what,
         "parent_commit": args.parent_commit,
         "command": "python3 perfbench/run.py --workload <workload> --seed <seed> "
-                   f"--seconds {args.seconds:g} --trace <0|1>",
+                   f"--seconds {seconds:g} --trace <0|1>",
         "host": args.host,
-        "summary": summarize(runs, args.workloads),
-        "traced_per_op": traced,
+        "summary": summarize(runs, workloads),
+        "traced_per_op": {TRACED: traced},
         "runs": runs,
     })
     write(args.file, data)
@@ -145,11 +151,7 @@ def main(argv=None) -> int:
     p.add_argument("--change", required=True, help="checkout of the change")
     p.add_argument("--parent-commit", default="")
     p.add_argument("--what", required=True)
-    p.add_argument("--host", default="")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=25.0)
-    p.add_argument("--workloads", nargs="+", default=list(WORKLOADS))
-    p.add_argument("--traced", nargs="*", default=["kodak_rgb"], help="workloads traced once per side")
+    p.add_argument("--host", default="", help="the machine and how the runs were ordered")
     args = parser.parse_args(argv)
     if args.command == "format":
         with open(args.file, encoding="utf-8") as fh:
