@@ -7,10 +7,10 @@ GELU, the mean of all elements, row gather/scatter/tile and column
 concatenation. ``softmax_rows`` can write its result into a given array,
 its own input included, which is how attention normalizes its map in
 place. Every op is a plain function; ``Tensor`` has no operator overloads.
-There is deliberately no broadcasting beyond adding a 1-D vector to
-every row of a matrix and scaling by a number; every other shape
-mismatch is an error, which keeps the gradient rules small and
-auditable.
+There is deliberately no broadcasting beyond ``affine``'s row bias and
+scaling by a number; every other shape mismatch is an error, which
+keeps the gradient rules small and auditable. A vector reaches every
+row of a matrix elsewhere through ``tile_rows``.
 
 Graph edges live on the output tensor (parent references plus a closure
 that routes the upstream gradient), so independent computations never
@@ -92,22 +92,15 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Same-shape sum, or a 1-D vector added to every row of a matrix."""
-    if a.shape == b.shape:
+    """Same-shape elementwise sum."""
+    if a.shape != b.shape:
+        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
 
-        def back(g):
-            _accumulate(a, g)
-            _accumulate(b, g)
+    def back(g):
+        _accumulate(a, g)
+        _accumulate(b, g)
 
-        return _result(a.data + b.data, (a, b), back)
-    if a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
-
-        def back_row(g):
-            _accumulate(a, g)
-            _accumulate(b, g.sum(axis=0))
-
-        return _result(a.data + b.data, (a, b), back_row)
-    raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
+    return _result(a.data + b.data, (a, b), back)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -168,10 +161,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w plus the 1-D bias b on every row: ``add(matmul(x, w), b)`` as one op.
+    """x @ w plus the 1-D bias b on every row, as one op.
 
     The bias is added in place to the product, so the output is written
-    once. Output and gradients equal the two-op chain's bit for bit.
+    once. Output and gradients equal, bit for bit, those of the chain
+    ``add(matmul(x, w), tile_rows(b, n))`` over x's n rows.
     """
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeError(f"affine: incompatible shapes {x.shape} and {w.shape}")
@@ -205,9 +199,11 @@ def softmax_rows(a: Tensor, out: np.ndarray | None = None) -> Tensor:
     """
     if a.ndim != 2:
         raise ShapeError(f"softmax_rows: expected a matrix, got shape {a.shape}")
-    if not np.isfinite(a.data).all():
+    # NaN and +inf show in the row maxima, -inf in the minimum.
+    row_max = a.data.max(axis=1, keepdims=True)
+    if not (np.isfinite(row_max).all() and a.data.min() > -np.inf):
         raise NumericError("softmax_rows: non-finite input")
-    y = np.subtract(a.data, a.data.max(axis=1, keepdims=True), out=out)
+    y = np.subtract(a.data, row_max, out=out)
     np.exp(y, out=y)
     y /= y.sum(axis=1, keepdims=True)
     return _result(y, (a,), lambda g: _accumulate(a, _softmax_grad(y, g)))

@@ -4,9 +4,10 @@ The encoder runs only on the visible tokens; the decoder sees projected
 latents at the kept positions and a shared learnable mask token at every
 masked position, plus a full-length positional encoding. In training it
 predicts the masked patches, which alone enter the loss. At reconstruction
-the received visible patches pass through verbatim. Either way the
-decoder's last block and the head run only at the masked rows; keys and
-values still come from every token.
+the received visible patches pass through verbatim. Either way
+``predict_masked`` makes the prediction, and the decoder's last block and
+the head run only at the masked rows; keys and values still come from
+every token.
 
 Checkpoint layout (little-endian): magic "TMCK", version u8 = 1, ten u32
 config fields (patch_size, channels, enc d_model/depth/heads/d_ff, dec
@@ -178,12 +179,12 @@ def decode_full(latent: Tensor, spec: MaskSpec, model: MaskedAutoencoder, rows=N
     With ``rows`` (patch indices), predict only those patches, in that
     order. Every token still passes through every block but the last;
     the last block, or with no decoder blocks the head, runs only at
-    ``rows``, however few. Both ``reconstruct`` and training
-    (``forward_loss``) pass the masked rows. Each predicted row equals the
-    same row of the full prediction under the conditions
-    ``tf.encoder_block`` states; gradients through ``rows`` add their
-    terms in another order than the full run's, so they agree with it to
-    rounding, not bit for bit.
+    ``rows``, however few. In the package only ``predict_masked`` calls
+    it, with the masked rows. Each predicted row equals the same row of
+    the full prediction under the conditions ``tf.encoder_block``
+    states; gradients through ``rows`` add their terms in another order
+    than the full run's, so they agree with it to rounding, not bit for
+    bit.
     """
     cfg = model.config
     if latent.shape != (spec.keep_count, cfg.enc_d_model):
@@ -208,12 +209,24 @@ def decode_full(latent: Tensor, spec: MaskSpec, model: MaskedAutoencoder, rows=N
     return ag.affine(seq.tokens, model.head_w, model.head_b)
 
 
+def predict_masked(visible: np.ndarray, spec: MaskSpec, model: MaskedAutoencoder) -> Tensor:
+    """The model's prediction at ``spec.masked_indices``, one row each, in that order.
+
+    visible holds the patches at ``spec.keep_indices`` on the model's scale.
+    This is the masked path that reconstruction, the training loss and the
+    held-out score share.
+    """
+    latent = encode_visible(visible, spec.keep_indices, model)
+    return decode_full(latent, spec, model, list(spec.masked_indices))
+
+
 def reconstruct(visible: np.ndarray, spec: MaskSpec, grid: PatchGrid, model: MaskedAutoencoder | None) -> np.ndarray:
     """The padded uint8 image: received patches verbatim, predictions elsewhere.
 
     visible is float64 on the model's scale, as unstack_visible returns it;
     it is u8 / 255, so to_uint8 gives back exactly the decoded bytes. Only
-    the masked predictions are clamped to [0, 1] and quantized.
+    the masked predictions are clamped to [0, 1] and quantized; the model
+    runs only when something is masked, and may be None otherwise.
     """
     if visible.shape != (spec.keep_count, grid.patch_dim):
         raise ShapeError(
@@ -223,18 +236,15 @@ def reconstruct(visible: np.ndarray, spec: MaskSpec, grid: PatchGrid, model: Mas
         raise ContractError(
             f"mask is for {spec.n_patches} patches, grid has {grid.n_patches}"
         )
-    if not spec.masked_indices:
-        return unpatchify(to_uint8(visible), grid)
-    if model is None:
-        raise ContractError("masked positions present but no model supplied")
-    if model.config.patch_dim != grid.patch_dim:
-        raise ContractError(
-            f"model expects {model.config.patch_dim}-dim patches, grid has {grid.patch_dim}"
-        )
-    latent = encode_visible(visible, spec.keep_indices, model)
-    masked = list(spec.masked_indices)
     full = np.empty((spec.n_patches, grid.patch_dim), dtype=np.uint8)
-    full[masked] = to_uint8(decode_full(latent, spec, model, masked).data)
+    if spec.masked_indices:
+        if model is None:
+            raise ContractError("masked positions present but no model supplied")
+        if model.config.patch_dim != grid.patch_dim:
+            raise ContractError(
+                f"model expects {model.config.patch_dim}-dim patches, grid has {grid.patch_dim}"
+            )
+        full[list(spec.masked_indices)] = to_uint8(predict_masked(visible, spec, model).data)
     full[list(spec.keep_indices)] = to_uint8(visible)
     return unpatchify(full, grid)
 
@@ -242,8 +252,8 @@ def reconstruct(visible: np.ndarray, spec: MaskSpec, grid: PatchGrid, model: Mas
 def masked_mse(pred: Tensor, target: Tensor, spec: MaskSpec) -> Tensor:
     """Mean squared error over the masked rows only (differentiable).
 
-    ``pred`` is ``decode_full``'s output at ``spec.masked_indices``, one row
-    each; ``target`` holds every patch.
+    ``pred`` is ``predict_masked``'s output, one row per masked index;
+    ``target`` holds every patch.
     """
     if not spec.masked_indices:
         raise ContractError("masked_mse undefined for an empty masked set")
@@ -253,8 +263,7 @@ def masked_mse(pred: Tensor, target: Tensor, spec: MaskSpec) -> Tensor:
 
 def forward_loss(model: MaskedAutoencoder, patches: Tensor, spec: MaskSpec) -> Tensor:
     """Training objective for one image's patch matrix, predicted at the masked rows only."""
-    latent = encode_visible(patches.data[list(spec.keep_indices)], spec.keep_indices, model)
-    pred = decode_full(latent, spec, model, list(spec.masked_indices))
+    pred = predict_masked(patches.data[list(spec.keep_indices)], spec, model)
     return masked_mse(pred, patches, spec)
 
 

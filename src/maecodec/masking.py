@@ -3,7 +3,12 @@
 The mask protocol must reproduce bit-identically on both ends of the link,
 so the random source is pinned to SplitMix64 (state advance by the golden
 gamma, the published finalizer) driving a Fisher-Yates shuffle with modulo
-draws. Modulo bias is negligible for n <= 2^20.
+draws. Modulo bias is negligible for n <= 2^20. ``MaskSpec(seed,
+n_patches, keep_count)`` is the one constructor of a mask: it checks the
+triple and derives the kept and masked index sets from it.
+``generate_mask`` (transmitter, from a mask ratio) and
+``mask_from_counts`` (receiver, from the container header) only name its
+two uses.
 
 ``patchify`` is the only function here that returns a ``Tensor`` (one that
 owns its array); every other function takes and returns plain ndarrays.
@@ -20,7 +25,7 @@ view of every patch, and ``to_uint8`` turns it back into bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,19 +81,21 @@ class PatchGrid:
 
 @dataclass(frozen=True)
 class MaskSpec:
-    """Keep/mask partition of the patch index set.
+    """Keep/mask partition of the patch index set, built from its protocol triple.
 
-    The partition is a pure function of (seed, n_patches, keep_count); those
-    three travel in the container. The requested mask ratio is not kept:
-    generate_mask turns it into keep_count, and the receiver only ever
-    sees that count.
+    (seed, n_patches, keep_count) travel in the container and are the only
+    fields that can be set. The partition is a pure function of them:
+    the first keep_count entries of the seeded shuffle of 0..n_patches-1
+    are kept, the rest masked, and both sets are stored sorted. The
+    requested mask ratio is not kept: generate_mask turns it into
+    keep_count, and the receiver only ever sees that count.
     """
 
     seed: int
     n_patches: int
     keep_count: int
-    keep_indices: tuple[int, ...]
-    masked_indices: tuple[int, ...]
+    keep_indices: tuple[int, ...] = field(init=False)
+    masked_indices: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         if not 0 <= self.seed <= _U64_MAX:
@@ -97,10 +104,9 @@ class MaskSpec:
             raise ContractError(
                 f"keep_count {self.keep_count} outside 1..{self.n_patches}"
             )
-        if len(self.keep_indices) != self.keep_count:
-            raise ContractError("keep_indices length != keep_count")
-        if len(self.keep_indices) + len(self.masked_indices) != self.n_patches:
-            raise ContractError("keep/masked do not partition the index set")
+        perm = _shuffled_indices(self.seed, self.n_patches)
+        object.__setattr__(self, "keep_indices", tuple(sorted(perm[: self.keep_count])))
+        object.__setattr__(self, "masked_indices", tuple(sorted(perm[self.keep_count :])))
 
 
 def keep_count_for_ratio(n_patches: int, mask_ratio: float) -> int:
@@ -138,27 +144,14 @@ def _shuffled_indices(seed: int, n: int) -> list[int]:
     return perm
 
 
-def _build_spec(seed: int, n_patches: int, keep_count: int) -> MaskSpec:
-    perm = _shuffled_indices(seed, n_patches)
-    return MaskSpec(
-        seed=seed,
-        n_patches=n_patches,
-        keep_count=keep_count,
-        keep_indices=tuple(sorted(perm[:keep_count])),
-        masked_indices=tuple(sorted(perm[keep_count:])),
-    )
-
-
 def mask_from_counts(seed: int, n_patches: int, keep_count: int) -> MaskSpec:
     """Rebuild the partition from the protocol triple carried in the container."""
-    if n_patches < 1 or not 1 <= keep_count <= n_patches:
-        raise ContractError(f"keep_count {keep_count} outside 1..{n_patches}")
-    return _build_spec(seed, n_patches, keep_count)
+    return MaskSpec(seed, n_patches, keep_count)
 
 
 def generate_mask(seed: int, n_patches: int, mask_ratio: float) -> MaskSpec:
-    keep_count = keep_count_for_ratio(n_patches, mask_ratio)
-    return _build_spec(seed, n_patches, keep_count)
+    """The partition that keeps keep_count_for_ratio(n_patches, mask_ratio) patches."""
+    return MaskSpec(seed, n_patches, keep_count_for_ratio(n_patches, mask_ratio))
 
 
 def padded_grid(height: int, width: int, channels: int, patch_size: int) -> PatchGrid:

@@ -2,9 +2,9 @@
 
 The transmitter is model-free: compress only masks, cuts out the kept
 patches, stacks them and runs the block codec, all on uint8 samples. The
-receiver regenerates the mask from the header triple (seed, n_patches,
-keep_count), decodes the condensed image, and lets the autoencoder fill in
-the masked patches; samples are float64 only on their way through the model.
+receiver decodes the condensed image, regenerates the mask from the header
+triple (seed, n_patches, keep_count), and lets the autoencoder fill in the
+masked patches; samples are float64 only on their way through the model.
 
 Container layout (little-endian):
     magic "TMAE" | version u8 | orig_width u32 | orig_height u32 |
@@ -39,7 +39,7 @@ from .masking import (
     unstack_visible,
 )
 # Bound here only so that perfbench/tracer.py can wrap pipeline.patchify;
-# nothing in this module calls it. ROADMAP item 5 retires that site.
+# nothing in this module calls it. ROADMAP item 6 retires that site.
 from .masking import patchify
 
 CONTAINER_MAGIC = b"TMAE"
@@ -199,14 +199,13 @@ def compress(image, config: PipelineConfig) -> Container:
 
 
 def decompress(container: Container, model: mae.MaskedAutoencoder | None) -> np.ndarray:
-    """Receiver path: regenerate mask, decode, unstack, reconstruct, crop.
+    """Receiver path: check and decode the payload, regenerate mask, unstack, reconstruct, crop.
 
     The model may be None only when nothing was masked. Returns a uint8
     HxWxC image at the original dimensions, an array of its own. Samples
     are float64 only between unstack_visible and the model; reconstruct
     returns bytes, the kept ones as the codec decoded them.
     """
-    spec = container.mask_spec()
     grid = container.padded_grid()
     if model is not None and model.config.patch_size != container.patch_size:
         raise ContractError(
@@ -217,10 +216,11 @@ def decompress(container: Container, model: mae.MaskedAutoencoder | None) -> np.
             f"model channels {model.config.channels} != container {container.channels}"
         )
     # The header fixes the condensed image's codec, quality and size, so a
-    # payload that declares others is refused before it is decoded.
+    # payload that declares others is refused before it is decoded, and
+    # before the mask, whose cost grows with n_patches, is regenerated.
     payload = container.payload
     if len(payload) >= STREAM_HEADER_BYTES:  # a shorter one is codec_decode's to reject
-        cgrid = condensed_grid_for(spec.keep_count, grid)
+        cgrid = condensed_grid_for(container.keep_count, grid)
         implied = stream_header(
             container.codec, cgrid.width, cgrid.height, cgrid.channels, len(payload) - STREAM_HEADER_BYTES
         )
@@ -230,6 +230,7 @@ def decompress(container: Container, model: mae.MaskedAutoencoder | None) -> np.
                 f"{implied.hex()}, the one the container implies"
             )
     condensed = codec_decode(payload)
+    spec = container.mask_spec()
     visible = unstack_visible(condensed, spec, grid)
     recon = mae.reconstruct(visible, spec, grid, model)
     if recon.shape[:2] != (container.orig_height, container.orig_width):

@@ -17,14 +17,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .errors import ContractError, NumericError
-from .mae import (
-    MaskedAutoencoder,
-    TMAEConfig,
-    decode_full,
-    encode_visible,
-    forward_loss,
-    init_model,
-)
+from .mae import MaskedAutoencoder, TMAEConfig, forward_loss, init_model, predict_masked
 from .masking import PAD_VALUE, generate_mask, keep_count_for_ratio, patchify
 
 _MASK_SEED_BOUND = 1 << 63
@@ -178,7 +171,5 @@ def baseline_fill_mse(patches: Tensor, spec) -> float:
 def masked_model_mse(model: MaskedAutoencoder, patches: Tensor, spec) -> float:
     """Masked-row MSE of the model's clamped predictions, made at the masked rows only."""
     arr = patches.data
-    masked = list(spec.masked_indices)
-    latent = encode_visible(arr[list(spec.keep_indices)], spec.keep_indices, model)
-    pred = np.clip(decode_full(latent, spec, model, masked).data, 0.0, 1.0)
-    return float(np.mean((pred - arr[masked]) ** 2))
+    pred = np.clip(predict_masked(arr[list(spec.keep_indices)], spec, model).data, 0.0, 1.0)
+    return float(np.mean((pred - arr[list(spec.masked_indices)]) ** 2))

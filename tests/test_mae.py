@@ -308,6 +308,28 @@ def test_forward_loss_full_gradcheck(tiny_mae_config):
     assert_grads_close(loss_fn, model.named_parameters())
 
 
+def test_forward_loss_is_masked_mse_of_predict_masked_bitwise(tiny_mae_config):
+    model = _tiny_model(tiny_mae_config, seed=16)
+    patches = Tensor(np.random.default_rng(17).random((8, tiny_mae_config.patch_dim)))
+    spec = mask_from_counts(seed=7, n_patches=8, keep_count=3)
+    pred = mae.predict_masked(patches.data[list(spec.keep_indices)], spec, model)
+    expected = mae.masked_mse(pred, patches, spec)
+    assert np.array_equal(mae.forward_loss(model, patches, spec).data, expected.data)
+
+
+def test_reconstruct_runs_no_model_when_nothing_is_masked(tiny_mae_config, monkeypatch):
+    img = np.random.default_rng(18).integers(0, 256, (8, 8, 1), dtype=np.uint8)
+    patches, grid = patchify(img, 2)
+    spec = mask_from_counts(seed=3, n_patches=grid.n_patches, keep_count=grid.n_patches)
+
+    def refuse(*args):
+        raise AssertionError("the model ran with nothing masked")
+
+    monkeypatch.setattr(mae, "predict_masked", refuse)
+    out = mae.reconstruct(patches.data, spec, grid, _tiny_model(tiny_mae_config, seed=19))
+    np.testing.assert_array_equal(out, img)
+
+
 @pytest.mark.parametrize("dec_depth", [0, 2])
 @pytest.mark.parametrize(
     "objective", [mae.forward_loss, training.masked_model_mse], ids=lambda f: f.__name__

@@ -123,6 +123,19 @@ def test_generate_equals_reconstruction_from_counts():
     assert spec == again
 
 
+def test_mask_spec_is_built_from_its_protocol_triple():
+    spec = masking.MaskSpec(42, 16, 8)
+    assert spec == masking.generate_mask(42, 16, 0.5) == masking.mask_from_counts(42, 16, 8)
+    with pytest.raises(TypeError):
+        masking.MaskSpec(42, 16, 8, keep_indices=(0, 1))
+
+
+@pytest.mark.parametrize("seed,n,keep", [(0, 4, 0), (0, 4, 5), (0, 0, 1), (-1, 4, 2), (2**64, 4, 2)])
+def test_mask_spec_refuses_a_bad_triple(seed, n, keep):
+    with pytest.raises(ContractError):
+        masking.MaskSpec(seed, n, keep)
+
+
 def test_mask_determinism_repeated_calls():
     a = masking.generate_mask(7, 100, 0.67)
     b = masking.generate_mask(7, 100, 0.67)

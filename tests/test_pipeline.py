@@ -153,6 +153,19 @@ def test_decompress_rejects_oversized_payload_before_decoding():
     assert peak < 2**20, f"peak {peak} bytes"
 
 
+def test_decompress_refuses_a_lying_payload_before_regenerating_the_mask(monkeypatch):
+    # 2048x2048 at patch 1 is 2**22 patches, whose shuffle would take seconds
+    blob = _header(w=2048, h=2048, patch=1, n_patches=2**22, keep=1, codec=CODEC_DCT) + bytes(19)
+    assert len(blob) == 54
+
+    def refuse(*args):
+        raise AssertionError("mask regenerated for a payload the header contradicts")
+
+    monkeypatch.setattr(pl, "mask_from_counts", refuse)
+    with pytest.raises(ContainerError, match="stream header"):
+        pl.decompress(pl.container_from_bytes(blob), model=None)
+
+
 # (shape, patch size) of images whose container container_from_bytes refuses:
 # channels other than 1 or 3, and 2049 * 2048 patches, past the 2**22 bound.
 UNPARSABLE_IMAGES = [((8, 8, 2), 8), ((8, 8, 4), 8), ((8, 8, 256), 8), ((2049, 2048), 1), ((2049, 2048, 3), 1)]
