@@ -3,7 +3,7 @@
 The mask protocol must reproduce bit-identically on both ends of the link,
 so the random source is pinned to SplitMix64 (state advance by the golden
 gamma, the published finalizer) driving a Fisher-Yates shuffle with modulo
-draws. Modulo bias is negligible for n <= 2^20. ``MaskSpec(seed,
+draws, of which only the steps that decide the partition run. Modulo bias is negligible for n <= 2^20. ``MaskSpec(seed,
 n_patches, keep_count)`` is the one constructor of a mask: it checks the
 triple and derives the kept and masked index sets from it.
 ``generate_mask`` (transmitter, from a mask ratio) and
@@ -104,7 +104,7 @@ class MaskSpec:
             raise ContractError(
                 f"keep_count {self.keep_count} outside 1..{self.n_patches}"
             )
-        perm = _shuffled_indices(self.seed, self.n_patches)
+        perm = _shuffled_indices(self.seed, self.n_patches, self.keep_count)
         object.__setattr__(self, "keep_indices", tuple(sorted(perm[: self.keep_count])))
         object.__setattr__(self, "masked_indices", tuple(sorted(perm[self.keep_count :])))
 
@@ -129,13 +129,17 @@ def splitmix64_sequence(seed: int, count: int) -> np.ndarray:
     return z ^ (z >> _S31)
 
 
-def _shuffled_indices(seed: int, n: int) -> list[int]:
-    """Fisher-Yates over 0..n-1; draw j = next() mod (i+1) for i = n-1..1."""
+def _shuffled_indices(seed: int, n: int, keep_count: int) -> list[int]:
+    """0..n-1 with the kept set of the seeded shuffle in its first keep_count entries.
+
+    Fisher-Yates draws j = next() mod (i+1) for i = n-1..1. The steps
+    i < keep_count only swap inside the first keep_count entries, whose
+    order the caller discards, so only the n - keep_count steps down to
+    i = keep_count run, on the first n - keep_count draws.
+    """
     perm = list(range(n))
-    if n < 2:
-        return perm
-    draws = splitmix64_sequence(seed, n - 1)
-    sizes = np.arange(n, 1, -1, dtype=np.uint64)
+    draws = splitmix64_sequence(seed, n - keep_count)
+    sizes = np.arange(n, keep_count, -1, dtype=np.uint64)
     js = (draws % sizes).tolist()
     i = n - 1
     for j in js:

@@ -29,8 +29,9 @@ from .errors import ContractError, ShapeError
 
 POSITIONAL_BASE = 10000.0
 
-# An initial value maps (rng, shape) to an array.
-Init = Callable[[np.random.Generator, tuple[int, ...]], np.ndarray]
+# An initial value maps (rng, shape) to an array. The Generator is named as a
+# string: evaluating it here would make every import load numpy.random.
+Init = Callable[["np.random.Generator", tuple[int, ...]], np.ndarray]
 # A maker returns the weight ``name`` of ``shape``: a fresh one drawn from
 # its initial value, or the next array of a loaded checkpoint.
 Make = Callable[[str, tuple[int, ...], Init], Tensor]

@@ -142,6 +142,16 @@ def test_mask_determinism_repeated_calls():
     assert a == b and a.keep_indices == b.keep_indices
 
 
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**64 - 1])
+def test_mask_matches_full_shuffle_oracle_on_a_grid(seed):
+    # MaskSpec runs only the shuffle steps at or above keep_count; the
+    # oracle runs all of them, so every keep_count must give its partition.
+    for n in (1, 2, 3, 5, 16, 17, 64):
+        for keep in sorted({1, 2, n // 3, n // 2, n - 1, n} & set(range(1, n + 1))):
+            spec = masking.MaskSpec(seed, n, keep)
+            assert (spec.keep_indices, spec.masked_indices) == oracle_partition(seed, n, keep)
+
+
 @given(
     st.integers(min_value=0, max_value=2**64 - 1),
     st.integers(min_value=1, max_value=300),

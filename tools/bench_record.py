@@ -12,7 +12,9 @@ except that each raw run (an element of a ``runs`` list) is one compact line.
 ``perfbench/run.py`` untraced in two checkouts, parent and change alternated
 pair by pair on every workload of the change's BENCHMARK.json for its
 ``run_seconds``, then one traced ``kodak_rgb`` run per side, and appends the
-summary and every raw run as one comparison.
+summary and every raw run as one comparison. The summary gives, per workload
+and end-to-end metric, each side's quartiles and how many pairs the change
+won in the direction of the metric's ``better`` field.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import statistics
 import subprocess
 import sys
 
-METRICS = ("op_ms_p50", "op_ms_p80", "ops_per_s", "peak_rss_mb", "setup_s")
 # Ten pairs at least: a gain counts only when the change wins nine of ten.
 PAIRS = 10
 TRACED = "kodak_rgb"  # the workload that every stage of the codec and the MAE runs in
@@ -74,7 +75,12 @@ def quartiles(values) -> dict:
     return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3), "runs": len(values)}
 
 
-def summarize(runs: list[dict], workloads) -> dict:
+def summarize(runs: list[dict], workloads, better: dict[str, str]) -> dict:
+    """Per workload and metric: each side's quartiles and the pairs the change won.
+
+    ``better`` maps each end-to-end metric to its ``better`` field, "lower"
+    or "higher"; a pair counts as won only if the change is strictly better.
+    """
     summary = {}
     for workload in workloads:
         by_side = {
@@ -82,16 +88,14 @@ def summarize(runs: list[dict], workloads) -> dict:
             for side in ("parent", "change")
         }
         entry = {}
-        for metric in METRICS:
-            entry[metric] = {
-                side: quartiles([r["result"]["metrics"][metric]["value"] for r in rs])
-                for side, rs in by_side.items()
-            }
-        p50 = {side: {r["pair"]: r["result"]["metrics"]["op_ms_p50"]["value"] for r in rs}
-               for side, rs in by_side.items()}
-        pairs = sorted(p50["parent"].keys() & p50["change"].keys())
-        won = sum(p50["change"][p] < p50["parent"][p] for p in pairs)
-        entry["op_ms_p50_pairs_won_by_change"] = f"{won}/{len(pairs)}"
+        for metric, direction in better.items():
+            values = {side: {r["pair"]: r["result"]["metrics"][metric]["value"] for r in rs}
+                      for side, rs in by_side.items()}
+            entry[metric] = {side: quartiles(list(v.values())) for side, v in values.items()}
+            pairs = values["parent"].keys() & values["change"].keys()
+            sign = 1 if direction == "lower" else -1
+            won = sum(sign * values["change"][p] < sign * values["parent"][p] for p in pairs)
+            entry[metric]["pairs_won_by_change"] = f"{won}/{len(pairs)}"
         entry["failed_ops"] = {side: sum(r["result"]["failed"] for r in rs) for side, rs in by_side.items()}
         summary[workload] = entry
     return summary
@@ -133,7 +137,7 @@ def compare(args) -> None:
         "command": "python3 perfbench/run.py --workload <workload> --seed <seed> "
                    f"--seconds {seconds:g} --trace <0|1>",
         "host": args.host,
-        "summary": summarize(runs, workloads),
+        "summary": summarize(runs, workloads, {m["name"]: m["better"] for m in spec["end_to_end"]}),
         "traced_per_op": {TRACED: traced},
         "runs": runs,
     })
