@@ -12,9 +12,9 @@ scaling by a number; every other shape mismatch is an error, which
 keeps the gradient rules small and auditable. A vector reaches every
 row of a matrix elsewhere through ``tile_rows``.
 
-Graph edges live on the output tensor (parent references plus a closure
-that routes the upstream gradient), so independent computations never
-share state and may run on separate threads.
+Graph edges live on the output tensor (parents plus a closure that routes
+the upstream gradient), so independent computations share no state and may
+run on separate threads. ``backward`` skips leaves and copies first gradients.
 """
 
 from __future__ import annotations
@@ -73,19 +73,20 @@ class Tensor:
 def _result(data: np.ndarray, parents, grad_fn) -> Tensor:
     """Build an op output; graph edges are recorded only when needed."""
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._grad_fn = grad_fn
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad, out._parents, out._grad_fn = True, tuple(parents), grad_fn
+            break
     return out
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    if t.grad is None:  # zeros + g's bits in one pass; never g, which add gives two parents
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 # -- elementwise arithmetic ---------------------------------------------
@@ -274,18 +275,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             f"layer_norm: gain/bias shapes {gain.shape}/{bias.shape} "
             f"do not match row width {d}"
         )
-    mean = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = (x.data - mean) * inv
+    # numpy's mean and var (row sums divided by d); xhat is centred once, in place
+    xhat = x.data - x.data.sum(axis=1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=1, keepdims=True) / d + _LN_EPS)
+    xhat *= inv
 
     def back(g):
         dxhat = g * gain.data
-        dx = (
-            dxhat
-            - dxhat.mean(axis=1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
-        ) * inv
+        dx = dxhat - dxhat.sum(axis=1, keepdims=True) / d
+        dx -= xhat * ((dxhat * xhat).sum(axis=1, keepdims=True) / d)
+        dx *= inv
         _accumulate(x, dx)
         _accumulate(gain, (g * xhat).sum(axis=0))
         _accumulate(bias, g.sum(axis=0))
@@ -389,7 +388,7 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
 
 
 def _linearize(root: Tensor) -> list[Tensor]:
-    """Topological order of the graph below ``root`` (inputs first)."""
+    """Topological order of the op outputs below ``root`` (inputs first)."""
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -403,7 +402,7 @@ def _linearize(root: Tensor) -> list[Tensor]:
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in seen:
+            if parent._grad_fn is not None and id(parent) not in seen:
                 stack.append((parent, False))
     return order
 
@@ -411,7 +410,8 @@ def _linearize(root: Tensor) -> list[Tensor]:
 def backward(loss: Tensor) -> None:
     """Accumulate gradients of a scalar loss into every tracked tensor.
 
-    Gradients add to any existing ``grad``, so zero them between steps.
+    Gradients add to any existing ``grad`` (a first one is stored as a copy), so
+    zero them between steps. Leaves are not swept; op outputs keep their order.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")

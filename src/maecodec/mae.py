@@ -237,6 +237,7 @@ def reconstruct(visible: np.ndarray, spec: MaskSpec, grid: PatchGrid, model: Mas
             f"mask is for {spec.n_patches} patches, grid has {grid.n_patches}"
         )
     full = np.empty((spec.n_patches, grid.patch_dim), dtype=np.uint8)
+    parts = [(spec.keep_indices, visible)]
     if spec.masked_indices:
         if model is None:
             raise ContractError("masked positions present but no model supplied")
@@ -244,8 +245,11 @@ def reconstruct(visible: np.ndarray, spec: MaskSpec, grid: PatchGrid, model: Mas
             raise ContractError(
                 f"model expects {model.config.patch_dim}-dim patches, grid has {grid.patch_dim}"
             )
-        full[list(spec.masked_indices)] = to_uint8(predict_masked(visible, spec, model).data)
-    full[list(spec.keep_indices)] = to_uint8(visible)
+        parts.append((spec.masked_indices, predict_masked(visible, spec, model).data))
+    rows = max(1, (1 << 16) // grid.patch_dim)  # to_uint8's float temporary: 64K samples
+    for indices, values in parts:
+        for a in range(0, len(indices), rows):
+            full[list(indices[a : a + rows])] = to_uint8(values[a : a + rows])
     return unpatchify(full, grid)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -65,12 +66,16 @@ def require_masked_patches(model_config: TMAEConfig, cfg: TrainConfig) -> None:
 
 
 class Adam:
+    """Adam with both moments in flat float64 arrays, the parameters end to end:
+    each run of consecutive parameters with gradients is updated in one pass,
+    and a parameter whose gradient is None is skipped."""
+
     def __init__(self, params: list[Tensor], lr: float):
         self.params = params
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        self.m = np.zeros(sum(p.data.size for p in params))
+        self.v = np.zeros_like(self.m)
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -78,17 +83,23 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        bc1 = 1.0 - _BETA1**self.t
-        bc2 = 1.0 - _BETA2**self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            if g is None:
-                continue
-            m *= _BETA1
-            m += (1.0 - _BETA1) * g
-            v *= _BETA2
-            v += (1.0 - _BETA2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
+        end = 0
+        for has_grad, run in groupby(self.params, key=lambda p: p.grad is not None):
+            run = list(run)
+            start, end = end, end + sum(p.data.size for p in run)
+            if has_grad:
+                m, v = self.m[start:end], self.v[start:end]
+                g = np.concatenate([p.grad for p in run], axis=None, dtype=np.float64)
+                m *= _BETA1
+                m += (1.0 - _BETA1) * g
+                v *= _BETA2
+                v += (1.0 - _BETA2) * g * g
+                np.divide(m, 1.0 - _BETA1**self.t, out=g)
+                g *= self.lr
+                g /= np.sqrt(v / (1.0 - _BETA2**self.t)) + _ADAM_EPS
+                for p in run:
+                    p.data -= g[: p.data.size].reshape(p.data.shape)
+                    g = g[p.data.size :]
 
 
 @dataclass

@@ -10,10 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maecodec import autograd as ag
+from maecodec import mae
 from maecodec.autograd import Tensor
+from maecodec.dataset import synthetic_image
 from maecodec.errors import ContractError, NumericError, ShapeError
+from maecodec.masking import generate_mask, patchify
 
 from conftest import assert_grads_close, total
+from test_mae import _golden_decode_cases
 
 
 def t(data, grad=True):
@@ -230,6 +234,41 @@ def test_layer_norm_standardizes_random_rows():
     np.testing.assert_allclose(out.data.var(axis=1), var / (var + 1e-5), atol=1e-12)
 
 
+def _layer_norm_reference(x, gain, bias, g):
+    """Output and x, gain, bias gradients for upstream g, in the np.mean/np.var form."""
+    mean = x.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(x.var(axis=1, keepdims=True) + ag._LN_EPS)
+    xhat = (x - mean) * inv
+    dxhat = g * gain
+    dx = (
+        dxhat
+        - dxhat.mean(axis=1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+    ) * inv
+    return xhat * gain + bias, dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+
+
+def _bits(a):
+    return np.asarray(a).shape, np.asarray(a).tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 300])
+@pytest.mark.parametrize("width", [1, 2, 3, 16, 32, 48, 64])
+def test_layer_norm_matches_the_mean_var_formulation_bitwise(rows, width):
+    rng = np.random.default_rng(100 * rows + width)
+    x = rng.normal(size=(rows, width)) * 5.0 + rng.normal(size=(rows, 1)) * 100.0
+    gain, bias = rng.normal(size=width), rng.normal(size=width)
+    g = rng.normal(size=(rows, width))
+    params = [Tensor(a.copy(), requires_grad=True) for a in (x, gain, bias)]
+    out = ag.layer_norm(*params)
+    out._grad_fn(g)
+    expected = _layer_norm_reference(x, gain, bias, g)
+    assert _bits(out.data) == _bits(expected[0])
+    for p, grad in zip(params, expected[1:]):
+        # a first gradient is zeros + grad, as the sweep has always stored it
+        assert _bits(p.grad) == _bits(np.zeros_like(grad) + grad)
+
+
 def test_gelu_fixed_points():
     out = ag.gelu(t([0.0, 10.0, -10.0]))
     assert out.data[0] == 0.0
@@ -294,6 +333,115 @@ def test_no_graph_retained_without_requires_grad():
     a = Tensor(np.ones((2, 2)))
     out = ag.matmul(a, Tensor(np.ones((2, 2))))
     assert out._grad_fn is None and out._parents == ()
+
+
+# -- the sweep before leaves were skipped, as an oracle --------------------------
+
+
+def _oracle_accumulate(t, g):
+    """A first gradient as zeros, then every gradient added in place."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    t.grad += g
+
+
+def _oracle_linearize(root):
+    """Topological order of every tensor below root, leaves included."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in seen:
+                stack.append((parent, False))
+    return order
+
+
+def _oracle_backward(loss):
+    """The backward sweep over every tensor, ops accumulating with _oracle_accumulate."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ag, "_accumulate", _oracle_accumulate)
+        order = _oracle_linearize(loss)
+        _oracle_accumulate(loss, np.ones_like(loss.data))
+        for node in reversed(order):
+            if node._grad_fn is not None and node.grad is not None:
+                node._grad_fn(node.grad)
+
+
+def _forward_loss_case(cfg, image, ratio, seed, upstream):
+    """A function making forward_loss on image's patches times upstream, and the parameters."""
+
+    def build():
+        model = mae.init_model(cfg, seed=seed)
+        patches, grid = patchify(image, cfg.patch_size)
+        spec = generate_mask(seed, grid.n_patches, ratio)
+        return ag.mul(mae.forward_loss(model, patches, spec), upstream), model.parameters()
+
+    return build
+
+
+def _shared_add_operand_case(swap):
+    """add(y, y), whose gradient array the outer add also hands to the leaf q.
+
+    Were that array stored as both y's and q's first gradient, y's second
+    gradient would add into q's too.
+    """
+
+    def build():
+        rng = np.random.default_rng(int(swap))
+        p, q = (Tensor(rng.normal(size=(3, 4)), requires_grad=True) for _ in range(2))
+        y = ag.gelu(p)
+        twice = ag.add(y, y)
+        s = ag.add(q, twice) if swap else ag.add(twice, q)
+        return ag.mean_all(ag.mul(s, s)), [p, q]
+
+    return build
+
+
+def _negative_zero_upstream_case():
+    """An upstream gradient of -0.0, which leaves receive directly: stored, it is +0.0."""
+
+    def build():
+        rng = np.random.default_rng(5)
+        p, q = (Tensor(rng.normal(size=(3, 4)), requires_grad=True) for _ in range(2))
+        return ag.mul(ag.mean_all(ag.add(p, ag.mul(q, q))), -0.0), [p, q]
+
+    return build
+
+
+def _oracle_cases():
+    train_toy32 = mae.TMAEConfig(
+        patch_size=4, channels=1, enc_d_model=32, enc_depth=2, enc_heads=2,
+        enc_d_ff=64, dec_d_model=16, dec_depth=1, dec_heads=2, dec_d_ff=32,
+    )
+    crop = synthetic_image(np.random.default_rng(32), 32, 1)
+    yield "train_toy32", _forward_loss_case(train_toy32, crop, 0.65, 3, 1.0 / 8)
+    yield "train_toy32, upstream -0.0", _forward_loss_case(train_toy32, crop, 0.65, 3, -0.0)
+    for seed, (cfg, image, ratio) in enumerate(_golden_decode_cases()):
+        yield f"golden decode case {seed}", _forward_loss_case(cfg, image, ratio, seed, 1.0)
+    yield "shared add operand", _shared_add_operand_case(False)
+    yield "shared add operand, swapped", _shared_add_operand_case(True)
+    yield "upstream -0.0", _negative_zero_upstream_case()
+
+
+def test_backward_matches_the_sweep_over_every_tensor_bitwise():
+    """Skipping leaves and copying first gradients leave every parameter gradient's bits."""
+    for name, build in _oracle_cases():
+        grads = []
+        for sweep in (ag.backward, _oracle_backward):
+            loss, params = build()
+            sweep(loss)
+            grads.append([p.grad for p in params])
+        assert all(g is not None for g in grads[0]), name
+        assert [_bits(g) for g in grads[0]] == [_bits(g) for g in grads[1]], name
 
 
 @pytest.mark.parametrize("n,d_in,d_out", [(1, 3, 4), (5, 8, 2), (40, 16, 32)])

@@ -1,6 +1,7 @@
-"""tools/bench_record.py's summary, on fabricated runs; no benchmark is started."""
+"""tools/bench_record.py's schedule and summary, on fabricated runs; no benchmark is started."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 TOOL_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
@@ -38,3 +39,52 @@ def test_summary_counts_pairs_won_per_metric_in_its_better_direction():
     assert entry["op_ms_p50"]["change"] == {"median": 8.5, "q1": 7.75, "q3": 9.25, "runs": 4}
     assert entry["setup_s"]["parent"] == {"median": 0.6, "q1": 0.6, "q3": 0.6, "runs": 4}
     assert entry["failed_ops"] == {"parent": 0, "change": 1}
+
+
+def test_schedule_alternates_pairs_then_traces_every_workload_on_both_sides():
+    tool = _load_tool()
+    runs = tool.schedule(["a", "b"])
+    untraced = [r for r in runs if not r["trace"]]
+    assert len(untraced) == tool.PAIRS * 4
+    for pair in range(tool.PAIRS):
+        in_pair = [r for r in untraced if r["pair"] == pair]
+        # both sides of every workload, the first side swapping every two pairs
+        first, second = ("parent", "change") if pair % 4 < 2 else ("change", "parent")
+        assert [(r["workload"], r["side"]) for r in in_pair] == [
+            ("a", first), ("a", second), ("b", first), ("b", second)
+        ]
+        assert {r["seed"] for r in in_pair} == {1 + pair % 2}
+    assert runs[len(untraced):] == [
+        {"side": side, "workload": w, "seed": 1, "trace": 1, "pair": 0}
+        for w in ("a", "b") for side in ("parent", "change")
+    ]
+    assert runs[: len(untraced)] == untraced
+
+
+def test_compare_records_every_scheduled_run_and_a_trace_per_workload(tmp_path, monkeypatch):
+    tool = _load_tool()
+    spec = {"run_seconds": 1, "workloads": [{"name": "a"}, {"name": "b"}],
+            "end_to_end": [{"name": "op_ms_p50", "better": "lower"}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    bench = tmp_path / "BENCH.json"
+    bench.write_text(json.dumps({"comparisons": []}))
+    calls = []
+
+    def fake_run_once(checkout, workload, seed, seconds, trace):
+        calls.append((workload, seed, trace))
+        value = float(len(calls))
+        return {"env": {}, "result": {"metrics": {"op_ms_p50": {"value": value}}, "failed": 0}}
+
+    monkeypatch.setattr(tool, "run_once", fake_run_once)
+    tool.main(["compare", str(bench), "--parent", str(tmp_path), "--change", str(tmp_path),
+               "--what", "test"])
+    entry = json.loads(bench.read_text())["comparisons"][0]
+    expected = tool.schedule(["a", "b"])
+    assert calls == [(r["workload"], r["seed"], r["trace"]) for r in expected]
+    assert [{k: r[k] for k in expected[0]} for r in entry["runs"]] == expected
+    n = len(calls)
+    assert entry["traced_per_op"] == {
+        "a": {"parent": {"op_ms_p50": n - 3.0}, "change": {"op_ms_p50": n - 2.0}},
+        "b": {"parent": {"op_ms_p50": n - 1.0}, "change": {"op_ms_p50": float(n)}},
+    }
+    assert set(entry["summary"]) == {"a", "b"}

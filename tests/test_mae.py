@@ -593,11 +593,12 @@ def test_row_subset_matches_full_rows(cfg, n, keep_count, loaded):
     _check_row_subsets(cfg, n, keep_count, loaded)
 
 
-# Every row-subset case and golden digest: outputs that must not depend on
-# how many threads BLAS runs.
+# Every row-subset case, golden digest and the backward oracle: outputs that
+# must not depend on how many threads BLAS runs.
 _TWO_THREAD_TESTS = [
     "test_mae.py::test_row_subset_matches_full_rows",
     "test_mae.py::test_decode_golden_digest",
+    "test_autograd.py::test_backward_matches_the_sweep_over_every_tensor_bitwise",
     "test_codec.py::test_codec_golden_digest",
     "test_codec.py::test_container_golden_digest",
     "test_pipeline.py::test_kodak_sized_round_trip_golden_digest",

@@ -398,9 +398,11 @@ def test_kodak_sized_round_trip_peak_memory(kodak_case):
     container, compress_peak = _traced_peak(lambda: pl.compress(image, config))
     _, decompress_peak = _traced_peak(lambda: pl.decompress(container, model))
     # the 1.2 MB uint8 image stays uint8 outside the codec's band-wise
-    # transform and the model
+    # transform and the model; reconstruct quantizes a row block at a time
+    # (decompress: 12.9 MiB measured, 18.6 with whole-array to_uint8 calls;
+    # bound at that plus 15 %)
     assert compress_peak < 12 * 2**20, f"compress peak {compress_peak / 2**20:.1f} MiB"
-    assert decompress_peak < 24 * 2**20, f"decompress peak {decompress_peak / 2**20:.1f} MiB"
+    assert decompress_peak < 14.8 * 2**20, f"decompress peak {decompress_peak / 2**20:.1f} MiB"
 
 
 def test_pipeline_config_validation():

@@ -81,6 +81,45 @@ def test_adam_skips_params_without_grad():
     np.testing.assert_array_equal(p.data, [5.0])
 
 
+def test_fused_adam_matches_a_per_parameter_update_bitwise():
+    """Three steps; in step 2 the middle parameter has no gradient, in step 3 the first."""
+    rng = np.random.default_rng(11)
+    shapes = [(3, 4), (5,), (2, 3), (7,)]
+    params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    ref = [p.data.copy() for p in params]
+    ref_m = [np.zeros(s) for s in shapes]
+    ref_v = [np.zeros(s) for s in shapes]
+    opt = training.Adam(params, lr=0.01)
+    ends = np.cumsum([0] + [p.data.size for p in params])
+    b1, b2, eps = training._BETA1, training._BETA2, training._ADAM_EPS
+    for t, skip in ((1, None), (2, 1), (3, 0)):
+        grads = [None if i == skip else rng.normal(size=s) * 10.0 ** (i - 2)
+                 for i, s in enumerate(shapes)]
+        for p, g in zip(params, grads):
+            p.grad = None if g is None else g.copy()
+        before = [p.data.copy() for p in params], opt.m.copy(), opt.v.copy()
+        opt.step()
+        for x, m, v, g in zip(ref, ref_m, ref_v, grads):
+            if g is None:
+                continue
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            x -= 0.01 * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+        for p, x in zip(params, ref):
+            assert p.data.tobytes() == x.tobytes()
+        assert opt.m.tobytes() == np.concatenate([m.ravel() for m in ref_m]).tobytes()
+        assert opt.v.tobytes() == np.concatenate([v.ravel() for v in ref_v]).tobytes()
+        # the parameter without a gradient keeps its data and both moments
+        if skip is not None:
+            data, m, v = before
+            a, b = ends[skip], ends[skip + 1]
+            assert params[skip].data.tobytes() == data[skip].tobytes()
+            assert opt.m[a:b].tobytes() == m[a:b].tobytes() and m[a:b].any()
+            assert opt.v[a:b].tobytes() == v[a:b].tobytes() and v[a:b].any()
+
+
 def test_adam_defaults_are_the_reference_constants():
     assert (training._BETA1, training._BETA2, training._ADAM_EPS) == (0.9, 0.999, 1e-8)
 

@@ -11,10 +11,11 @@ except that each raw run (an element of a ``runs`` list) is one compact line.
 ``json.load`` reads the same data before and after. ``compare`` runs
 ``perfbench/run.py`` untraced in two checkouts, parent and change alternated
 pair by pair on every workload of the change's BENCHMARK.json for its
-``run_seconds``, then one traced ``kodak_rgb`` run per side, and appends the
-summary and every raw run as one comparison. The summary gives, per workload
-and end-to-end metric, each side's quartiles and how many pairs the change
-won in the direction of the metric's ``better`` field.
+``run_seconds``, then one traced run per side of every workload, and appends
+the summary, the traced runs' metrics and every raw run as one comparison.
+The summary gives, per workload and end-to-end metric, each side's quartiles
+and how many pairs the change won in the direction of the metric's
+``better`` field.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import sys
 
 # Ten pairs at least: a gain counts only when the change wins nine of ten.
 PAIRS = 10
-TRACED = "kodak_rgb"  # the workload that every stage of the codec and the MAE runs in
 
 
 def dumps(data) -> str:
@@ -101,6 +101,26 @@ def summarize(runs: list[dict], workloads, better: dict[str, str]) -> dict:
     return summary
 
 
+def schedule(workloads) -> list[dict]:
+    """Every run of a comparison, in order: side, workload, seed, trace and pair.
+
+    First ``PAIRS`` untraced pairs, each running every workload on both
+    sides; seeds alternate every pair, and the side that runs first every
+    two pairs. Then one traced run per side of every workload, at seed 1.
+    """
+    runs = []
+    for pair in range(PAIRS):
+        order = ("parent", "change") if (pair // 2) % 2 == 0 else ("change", "parent")
+        for workload in workloads:
+            for side in order:
+                runs.append({"side": side, "workload": workload, "seed": 1 + pair % 2,
+                             "trace": 0, "pair": pair})
+    for workload in workloads:
+        for side in ("parent", "change"):
+            runs.append({"side": side, "workload": workload, "seed": 1, "trace": 1, "pair": 0})
+    return runs
+
+
 def compare(args) -> None:
     checkouts = {"parent": args.parent, "change": args.change}
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
@@ -108,28 +128,21 @@ def compare(args) -> None:
     workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
     runs = []
-
-    def record(side, workload, seed, pair, trace):
-        out = run_once(checkouts[side], workload, seed, seconds, trace)
-        runs.append({"side": side, "workload": workload, "seed": seed, "trace": trace,
-                     "pair": pair, **out})
+    for run in schedule(workloads):
+        out = run_once(checkouts[run["side"]], run["workload"], run["seed"], seconds, run["trace"])
+        runs.append({**run, **out})
         value = out["result"]["metrics"].get("op_ms_p50", {}).get("value")
-        print(f"pair {pair} {workload} {side} trace {trace}: op_ms_p50 {value}", flush=True)
-
-    for pair in range(PAIRS):
-        # seeds alternate every pair; the side that runs first, every two pairs
-        order = ("parent", "change") if (pair // 2) % 2 == 0 else ("change", "parent")
-        for workload in workloads:
-            for side in order:
-                record(side, workload, 1 + pair % 2, pair, 0)
-    for side in ("parent", "change"):
-        record(side, TRACED, 1, 0, 1)
+        print(f"pair {run['pair']} {run['workload']} {run['side']} trace {run['trace']}: "
+              f"op_ms_p50 {value}", flush=True)
 
     with open(args.file, encoding="utf-8") as fh:
         data = json.load(fh)
     traced = {
-        r["side"]: {k: v["value"] for k, v in r["result"]["metrics"].items()}
-        for r in runs if r["trace"]
+        workload: {
+            r["side"]: {k: v["value"] for k, v in r["result"]["metrics"].items()}
+            for r in runs if r["trace"] and r["workload"] == workload
+        }
+        for workload in workloads
     }
     data["comparisons"].append({
         "what": args.what,
@@ -138,7 +151,7 @@ def compare(args) -> None:
                    f"--seconds {seconds:g} --trace <0|1>",
         "host": args.host,
         "summary": summarize(runs, workloads, {m["name"]: m["better"] for m in spec["end_to_end"]}),
-        "traced_per_op": {TRACED: traced},
+        "traced_per_op": traced,
         "runs": runs,
     })
     write(args.file, data)
