@@ -5,12 +5,12 @@ Just enough machinery to train a small transformer: matmul, add/sub/mul,
 the product), row softmax, fused scaled dot-product attention, layer norm,
 GELU, the mean of all elements, row gather/scatter/tile and column
 concatenation. ``softmax_rows`` can write its result into a given array,
-its own input included, which is how attention normalizes its map in
-place. Every op is a plain function; ``Tensor`` has no operator overloads.
-There is deliberately no broadcasting beyond ``affine``'s row bias and
-scaling by a number; every other shape mismatch is an error, which
-keeps the gradient rules small and auditable. A vector reaches every
-row of a matrix elsewhere through ``tile_rows``.
+its own input included: attention's one loop over row blocks normalizes
+each block in place. Every op is a plain function; ``Tensor`` has no
+operator overloads. There is deliberately no broadcasting beyond
+``affine``'s row bias and scaling by a number; every other shape mismatch
+is an error, which keeps the gradient rules small and auditable. A vector
+reaches every row of a matrix elsewhere through ``tile_rows``.
 
 Graph edges live on the output tensor (parents plus a closure that routes
 the upstream gradient), so independent computations share no state and may
@@ -211,19 +211,19 @@ def softmax_rows(a: Tensor, out: np.ndarray | None = None) -> Tensor:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(q k^T / sqrt(d)) v, normalized by softmax_rows block by block.
+    """softmax(q k^T / sqrt(d)) v, in one loop over row blocks of the map.
 
-    Query rows are cut into blocks of about ``_SOFTMAX_BLOCK`` map entries.
-    When none of q, k, v tracks gradients, one block buffer serves the
-    whole call: each block's logits are written into it, scaled and
-    normalized in place, and multiplied by v straight into the output
-    rows, so only one block of the (queries, keys) map exists at once.
-    Otherwise the backward pass keeps the whole map: the logits fill one
-    buffer, and each block is normalized in place outside the graph.
-    Tracked output and gradients equal, bit for bit, those of the op chain
-    ``matmul(softmax_rows(mul(matmul(q, kt), s)), v)``, where ``kt`` is K^T
-    as a contiguous matrix; so does untracked output when the map is one
-    block. Non-finite logits raise NumericError, without a numpy warning.
+    Each block of about ``_SOFTMAX_BLOCK`` map entries has its logits
+    written into a map buffer, scaled and normalized there in place by
+    softmax_rows, and multiplied by v straight into the output rows.
+    Tracking gradients chooses only the buffer: the whole (queries, keys)
+    map, which the backward pass needs, or one block buffer that every
+    block reuses. So tracked and untracked output are equal bit for bit.
+    Both equal the op chain ``matmul(softmax_rows(mul(matmul(q, kt), s)), v)``
+    (``kt`` is K^T as a contiguous matrix), gradients too, bit for bit when
+    the map is one block; for larger maps, only where BLAS rounds a block's
+    rows as it rounds them in the whole product. Non-finite logits raise
+    NumericError, without a numpy warning.
     """
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2 or q.shape[1] != k.shape[1]:
         raise ShapeError(f"attention: Q {q.shape} vs K {k.shape}")
@@ -234,25 +234,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     # contiguous one, so K^T is laid out as one contiguous matrix.
     kt = k.data.T.copy()
     m, rows = q.shape[0], max(1, _SOFTMAX_BLOCK // k.shape[0])
-    starts = range(0, m, rows)
+    tracked = q.requires_grad or k.requires_grad or v.requires_grad
+    y = np.empty((m if tracked else min(rows, m), k.shape[0]))
+    out = np.empty((m, v.shape[1]))
     # numpy warns as it forms logits that are or become non-finite;
     # softmax_rows refuses them with NumericError instead.
     with np.errstate(invalid="ignore", over="ignore"):
-        if not (q.requires_grad or k.requires_grad or v.requires_grad):
-            out = np.empty((m, v.shape[1]))
-            buf = np.empty((min(rows, m), k.shape[0]))
-            for a in starts:
-                y = _product(q.data[a : a + rows], kt, buf[: min(rows, m - a)])
-                y *= scale
-                softmax_rows(Tensor(y), out=y)
-                _product(y, v.data, out[a : a + rows])
-            return Tensor(out)
-        y = _product(q.data, kt)
-        y *= scale
-        for a in starts:
-            block = y[a : a + rows]
+        for a in range(0, m, rows):
+            block = y[a : a + rows] if tracked else y[: min(rows, m - a)]
+            _product(q.data[a : a + rows], kt, block)
+            block *= scale
             softmax_rows(Tensor(block), out=block)
-        out = _product(y, v.data)
+            _product(block, v.data, out[a : a + rows])
 
     def back(g):
         # the chain's rules, in the order its backward sweep runs them

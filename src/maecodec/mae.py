@@ -47,8 +47,8 @@ class TMAEConfig:
     """Architecture of the autoencoder pair.
 
     The encoder must be at least as deep as the decoder (the decoder is
-    the lightweight half). Widths are free; the decoder may even have
-    depth 0, reducing it to mask-token + positional-encoding + head.
+    the lightweight half). Widths must be even for the positional encoding;
+    the decoder may have depth 0, reducing it to mask token, PE and head.
     """
 
     patch_size: int = 8
@@ -76,6 +76,8 @@ class TMAEConfig:
         # validate head splits and widths
         tf.AttentionConfig(self.enc_d_model, self.enc_heads)
         tf.AttentionConfig(self.dec_d_model, self.dec_heads)
+        if self.enc_d_model % 2 or self.dec_d_model % 2:
+            raise ContractError(f"d_model must be even, got {self.enc_d_model} and {self.dec_d_model}")
         if self.enc_d_ff < self.enc_d_model or self.dec_d_ff < self.dec_d_model:
             raise ContractError("d_ff must be >= d_model on both sides")
 

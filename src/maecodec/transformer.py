@@ -162,9 +162,9 @@ def encoder_block(x: TokenSequence, params: EncoderBlockParams, rows=None) -> To
     when the output width is not a multiple of 4 and the inner dimension
     is 64 or more: gemm then rounds a row by its position in the product,
     as in p·V with a decoder ``d_head`` of 2 over 300 keys, or a head of
-    width 9. Without gradients, attention forms its map in row blocks of
-    one height in both runs, bar the last (see ``autograd.attention``),
-    not in one product whose size follows ``rows``.
+    width 9. Attention forms its map in row blocks of one height in both
+    runs, bar the last, tracked or not (see ``autograd.attention``), not
+    in one product whose size follows ``rows``.
     """
     normed = ag.layer_norm(x.tokens, params.ln1_gain, params.ln1_bias)
     queries, residual = None, x.tokens

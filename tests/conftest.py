@@ -1,6 +1,10 @@
-"""Shared test helpers: finite-difference gradient checking, tiny configs."""
+"""Shared test helpers: finite-difference gradient checking, allocation peaks, tiny configs."""
 
 from __future__ import annotations
+
+import contextlib
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -51,6 +55,18 @@ def assert_grads_close(loss_fn, params: list[tuple[str, Tensor]], tol: float = F
             worst = (name, err)
         assert err < tol, f"{name}: max relative gradient error {err:.3e} >= {tol}"
     return worst
+
+
+@contextlib.contextmanager
+def traced_peak():
+    """Trace Python allocations in the block; afterwards ``.peak`` is their peak in bytes."""
+    trace = SimpleNamespace(peak=None)
+    tracemalloc.start()
+    try:
+        yield trace
+    finally:
+        trace.peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
 
 
 @pytest.fixture

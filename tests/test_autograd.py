@@ -150,7 +150,9 @@ def _attention_chain(q, kt, v):
 @pytest.mark.parametrize(
     "n_q,n_k,d,d_v",
     [(1, 1, 1, 1), (1, 6, 4, 3), (5, 1, 2, 2), (6, 3, 8, 5), (9, 9, 16, 4),
-     (40, 33, 4, 8), (300, 257, 8, 8), (3, 70000, 2, 2)],
+     (40, 33, 4, 8), (300, 257, 8, 8), (3, 70000, 2, 2),
+     # a tracked map whose last block is one row
+     (219, 300, 4, 4)],
 )
 def test_attention_matches_op_chain_bitwise(n_q, n_k, d, d_v):
     rng = np.random.default_rng(n_q * 1000 + n_k)
@@ -172,26 +174,23 @@ def test_attention_matches_op_chain_bitwise(n_q, n_k, d, d_v):
 
 
 @pytest.mark.parametrize(
-    "n_q,n_k,d,d_v,one_block",
-    [(1, 1, 1, 1, True), (6, 3, 8, 5, True), (40, 33, 4, 8, True),
+    "n_q,n_k,d,d_v",
+    [(1, 1, 1, 1), (6, 3, 8, 5), (40, 33, 4, 8),
      # a block of 218 rows and a lone row, a block of its own computed as
      # two copies of that row
-     (219, 300, 4, 4, True),
-     (300, 257, 8, 8, False), (1030, 1536, 8, 8, False),
+     (219, 300, 4, 4),
+     (300, 257, 8, 8), (506, 506, 32, 32), (1030, 1536, 8, 8), (1536, 1536, 16, 16),
      # 70000 keys leave one row per block
-     (3, 70000, 2, 2, False)],
+     (3, 70000, 2, 2)],
 )
-def test_untracked_attention_matches_tracked(n_q, n_k, d, d_v, one_block):
+def test_untracked_attention_matches_tracked(n_q, n_k, d, d_v):
     rng = np.random.default_rng(n_q * 1000 + n_k)
     arrays = [rng.normal(size=(n_q, d)) * 3, rng.normal(size=(n_k, d)) * 3,
               rng.normal(size=(n_k, d_v))]
     tracked = ag.attention(*(Tensor(a, requires_grad=True) for a in arrays))
     untracked = ag.attention(*(Tensor(a) for a in arrays))
     assert not untracked.requires_grad and untracked._grad_fn is None
-    if one_block:
-        assert np.array_equal(untracked.data, tracked.data)
-    else:
-        np.testing.assert_allclose(untracked.data, tracked.data, rtol=0, atol=1e-12)
+    assert np.array_equal(untracked.data, tracked.data)
 
 
 def test_attention_rejects_non_finite_logits():

@@ -1,4 +1,4 @@
-"""tools/bench_record.py's schedule and summary, on fabricated runs; no benchmark is started."""
+"""tools/bench_record.py's parsing, schedule and summary, on fabricated runs; no benchmark is started."""
 
 import importlib.util
 import json
@@ -88,3 +88,24 @@ def test_compare_records_every_scheduled_run_and_a_trace_per_workload(tmp_path, 
         "b": {"parent": {"op_ms_p50": n - 1.0}, "change": {"op_ms_p50": float(n)}},
     }
     assert set(entry["summary"]) == {"a", "b"}
+
+
+def test_parse_output_keeps_env_figures_and_result():
+    tool = _load_tool()
+    result = {"correct": True, "attempted": 3, "failed": 0,
+              "metrics": {"op_ms_p50": {"value": 2.5, "unit": "ms"}}}
+    stdout = "\n".join([
+        'env {"python": "3.11"}',
+        "ops 3 (steps); times below are at reference speed",
+        "metric compress_ms_p50 = 4.25 ms over 3 samples",
+        "metric train_loss = 0.0123457 mse",
+        "metric ssim = 0.875",
+        "metric op_ms_p50 = 2.5 ms",
+        json.dumps(result),
+    ])
+    assert tool.parse_output(stdout) == {
+        "env": {"python": "3.11"},
+        "figures": {"compress_ms_p50": 4.25, "train_loss": 0.0123457, "ssim": 0.875,
+                    "op_ms_p50": 2.5},
+        "result": result,
+    }

@@ -5,7 +5,6 @@ import hashlib
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +25,8 @@ from maecodec.codec import (
 from maecodec.dataset import synthetic_image
 from maecodec.errors import BitstreamError, ContractError, ShapeError
 from maecodec.pipeline import PipelineConfig, compress
+
+from conftest import traced_peak
 
 # Standard zigzag scan of an 8x8 block, frozen from the usual table.
 ZIGZAG_REFERENCE = [
@@ -350,23 +351,9 @@ UNDECODABLE_SHAPES = [(8, 8, 2), (8, 8, 4), (8, 8, 256), (16385, 16384, 1), (946
 def test_encode_refuses_what_decode_refuses(shape, codec_id):
     # a broadcast view costs nothing, so only a look at the shape stays small
     img = np.broadcast_to(np.zeros((1, 1, 1), dtype=np.uint8), shape)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ShapeError):
-            codec_encode(img, CodecParams(codec_id, 50))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20, f"peak {peak} bytes"
-
-
-def _traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with traced_peak() as trace, pytest.raises(ShapeError):
+        codec_encode(img, CodecParams(codec_id, 50))
+    assert trace.peak < 2**20, f"peak {trace.peak} bytes"
 
 
 def test_codec_peak_memory_on_kodak_sized_noise():
@@ -375,13 +362,15 @@ def test_codec_peak_memory_on_kodak_sized_noise():
     params = CodecParams(CODEC_DCT, 100)
     bits = codec_encode(img, params)
     assert len(bits) > 2_500_000
-    encode_peak = _traced_peak(codec_encode, img, params)
-    decode_peak = _traced_peak(codec_decode, bits)
+    with traced_peak() as encode:
+        codec_encode(img, params)
+    with traced_peak() as decode:
+        codec_decode(bits)
     # the entropy coder works in bounded chunks and the encoder converts one
     # band of block strips at a time: its arrays add little to the payload
     # itself (9.23 MiB measured, bound at that plus about 14 %)
-    assert encode_peak <= 10.5 * 2**20, f"encode peak {encode_peak / 2**20:.1f} MiB"
-    assert decode_peak <= 48 * 2**20, f"decode peak {decode_peak / 2**20:.1f} MiB"
+    assert encode.peak <= 10.5 * 2**20, f"encode peak {encode.peak / 2**20:.1f} MiB"
+    assert decode.peak <= 48 * 2**20, f"decode peak {decode.peak / 2**20:.1f} MiB"
 
 
 def test_params_validate():

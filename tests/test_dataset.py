@@ -1,6 +1,5 @@
 """Netpbm IO and the synthetic corpus generator."""
 
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +7,8 @@ import pytest
 
 from maecodec import dataset
 from maecodec.errors import ContractError
+
+from conftest import traced_peak
 
 
 def test_p5_round_trip(tmp_path):
@@ -143,13 +144,9 @@ def test_synthetic_image_matches_whole_image_oracle(size, channels):
 def test_synthetic_image_peak_memory_is_bounded_by_its_output():
     # the whole-image construction peaked at 54.2 MiB; the uint8 output is 1.7 MiB
     rng = np.random.default_rng(0)
-    tracemalloc.start()
-    try:
+    with traced_peak() as trace:
         dataset.synthetic_image(rng, 768, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert trace.peak < 8 * 2**20, f"peak {trace.peak / 2**20:.1f} MiB"
 
 
 def test_synthetic_corpus_deterministic():

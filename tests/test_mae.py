@@ -6,7 +6,6 @@ import os
 import struct
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +28,7 @@ from maecodec.masking import (
     unstack_visible,
 )
 
-from conftest import assert_grads_close
+from conftest import assert_grads_close, traced_peak
 
 BENCH_FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 
@@ -59,6 +58,9 @@ def test_config_defaults_valid():
         dict(dec_d_model=30, dec_heads=4),
         dict(enc_d_ff=8),
         dict(dec_d_ff=4),
+        # the positional encoding needs an even width on each side
+        dict(enc_d_model=9, enc_heads=3, enc_d_ff=9),
+        dict(dec_d_model=9, dec_heads=3, dec_d_ff=9),
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -509,6 +511,14 @@ def test_checkpoint_invalid_config_rejected(tiny_mae_config):
         mae.load_bytes(bytes(blob))
 
 
+def test_checkpoint_odd_width_rejected_before_reading_tensors():
+    # patch 4, 1 channel, encoder width 9 with 3 heads, decoder width 6;
+    # a rank byte of 0 would fail as "bad tensor rank" if any tensor were read
+    header = struct.pack("<4sB10I", b"TMCK", 1, 4, 1, 9, 1, 3, 9, 6, 1, 3, 6)
+    with pytest.raises(CheckpointError, match="d_model must be even"):
+        mae.load_bytes(header + b"\x00")
+
+
 # SHA-256 over the float64 latents and decode_full output and the decompressed
 # pixels of the seeded containers below, each reconstructed with a model that
 # went through save_bytes/load_bytes. Any change to an inference op shows here.
@@ -593,17 +603,19 @@ def test_row_subset_matches_full_rows(cfg, n, keep_count, loaded):
     _check_row_subsets(cfg, n, keep_count, loaded)
 
 
-# Every row-subset case, golden digest and the backward oracle: outputs that
-# must not depend on how many threads BLAS runs.
-_TWO_THREAD_TESTS = [
-    "test_mae.py::test_row_subset_matches_full_rows",
-    "test_mae.py::test_decode_golden_digest",
-    "test_autograd.py::test_backward_matches_the_sweep_over_every_tensor_bitwise",
-    "test_codec.py::test_codec_golden_digest",
-    "test_codec.py::test_container_golden_digest",
-    "test_pipeline.py::test_kodak_sized_round_trip_golden_digest",
-    "test_training.py::test_train_golden_digest",
-]
+# Every row-subset case, golden digest, the backward oracle and the tracked
+# and untracked attention check: outputs that must not depend on how many
+# threads BLAS runs. Each test maps to its number of cases.
+_TWO_THREAD_TESTS = {
+    "test_mae.py::test_row_subset_matches_full_rows": len(_ROW_SUBSET_CASES),
+    "test_mae.py::test_decode_golden_digest": 1,
+    "test_autograd.py::test_backward_matches_the_sweep_over_every_tensor_bitwise": 1,
+    "test_autograd.py::test_untracked_attention_matches_tracked": 9,
+    "test_codec.py::test_codec_golden_digest": 1,
+    "test_codec.py::test_container_golden_digest": 1,
+    "test_pipeline.py::test_kodak_sized_round_trip_golden_digest": 1,
+    "test_training.py::test_train_golden_digest": 1,
+}
 
 
 def test_row_subset_matches_full_rows_with_two_blas_threads():
@@ -617,17 +629,8 @@ def test_row_subset_matches_full_rows_with_two_blas_threads():
         cwd=tests.parent, env=env, capture_output=True, text=True, timeout=300,
     )
     assert child.returncode == 0, child.stdout + child.stderr
-    expected = len(_ROW_SUBSET_CASES) + len(_TWO_THREAD_TESTS) - 1
+    expected = sum(_TWO_THREAD_TESTS.values())
     assert child.stdout.splitlines()[-1].startswith(f"{expected} passed"), child.stdout
-
-
-def _peak_alloc_bytes(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 # patch 16, 3 channels, 8-deep 256-wide encoder and decoder, d_ff 1024:
@@ -646,12 +649,9 @@ _BIG_HEADER = struct.pack("<4sB10I", b"TMCK", 1, 16, 3, 256, 8, 8, 1024, 256, 8,
 )
 def test_checkpoint_counts_rejected_before_allocating(body, message):
     assert len(_BIG_HEADER) == 45
-
-    def load():
-        with pytest.raises(CheckpointError, match=message):
-            mae.load_bytes(_BIG_HEADER + body)
-
-    assert _peak_alloc_bytes(load) < 2**20
+    with traced_peak() as trace, pytest.raises(CheckpointError, match=message):
+        mae.load_bytes(_BIG_HEADER + body)
+    assert trace.peak < 2**20
 
 
 def _loaded_attention_model():
@@ -669,10 +669,13 @@ def test_decompress_with_loaded_model_keeps_one_attention_map():
     # One float64 n x n map is 8 MiB. A loaded model's attention holds one
     # block of 64 map rows at a time: 2.5 MiB at ratio 0.5 and 1.4 MiB at
     # ratio 0.8. Whole maps, one per head, peaked at 6.0 and 4.1 MiB.
-    peak = _peak_alloc_bytes(lambda: pl.decompress(container, model))
-    assert peak < 0.5 * n * n * 8
+    with traced_peak() as trace:
+        pl.decompress(container, model)
+    assert trace.peak < 0.5 * n * n * 8
     denser = pl.compress(image, pl.PipelineConfig(4, 0.8, 3, CodecParams()))
-    assert _peak_alloc_bytes(lambda: pl.decompress(denser, model)) < 0.25 * n * n * 8
+    with traced_peak() as trace:
+        pl.decompress(denser, model)
+    assert trace.peak < 0.25 * n * n * 8
 
     spec = container.mask_spec()
     visible = np.random.default_rng(26).random((spec.keep_count, model.config.patch_dim))
@@ -689,8 +692,9 @@ def test_decompress_peak_memory_at_4096_patches(ratio):
     container = pl.compress(image, pl.PipelineConfig(4, ratio, 3, CodecParams()))
     assert container.n_patches == 4096
     # whole maps peaked at 66.0 MiB (ratio 0.5) and 53.1 MiB (ratio 0.8)
-    peak = _peak_alloc_bytes(lambda: pl.decompress(container, model))
-    assert peak < 8 * 2**20, f"decompress peak {peak / 2**20:.1f} MiB"
+    with traced_peak() as trace:
+        pl.decompress(container, model)
+    assert trace.peak < 8 * 2**20, f"decompress peak {trace.peak / 2**20:.1f} MiB"
 
 
 def test_init_model_deterministic(tiny_mae_config):

@@ -7,7 +7,6 @@ generator's published test vectors. The same scalar oracle is re-run
 in-process for randomized cross-checks.
 """
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +15,8 @@ from hypothesis import strategies as st
 
 from maecodec import masking
 from maecodec.errors import ContainerError, ContractError, ShapeError
+
+from conftest import traced_peak
 
 MASK64 = (1 << 64) - 1
 
@@ -251,14 +252,10 @@ def test_patchify_owns_its_array():
 
 def test_patchify_peak_memory_on_kodak_sized_uint8():
     img = np.random.default_rng(0).integers(0, 256, (512, 768, 3), dtype=np.uint8)
-    tracemalloc.start()
-    try:
+    with traced_peak() as trace:
         masking.patchify(img, 16)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     # one 9 MiB float64 patch matrix, not a second full-size copy of it
-    assert peak <= 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert trace.peak <= 12 * 2**20, f"peak {trace.peak / 2**20:.1f} MiB"
 
 
 def test_unpatchify_single_patch():
@@ -295,15 +292,11 @@ def test_to_uint8_maps_pad_value_to_pad_byte():
 
 def test_to_uint8_makes_one_float_temporary():
     x = np.random.default_rng(0).normal(0.5, 1.0, 1 << 20)
-    tracemalloc.start()
-    try:
+    with traced_peak() as trace:
         out = masking.to_uint8(x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert np.array_equal(out, np.rint(np.clip(x, 0.0, 1.0) * 255.0).astype(np.uint8))
     # one 8 MiB float64 temporary and the 1 MiB result
-    assert peak < x.nbytes + 2 * out.nbytes, f"peak {peak / 2**20:.1f} MiB"
+    assert trace.peak < x.nbytes + 2 * out.nbytes, f"peak {trace.peak / 2**20:.1f} MiB"
 
 
 def test_gather_patches_equals_bytes_of_patchify():

@@ -3,7 +3,6 @@
 import dataclasses
 import hashlib
 import struct
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +23,8 @@ from maecodec.masking import (
     unpatchify,
     unstack_visible,
 )
+
+from conftest import traced_peak
 
 # 8x8 constant-gray image, patch 8, nothing masked, null codec, seed 7.
 # 35-byte container header + 19-byte codec header + 64 raw samples.
@@ -143,14 +144,9 @@ def test_decompress_rejects_oversized_payload_before_decoding():
         orig_width=16, orig_height=16, channels=1, patch_size=8, n_patches=4,
         keep_count=4, seed=0, codec=params, payload=payload,
     )
-    tracemalloc.start()
-    try:
-        with pytest.raises(ContainerError):
-            pl.decompress(container, model=None)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20, f"peak {peak} bytes"
+    with traced_peak() as trace, pytest.raises(ContainerError):
+        pl.decompress(container, model=None)
+    assert trace.peak < 2**20, f"peak {trace.peak} bytes"
 
 
 def test_decompress_refuses_a_lying_payload_before_regenerating_the_mask(monkeypatch):
@@ -175,14 +171,9 @@ UNPARSABLE_IMAGES = [((8, 8, 2), 8), ((8, 8, 4), 8), ((8, 8, 256), 8), ((2049, 2
 def test_compress_refuses_what_the_parser_refuses(shape, patch):
     # a broadcast view costs nothing, so only a look at the shape stays small
     img = np.broadcast_to(np.zeros((1,) * len(shape), dtype=np.uint8), shape)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ShapeError):
-            pl.compress(img, pl.PipelineConfig(patch_size=patch, mask_ratio=0.5))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20, f"peak {peak} bytes"
+    with traced_peak() as trace, pytest.raises(ShapeError):
+        pl.compress(img, pl.PipelineConfig(patch_size=patch, mask_ratio=0.5))
+    assert trace.peak < 2**20, f"peak {trace.peak} bytes"
 
 
 def test_compress_refuses_an_oversized_condensed_image_from_its_shape(monkeypatch):
@@ -199,14 +190,9 @@ def test_compress_refuses_an_oversized_condensed_image_from_its_shape(monkeypatc
     # uint8 gather, so that no version of compress allocates here
     for name in ("patchify", "gather_patches", "stack_visible"):
         monkeypatch.setattr(pl, name, unreachable, raising=False)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ShapeError, match="condensed image"):
-            pl.compress(img, pl.PipelineConfig(patch_size=1024, mask_ratio=0.0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20, f"peak {peak} bytes"
+    with traced_peak() as trace, pytest.raises(ShapeError, match="condensed image"):
+        pl.compress(img, pl.PipelineConfig(patch_size=1024, mask_ratio=0.0))
+    assert trace.peak < 2**20, f"peak {trace.peak} bytes"
 
 
 def test_compress_refuses_non_uint8_images(non_uint8_image, monkeypatch):
@@ -375,15 +361,6 @@ def kodak_case():
     return image, config, model
 
 
-def _traced_peak(fn):
-    tracemalloc.start()
-    try:
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_kodak_sized_round_trip_golden_digest(kodak_case):
     image, config, model = kodak_case
     blob = pl.compress(image, config).to_bytes()
@@ -395,14 +372,16 @@ def test_kodak_sized_round_trip_golden_digest(kodak_case):
 
 def test_kodak_sized_round_trip_peak_memory(kodak_case):
     image, config, model = kodak_case
-    container, compress_peak = _traced_peak(lambda: pl.compress(image, config))
-    _, decompress_peak = _traced_peak(lambda: pl.decompress(container, model))
+    with traced_peak() as compress:
+        container = pl.compress(image, config)
+    with traced_peak() as decompress:
+        pl.decompress(container, model)
     # the 1.2 MB uint8 image stays uint8 outside the codec's band-wise
     # transform and the model; reconstruct quantizes a row block at a time
     # (decompress: 12.9 MiB measured, 18.6 with whole-array to_uint8 calls;
     # bound at that plus 15 %)
-    assert compress_peak < 12 * 2**20, f"compress peak {compress_peak / 2**20:.1f} MiB"
-    assert decompress_peak < 14.8 * 2**20, f"decompress peak {decompress_peak / 2**20:.1f} MiB"
+    assert compress.peak < 12 * 2**20, f"compress peak {compress.peak / 2**20:.1f} MiB"
+    assert decompress.peak < 14.8 * 2**20, f"decompress peak {decompress.peak / 2**20:.1f} MiB"
 
 
 def test_pipeline_config_validation():

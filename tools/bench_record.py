@@ -13,6 +13,8 @@ except that each raw run (an element of a ``runs`` list) is one compact line.
 pair by pair on every workload of the change's BENCHMARK.json for its
 ``run_seconds``, then one traced run per side of every workload, and appends
 the summary, the traced runs' metrics and every raw run as one comparison.
+Each raw run keeps perfbench's ``metric`` lines as ``figures``, so figures
+outside the end-to-end metrics, such as ``train_loss``, can be compared.
 The summary gives, per workload and end-to-end metric, each side's quartiles
 and how many pairs the change won in the direction of the metric's
 ``better`` field.
@@ -58,16 +60,31 @@ def write(path: str, data) -> None:
         fh.write(text)
 
 
+def parse_output(stdout: str) -> dict:
+    """One perfbench run's output: its env line, its figures and its JSON result.
+
+    ``figures`` maps the name of every ``metric <name> = <value> <unit>``
+    line to its value, ``train_loss``, ``bpp`` and ``ssim`` among them;
+    the result is the last line.
+    """
+    lines = stdout.splitlines()
+    env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), {})
+    figures = {}
+    for line in lines:
+        if line.startswith("metric "):
+            _, name, _, value, *_ = line.split()
+            figures[name] = float(value)
+    return {"env": env, "figures": figures, "result": json.loads(lines[-1])}
+
+
 def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run: its env line and its JSON result (the last line of output)."""
+    """One perfbench run, parsed by ``parse_output``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
-    lines = proc.stdout.splitlines()
-    if not lines:
+    if not proc.stdout:
         raise RuntimeError(f"{checkout}: {' '.join(cmd)} printed nothing\n{proc.stderr}")
-    env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), {})
-    return {"env": env, "result": json.loads(lines[-1])}
+    return parse_output(proc.stdout)
 
 
 def quartiles(values) -> dict:
