@@ -59,13 +59,17 @@ def assert_grads_close(loss_fn, params: list[tuple[str, Tensor]], tol: float = F
 
 @contextlib.contextmanager
 def traced_peak():
-    """Trace Python allocations in the block; afterwards ``.peak`` is their peak in bytes."""
-    trace = SimpleNamespace(peak=None)
+    """Trace Python allocations in the block.
+
+    Afterwards ``.peak`` is their peak in bytes and ``.current`` the bytes
+    allocated in the block and still held when it ended.
+    """
+    trace = SimpleNamespace(peak=None, current=None)
     tracemalloc.start()
     try:
         yield trace
     finally:
-        trace.peak = tracemalloc.get_traced_memory()[1]
+        trace.current, trace.peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
 
 

@@ -109,3 +109,25 @@ def test_parse_output_keeps_env_figures_and_result():
                     "op_ms_p50": 2.5},
         "result": result,
     }
+
+
+def _op_ms_p50_summary(parent_values, change_values):
+    runs = []
+    for pair, (p, c) in enumerate(zip(parent_values, change_values)):
+        runs += [_run("parent", pair, op_ms_p50=p), _run("change", pair, op_ms_p50=c)]
+    return _load_tool().summarize(runs, ["w"], {"op_ms_p50": "lower"})["w"]["op_ms_p50"]
+
+
+def test_gain_shown_needs_nine_wins_in_ten_and_a_gap_wider_than_the_parent_iqr():
+    parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.3, 9.7, 10.0, 10.2, 9.8]
+    # 10/10 with a wide gap
+    entry = _op_ms_p50_summary(parent, [p - 2.0 for p in parent])
+    assert (entry["pairs_won_by_change"], entry["gain_shown"]) == ("10/10", True)
+    # 9/10 and a tie, but the medians differ by less than the parent's IQR (0.35)
+    change = [p - 0.1 for p in parent[:9]] + [parent[9]]
+    entry = _op_ms_p50_summary(parent, change)
+    assert (entry["pairs_won_by_change"], entry["gain_shown"]) == ("9/10", False)
+    # 8/10 with a wide gap
+    change = [p - 2.0 for p in parent[:8]] + [p + 1.0 for p in parent[8:]]
+    entry = _op_ms_p50_summary(parent, change)
+    assert (entry["pairs_won_by_change"], entry["gain_shown"]) == ("8/10", False)

@@ -1,12 +1,18 @@
-"""SSIM/PSNR/MSE: closed forms, brute-force window oracle, invariants."""
+"""SSIM/PSNR/MSE: closed forms, brute-force window oracle, the reference memo, invariants."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
+from conftest import traced_peak
 from maecodec import metrics
 from maecodec.errors import ContractError, ShapeError
 
@@ -179,3 +185,138 @@ def test_ssim_oracle_property(seed):
     y = rng.integers(0, 256, (16, 16), dtype=np.uint8)
     fast = metrics.ssim(x[:, :, None], y[:, :, None])
     assert abs(fast - brute_force_ssim(x.astype(float), y.astype(float))) < 1e-9
+
+
+# -- the reference memo ---------------------------------------------------------
+
+
+def _five_map_ssim_plane(x, y):
+    """SSIM as computed before the reference memo: all five maps filtered together."""
+    g = metrics.GAUSSIAN_TAPS
+    s = np.stack([x, y, x * x, y * y, x * y])
+    s = sliding_window_view(s, 11, axis=2) @ g
+    mu_x, mu_y, xx, yy, xy = sliding_window_view(s, 11, axis=1) @ g
+    var_x = xx - mu_x * mu_x
+    var_y = yy - mu_y * mu_y
+    cov = xy - mu_x * mu_y
+    num = (2.0 * mu_x * mu_y + C1) * (2.0 * cov + C2)
+    den = (mu_x * mu_x + mu_y * mu_y + C1) * (var_x + var_y + C2)
+    return float(np.mean(num / den))
+
+
+def five_map_ssim(a, b):
+    """Oracle for metrics.ssim, bit for bit; it keeps no memo."""
+    return _five_map_ssim_plane(metrics.luma(a), metrics.luma(b))
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+def _score(a, b):
+    """metrics.ssim(a, b) and whether it found a's statistics in the memo."""
+    before = metrics._reference_memo
+    value = metrics.ssim(a, b)
+    return value, metrics._reference_memo is before
+
+
+_MEMO_SHAPES = [(11, 11), (11, 300), (37, 64), (256, 256)]
+
+
+@pytest.mark.parametrize("shape", _MEMO_SHAPES, ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("dtype", ["uint8", "float64"])
+def test_ssim_equals_the_five_map_oracle_through_the_memo(shape, channels, dtype):
+    rng = np.random.default_rng([*shape, channels, len(dtype)])
+    if dtype == "uint8":
+        ref = rng.integers(0, 256, (*shape, channels), dtype=np.uint8)
+    else:
+        # halves, so that float32 holds the same values
+        ref = rng.integers(0, 511, (*shape, channels)) / 2.0
+    dec = np.clip(ref + rng.normal(0, 20, ref.shape), 0, 255).astype(ref.dtype)
+    expected = five_map_ssim(ref, dec)
+
+    assert _score(ref, dec) == (expected, False)  # cold, a fresh reference
+    assert _score(ref, dec) == (expected, True)  # warm, the same object
+    assert _score(ref.copy(), dec) == (expected, True)  # an equal copy
+    ref[-1, 0, 0] = 255 - ref[-1, 0, 0]  # changed in place: a miss
+    assert _score(ref, dec) == (five_map_ssim(ref, dec), False)
+    assert _score(ref.astype(np.float32), dec) == (five_map_ssim(ref, dec), False)
+
+
+def test_ssim_memo_keys_float_references_by_their_bytes():
+    rng = np.random.default_rng(23)
+    ref = np.round(rng.random((24, 31, 1)) * 255)
+    ref[2:5, 3:9] = 0.0
+    dec = np.clip(ref + rng.normal(0, 9, ref.shape), 0, 255)
+    expected = five_map_ssim(ref, dec)
+    assert _score(ref, dec) == (expected, False)
+    # -0.0 equals 0.0 but has other bytes: a miss with the same result
+    ref[3, 4, 0] = -0.0
+    assert _score(ref, dec) == (expected, False)
+    ref[7, 8, 0] = np.nan
+    value, hit = _score(ref, dec)
+    assert math.isnan(value) and _bits(value) == _bits(five_map_ssim(ref, dec)) and not hit
+    # NaN != NaN, yet the same bytes are a hit
+    value, hit = _score(ref.copy(), dec)
+    assert _bits(value) == _bits(five_map_ssim(ref, dec)) and hit
+
+
+def test_ssim_object_reference_bypasses_the_memo():
+    # an object array's bytes are the addresses of its elements, not their values
+    rng = np.random.default_rng(27)
+    ref = rng.integers(0, 256, (15, 18, 1), dtype=np.uint8)
+    dec = ref[::-1].copy()
+    metrics.ssim(ref, dec)
+    memo = metrics._reference_memo
+    assert metrics.ssim(ref.astype(object), dec) == five_map_ssim(ref, dec)
+    assert metrics._reference_memo is memo
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_ssim_equals_the_five_map_oracle_at_blas_threads(threads):
+    """The oracle test in a child pytest run whose BLAS runs this many threads."""
+    test = Path(__file__).resolve()
+    src = str(Path(metrics.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{test}::test_ssim_equals_the_five_map_oracle_through_the_memo"],
+        cwd=test.parents[1], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stdout + child.stderr
+    assert child.stdout.splitlines()[-1].startswith(f"{4 * len(_MEMO_SHAPES)} passed"), child.stdout
+
+
+def test_ssim_alternating_references_miss_every_time():
+    rng = np.random.default_rng(29)
+    refs = [rng.integers(0, 256, (40, 52, 3), dtype=np.uint8) for _ in range(2)]
+    decs = [np.clip(r + rng.normal(0, 15, r.shape), 0, 255).astype(np.uint8) for r in refs]
+    for k in (0, 1, 0, 1):
+        assert _score(refs[k], decs[k]) == (five_map_ssim(refs[k], decs[k]), False)
+
+
+def _kodak_pair(seed):
+    rng = np.random.default_rng(seed)
+    ref = rng.integers(0, 256, (512, 768, 3), dtype=np.uint8)
+    return ref, np.clip(ref + rng.normal(0, 20, ref.shape), 0, 255).astype(np.uint8)
+
+
+def test_ssim_memo_holds_only_the_last_reference():
+    big = _kodak_pair(31)
+    small = np.random.default_rng(37).integers(0, 256, (16, 16, 1), dtype=np.uint8)
+    with traced_peak() as trace:
+        metrics.ssim(*big)
+        metrics.ssim(small, small[::-1])
+    assert trace.current < 2**20
+
+
+def test_ssim_kodak_sized_peaks():
+    ref, dec = _kodak_pair(41)
+    with traced_peak() as cold:
+        metrics.ssim(ref, dec)
+    with traced_peak() as warm:
+        metrics.ssim(ref, dec)
+    # 70.7 MiB without the memo; 54.2 MiB measured warm
+    assert cold.peak <= 70.7 * 2**20
+    assert warm.peak < 1.15 * 54.2 * 2**20

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maecodec import mae, sweep
+from maecodec import mae, metrics, sweep
 from maecodec.codec import CODEC_DCT
 from maecodec.errors import ContractError, InfeasibleBudgetError
+from test_metrics import five_map_ssim
 
 
 def _point(bpp, ssim, image_id="img", ratio=0.5, quality=50, psnr=30.0):
@@ -52,6 +53,14 @@ def test_sweep_cross_product_order():
         ("a", 0.4, 30), ("a", 0.4, 70), ("a", 0.6, 30), ("a", 0.6, 70),
         ("b", 0.4, 30), ("b", 0.4, 70), ("b", 0.6, 30), ("b", 0.6, 70),
     ]
+
+
+def test_sweep_points_equal_a_sweep_scored_by_the_ssim_oracle(monkeypatch):
+    corpus = [("a", _gray(11, size=40)), ("b", _gray(12, size=40))]
+    model = _sweep_model()
+    points = sweep.rd_sweep(corpus, [0.4, 0.7], [30, 80], model).points
+    monkeypatch.setattr(metrics, "ssim", five_map_ssim)
+    assert points == sweep.rd_sweep(corpus, [0.4, 0.7], [30, 80], model).points
 
 
 def test_sweep_isolates_per_cell_failures():

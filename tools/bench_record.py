@@ -15,9 +15,10 @@ pair by pair on every workload of the change's BENCHMARK.json for its
 the summary, the traced runs' metrics and every raw run as one comparison.
 Each raw run keeps perfbench's ``metric`` lines as ``figures``, so figures
 outside the end-to-end metrics, such as ``train_loss``, can be compared.
-The summary gives, per workload and end-to-end metric, each side's quartiles
-and how many pairs the change won in the direction of the metric's
-``better`` field.
+The summary gives, per workload and end-to-end metric, each side's quartiles,
+how many pairs the change won in the direction of the metric's ``better``
+field, and ``gain_shown``: whether it won at least 9 of 10 pairs and its
+median beats the parent's by more than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -92,8 +93,28 @@ def quartiles(values) -> dict:
     return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3), "runs": len(values)}
 
 
+def pairs_won(parent: dict, change: dict, sign: int) -> tuple[int, int]:
+    """How many pairs the change won, and of how many.
+
+    ``parent`` and ``change`` map pair numbers to values; ``sign`` is 1 when
+    lower is better and -1 when higher is; a tie counts for neither side.
+    """
+    pairs = parent.keys() & change.keys()
+    return sum(sign * change[p] < sign * parent[p] for p in pairs), len(pairs)
+
+
+def gain_shown(parent: dict, change: dict, sign: int) -> bool:
+    """Whether the change won at least 9 of 10 pairs and its median beats the
+    parent's by more than the parent's interquartile range (arguments as for
+    ``pairs_won``)."""
+    won, pairs = pairs_won(parent, change, sign)
+    q1, parent_median, q3 = statistics.quantiles(parent.values(), n=4, method="inclusive")
+    change_median = statistics.median(change.values())
+    return 10 * won >= 9 * pairs and sign * (parent_median - change_median) > q3 - q1
+
+
 def summarize(runs: list[dict], workloads, better: dict[str, str]) -> dict:
-    """Per workload and metric: each side's quartiles and the pairs the change won.
+    """Per workload and metric: each side's quartiles, the pairs the change won and ``gain_shown``.
 
     ``better`` maps each end-to-end metric to its ``better`` field, "lower"
     or "higher"; a pair counts as won only if the change is strictly better.
@@ -109,10 +130,10 @@ def summarize(runs: list[dict], workloads, better: dict[str, str]) -> dict:
             values = {side: {r["pair"]: r["result"]["metrics"][metric]["value"] for r in rs}
                       for side, rs in by_side.items()}
             entry[metric] = {side: quartiles(list(v.values())) for side, v in values.items()}
-            pairs = values["parent"].keys() & values["change"].keys()
             sign = 1 if direction == "lower" else -1
-            won = sum(sign * values["change"][p] < sign * values["parent"][p] for p in pairs)
-            entry[metric]["pairs_won_by_change"] = f"{won}/{len(pairs)}"
+            won, pairs = pairs_won(values["parent"], values["change"], sign)
+            entry[metric]["pairs_won_by_change"] = f"{won}/{pairs}"
+            entry[metric]["gain_shown"] = gain_shown(values["parent"], values["change"], sign)
         entry["failed_ops"] = {side: sum(r["result"]["failed"] for r in rs) for side, rs in by_side.items()}
         summary[workload] = entry
     return summary
