@@ -340,10 +340,13 @@ def scatter_rows(n_rows: int, indices, rows: Tensor) -> Tensor:
     idx = np.asarray(indices, dtype=np.int64)
     if idx.shape != (rows.shape[0],):
         raise ShapeError(f"scatter_rows: {idx.size} indices for {rows.shape[0]} rows")
-    if np.unique(idx).size != idx.size:
-        raise ContractError("scatter_rows: duplicate indices")
     if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
         raise ContractError(f"scatter_rows: index out of range for {n_rows} rows")
+    # Marking needs indices in range, so a range error wins over a duplicate.
+    seen = np.zeros(n_rows, dtype=bool)
+    seen[idx] = True
+    if np.count_nonzero(seen) != idx.size:
+        raise ContractError("scatter_rows: duplicate indices")
     data = np.zeros((n_rows, rows.shape[1]))
     data[idx] = rows.data
     return _result(data, (rows,), lambda g: _accumulate(rows, g[idx].copy()))

@@ -197,7 +197,7 @@ def _level_shifted_planes(arr: np.ndarray, out: np.ndarray) -> None:
     if arr.shape[2] == 1:
         np.subtract(arr[:, :, 0], 128.0, out=out[0], dtype=np.float64)
         return
-    samples = np.moveaxis(arr, 2, 0).astype(np.float64)
+    samples = np.moveaxis(arr, 2, 0).astype(np.float64, order="C")
     term = np.empty_like(out[0])
     for plane, (offset, w_r, w_g, w_b) in zip(out, _TO_YCBCR):
         np.multiply(samples[0], w_r, out=plane)

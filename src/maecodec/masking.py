@@ -3,12 +3,19 @@
 The mask protocol must reproduce bit-identically on both ends of the link,
 so the random source is pinned to SplitMix64 (state advance by the golden
 gamma, the published finalizer) driving a Fisher-Yates shuffle with modulo
-draws, of which only the steps that decide the partition run. Modulo bias is negligible for n <= 2^20. ``MaskSpec(seed,
-n_patches, keep_count)`` is the one constructor of a mask: it checks the
-triple and derives the kept and masked index sets from it.
+draws, of which only the steps that decide the partition run. Modulo
+bias is negligible for n <= 2^20. ``MaskSpec(seed, n_patches,
+keep_count)`` is the one constructor of a mask: it checks the triple and
+derives the kept and masked index sets from it.
 ``generate_mask`` (transmitter, from a mask ratio) and
 ``mask_from_counts`` (receiver, from the container header) only name its
 two uses.
+
+The partition is a pure function of the triple, so the module keeps a
+one-entry memo of the last triple and its two sorted index tuples. A
+compress and decompress in one process, and every sweep cell of one
+image and ratio, then run the shuffle once; any other triple replaces
+the entry. The memo holds no more than the last mask built holds anyway.
 
 ``patchify`` is the only function here that returns a ``Tensor`` (one that
 owns its array); every other function takes and returns plain ndarrays.
@@ -88,7 +95,8 @@ class MaskSpec:
     the first keep_count entries of the seeded shuffle of 0..n_patches-1
     are kept, the rest masked, and both sets are stored sorted. The
     requested mask ratio is not kept: generate_mask turns it into
-    keep_count, and the receiver only ever sees that count.
+    keep_count, and the receiver only ever sees that count. The sets of
+    the last triple built are kept, so building it again skips the shuffle.
     """
 
     seed: int
@@ -104,9 +112,27 @@ class MaskSpec:
             raise ContractError(
                 f"keep_count {self.keep_count} outside 1..{self.n_patches}"
             )
-        perm = _shuffled_indices(self.seed, self.n_patches, self.keep_count)
-        object.__setattr__(self, "keep_indices", tuple(sorted(perm[: self.keep_count])))
-        object.__setattr__(self, "masked_indices", tuple(sorted(perm[self.keep_count :])))
+        keep, masked = _partition(self.seed, self.n_patches, self.keep_count)
+        object.__setattr__(self, "keep_indices", keep)
+        object.__setattr__(self, "masked_indices", masked)
+
+
+# (triple, keep_indices, masked_indices) of the last mask built, or None;
+# replaced as a whole tuple, so concurrent builds can only recompute.
+_partition_memo = None
+
+
+def _partition(seed: int, n: int, keep_count: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The sorted kept and masked index sets of a checked triple, from the memo if it holds them."""
+    global _partition_memo
+    triple = (seed, n, keep_count)
+    memo = _partition_memo
+    if memo is not None and memo[0] == triple:
+        return memo[1], memo[2]
+    perm = _shuffled_indices(seed, n, keep_count)
+    keep, masked = tuple(sorted(perm[:keep_count])), tuple(sorted(perm[keep_count:]))
+    _partition_memo = (triple, keep, masked)
+    return keep, masked
 
 
 def keep_count_for_ratio(n_patches: int, mask_ratio: float) -> int:

@@ -481,6 +481,13 @@ def test_scatter_rows_rejects_duplicates():
         ag.scatter_rows(4, [1, 1], t(np.ones((2, 3))))
 
 
+def test_scatter_rows_range_error_wins_over_a_duplicate():
+    # duplicates are found by marking rows, which needs every index in range
+    for indices in ([1, 1, 4], [-1, 2, 2]):
+        with pytest.raises(ContractError, match="out of range"):
+            ag.scatter_rows(4, indices, t(np.ones((3, 3))))
+
+
 def test_gather_rows_out_of_range():
     with pytest.raises(ContractError):
         ag.gather_rows(t(np.ones((2, 2))), [2])

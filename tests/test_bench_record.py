@@ -54,9 +54,12 @@ def test_schedule_alternates_pairs_then_traces_every_workload_on_both_sides():
             ("a", first), ("a", second), ("b", first), ("b", second)
         ]
         assert {r["seed"] for r in in_pair} == {1 + pair % 2}
+    # then the traced pairs at seed 1, the first side swapping every pair
+    assert tool.TRACED_PAIRS == 3
     assert runs[len(untraced):] == [
-        {"side": side, "workload": w, "seed": 1, "trace": 1, "pair": 0}
-        for w in ("a", "b") for side in ("parent", "change")
+        {"side": side, "workload": w, "seed": 1, "trace": 1, "pair": pair}
+        for pair in range(tool.TRACED_PAIRS) for w in ("a", "b")
+        for side in (("parent", "change") if pair % 2 == 0 else ("change", "parent"))
     ]
     assert runs[: len(untraced)] == untraced
 
@@ -72,8 +75,10 @@ def test_compare_records_every_scheduled_run_and_a_trace_per_workload(tmp_path, 
 
     def fake_run_once(checkout, workload, seed, seconds, trace):
         calls.append((workload, seed, trace))
-        value = float(len(calls))
-        return {"env": {}, "result": {"metrics": {"op_ms_p50": {"value": value}}, "failed": 0}}
+        metrics = {"op_ms_p50": {"value": float(len(calls))}}
+        if trace:
+            metrics["span_ms"] = {"value": 10.0 * len(calls)}
+        return {"env": {}, "result": {"metrics": metrics, "failed": 0}}
 
     monkeypatch.setattr(tool, "run_once", fake_run_once)
     tool.main(["compare", str(bench), "--parent", str(tmp_path), "--change", str(tmp_path),
@@ -82,11 +87,16 @@ def test_compare_records_every_scheduled_run_and_a_trace_per_workload(tmp_path, 
     expected = tool.schedule(["a", "b"])
     assert calls == [(r["workload"], r["seed"], r["trace"]) for r in expected]
     assert [{k: r[k] for k in expected[0]} for r in entry["runs"]] == expected
-    n = len(calls)
-    assert entry["traced_per_op"] == {
-        "a": {"parent": {"op_ms_p50": n - 3.0}, "change": {"op_ms_p50": n - 2.0}},
-        "b": {"parent": {"op_ms_p50": n - 1.0}, "change": {"op_ms_p50": float(n)}},
-    }
+    # each traced metric is the median over that side's traced runs
+    expected_medians = {}
+    for w in ("a", "b"):
+        for side in ("parent", "change"):
+            numbers = sorted(i + 1.0 for i, r in enumerate(expected)
+                             if r["trace"] and r["workload"] == w and r["side"] == side)
+            assert len(numbers) == tool.TRACED_PAIRS
+            expected_medians.setdefault(w, {})[side] = {
+                "op_ms_p50": numbers[1], "span_ms": 10.0 * numbers[1]}
+    assert entry["traced_per_op"] == expected_medians
     assert set(entry["summary"]) == {"a", "b"}
 
 

@@ -181,6 +181,47 @@ def test_mask_partition_property(seed, n, ratio):
     assert list(spec.masked_indices) == sorted(spec.masked_indices)
 
 
+def uncached_partition(seed, n, keep_count):
+    perm = masking._shuffled_indices(seed, n, keep_count)
+    return tuple(sorted(perm[:keep_count])), tuple(sorted(perm[keep_count:]))
+
+
+# Triple pairs that differ in one field only: a memo keyed without that
+# field hands B the partition of A.
+_MEMO_PAIRS = [
+    ((0, 16, 1), (2**64 - 1, 16, 1)),
+    ((0, 16, 1), (0, 16, 16)),
+    ((2**64 - 1, 16, 16), (2**64 - 1, 17, 16)),
+    ((2**64 - 1, 40, 13), (0, 40, 13)),
+]
+
+
+@pytest.mark.parametrize("a,b", _MEMO_PAIRS)
+def test_mask_partition_through_the_memo_equals_the_uncached_sets(a, b):
+    for triple in (a, b, a):
+        spec = masking.MaskSpec(*triple)
+        assert (spec.keep_indices, spec.masked_indices) == uncached_partition(*triple), triple
+
+
+def test_mask_repeated_triple_skips_the_shuffle(monkeypatch):
+    calls = []
+    shuffle = masking._shuffled_indices
+    monkeypatch.setattr(masking, "_shuffled_indices", lambda *t: calls.append(t) or shuffle(*t))
+    first = masking.generate_mask(5, 300, 0.67)
+    again = masking.mask_from_counts(5, 300, first.keep_count)
+    assert again == first
+    assert calls == [(5, 300, first.keep_count)]
+
+
+def test_mask_memo_holds_only_the_last_partition():
+    with traced_peak() as trace:
+        for n in (2**16, 16):
+            spec = masking.MaskSpec(3, n, n // 3)
+        del spec
+    # the 2^16-patch sets alone are about 2.4 MiB of tuples and ints
+    assert trace.current < 2**20, f"{trace.current / 2**20:.2f} MiB held"
+
+
 def test_keep_count_monotone_in_ratio():
     for n in (1, 7, 64, 1536):
         counts = [masking.keep_count_for_ratio(n, r) for r in np.linspace(0, 0.99, 50)]

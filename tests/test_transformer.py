@@ -1,5 +1,7 @@
 """Attention stack: closed-form cases, staged numpy oracles, equivariance."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from maecodec import transformer as tf
 from maecodec.autograd import Tensor
 from maecodec.errors import ContractError, ShapeError
 
-from conftest import assert_grads_close, total
+from conftest import assert_grads_close, total, traced_peak
 
 
 def _np_softmax_rows(x):
@@ -111,6 +113,63 @@ def test_positional_rows_match_table():
         keep = rng.permutation(n)[: n // 3]
         table = tf.positional_encoding(range(n), d).data
         np.testing.assert_array_equal(tf.positional_encoding(keep, d).data, table[keep])
+
+
+def uncached_table(positions, d):
+    pos = np.asarray(positions, dtype=np.float64)
+    freq = np.exp(-math.log(10000.0) * np.arange(0, d, 2, dtype=np.float64) / d)
+    angles = pos[:, None] * freq
+    table = np.empty((pos.size, d))
+    table[:, 0::2] = np.sin(angles)
+    table[:, 1::2] = np.cos(angles)
+    return table
+
+
+def test_positional_encoding_memo_equals_the_uncached_formula_bit_for_bit():
+    keep = tuple(int(i) for i in np.random.default_rng(1).permutation(1536)[:506])
+    # a hit, an eviction and the same positions at another width, so a
+    # memo keyed without the width or the positions returns a wrong table
+    calls = [
+        (keep, 16), (range(1536), 32), (keep, 16), (range(1536), 16), (keep, 32),
+        (range(1536), 32), (list(keep), 16), (np.array(keep), 16), (range(7), 16),
+        (tuple(range(7)), 16), (tuple(range(1, 8)), 16), (keep[:-1], 16),
+    ]
+    for positions, d in calls:
+        table = tf.positional_encoding(positions, d).data
+        assert table.dtype == np.float64
+        assert table.tobytes() == uncached_table(positions, d).tobytes(), (type(positions), d)
+
+
+def test_positional_encoding_keeps_both_tables_of_the_current_mask():
+    # a sweep alternates each mask's kept tuple with the whole grid's range;
+    # the range must survive every new mask, so a hit moves its entry first
+    grid = tf.positional_encoding(range(64), 32).data
+    for seed in range(3):
+        keep = tuple(int(i) for i in np.sort(np.random.default_rng(seed).permutation(64)[:20]))
+        kept = tf.positional_encoding(keep, 16).data
+        for _ in range(2):  # two cells of one mask: encoder, then decoder
+            assert tf.positional_encoding(keep, 16).data is kept
+            assert tf.positional_encoding(range(64), 32).data is grid
+
+
+@pytest.mark.parametrize("positions", [(3, 1, 4), range(5)])
+def test_positional_encoding_shared_table_is_read_only(positions):
+    pe = tf.positional_encoding(positions, 8).data
+    with pytest.raises(ValueError):
+        pe[0, 0] = 1.0
+    # positions of any other kind still get a table of their own
+    assert tf.positional_encoding(list(positions), 8).data.flags.writeable
+
+
+def test_positional_encoding_memo_holds_only_the_last_two_tables():
+    with traced_peak() as trace:
+        for n in (2**16, 16):
+            keep = tuple(range(0, n, 3))
+            tf.positional_encoding(keep, 16)
+            tf.positional_encoding(range(n), 32)
+        del keep
+    # the 2^16-patch tables alone are 20 MiB
+    assert trace.current < 2**20, f"{trace.current / 2**20:.2f} MiB held"
 
 
 def test_positional_encoding_rejects_non_1d_positions():

@@ -11,8 +11,9 @@ except that each raw run (an element of a ``runs`` list) is one compact line.
 ``json.load`` reads the same data before and after. ``compare`` runs
 ``perfbench/run.py`` untraced in two checkouts, parent and change alternated
 pair by pair on every workload of the change's BENCHMARK.json for its
-``run_seconds``, then one traced run per side of every workload, and appends
-the summary, the traced runs' metrics and every raw run as one comparison.
+``run_seconds``, then ``TRACED_PAIRS`` alternated traced pairs of every
+workload, and appends the summary, each side's median of every traced metric
+and every raw run as one comparison.
 Each raw run keeps perfbench's ``metric`` lines as ``figures``, so figures
 outside the end-to-end metrics, such as ``train_loss``, can be compared.
 The summary gives, per workload and end-to-end metric, each side's quartiles,
@@ -32,6 +33,8 @@ import sys
 
 # Ten pairs at least: a gain counts only when the change wins nine of ten.
 PAIRS = 10
+# Traced runs per side and workload; their medians attribute a change to spans.
+TRACED_PAIRS = 3
 
 
 def dumps(data) -> str:
@@ -144,7 +147,8 @@ def schedule(workloads) -> list[dict]:
 
     First ``PAIRS`` untraced pairs, each running every workload on both
     sides; seeds alternate every pair, and the side that runs first every
-    two pairs. Then one traced run per side of every workload, at seed 1.
+    two pairs. Then ``TRACED_PAIRS`` traced pairs of the same shape, all at
+    seed 1, the side that runs first swapping every pair.
     """
     runs = []
     for pair in range(PAIRS):
@@ -153,10 +157,27 @@ def schedule(workloads) -> list[dict]:
             for side in order:
                 runs.append({"side": side, "workload": workload, "seed": 1 + pair % 2,
                              "trace": 0, "pair": pair})
-    for workload in workloads:
-        for side in ("parent", "change"):
-            runs.append({"side": side, "workload": workload, "seed": 1, "trace": 1, "pair": 0})
+    for pair in range(TRACED_PAIRS):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for workload in workloads:
+            for side in order:
+                runs.append({"side": side, "workload": workload, "seed": 1, "trace": 1, "pair": pair})
     return runs
+
+
+def traced_medians(runs: list[dict], workloads) -> dict:
+    """Per workload and side, the median of every metric over that side's traced runs."""
+    medians = {}
+    for workload in workloads:
+        medians[workload] = {}
+        for side in ("parent", "change"):
+            values: dict[str, list] = {}
+            for r in runs:
+                if r["trace"] and r["workload"] == workload and r["side"] == side:
+                    for name, metric in r["result"]["metrics"].items():
+                        values.setdefault(name, []).append(metric["value"])
+            medians[workload][side] = {name: statistics.median(v) for name, v in values.items()}
+    return medians
 
 
 def compare(args) -> None:
@@ -175,13 +196,6 @@ def compare(args) -> None:
 
     with open(args.file, encoding="utf-8") as fh:
         data = json.load(fh)
-    traced = {
-        workload: {
-            r["side"]: {k: v["value"] for k, v in r["result"]["metrics"].items()}
-            for r in runs if r["trace"] and r["workload"] == workload
-        }
-        for workload in workloads
-    }
     data["comparisons"].append({
         "what": args.what,
         "parent_commit": args.parent_commit,
@@ -189,7 +203,7 @@ def compare(args) -> None:
                    f"--seconds {seconds:g} --trace <0|1>",
         "host": args.host,
         "summary": summarize(runs, workloads, {m["name"]: m["better"] for m in spec["end_to_end"]}),
-        "traced_per_op": traced,
+        "traced_per_op": traced_medians(runs, workloads),
         "runs": runs,
     })
     write(args.file, data)
