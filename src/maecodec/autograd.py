@@ -6,7 +6,21 @@ the product), row softmax, fused scaled dot-product attention, layer norm,
 GELU, the mean of all elements, row gather/scatter/tile and column
 concatenation. ``softmax_rows`` can write its result into a given array,
 its own input included: attention's one loop over row blocks normalizes
-each block in place. Every op is a plain function; ``Tensor`` has no
+each block in place.
+
+Attention runs its softmax passes, forward and backward, with numpy's ufunc
+buffer cut to at most one map row once a row holds ``_ROW_BUFFER_MIN`` keys
+or more. numpy copies a ``(rows, 1)`` operand through that buffer whenever a
+row is shorter than it, so the default 8192-element buffer makes the in-place
+``x - row_max``, ``y / row_sum`` and ``y * (g - dot)`` spend most of their
+time copying: at 42 x 1536 the subtraction took 40-47 µs with the default
+buffer and 17-19 µs with one row's. Elementwise IEEE operations and numpy's
+contiguous row reductions do not depend on how numpy chunks them, so the
+bits are the same. Shorter rows keep the default, which is faster for them
+(1024 x 64: 48 against 63 µs), and the setting never leaves attention, since
+other ops, ``patchify`` among them, slow down under a small buffer.
+
+Every op is a plain function; ``Tensor`` has no
 operator overloads. There is deliberately no broadcasting beyond
 ``affine``'s row bias and scaling by a number; every other shape mismatch
 is an error, which keeps the gradient rules small and auditable. A vector
@@ -19,6 +33,7 @@ run on separate threads. ``backward`` skips leaves and copies first gradients.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -33,6 +48,11 @@ _LN_EPS = 1e-5
 # Elements in one row block of the attention map, which one softmax_rows
 # call normalizes: 512 KiB of float64, so its temporaries stay in cache.
 _SOFTMAX_BLOCK = 1 << 16
+# Map rows of at least this many keys run attention's softmax passes with
+# numpy's ufunc buffer cut to one row (see the module docstring); measured.
+_ROW_BUFFER_MIN = 256
+# numpy's default ufunc buffer, in elements
+_DEFAULT_BUFFER = 8192
 
 
 class Tensor:
@@ -192,6 +212,23 @@ def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     return y * (g - dot)
 
 
+@contextlib.contextmanager
+def _row_buffer(n_keys: int):
+    """Run the block with numpy's ufunc buffer at most one row of n_keys.
+
+    Rows shorter than ``_ROW_BUFFER_MIN`` keep the caller's buffer. numpy
+    needs a multiple of 16; the caller's value is restored on the way out.
+    """
+    if n_keys < _ROW_BUFFER_MIN:
+        yield
+        return
+    previous = np.setbufsize(min(_DEFAULT_BUFFER, 16 * (n_keys // 16)))
+    try:
+        yield
+    finally:
+        np.setbufsize(previous)
+
+
 def softmax_rows(a: Tensor, out: np.ndarray | None = None) -> Tensor:
     """Row-wise softmax with per-row max subtraction for stability.
 
@@ -224,6 +261,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     the map is one block; for larger maps, only where BLAS rounds a block's
     rows as it rounds them in the whole product. Non-finite logits raise
     NumericError, without a numpy warning.
+
+    With ``_ROW_BUFFER_MIN`` keys or more, the block loop and the backward
+    softmax rule run with numpy's ufunc buffer cut to one map row, which
+    spares their row-broadcast passes a copy through the buffer and changes
+    no bit; the caller's buffer size is restored on return or on an error.
     """
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2 or q.shape[1] != k.shape[1]:
         raise ShapeError(f"attention: Q {q.shape} vs K {k.shape}")
@@ -239,7 +281,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     out = np.empty((m, v.shape[1]))
     # numpy warns as it forms logits that are or become non-finite;
     # softmax_rows refuses them with NumericError instead.
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"), _row_buffer(k.shape[0]):
         for a in range(0, m, rows):
             block = y[a : a + rows] if tracked else y[: min(rows, m - a)]
             _product(q.data[a : a + rows], kt, block)
@@ -250,7 +292,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     def back(g):
         # the chain's rules, in the order its backward sweep runs them
         _accumulate(v, y.T @ g)
-        gl = _softmax_grad(y, g @ v.data.T)
+        with _row_buffer(k.shape[0]):
+            gl = _softmax_grad(y, g @ v.data.T)
         gl *= scale
         _accumulate(q, gl @ kt.T)
         _accumulate(k, (q.data.T @ gl).T)

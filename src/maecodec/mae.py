@@ -157,14 +157,14 @@ def encode_visible(visible: np.ndarray, keep_indices, model: MaskedAutoencoder) 
     """Latents of the visible tokens: embed, add positions, encode, norm."""
     cfg = model.config
     vis = Tensor(visible)
-    keep = tuple(int(i) for i in keep_indices)
+    keep = tuple(map(int, keep_indices))
     if vis.ndim != 2 or vis.shape[1] != cfg.patch_dim:
         raise ShapeError(
             f"visible patches must be k x {cfg.patch_dim}, got {vis.shape}"
         )
     if vis.shape[0] != len(keep):
         raise ShapeError(f"{vis.shape[0]} patches for {len(keep)} keep indices")
-    if any(i < 0 for i in keep):
+    if keep and min(keep) < 0:
         raise ContractError("negative patch index")
     if len(set(keep)) != len(keep):
         raise ContractError("keep indices must be distinct")

@@ -1,7 +1,9 @@
 """Tensor engine: forward values against closed forms, gradients against
 central finite differences."""
 
+import contextlib
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -206,6 +208,98 @@ def test_attention_rejects_non_finite_logits():
                     with pytest.raises(NumericError):
                         ag.attention(Tensor(q, requires_grad=tracked),
                                      Tensor(np.full((300, 2), 1e300)), Tensor(np.ones((300, 1))))
+
+
+# (queries, keys) on both sides of the row-buffer threshold and of numpy's
+# 8192-element default buffer; 70000 keys leave one row per block
+_BUFFER_CASES = [(100, 64), (60, 255), (60, 256), (40, 506), (30, 1024), (50, 1536),
+                 (10, 8191), (10, 8192), (3, 70000)]
+_NUMPY_BUFFER = 8192
+
+
+def _buffer_arrays(n_q, n_k):
+    rng = np.random.default_rng(n_k)
+    return [rng.normal(size=(n_q, 4)) * 3, rng.normal(size=(n_k, 4)) * 3,
+            rng.normal(size=(n_k, 4))]
+
+
+def _attention_with_grads(arrays, tracked):
+    """Attention's output, and when tracked its q, k and v gradients too."""
+    q, k, v = (Tensor(a, requires_grad=tracked) for a in arrays)
+    out = ag.attention(q, k, v)
+    if not tracked:
+        return [out.data]
+    ag.backward(total(ag.mul(out, Tensor(np.cos(out.data)))))
+    return [out.data, q.grad, k.grad, v.grad]
+
+
+def _record_buffers(monkeypatch):
+    """Make softmax_rows and _softmax_grad record numpy's buffer size as they run."""
+    seen = {"softmax_rows": [], "_softmax_grad": []}
+    for name, sizes in seen.items():
+        def wrapper(*args, _original=getattr(ag, name), _sizes=sizes, **kwargs):
+            _sizes.append(np.getbufsize())
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(ag, name, wrapper)
+    return seen
+
+
+@pytest.mark.parametrize("n_q,n_k", _BUFFER_CASES)
+def test_attention_row_buffer_changes_no_bit(n_q, n_k, monkeypatch):
+    arrays = _buffer_arrays(n_q, n_k)
+    seen = _record_buffers(monkeypatch)
+    shipped = [_attention_with_grads(arrays, tracked) for tracked in (False, True)]
+    shipped_sizes = set(seen["softmax_rows"] + seen["_softmax_grad"])
+    cut = ag._ROW_BUFFER_MIN <= n_k < _NUMPY_BUFFER
+    seen["softmax_rows"].clear()
+    seen["_softmax_grad"].clear()
+    monkeypatch.setattr(ag, "_ROW_BUFFER_MIN", sys.maxsize)
+    default = [_attention_with_grads(arrays, tracked) for tracked in (False, True)]
+    # the comparison means something: where the rule cuts the buffer, the
+    # shipped runs used another buffer than the default ones
+    assert (shipped_sizes != set(seen["softmax_rows"] + seen["_softmax_grad"])) == cut
+    for shipped_run, default_run in zip(shipped, default):
+        for name, a, b in zip(("out", "q", "k", "v"), shipped_run, default_run):
+            assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("n_q,n_k", _BUFFER_CASES)
+def test_attention_cuts_the_buffer_to_one_row_from_the_threshold(n_q, n_k, monkeypatch):
+    seen = _record_buffers(monkeypatch)
+    for tracked in (False, True):
+        _attention_with_grads(_buffer_arrays(n_q, n_k), tracked)
+    expected = _NUMPY_BUFFER
+    if n_k >= 256:
+        expected = min(_NUMPY_BUFFER, 16 * (n_k // 16))
+        assert expected <= n_k
+    assert len(seen["softmax_rows"]) >= 2 and len(seen["_softmax_grad"]) == 1
+    assert set(seen["softmax_rows"]) == set(seen["_softmax_grad"]) == {expected}
+
+
+@pytest.mark.parametrize("caller_buffer", [None, 4096])
+def test_attention_restores_the_callers_buffer_and_error_state(caller_buffer):
+    arrays = _buffer_arrays(40, 506)
+    bad_maps = []
+    for bad in (float("inf"), 1e300):  # inf in q, or finite q whose logits overflow
+        q = np.ones((300, 2))
+        q[250, 1] = bad
+        bad_maps.append((q, np.full((300, 2), 1e300), np.ones((300, 1))))
+    scope = contextlib.nullcontext() if caller_buffer is None else np.errstate(divide="raise")
+    with scope:
+        if caller_buffer is not None:
+            np.setbufsize(caller_buffer)
+        state = (np.getbufsize(), np.geterr())
+        q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
+        out = ag.attention(q, k, v)
+        assert (np.getbufsize(), np.geterr()) == state
+        ag.backward(total(out))
+        assert (np.getbufsize(), np.geterr()) == state
+        for bad_map in bad_maps:
+            for tracked in (False, True):
+                with pytest.raises(NumericError):
+                    ag.attention(*(Tensor(a, requires_grad=tracked) for a in bad_map))
+                assert (np.getbufsize(), np.geterr()) == state
 
 
 def test_layer_norm_constant_row_is_zero():

@@ -108,6 +108,21 @@ def test_encode_visible_rejects_duplicate_keep_indices(tiny_mae_config):
         mae.encode_visible(np.zeros((2, tiny_mae_config.patch_dim)), (1, 1), model)
 
 
+def test_encode_visible_checks_keep_indices_in_order(tiny_mae_config):
+    model = _tiny_model(tiny_mae_config)
+    dim = tiny_mae_config.patch_dim
+    # a count mismatch before a negative index, a negative before a duplicate
+    with pytest.raises(ShapeError, match="3 patches for 2 keep indices"):
+        mae.encode_visible(np.zeros((3, dim)), (-1, -1), model)
+    with pytest.raises(ContractError, match="negative patch index"):
+        mae.encode_visible(np.zeros((3, dim)), (4, -1, 4), model)
+    with pytest.raises(ContractError, match="distinct"):
+        mae.encode_visible(np.zeros((3, dim)), (4, 0, 4), model)
+    vis = np.random.default_rng(3).random((3, dim))
+    as_tuple = mae.encode_visible(vis, (0, 2, 5), model).data
+    assert np.array_equal(mae.encode_visible(vis, np.array([0, 2, 5]), model).data, as_tuple)
+
+
 def test_encode_visible_position_sensitivity(tiny_mae_config):
     """Same patch content at different grid positions gives different latents."""
     model = _tiny_model(tiny_mae_config)
