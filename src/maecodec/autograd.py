@@ -6,25 +6,24 @@ the product), row softmax, fused scaled dot-product attention, layer norm,
 GELU, the mean of all elements, row gather/scatter/tile and column
 concatenation. ``softmax_rows`` can write its result into a given array,
 its own input included: attention's one loop over row blocks normalizes
-each block in place.
+each block in place. Every op is a plain function; ``Tensor`` has no
+operator overloads. There is deliberately no broadcasting beyond
+``affine``'s row bias and scaling by a number; every other shape mismatch
+is an error, which keeps the gradient rules small and auditable. A vector
+reaches every row of a matrix elsewhere through ``tile_rows``.
 
 Attention runs its softmax passes, forward and backward, with numpy's ufunc
 buffer cut to at most one map row once a row holds ``_ROW_BUFFER_MIN`` keys
 or more. numpy copies a ``(rows, 1)`` operand through that buffer whenever a
 row is shorter than it, so the default 8192-element buffer makes the in-place
 ``x - row_max``, ``y / row_sum`` and ``y * (g - dot)`` spend most of their
-time copying: at 42 x 1536 the subtraction took 40-47 µs with the default
-buffer and 17-19 µs with one row's. Elementwise IEEE operations and numpy's
-contiguous row reductions do not depend on how numpy chunks them, so the
-bits are the same. Shorter rows keep the default, which is faster for them
-(1024 x 64: 48 against 63 µs), and the setting never leaves attention, since
-other ops, ``patchify`` among them, slow down under a small buffer.
-
-Every op is a plain function; ``Tensor`` has no
-operator overloads. There is deliberately no broadcasting beyond
-``affine``'s row bias and scaling by a number; every other shape mismatch
-is an error, which keeps the gradient rules small and auditable. A vector
-reaches every row of a matrix elsewhere through ``tile_rows``.
+time copying: at 42 x 1536 the subtraction took 49 µs with the default
+buffer and 22 µs with one row's (numpy 2.4). Elementwise IEEE operations and
+numpy's contiguous row reductions do not depend on how numpy chunks them, so
+the bits are the same. Shorter rows keep the default, which is faster for
+them (1024 x 64: 54 against 98 µs), and the setting never leaves attention,
+since other passes, ``patchify``'s uint8 conversion among them, slow down as
+the buffer shrinks.
 
 Graph edges live on the output tensor (parents plus a closure that routes
 the upstream gradient), so independent computations share no state and may

@@ -269,10 +269,8 @@ def test_attention_cuts_the_buffer_to_one_row_from_the_threshold(n_q, n_k, monke
     seen = _record_buffers(monkeypatch)
     for tracked in (False, True):
         _attention_with_grads(_buffer_arrays(n_q, n_k), tracked)
-    expected = _NUMPY_BUFFER
-    if n_k >= 256:
-        expected = min(_NUMPY_BUFFER, 16 * (n_k // 16))
-        assert expected <= n_k
+    # from 256 keys on, at most one row and a multiple of 16, as numpy requires
+    expected = _NUMPY_BUFFER if n_k < 256 else min(_NUMPY_BUFFER, 16 * (n_k // 16))
     assert len(seen["softmax_rows"]) >= 2 and len(seen["_softmax_grad"]) == 1
     assert set(seen["softmax_rows"]) == set(seen["_softmax_grad"]) == {expected}
 
