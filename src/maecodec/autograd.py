@@ -14,16 +14,19 @@ reaches every row of a matrix elsewhere through ``tile_rows``.
 
 Attention runs its softmax passes, forward and backward, with numpy's ufunc
 buffer cut to at most one map row once a row holds ``_ROW_BUFFER_MIN`` keys
-or more. numpy copies a ``(rows, 1)`` operand through that buffer whenever a
-row is shorter than it, so the default 8192-element buffer makes the in-place
-``x - row_max``, ``y / row_sum`` and ``y * (g - dot)`` spend most of their
-time copying: at 42 x 1536 the subtraction took 49 µs with the default
-buffer and 22 µs with one row's (numpy 2.4). Elementwise IEEE operations and
-numpy's contiguous row reductions do not depend on how numpy chunks them, so
-the bits are the same. Shorter rows keep the default, which is faster for
-them (1024 x 64: 54 against 98 µs), and the setting never leaves attention,
-since other passes, ``patchify``'s uint8 conversion among them, slow down as
-the buffer shrinks.
+or more, and ``affine`` adds its row bias so from that many columns on.
+numpy copies a broadcast operand (a ``(rows, 1)`` column or a bias row)
+through that buffer whenever a row is shorter than it, so the default
+8192-element buffer makes the in-place ``x - row_max``, ``y / row_sum``,
+``y * (g - dot)`` and ``y += bias`` spend most of their time copying: at
+42 x 1536 the subtraction took 49 µs with the default buffer and 22 µs
+with one row's, and the bias on a 1030 x 768 head output 541 against
+322 µs (numpy 2.4). Elementwise IEEE operations and numpy's contiguous row
+reductions do not depend on how numpy chunks them, so the bits are the
+same. Shorter rows keep the default, which is faster for them (1024 x 64:
+54 against 98 µs), and the setting never leaves those two ops, since other
+passes, ``patchify``'s uint8 conversion among them, slow down as the buffer
+shrinks.
 
 Graph edges live on the output tensor (parents plus a closure that routes
 the upstream gradient), so independent computations share no state and may
@@ -184,7 +187,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w plus the 1-D bias b on every row, as one op.
 
     The bias is added in place to the product, so the output is written
-    once. Output and gradients equal, bit for bit, those of the chain
+    once; from ``_ROW_BUFFER_MIN`` columns on, under a one-row ufunc buffer,
+    as attention's softmax passes are. Output and gradients equal, bit for bit, those of the chain
     ``add(matmul(x, w), tile_rows(b, n))`` over x's n rows.
     """
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
@@ -192,7 +196,11 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if b.shape != (w.shape[1],):
         raise ShapeError(f"affine: bias shape {b.shape} for {w.shape[1]} columns")
     y = _product(x.data, w.data)
-    y += b.data
+    if y.shape[1] < _ROW_BUFFER_MIN:
+        y += b.data
+    else:
+        with _row_buffer(y.shape[1]):
+            y += b.data
 
     def back(g):
         _accumulate(b, g.sum(axis=0))

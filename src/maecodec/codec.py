@@ -25,11 +25,13 @@ that the two agree bit for bit at one and two BLAS threads. The encoder
 colour-converts a band of every plane, then per plane transforms it,
 quantizes it in the strip layout against the table tiled along the strip,
 zigzags it with one gather and entropy-codes it; the payload still holds
-the planes one after another. The decoder scatters each plane's band of
-coefficients straight into the strip layout, dequantizes in place, inverts
-the transform the same way and colour-converts the band's rows. The entropy
-coder works by array passes over _CHUNK_BLOCKS blocks at a time, with no
-per-byte loop:
+the planes one after another. The decoder holds the coded coefficients
+as (position, value) pairs, whose number is bounded by the payload, not by
+the header's block count. Per plane band it finds the band's pairs with one
+search over the positions, zero-fills the band, scatters each value times
+its quantization step straight into the strip layout, inverts the transform
+the same way and colour-converts the band's rows. The entropy coder works
+by array passes over _CHUNK_BLOCKS blocks at a time, with no per-byte loop:
 
 - _encode_blocks finds the nonzero coefficients, sizes every pair from its
   zigzag-mapped value, places each pair by a cumulative sum of sizes, and
@@ -42,7 +44,9 @@ per-byte loop:
   when an odd number of bytes below 0x80 precede it: one cumulative count
   mod 256 locates every END_OF_BLOCK, run byte and varint byte. Errors are
   found as array conditions, and the one at the smallest offset is raised,
-  with the message and offset a byte-by-byte parse would give.
+  with the message and offset a byte-by-byte parse would give. Each coded
+  coefficient comes out as its flat position (block * 64 + zigzag slot)
+  and its value; a pair takes at least two payload bytes.
 """
 
 from __future__ import annotations
@@ -214,16 +218,20 @@ def _level_shifted_planes(arr: np.ndarray, out: np.ndarray) -> None:
 _TO_RGB = ((0.0, 1.402), (-0.344136, -0.714136), (1.772, 0.0))
 
 
-def _ycbcr_to_rgb_bytes(y: np.ndarray, cb: np.ndarray, cr: np.ndarray, out: np.ndarray) -> None:
-    """Write the RGB bytes of float planes y, cb - 128 and cr - 128 into the uint8 HxWx3 out."""
-    value = np.empty_like(y)
+def _ycbcr_to_rgb_bytes(y: np.ndarray, cb: np.ndarray, cr: np.ndarray, out: np.ndarray,
+                        scratch: np.ndarray) -> None:
+    """Write the RGB bytes of float planes y, cb - 128 and cr - 128 into the uint8 HxWx3 out.
+
+    scratch is a float64 array of at least y.size elements, overwritten.
+    """
+    value = scratch.reshape(-1)[:y.size].reshape(y.shape)
     term = np.empty_like(y)
     for k, (w_cb, w_cr) in enumerate(_TO_RGB):
-        value[...] = y
+        total = y
         for plane, weight in ((cb, w_cb), (cr, w_cr)):
             if weight:
                 np.multiply(plane, weight, out=term)
-                value += term
+                total = np.add(total, term, out=value)
         _round_into(value, out[:, :, k])
 
 
@@ -246,7 +254,7 @@ def _encode_blocks(zigzagged: np.ndarray) -> bytes:
     chunks = []
     for first in range(0, len(zigzagged), _CHUNK_BLOCKS):
         coeffs = zigzagged[first:first + _CHUNK_BLOCKS].reshape(-1)
-        nonzero = np.flatnonzero(coeffs)
+        nonzero = np.flatnonzero(coeffs != 0)  # on a bool mask: 3x faster than on int64
         value = coeffs[nonzero]
         u = ((value << 1) ^ (value >> 63)).view(np.uint64)
         # a run counts the zeros since the previous nonzero of its block
@@ -269,21 +277,26 @@ def _encode_blocks(zigzagged: np.ndarray) -> bytes:
     return b"".join(chunks)
 
 
-def _decode_blocks(buf: bytes, pos: int, n_blocks: int) -> tuple[np.ndarray, int]:
+def _decode_blocks(buf: bytes, pos: int, n_blocks: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Read n_blocks entropy-coded blocks starting at buf[pos].
 
-    Returns the (n_blocks, 64) zigzagged coefficients and the offset after
-    the last block. Malformed input raises BitstreamError at the byte a
-    byte-by-byte parse would stop at. The parity rule of the module
-    docstring finds every END_OF_BLOCK at once; the pairs are then decoded
-    _CHUNK_BLOCKS blocks at a time.
+    Returns every coded coefficient's flat position (block * 64 + zigzag
+    slot, strictly increasing) and its value, both int64 and in stream
+    order, and the offset after the last block. A pair takes at least a run
+    byte and a varint byte, so there are at most half as many as payload
+    bytes. Malformed input raises BitstreamError at the byte a byte-by-byte
+    parse would stop at. The parity rule of the module docstring finds
+    every END_OF_BLOCK at once; the pairs are then decoded _CHUNK_BLOCKS
+    blocks at a time.
     """
     data = np.frombuffer(buf, dtype=np.uint8, offset=pos)
     low = data < 0x80
     lows = np.cumsum(low, dtype=np.uint8)  # bytes below 0x80 so far, mod 256
     ends = np.flatnonzero((data == END_OF_BLOCK) & (lows & 1 == 0))[:n_blocks]
-    flat = np.zeros(n_blocks * 64, dtype=np.int64)
-    start = 0
+    room = min(n_blocks * 64, len(data) // 2)
+    positions = np.empty(room, dtype=np.int64)
+    values = np.empty(room, dtype=np.int64)
+    start = count = 0
     for first in range(0, n_blocks, _CHUNK_BLOCKS):
         want = min(_CHUNK_BLOCKS, n_blocks - first)
         chunk_ends = ends[first:first + want] - start
@@ -297,13 +310,16 @@ def _decode_blocks(buf: bytes, pos: int, n_blocks: int) -> tuple[np.ndarray, int
         in_varint = (before & 1).astype(bool)
         lead = np.flatnonzero(~in_varint)  # run bytes and END_OF_BLOCKs
         eob = seg[lead] == END_OF_BLOCK
-        block = np.cumsum(eob)[~eob]  # END_OF_BLOCKs before each run byte
-        opener = lead[~eob]
+        runs_at = np.flatnonzero(~eob)
+        block = np.cumsum(eob)[runs_at]  # END_OF_BLOCKs before each run byte
+        opener = lead[runs_at]
         run = seg[opener].astype(np.intp)
         # slot - base for each run byte: (run + 1) summed over its block so
-        # far, minus one; a block's base is the sum over earlier blocks
+        # far, minus one; a block's base is the sum over earlier blocks,
+        # taken at the block's first pair
         step = np.cumsum(run + 1)
-        base = np.concatenate(([0], step))[np.searchsorted(block, np.arange(want))]
+        pairs_in = np.bincount(block, minlength=want)
+        base = np.concatenate(([0], step))[np.cumsum(pairs_in) - pairs_in]
         slot = step - 1 - base[block]
         # A varint byte with no byte below 0x80 among the nine before it is
         # a tenth byte; above 1, it takes the value past 64 bits.
@@ -330,9 +346,12 @@ def _decode_blocks(buf: bytes, pos: int, n_blocks: int) -> tuple[np.ndarray, int
         shift = 7 * (digit - np.repeat(opener + 1, np.diff(starts, append=digit.size)))
         groups = (seg[digit] & 0x7F).astype(np.uint64) << shift.astype(np.uint64)
         u = np.bitwise_or.reduceat(groups, starts)
-        flat[(first + block) * 64 + slot] = (u >> 1).view(np.int64) ^ -(u & 1).view(np.int64)
+        pairs = slice(count, count + len(u))
+        positions[pairs] = (first + block) * 64 + slot
+        values[pairs] = (u >> 1).view(np.int64) ^ -(u & 1).view(np.int64)
+        count += len(u)
         start += stop
-    return flat.reshape(n_blocks, 64), pos + start
+    return positions[:count], values[:count], pos + start
 
 
 def stream_header(params: CodecParams, width: int, height: int, channels: int, payload_len: int) -> bytes:
@@ -426,13 +445,18 @@ def codec_decode(bits: bytes) -> np.ndarray:
         raise BitstreamError(
             f"payload {payload_len} bytes cannot hold {bh * bw * c} blocks", offset=15
         )
-    zigzagged, pos = _decode_blocks(bits, HEADER_BYTES, bh * bw * c)
+    positions, values, pos = _decode_blocks(bits, HEADER_BYTES, bh * bw * c)
     if pos != len(bits):
         raise BitstreamError(
             f"{len(bits) - pos} trailing bytes after last block", offset=pos
         )
-    table = _strip_table(quality, bw)
+    # each zigzag slot's quantization step and its offset in a strip; each
+    # block's offset in a band's flat strip layout
+    steps = quant_table(quality).astype(np.float64).reshape(-1)[ZIGZAG]
+    in_strip = _ZIGZAG_ROW * (bw * 8) + _ZIGZAG_COL
     band = max(1, _CHUNK_BLOCKS // bw)  # strips per band
+    block = np.arange(min(band, bh) * bw)
+    in_band = block // bw * (64 * bw) + block % bw * 8
     planes = np.empty((c, min(band, bh) * 8, bw * 8))  # one band of every plane
     scratch = np.empty_like(planes[0])
     out = np.empty((h, w, c), dtype=np.uint8)
@@ -441,19 +465,20 @@ def codec_decode(bits: bytes) -> np.ndarray:
         top, rows = first * 8, min(h - first * 8, n * 8)  # image rows in the band
         band_planes = planes[:, :n * 8]
         for ch, plane in enumerate(band_planes):
-            # unzigzag straight into the strip layout, then dequantize in place
-            start = (ch * bh + first) * bw
-            blocks = plane.reshape(n, 8, bw, 8).transpose(0, 2, 1, 3)
-            blocks[:, :, _ZIGZAG_ROW, _ZIGZAG_COL] = zigzagged[start:start + n * bw].reshape(n, bw, 64)
-            strips = plane.reshape(n, 8, bw * 8)
-            strips *= table
+            # scatter the band's dequantized pairs straight into the strip layout
+            start = (ch * bh + first) * bw * 64
+            lo, hi = np.searchsorted(positions, (start, start + n * bw * 64))
+            local = positions[lo:hi] - start
+            slot = local & 63
+            plane.fill(0.0)
+            plane.reshape(-1)[in_band[local >> 6] + in_strip[slot]] = values[lo:hi] * steps[slot]
             _transform_strips(plane, DCT_MATRIX.T, DCT_MATRIX, scratch)
             plane += 128.0
             if ch:
                 plane -= 128.0  # cb and cr centred on 0, as the colour conversion takes them
         pixels = band_planes[:, :rows, :w]
         if c == 3:
-            _ycbcr_to_rgb_bytes(*pixels, out[top:top + rows])
+            _ycbcr_to_rgb_bytes(*pixels, out[top:top + rows], scratch)
         else:
             _round_into(pixels[0], out[top:top + rows, :, 0])
     return out

@@ -551,6 +551,29 @@ def test_affine_matches_matmul_then_add_bitwise(n, d_in, d_out):
         assert np.array_equal(a.grad, b.grad), name
 
 
+@pytest.mark.parametrize("d_out", [64, 255, 256, 768, 1000])
+def test_affine_row_buffer_changes_no_bit(d_out, monkeypatch):
+    rng = np.random.default_rng(d_out)
+    x, w, b = (Tensor(rng.normal(size=shape)) for shape in ((1030, 16), (16, d_out), (d_out,)))
+    plain = ag._product(x.data, w.data)
+    plain += b.data
+    widths = []
+    row_buffer = ag._row_buffer
+
+    def recording(n_keys):
+        widths.append(n_keys)
+        return row_buffer(n_keys)
+
+    monkeypatch.setattr(ag, "_row_buffer", recording)
+    buffer = np.getbufsize()
+    out = ag.affine(x, w, b)
+    # from 256 columns on, the bias goes in under a one-row buffer; below, the
+    # context manager is not entered at all
+    assert widths == ([d_out] if d_out >= ag._ROW_BUFFER_MIN else [])
+    assert np.getbufsize() == buffer
+    assert np.array_equal(out.data, plain)
+
+
 def test_affine_shape_errors():
     with pytest.raises(ShapeError):
         ag.affine(t(np.ones((2, 3))), t(np.ones((2, 2))), t(np.ones(2)))

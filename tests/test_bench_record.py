@@ -97,6 +97,15 @@ def test_compare_records_every_scheduled_run_and_a_trace_per_workload(tmp_path, 
             expected_medians.setdefault(w, {})[side] = {
                 "op_ms_p50": numbers[1], "span_ms": 10.0 * numbers[1]}
     assert entry["traced_per_op"] == expected_medians
+    # and each side's range over the same runs, which interleave here
+    for w in ("a", "b"):
+        for name, scale in (("op_ms_p50", 1.0), ("span_ms", 10.0)):
+            spread = entry["traced_ranges"][w][name]
+            for side in ("parent", "change"):
+                numbers = [scale * (i + 1.0) for i, r in enumerate(expected)
+                           if r["trace"] and r["workload"] == w and r["side"] == side]
+                assert spread[side] == [min(numbers), max(numbers)]
+            assert spread["attributable"] is False
     assert set(entry["summary"]) == {"a", "b"}
 
 
@@ -141,3 +150,27 @@ def test_gain_shown_needs_nine_wins_in_ten_and_a_gap_wider_than_the_parent_iqr()
     change = [p - 2.0 for p in parent[:8]] + [p + 1.0 for p in parent[8:]]
     entry = _op_ms_p50_summary(parent, change)
     assert (entry["pairs_won_by_change"], entry["gain_shown"]) == ("8/10", False)
+
+
+def test_traced_ranges_flag_a_metric_whose_sides_overlap_as_not_attributable():
+    tool = _load_tool()
+    runs = []
+    for pair, (fast, slow, count) in enumerate([(7.0, 5.0, 3), (8.0, 6.0, 3), (9.0, 7.0, 3)]):
+        # span_ms: parent 10-12 against change 7-9; other_ms: 5-7 against 6.5
+        runs.append(_run("parent", pair, trace=1, span_ms=10.0 + pair, other_ms=slow, blocks=count))
+        runs.append(_run("change", pair, trace=1, span_ms=fast, other_ms=6.5, blocks=count,
+                         change_only=1.0))
+    # untraced runs are left out
+    runs.append(_run("parent", 0, span_ms=0.0, other_ms=0.0, blocks=0))
+    ranges = tool.traced_ranges(runs, ["w"])
+    assert ranges == {"w": {
+        "span_ms": {"parent": [10.0, 12.0], "change": [7.0, 9.0], "attributable": True},
+        "other_ms": {"parent": [5.0, 7.0], "change": [6.5, 6.5], "attributable": False},
+        "blocks": {"parent": [3, 3], "change": [3, 3], "attributable": False},
+    }}
+    lines = tool.traced_report(tool.traced_medians(runs, ["w"]), ranges)
+    assert lines == [
+        "w span_ms: parent 11 [10, 12]  change 8 [7, 9]",
+        "w other_ms: parent 6 [5, 7]  change 6.5 [6.5, 6.5]  not attributable",
+        "w blocks: parent 3 [3, 3]  change 3 [3, 3]  not attributable",
+    ]

@@ -368,9 +368,26 @@ def test_codec_peak_memory_on_kodak_sized_noise():
         codec_decode(bits)
     # the entropy coder works in bounded chunks and the encoder converts one
     # band of block strips at a time: its arrays add little to the payload
-    # itself (9.23 MiB measured, bound at that plus about 14 %)
+    # itself (9.23 MiB measured, bound at that plus about 14 %). The decoder
+    # holds one (position, value) pair of 16 bytes per coded coefficient;
+    # noise codes nearly every slot, so this costs more than a dense 8-byte
+    # slot array would (31.26 MiB measured against 21.76 MiB for the dense
+    # array, bound at that plus about 15 %), about 12 bytes per payload byte
     assert encode.peak <= 10.5 * 2**20, f"encode peak {encode.peak / 2**20:.1f} MiB"
-    assert decode.peak <= 48 * 2**20, f"decode peak {decode.peak / 2**20:.1f} MiB"
+    assert decode.peak <= 36 * 2**20, f"decode peak {decode.peak / 2**20:.1f} MiB"
+
+
+def test_all_end_of_block_stream_decodes_within_twice_its_output():
+    # a valid 1024x1024x3 stream of 49,152 END_OF_BLOCK bytes codes no
+    # coefficient: the decoder's memory follows the pairs it read and one
+    # band of planes, not the header's block count (5.89 MiB measured; a
+    # dense coefficient array took 30.1 MiB)
+    n_blocks = 128 * 128 * 3
+    bits = _dct_stream(1024, 1024, 3, bytes([END_OF_BLOCK]) * n_blocks)
+    with traced_peak() as decode:
+        out = codec_decode(bits)
+    assert out.shape == (1024, 1024, 3) and len(np.unique(out)) == 1
+    assert decode.peak < 2 * out.nbytes, f"decode peak {decode.peak / 2**20:.2f} MiB"
 
 
 def test_params_validate():
@@ -530,7 +547,7 @@ def test_oversized_varint_rejected(varint):
 def test_largest_varint_decodes():
     # u = 2**64 - 1 zigzag-maps to -2**63, the smallest int64
     payload = bytes([0] + [0xFF] * 9 + [0x01, 0xFF])
-    coeffs, pos = codec._decode_blocks(payload, 0, 1)
+    coeffs, pos = dense_decode_blocks(payload, 0, 1)
     assert coeffs[0, 0] == -(2**63) and not coeffs[0, 1:].any() and pos == len(payload)
     assert codec_decode(_dct_stream(8, 8, 1, payload)).shape == (8, 8, 1)
 
@@ -544,7 +561,7 @@ def test_varint_round_trip(value, index):
     zigzagged[1, index] = value
     zigzagged[2] = np.arange(1, 65) * (-1) ** np.arange(64)
     bits = codec._encode_blocks(zigzagged)
-    decoded, pos = codec._decode_blocks(bits, 0, 3)
+    decoded, pos = dense_decode_blocks(bits, 0, 3)
     assert np.array_equal(decoded, zigzagged) and pos == len(bits)
 
 
@@ -634,6 +651,14 @@ def sequential_decode_blocks(buf: bytes, pos: int, n_blocks: int) -> tuple[np.nd
     if shift < 0:
         raise BitstreamError("block truncated before end marker", offset=len(buf))
     raise BitstreamError("varint runs past end of payload", offset=len(buf))
+
+
+def dense_decode_blocks(buf: bytes, pos: int, n_blocks: int) -> tuple[np.ndarray, int]:
+    """codec._decode_blocks with its pairs laid out as (n_blocks, 64) zigzagged coefficients."""
+    positions, values, end = codec._decode_blocks(buf, pos, n_blocks)
+    coeffs = np.zeros(n_blocks * 64, dtype=np.int64)
+    coeffs[positions] = values
+    return coeffs.reshape(n_blocks, 64), end
 
 
 def sequential_decode_planes(buf, pos, n_blocks, planes):
@@ -746,7 +771,40 @@ def test_decode_blocks_matches_sequential_on_mutated_streams(chunk_blocks, strea
     expected = _decode_outcome(sequential_decode_planes, buf, pos, n_blocks, n_planes)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(codec, "_CHUNK_BLOCKS", chunk_blocks)
-        assert _decode_outcome(codec._decode_blocks, buf, pos, n_blocks * n_planes) == expected
+        assert _decode_outcome(dense_decode_blocks, buf, pos, n_blocks * n_planes) == expected
+
+
+# Two 8x16 gray blocks whose pairs carry explicit zero values, which the
+# encoder never writes: (run 0, 0), (run 2, 1), END_OF_BLOCK; (run 63, 0),
+# END_OF_BLOCK. Without the zero pairs the blocks hold one coefficient.
+ZERO_PAIRS = bytes([0, 0x00, 2, 0x02, END_OF_BLOCK, 63, 0x00, END_OF_BLOCK])
+WITHOUT_ZERO_PAIRS = bytes([3, 0x02, END_OF_BLOCK, END_OF_BLOCK])
+
+
+@pytest.mark.parametrize("chunk_blocks", CHUNK_SIZES)
+def test_decode_blocks_matches_sequential_on_explicit_zero_pairs(chunk_blocks):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codec, "_CHUNK_BLOCKS", chunk_blocks)
+        got = _decode_outcome(dense_decode_blocks, ZERO_PAIRS, 0, 2)
+        positions, values, _ = codec._decode_blocks(ZERO_PAIRS, 0, 2)
+        pixels = codec_decode(_dct_stream(16, 8, 1, ZERO_PAIRS))
+    assert got == _decode_outcome(sequential_decode_blocks, ZERO_PAIRS, 0, 2)
+    assert positions.tolist() == [0, 3, 127] and values.tolist() == [0, 1, 0]
+    assert np.array_equal(pixels, codec_decode(_dct_stream(16, 8, 1, WITHOUT_ZERO_PAIRS)))
+
+
+@given(stream=mutated_streams())
+@settings(max_examples=200, deadline=None)
+def test_decoded_pairs_are_increasing_and_bounded_by_the_payload(stream):
+    buf, pos, n_blocks, n_planes = stream
+    try:
+        positions, values, _ = codec._decode_blocks(buf, pos, n_blocks * n_planes)
+    except BitstreamError:
+        return
+    assert positions.dtype == values.dtype == np.int64 and len(positions) == len(values)
+    assert np.all(np.diff(positions) > 0)
+    assert positions.size == 0 or 0 <= positions[0] and positions[-1] < n_blocks * n_planes * 64
+    assert len(positions) <= (len(buf) - pos) // 2
 
 
 @pytest.mark.parametrize("chunk_blocks", CHUNK_SIZES)
@@ -772,7 +830,7 @@ def test_decode_blocks_matches_sequential_on_mutated_image_payloads(chunk_blocks
             ]
             buf = bits[:HEADER_BYTES] + _mutate(payload, edits)
             expected = _decode_outcome(sequential_decode_planes, buf, HEADER_BYTES, n_blocks, 3)
-            got = _decode_outcome(codec._decode_blocks, buf, HEADER_BYTES, n_blocks * 3)
+            got = _decode_outcome(dense_decode_blocks, buf, HEADER_BYTES, n_blocks * 3)
             assert got == expected, (i, buf[HEADER_BYTES:].hex())
             outcomes.add(expected[0] if expected[0] == "decoded" else expected[1].split(" (")[0])
     # every kind of outcome came up

@@ -12,8 +12,11 @@ except that each raw run (an element of a ``runs`` list) is one compact line.
 ``perfbench/run.py`` untraced in two checkouts, parent and change alternated
 pair by pair on every workload of the change's BENCHMARK.json for its
 ``run_seconds``, then ``TRACED_PAIRS`` alternated traced pairs of every
-workload, and appends the summary, each side's median of every traced metric
-and every raw run as one comparison.
+workload, and appends the summary, each side's median of every traced metric,
+each side's range of it and every raw run as one comparison. It prints every
+traced metric's medians and ranges, and flags as not attributable a metric
+whose parent and change ranges overlap: its traced runs cannot tell the two
+sides apart.
 Each raw run keeps perfbench's ``metric`` lines as ``figures``, so figures
 outside the end-to-end metrics, such as ``train_loss``, can be compared.
 The summary gives, per workload and end-to-end metric, each side's quartiles,
@@ -165,19 +168,49 @@ def schedule(workloads) -> list[dict]:
     return runs
 
 
+def _traced_values(runs: list[dict], workload: str, side: str) -> dict[str, list]:
+    """Every metric's values over one side's traced runs of a workload, in run order."""
+    values: dict[str, list] = {}
+    for r in runs:
+        if r["trace"] and r["workload"] == workload and r["side"] == side:
+            for name, metric in r["result"]["metrics"].items():
+                values.setdefault(name, []).append(metric["value"])
+    return values
+
+
 def traced_medians(runs: list[dict], workloads) -> dict:
     """Per workload and side, the median of every metric over that side's traced runs."""
-    medians = {}
+    return {workload: {side: {name: statistics.median(v)
+                              for name, v in _traced_values(runs, workload, side).items()}
+                       for side in ("parent", "change")}
+            for workload in workloads}
+
+
+def traced_ranges(runs: list[dict], workloads) -> dict:
+    """Per workload and metric traced on both sides: each side's [min, max]
+    over its traced runs, and ``attributable``, whether the two ranges are
+    apart."""
+    ranges = {}
     for workload in workloads:
-        medians[workload] = {}
-        for side in ("parent", "change"):
-            values: dict[str, list] = {}
-            for r in runs:
-                if r["trace"] and r["workload"] == workload and r["side"] == side:
-                    for name, metric in r["result"]["metrics"].items():
-                        values.setdefault(name, []).append(metric["value"])
-            medians[workload][side] = {name: statistics.median(v) for name, v in values.items()}
-    return medians
+        parent, change = (_traced_values(runs, workload, side) for side in ("parent", "change"))
+        ranges[workload] = {}
+        for name in (n for n in parent if n in change):
+            p, c = [min(parent[name]), max(parent[name])], [min(change[name]), max(change[name])]
+            ranges[workload][name] = {"parent": p, "change": c, "attributable": p[1] < c[0] or c[1] < p[0]}
+    return ranges
+
+
+def traced_report(medians: dict, ranges: dict) -> list[str]:
+    """One line per workload and metric traced on both sides: each side's median and range."""
+    lines = []
+    for workload, metrics in ranges.items():
+        for name, spread in metrics.items():
+            sides = "  ".join(f"{side} {medians[workload][side][name]:.6g} "
+                              f"[{spread[side][0]:.6g}, {spread[side][1]:.6g}]"
+                              for side in ("parent", "change"))
+            flag = "" if spread["attributable"] else "  not attributable"
+            lines.append(f"{workload} {name}: {sides}{flag}")
+    return lines
 
 
 def compare(args) -> None:
@@ -194,6 +227,8 @@ def compare(args) -> None:
         print(f"pair {run['pair']} {run['workload']} {run['side']} trace {run['trace']}: "
               f"op_ms_p50 {value}", flush=True)
 
+    medians, ranges = traced_medians(runs, workloads), traced_ranges(runs, workloads)
+    print("\n".join(traced_report(medians, ranges)), flush=True)
     with open(args.file, encoding="utf-8") as fh:
         data = json.load(fh)
     data["comparisons"].append({
@@ -203,7 +238,8 @@ def compare(args) -> None:
                    f"--seconds {seconds:g} --trace <0|1>",
         "host": args.host,
         "summary": summarize(runs, workloads, {m["name"]: m["better"] for m in spec["end_to_end"]}),
-        "traced_per_op": traced_medians(runs, workloads),
+        "traced_per_op": medians,
+        "traced_ranges": ranges,
         "runs": runs,
     })
     write(args.file, data)
