@@ -157,9 +157,10 @@ def test_traced_ranges_flag_a_metric_whose_sides_overlap_as_not_attributable():
     runs = []
     for pair, (fast, slow, count) in enumerate([(7.0, 5.0, 3), (8.0, 6.0, 3), (9.0, 7.0, 3)]):
         # span_ms: parent 10-12 against change 7-9; other_ms: 5-7 against 6.5
-        runs.append(_run("parent", pair, trace=1, span_ms=10.0 + pair, other_ms=slow, blocks=count))
+        runs.append(_run("parent", pair, trace=1, span_ms=10.0 + pair, other_ms=slow, blocks=count,
+                         idle_ms=0.0))
         runs.append(_run("change", pair, trace=1, span_ms=fast, other_ms=6.5, blocks=count,
-                         change_only=1.0))
+                         idle_ms=0.0, change_only=1.0))
     # untraced runs are left out
     runs.append(_run("parent", 0, span_ms=0.0, other_ms=0.0, blocks=0))
     ranges = tool.traced_ranges(runs, ["w"])
@@ -167,7 +168,9 @@ def test_traced_ranges_flag_a_metric_whose_sides_overlap_as_not_attributable():
         "span_ms": {"parent": [10.0, 12.0], "change": [7.0, 9.0], "attributable": True},
         "other_ms": {"parent": [5.0, 7.0], "change": [6.5, 6.5], "attributable": False},
         "blocks": {"parent": [3, 3], "change": [3, 3], "attributable": False},
+        "idle_ms": {"parent": [0.0, 0.0], "change": [0.0, 0.0], "attributable": False},
     }}
+    # a metric that read 0 on every traced run gets no line
     lines = tool.traced_report(tool.traced_medians(runs, ["w"]), ranges)
     assert lines == [
         "w span_ms: parent 11 [10, 12]  change 8 [7, 9]",

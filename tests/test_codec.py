@@ -581,7 +581,8 @@ def test_dct_round_trip_dims_property(seed, quality):
 
 # The BDC1 entropy format as a sequential coder, one coefficient and one byte
 # at a time. codec._encode_blocks must write its bytes, and codec._decode_blocks
-# must return its coefficients and end offset or raise its message and offset.
+# must return its coefficients (as pairs, which dense_decode_blocks lays out)
+# and end offset or raise its message and offset.
 
 
 def sequential_encode_blocks(zigzagged: np.ndarray) -> bytes:

@@ -201,10 +201,16 @@ def traced_ranges(runs: list[dict], workloads) -> dict:
 
 
 def traced_report(medians: dict, ranges: dict) -> list[str]:
-    """One line per workload and metric traced on both sides: each side's median and range."""
+    """One line per workload and metric traced on both sides: each side's median and range.
+
+    A metric that read 0 in every traced run, a span the workload never
+    enters, gets no line.
+    """
     lines = []
     for workload, metrics in ranges.items():
         for name, spread in metrics.items():
+            if spread["parent"] == spread["change"] == [0, 0]:
+                continue
             sides = "  ".join(f"{side} {medians[workload][side][name]:.6g} "
                               f"[{spread[side][0]:.6g}, {spread[side][1]:.6g}]"
                               for side in ("parent", "change"))
