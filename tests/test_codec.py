@@ -775,8 +775,8 @@ def test_decode_blocks_matches_sequential_on_mutated_streams(chunk_blocks, strea
         assert _decode_outcome(dense_decode_blocks, buf, pos, n_blocks * n_planes) == expected
 
 
-# Two 8x16 gray blocks whose pairs carry explicit zero values, which the
-# encoder never writes: (run 0, 0), (run 2, 1), END_OF_BLOCK; (run 63, 0),
+# The two blocks of a 16x8 gray image, with pairs that carry explicit zero
+# values, which the encoder never writes: (run 0, 0), (run 2, 1), END_OF_BLOCK; (run 63, 0),
 # END_OF_BLOCK. Without the zero pairs the blocks hold one coefficient.
 ZERO_PAIRS = bytes([0, 0x00, 2, 0x02, END_OF_BLOCK, 63, 0x00, END_OF_BLOCK])
 WITHOUT_ZERO_PAIRS = bytes([3, 0x02, END_OF_BLOCK, END_OF_BLOCK])
