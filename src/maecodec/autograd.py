@@ -86,7 +86,7 @@ class Tensor:
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() on tensor of shape {self.shape}")
-        return float(self.data)
+        return float(self.data.item())
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

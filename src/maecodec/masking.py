@@ -11,11 +11,11 @@ derives the kept and masked index sets from it.
 ``mask_from_counts`` (receiver, from the container header) only name its
 two uses.
 
-The partition is a pure function of the triple, so the module keeps a
-one-entry memo of the last triple and its two sorted index tuples. A
-compress and decompress in one process, and every sweep cell of one
-image and ratio, then run the shuffle once; any other triple replaces
-the entry. The memo holds no more than the last mask built holds anyway.
+The partition is a pure function of the triple, so ``_partition`` is an
+``lru_cache`` of size 1 over it. A compress and decompress in one
+process, and every sweep cell of one image and ratio, then run the
+shuffle once; any other triple replaces the entry. The cache holds no
+more than the last mask built holds anyway.
 
 ``patchify`` is the only function here that returns a ``Tensor`` (one that
 owns its array); every other function takes and returns plain ndarrays.
@@ -31,6 +31,7 @@ view of every patch, and ``to_uint8`` turns it back into bytes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -95,8 +96,9 @@ class MaskSpec:
     the first keep_count entries of the seeded shuffle of 0..n_patches-1
     are kept, the rest masked, and both sets are stored sorted. The
     requested mask ratio is not kept: generate_mask turns it into
-    keep_count, and the receiver only ever sees that count. The sets of
-    the last triple built are kept, so building it again skips the shuffle.
+    keep_count, and the receiver only ever sees that count. ``_partition``
+    caches the sets of the last triple built (``lru_cache(maxsize=1)``),
+    so building it again skips the shuffle.
     """
 
     seed: int
@@ -117,22 +119,11 @@ class MaskSpec:
         object.__setattr__(self, "masked_indices", masked)
 
 
-# (triple, keep_indices, masked_indices) of the last mask built, or None;
-# replaced as a whole tuple, so concurrent builds can only recompute.
-_partition_memo = None
-
-
+@functools.lru_cache(maxsize=1)
 def _partition(seed: int, n: int, keep_count: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The sorted kept and masked index sets of a checked triple, from the memo if it holds them."""
-    global _partition_memo
-    triple = (seed, n, keep_count)
-    memo = _partition_memo
-    if memo is not None and memo[0] == triple:
-        return memo[1], memo[2]
+    """The sorted kept and masked index sets of a checked triple."""
     perm = _shuffled_indices(seed, n, keep_count)
-    keep, masked = tuple(sorted(perm[:keep_count])), tuple(sorted(perm[keep_count:]))
-    _partition_memo = (triple, keep, masked)
-    return keep, masked
+    return tuple(sorted(perm[:keep_count])), tuple(sorted(perm[keep_count:]))
 
 
 def keep_count_for_ratio(n_patches: int, mask_ratio: float) -> int:

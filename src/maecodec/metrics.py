@@ -7,16 +7,17 @@ Gaussian window with sigma 1.5, applied as two separable 11-tap passes
 BT.601 luma only (a 3-channel image is reduced to one luma plane first),
 borders handled by valid-window cropping.
 
-SSIM's first argument is the reference. The module keeps a one-entry
-memo of the last reference: its key, a copy of that argument's dtype,
-shape and bytes, and its window statistics (local means and local means
-of squares, 16 bytes per window position). Scoring several decodes
-against one reference therefore filters the reference once; any other
-reference replaces the entry. The result is the same bits as without it.
+SSIM's first argument is the reference. ``_reference_stats`` is an
+``lru_cache`` of size 1 over the reference's dtype, shape and bytes that
+holds its window statistics (local means and local means of squares,
+16 bytes per window position). Scoring several decodes against one
+reference therefore filters the reference once; any other reference
+replaces the entry. The result is the same bits as without it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -72,10 +73,6 @@ def _window_means(maps: np.ndarray) -> np.ndarray:
     return sliding_window_view(rows, WINDOW_SIZE, axis=1) @ g
 
 
-# (key, mu_x, xx) of the last reference, or None; replaced as a whole tuple.
-_reference_memo = None
-
-
 def _reference_key(a) -> tuple | None:
     arr = np.asarray(a)
     # An object array's bytes are addresses, which say nothing of its values.
@@ -84,20 +81,25 @@ def _reference_key(a) -> tuple | None:
     return arr.dtype, arr.shape, arr.tobytes()
 
 
+@functools.lru_cache(maxsize=1)
+def _reference_stats(dtype: np.dtype, shape: tuple, data: bytes) -> np.ndarray:
+    """Window means of the reference's luma and luma squared, read-only."""
+    x = luma(np.frombuffer(data, dtype).reshape(shape))
+    stats = _window_means(np.stack([x, x * x]))
+    stats.flags.writeable = False
+    return stats
+
+
 def _ssim_plane(x: np.ndarray, y: np.ndarray, key: tuple | None) -> float:
-    global _reference_memo
     h, w = x.shape
     if h < WINDOW_SIZE or w < WINDOW_SIZE:
         raise ContractError(
             f"image {h}x{w} smaller than the {WINDOW_SIZE}x{WINDOW_SIZE} SSIM window"
         )
-    memo = _reference_memo
-    if key is not None and memo is not None and memo[0] == key:
-        _, mu_x, xx = memo
-    else:
+    if key is None:
         mu_x, xx = _window_means(np.stack([x, x * x]))
-        if key is not None:
-            _reference_memo = (key, mu_x, xx)
+    else:
+        mu_x, xx = _reference_stats(*key)
     mu_y, yy, xy = _window_means(np.stack([y, y * y, x * y]))
     mxx = mu_x * mu_x
     myy = mu_y * mu_y
@@ -113,10 +115,10 @@ def ssim(a, b) -> float:
     """Mean local SSIM of the BT.601 luma planes; ``a`` is the reference.
 
     The last reference's window statistics (16 bytes per window position)
-    are kept in a one-entry memo keyed by a copy of ``a``'s dtype, shape
-    and bytes, so scoring several decodes of one image filters it once. A
-    reference of another dtype, shape or content replaces the entry; the
-    result is the same bits either way.
+    are kept by ``_reference_stats``, an ``lru_cache`` of size 1 keyed by
+    ``a``'s dtype, shape and bytes, so scoring several decodes of one
+    image filters it once. An object-dtype reference bypasses the cache.
+    The result is the same bits either way.
     """
     pa, pb = _as_planes(a), _as_planes(b)
     _check_same_dims(pa, pb)

@@ -39,7 +39,7 @@ from .masking import (
     unstack_visible,
 )
 # Bound here only so that perfbench/tracer.py can wrap pipeline.patchify;
-# nothing in this module calls it. ROADMAP item 7, step 1, retires that site.
+# nothing in this module calls it. ROADMAP item 9, step 1, retires that site.
 from .masking import patchify
 
 CONTAINER_MAGIC = b"TMAE"

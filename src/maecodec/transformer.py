@@ -17,6 +17,7 @@ blocks builds no autograd graph.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -94,42 +95,33 @@ class TokenSequence:
             raise ShapeError(f"tokens must be a matrix, got shape {self.tokens.shape}")
 
 
-# (key, table) of the last two tables built, most recently used first;
-# replaced as a whole tuple, so concurrent calls can only recompute.
-_table_memo: tuple = ()
-
-
-def _table_key(positions, d_model: int) -> tuple | None:
-    """The memo key of a range or a tuple of ints, None for any other positions."""
-    if type(positions) is range or (
-        type(positions) is tuple and all(type(i) is int for i in positions)
-    ):
-        return d_model, positions
-    return None
-
-
 def positional_encoding(positions, d_model: int) -> Tensor:
     """Sinusoidal encoding, one row per patch index in ``positions``.
 
     PE[pos, 2i] = sin(pos / base^(2i/d_model)) and the matching cosine in
     the odd channel, base 10000.
 
-    Positions given as a ``range`` or a tuple of ints get a shared
-    read-only table: the module keeps the last two such tables with their
-    width and positions, enough for the encoder's kept indices and the
-    decoder's whole grid of one mask. Other positions get a new table.
-    The values are the same bits either way.
+    Positions given as a ``range`` or a tuple get a shared read-only table
+    from an ``lru_cache`` of size 2 keyed by positions and width, enough
+    for the encoder's kept indices and the decoder's whole grid of one
+    mask. Other positions get a new table. The values are the same bits
+    either way.
     """
-    global _table_memo
     if d_model % 2 != 0:
         raise ContractError(f"d_model must be even, got {d_model}")
-    key = _table_key(positions, d_model)
-    memo = _table_memo
-    if key is not None:
-        for entry in memo:
-            if entry[0] == key:
-                _table_memo = (entry, *(e for e in memo if e is not entry))
-                return Tensor(entry[1])
+    if type(positions) is range or type(positions) is tuple:
+        return Tensor(_shared_table(positions, d_model))
+    return Tensor(_table(positions, d_model))
+
+
+@functools.lru_cache(maxsize=2)
+def _shared_table(positions: range | tuple, d_model: int) -> np.ndarray:
+    table = _table(positions, d_model)
+    table.flags.writeable = False
+    return table
+
+
+def _table(positions, d_model: int) -> np.ndarray:
     pos = np.asarray(positions, dtype=np.float64)
     if pos.ndim != 1:
         raise ShapeError(f"positions must be 1-D, got shape {pos.shape}")
@@ -140,10 +132,7 @@ def positional_encoding(positions, d_model: int) -> Tensor:
     table = np.empty((pos.size, d_model))
     table[:, 0::2] = np.sin(angles)
     table[:, 1::2] = np.cos(angles)
-    if key is not None:
-        table.flags.writeable = False
-        _table_memo = ((key, table), *memo[:1])
-    return Tensor(table)
+    return table
 
 
 def multi_head_attention(

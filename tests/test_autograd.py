@@ -34,6 +34,14 @@ def test_tensor_keeps_a_float64_array_it_is_given():
     assert converted.dtype == np.float64 and not np.shares_memory(converted, ints)
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+def test_item_of_any_one_element_tensor(shape):
+    value = Tensor(np.full(shape, 3.5)).item()
+    assert value == 3.5 and type(value) is float
+    with pytest.raises(ContractError):
+        Tensor(np.zeros((*shape, 2))).item()
+
+
 # -- forward values ---------------------------------------------------------
 
 

@@ -207,6 +207,7 @@ def test_mask_repeated_triple_skips_the_shuffle(monkeypatch):
     calls = []
     shuffle = masking._shuffled_indices
     monkeypatch.setattr(masking, "_shuffled_indices", lambda *t: calls.append(t) or shuffle(*t))
+    masking._partition.cache_clear()
     first = masking.generate_mask(5, 300, 0.67)
     again = masking.mask_from_counts(5, 300, first.keep_count)
     assert again == first

@@ -214,10 +214,10 @@ def _bits(value):
 
 
 def _score(a, b):
-    """metrics.ssim(a, b) and whether it found a's statistics in the memo."""
-    before = metrics._reference_memo
+    """metrics.ssim(a, b) and whether it found a's statistics in the cache."""
+    hits = metrics._reference_stats.cache_info().hits
     value = metrics.ssim(a, b)
-    return value, metrics._reference_memo is before
+    return value, metrics._reference_stats.cache_info().hits > hits
 
 
 _MEMO_SHAPES = [(11, 11), (11, 300), (37, 64), (256, 256)]
@@ -236,6 +236,7 @@ def test_ssim_equals_the_five_map_oracle_through_the_memo(shape, channels, dtype
     dec = np.clip(ref + rng.normal(0, 20, ref.shape), 0, 255).astype(ref.dtype)
     expected = five_map_ssim(ref, dec)
 
+    metrics._reference_stats.cache_clear()
     assert _score(ref, dec) == (expected, False)  # cold, a fresh reference
     assert _score(ref, dec) == (expected, True)  # warm, the same object
     assert _score(ref.copy(), dec) == (expected, True)  # an equal copy
@@ -250,6 +251,7 @@ def test_ssim_memo_keys_float_references_by_their_bytes():
     ref[2:5, 3:9] = 0.0
     dec = np.clip(ref + rng.normal(0, 9, ref.shape), 0, 255)
     expected = five_map_ssim(ref, dec)
+    metrics._reference_stats.cache_clear()
     assert _score(ref, dec) == (expected, False)
     # -0.0 equals 0.0 but has other bytes: a miss with the same result
     ref[3, 4, 0] = -0.0
@@ -268,9 +270,9 @@ def test_ssim_object_reference_bypasses_the_memo():
     ref = rng.integers(0, 256, (15, 18, 1), dtype=np.uint8)
     dec = ref[::-1].copy()
     metrics.ssim(ref, dec)
-    memo = metrics._reference_memo
+    info = metrics._reference_stats.cache_info()
     assert metrics.ssim(ref.astype(object), dec) == five_map_ssim(ref, dec)
-    assert metrics._reference_memo is memo
+    assert metrics._reference_stats.cache_info() == info
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -292,6 +294,7 @@ def test_ssim_alternating_references_miss_every_time():
     rng = np.random.default_rng(29)
     refs = [rng.integers(0, 256, (40, 52, 3), dtype=np.uint8) for _ in range(2)]
     decs = [np.clip(r + rng.normal(0, 15, r.shape), 0, 255).astype(np.uint8) for r in refs]
+    metrics._reference_stats.cache_clear()
     for k in (0, 1, 0, 1):
         assert _score(refs[k], decs[k]) == (five_map_ssim(refs[k], decs[k]), False)
 
@@ -313,6 +316,7 @@ def test_ssim_memo_holds_only_the_last_reference():
 
 def test_ssim_kodak_sized_peaks():
     ref, dec = _kodak_pair(41)
+    metrics._reference_stats.cache_clear()
     with traced_peak() as cold:
         metrics.ssim(ref, dec)
     with traced_peak() as warm:
