@@ -12,7 +12,7 @@ derives the kept and masked index sets from it.
 two uses.
 
 The partition is a pure function of the triple, so ``_partition`` is an
-``lru_cache`` of size 1 over it. A compress and decompress in one
+``lru_cache(maxsize=1)`` over it. A compress and decompress in one
 process, and every sweep cell of one image and ratio, then run the
 shuffle once; any other triple replaces the entry. The cache holds no
 more than the last mask built holds anyway.

@@ -7,12 +7,11 @@ Gaussian window with sigma 1.5, applied as two separable 11-tap passes
 BT.601 luma only (a 3-channel image is reduced to one luma plane first),
 borders handled by valid-window cropping.
 
-SSIM's first argument is the reference. ``_reference_stats`` is an
-``lru_cache`` of size 1 over the reference's dtype, shape and bytes that
-holds its window statistics (local means and local means of squares,
-16 bytes per window position). Scoring several decodes against one
-reference therefore filters the reference once; any other reference
-replaces the entry. The result is the same bits as without it.
+SSIM's first argument is the reference. Its window statistics (local
+means and local means of squares, 16 bytes per window position) come from
+``_reference_stats``, an ``lru_cache(maxsize=1)`` keyed by its dtype,
+shape and bytes, so scoring several decodes against one reference filters
+it once. The result is the same bits as without the cache.
 """
 
 from __future__ import annotations
@@ -114,11 +113,9 @@ def _ssim_plane(x: np.ndarray, y: np.ndarray, key: tuple | None) -> float:
 def ssim(a, b) -> float:
     """Mean local SSIM of the BT.601 luma planes; ``a`` is the reference.
 
-    The last reference's window statistics (16 bytes per window position)
-    are kept by ``_reference_stats``, an ``lru_cache`` of size 1 keyed by
-    ``a``'s dtype, shape and bytes, so scoring several decodes of one
-    image filters it once. An object-dtype reference bypasses the cache.
-    The result is the same bits either way.
+    The last reference's window statistics are cached (``_reference_stats``,
+    ``lru_cache(maxsize=1)``, keyed by ``a``'s dtype, shape and bytes); an
+    object-dtype ``a``, whose bytes are addresses, bypasses the cache.
     """
     pa, pb = _as_planes(a), _as_planes(b)
     _check_same_dims(pa, pb)

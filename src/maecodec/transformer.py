@@ -102,14 +102,14 @@ def positional_encoding(positions, d_model: int) -> Tensor:
     the odd channel, base 10000.
 
     Positions given as a ``range`` or a tuple get a shared read-only table
-    from an ``lru_cache`` of size 2 keyed by positions and width, enough
+    from an ``lru_cache(maxsize=2)`` keyed by positions and width, enough
     for the encoder's kept indices and the decoder's whole grid of one
     mask. Other positions get a new table. The values are the same bits
     either way.
     """
     if d_model % 2 != 0:
         raise ContractError(f"d_model must be even, got {d_model}")
-    if type(positions) is range or type(positions) is tuple:
+    if type(positions) in (range, tuple):
         return Tensor(_shared_table(positions, d_model))
     return Tensor(_table(positions, d_model))
 
