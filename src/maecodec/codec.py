@@ -360,10 +360,8 @@ def stream_header(params: CodecParams, width: int, height: int, channels: int, p
 
 
 def codec_encode(image: np.ndarray, params: CodecParams) -> bytes:
-    """Compress an 8-bit image into a self-describing bitstream."""
+    """Compress a uint8 HxWxC image into a self-describing bitstream."""
     arr = np.asarray(image)
-    if arr.ndim == 2:
-        arr = arr[:, :, None]
     if arr.ndim != 3 or arr.size == 0:
         raise ShapeError(f"expected a non-empty HxWxC image, got shape {arr.shape}")
     if arr.dtype != np.uint8:

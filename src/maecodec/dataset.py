@@ -89,8 +89,6 @@ def load_image(path) -> np.ndarray:
 def save_image(path, image: np.ndarray) -> None:
     """Write a uint8 image as P6 (3 channels) or P5 (1 channel)."""
     arr = np.asarray(image)
-    if arr.ndim == 2:
-        arr = arr[:, :, None]
     if arr.ndim != 3 or arr.dtype != np.uint8 or arr.shape[2] not in (1, 3):
         raise ContractError(
             f"save_image needs a uint8 HxWx1 or HxWx3 array, got {arr.dtype} {arr.shape}"

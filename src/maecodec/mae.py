@@ -153,22 +153,25 @@ def init_model(config: TMAEConfig, seed: int = 0) -> MaskedAutoencoder:
     return _build(config, tf.random_maker(np.random.default_rng(seed)))
 
 
-def encode_visible(visible: np.ndarray, keep_indices, model: MaskedAutoencoder) -> Tensor:
-    """Latents of the visible tokens: embed, add positions, encode, norm."""
+def encode_visible(visible: np.ndarray, keep_indices: tuple[int, ...], model: MaskedAutoencoder) -> Tensor:
+    """Latents of the visible tokens: embed, add positions, encode, norm.
+
+    keep_indices is a tuple of patch indices, one per visible row, as
+    ``MaskSpec.keep_indices`` holds them.
+    """
     cfg = model.config
     vis = Tensor(visible)
-    keep = tuple(map(int, keep_indices))
     if vis.ndim != 2 or vis.shape[1] != cfg.patch_dim:
         raise ShapeError(
             f"visible patches must be k x {cfg.patch_dim}, got {vis.shape}"
         )
-    if vis.shape[0] != len(keep):
-        raise ShapeError(f"{vis.shape[0]} patches for {len(keep)} keep indices")
-    if keep and min(keep) < 0:
+    if vis.shape[0] != len(keep_indices):
+        raise ShapeError(f"{vis.shape[0]} patches for {len(keep_indices)} keep indices")
+    if keep_indices and min(keep_indices) < 0:
         raise ContractError("negative patch index")
-    if len(set(keep)) != len(keep):
+    if len(set(keep_indices)) != len(keep_indices):
         raise ContractError("keep indices must be distinct")
-    pe = tf.positional_encoding(keep, cfg.enc_d_model)
+    pe = tf.positional_encoding(keep_indices, cfg.enc_d_model)
     seq = tf.TokenSequence(ag.add(ag.matmul(vis, model.embed), pe))
     for block in model.enc_blocks:
         seq = tf.encoder_block(seq, block)
@@ -238,11 +241,11 @@ def reconstruct(visible: np.ndarray, spec: MaskSpec, grid: PatchGrid, model: Mas
         raise ContractError(
             f"mask is for {spec.n_patches} patches, grid has {grid.n_patches}"
         )
+    if spec.masked_indices and model is None:
+        raise ContractError("masked positions present but no model supplied")
     full = np.empty((spec.n_patches, grid.patch_dim), dtype=np.uint8)
     parts = [(spec.keep_indices, visible)]
     if spec.masked_indices:
-        if model is None:
-            raise ContractError("masked positions present but no model supplied")
         if model.config.patch_dim != grid.patch_dim:
             raise ContractError(
                 f"model expects {model.config.patch_dim}-dim patches, grid has {grid.patch_dim}"

@@ -20,8 +20,8 @@ more than the last mask built holds anyway.
 ``patchify`` is the only function here that returns a ``Tensor`` (one that
 owns its array); every other function takes and returns plain ndarrays.
 
-Images enter as uint8 HxW or HxWxC arrays; ``image_grid``, the one entry
-point of ``compress`` and ``patchify``, refuses any other dtype.
+Images enter as uint8 HxWxC arrays; ``image_grid``, the one entry point
+of ``compress`` and ``patchify``, refuses any other dtype or rank.
 ``gather_patches`` cuts patches out of the image as bytes and
 ``stack_visible`` lays the kept ones into the condensed uint8 image the
 codec takes. Float64 in [0, 1] is the model's scale: ``patchify``
@@ -186,12 +186,10 @@ def padded_grid(height: int, width: int, channels: int, patch_size: int) -> Patc
 
 
 def image_grid(image, patch_size: int) -> tuple[np.ndarray, PatchGrid]:
-    """The uint8 image as an HxWxC array and its padded grid, from dtype and shape alone."""
+    """The uint8 HxWxC image as an array and its padded grid, from dtype and shape alone."""
     arr = np.asarray(image)
     if arr.dtype != np.uint8:
         raise ContractError(f"images hold uint8 samples, got {arr.dtype}")
-    if arr.ndim == 2:
-        arr = arr[:, :, None]
     if arr.ndim != 3 or arr.size == 0:
         raise ShapeError(f"expected a non-empty HxWxC image, got shape {arr.shape}")
     if patch_size <= 0:

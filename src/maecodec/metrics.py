@@ -1,11 +1,13 @@
 """Full-reference quality metrics: SSIM, PSNR, MSE.
 
-All metrics take 8-bit images (or float arrays on the 0..255 scale) of
-identical shape. SSIM follows the reference parameterization: 11x11
-Gaussian window with sigma 1.5, applied as two separable 11-tap passes
-(rows, then columns), C1 = (0.01*255)^2, C2 = (0.03*255)^2, computed on
-BT.601 luma only (a 3-channel image is reduced to one luma plane first),
-borders handled by valid-window cropping.
+All metrics take HxWxC images of identical shape: 8-bit, or float arrays
+on the 0..255 scale. Any other rank is a ShapeError, and an object-dtype
+array, whose bytes are element addresses, a ContractError. SSIM follows
+the reference parameterization: 11x11 Gaussian window with sigma 1.5,
+applied as two separable 11-tap passes (rows, then columns),
+C1 = (0.01*255)^2, C2 = (0.03*255)^2, computed on BT.601 luma only (a
+3-channel image is reduced to one luma plane first), borders handled by
+valid-window cropping.
 
 SSIM's first argument is the reference. Its window statistics (local
 means and local means of squares, 16 bytes per window position) come from
@@ -42,12 +44,12 @@ GAUSSIAN_TAPS = _gaussian_taps()
 
 
 def _as_planes(image) -> np.ndarray:
-    arr = np.asarray(image, dtype=np.float64)
-    if arr.ndim == 2:
-        arr = arr[:, :, None]
+    arr = np.asarray(image)
+    if arr.dtype.hasobject:
+        raise ContractError("images hold numbers, got an object array")
     if arr.ndim != 3 or arr.size == 0:
         raise ShapeError(f"expected a non-empty HxWxC image, got shape {arr.shape}")
-    return arr
+    return arr.astype(np.float64, copy=False)
 
 
 def _check_same_dims(a: np.ndarray, b: np.ndarray) -> None:
@@ -72,14 +74,6 @@ def _window_means(maps: np.ndarray) -> np.ndarray:
     return sliding_window_view(rows, WINDOW_SIZE, axis=1) @ g
 
 
-def _reference_key(a) -> tuple | None:
-    arr = np.asarray(a)
-    # An object array's bytes are addresses, which say nothing of its values.
-    if arr.dtype.hasobject:
-        return None
-    return arr.dtype, arr.shape, arr.tobytes()
-
-
 @functools.lru_cache(maxsize=1)
 def _reference_stats(dtype: np.dtype, shape: tuple, data: bytes) -> np.ndarray:
     """Window means of the reference's luma and luma squared, read-only."""
@@ -89,16 +83,13 @@ def _reference_stats(dtype: np.dtype, shape: tuple, data: bytes) -> np.ndarray:
     return stats
 
 
-def _ssim_plane(x: np.ndarray, y: np.ndarray, key: tuple | None) -> float:
+def _ssim_plane(x: np.ndarray, y: np.ndarray, key: tuple) -> float:
     h, w = x.shape
     if h < WINDOW_SIZE or w < WINDOW_SIZE:
         raise ContractError(
             f"image {h}x{w} smaller than the {WINDOW_SIZE}x{WINDOW_SIZE} SSIM window"
         )
-    if key is None:
-        mu_x, xx = _window_means(np.stack([x, x * x]))
-    else:
-        mu_x, xx = _reference_stats(*key)
+    mu_x, xx = _reference_stats(*key)
     mu_y, yy, xy = _window_means(np.stack([y, y * y, x * y]))
     mxx = mu_x * mu_x
     myy = mu_y * mu_y
@@ -114,12 +105,12 @@ def ssim(a, b) -> float:
     """Mean local SSIM of the BT.601 luma planes; ``a`` is the reference.
 
     The last reference's window statistics are cached (``_reference_stats``,
-    ``lru_cache(maxsize=1)``, keyed by ``a``'s dtype, shape and bytes); an
-    object-dtype ``a``, whose bytes are addresses, bypasses the cache.
+    ``lru_cache(maxsize=1)``, keyed by ``a``'s dtype, shape and bytes).
     """
     pa, pb = _as_planes(a), _as_planes(b)
     _check_same_dims(pa, pb)
-    return _ssim_plane(luma(pa), luma(pb), _reference_key(a))
+    ref = np.asarray(a)
+    return _ssim_plane(luma(pa), luma(pb), (ref.dtype, ref.shape, ref.tobytes()))
 
 
 def mse(a, b) -> float:

@@ -165,8 +165,8 @@ def container_from_bytes(blob: bytes) -> Container:
 def compress(image, config: PipelineConfig) -> Container:
     """Transmitter path: mask, gather, stack, codec, assemble. Model-free.
 
-    image is a uint8 HxW or HxWxC array; any other dtype is a
-    ContractError. Samples stay uint8 throughout: only the kept patches are
+    image is a uint8 HxWxC array; any other dtype is a ContractError and
+    any other rank a ShapeError. Samples stay uint8 throughout: only the kept patches are
     cut out of the image, as bytes. Channel, patch and condensed-sample
     counts that container_from_bytes or codec_decode refuse are refused
     here, from the image's shape alone, before any array is made.
@@ -217,7 +217,8 @@ def decompress(container: Container, model: mae.MaskedAutoencoder | None) -> np.
         )
     # The header fixes the condensed image's codec, quality and size, so a
     # payload that declares others is refused before it is decoded, and
-    # before the mask, whose cost grows with n_patches, is regenerated.
+    # before the mask, whose cost grows with n_patches, is regenerated; so
+    # is a masked container with no model to fill it.
     payload = container.payload
     if len(payload) >= STREAM_HEADER_BYTES:  # a shorter one is codec_decode's to reject
         cgrid = condensed_grid_for(container.keep_count, grid)
@@ -229,6 +230,8 @@ def decompress(container: Container, model: mae.MaskedAutoencoder | None) -> np.
                 f"payload stream header {payload[:STREAM_HEADER_BYTES].hex()} is not "
                 f"{implied.hex()}, the one the container implies"
             )
+    if model is None and container.keep_count < container.n_patches:
+        raise ContractError("masked positions present but no model supplied")
     condensed = codec_decode(payload)
     spec = container.mask_spec()
     visible = unstack_visible(condensed, spec, grid)

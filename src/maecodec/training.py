@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from . import autograd as ag
 from .autograd import Tensor
 from .errors import ContractError, NumericError
 from .mae import MaskedAutoencoder, TMAEConfig, forward_loss, init_model, predict_masked
-from .masking import PAD_VALUE, generate_mask, keep_count_for_ratio, patchify
+from .masking import PAD_VALUE, generate_mask, image_grid, keep_count_for_ratio, patchify
 
 _MASK_SEED_BOUND = 1 << 63
 # Adam's moment decay rates and denominator floor (Kingma & Ba defaults)
@@ -66,9 +65,11 @@ def require_masked_patches(model_config: TMAEConfig, cfg: TrainConfig) -> None:
 
 
 class Adam:
-    """Adam with both moments in flat float64 arrays, the parameters end to end:
-    each run of consecutive parameters with gradients is updated in one pass,
-    and a parameter whose gradient is None is skipped."""
+    """Adam with both moments in flat float64 arrays, the parameters end to end.
+
+    Each step updates every parameter in one pass over one concatenation of
+    their gradients, so every parameter must have one.
+    """
 
     def __init__(self, params: list[Tensor], lr: float):
         self.params = params
@@ -82,24 +83,18 @@ class Adam:
             p.grad = None
 
     def step(self) -> None:
+        g = np.concatenate([p.grad for p in self.params], axis=None, dtype=np.float64)
         self.t += 1
-        end = 0
-        for has_grad, run in groupby(self.params, key=lambda p: p.grad is not None):
-            run = list(run)
-            start, end = end, end + sum(p.data.size for p in run)
-            if has_grad:
-                m, v = self.m[start:end], self.v[start:end]
-                g = np.concatenate([p.grad for p in run], axis=None, dtype=np.float64)
-                m *= _BETA1
-                m += (1.0 - _BETA1) * g
-                v *= _BETA2
-                v += (1.0 - _BETA2) * g * g
-                np.divide(m, 1.0 - _BETA1**self.t, out=g)
-                g *= self.lr
-                g /= np.sqrt(v / (1.0 - _BETA2**self.t)) + _ADAM_EPS
-                for p in run:
-                    p.data -= g[: p.data.size].reshape(p.data.shape)
-                    g = g[p.data.size :]
+        self.m *= _BETA1
+        self.m += (1.0 - _BETA1) * g
+        self.v *= _BETA2
+        self.v += (1.0 - _BETA2) * g * g
+        np.divide(self.m, 1.0 - _BETA1**self.t, out=g)
+        g *= self.lr
+        g /= np.sqrt(self.v / (1.0 - _BETA2**self.t)) + _ADAM_EPS
+        for p in self.params:
+            p.data -= g[: p.data.size].reshape(p.data.shape)
+            g = g[p.data.size :]
 
 
 @dataclass
@@ -131,6 +126,14 @@ def train(
     if not corpus:
         raise ContractError("training corpus is empty")
     require_masked_patches(model_config, cfg)
+    # Crops hold more than one patch, so a crop of an image whose grid holds
+    # more than one holds more than one too, and a ratio in (0, 1) masks one.
+    for name, image in corpus:
+        if image_grid(image, model_config.patch_size)[1].n_patches == 1:
+            raise ContractError(
+                f"corpus image {name!r} fits in one patch of {model_config.patch_size} px, "
+                "so no mask ratio masks any of it"
+            )
     images = [img for _, img in corpus]
     rng = np.random.default_rng(cfg.seed)
     model = init_model(model_config, seed=cfg.seed)

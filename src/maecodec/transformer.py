@@ -95,33 +95,24 @@ class TokenSequence:
             raise ShapeError(f"tokens must be a matrix, got shape {self.tokens.shape}")
 
 
-def positional_encoding(positions, d_model: int) -> Tensor:
+def positional_encoding(positions: range | tuple, d_model: int) -> Tensor:
     """Sinusoidal encoding, one row per patch index in ``positions``.
 
     PE[pos, 2i] = sin(pos / base^(2i/d_model)) and the matching cosine in
     the odd channel, base 10000.
 
-    Positions given as a ``range`` or a tuple get a shared read-only table
-    from an ``lru_cache(maxsize=2)`` keyed by positions and width, enough
-    for the encoder's kept indices and the decoder's whole grid of one
-    mask. Other positions get a new table. The values are the same bits
-    either way.
+    Positions are a ``range`` (the decoder's whole grid) or a tuple of ints
+    (the encoder's kept indices); a list or an array raises TypeError. The
+    table is shared and read-only, from an ``lru_cache(maxsize=2)`` keyed
+    by positions and width, enough for both tables of one mask.
     """
     if d_model % 2 != 0:
         raise ContractError(f"d_model must be even, got {d_model}")
-    if type(positions) in (range, tuple):
-        return Tensor(_shared_table(positions, d_model))
-    return Tensor(_table(positions, d_model))
+    return Tensor(_shared_table(positions, d_model))
 
 
 @functools.lru_cache(maxsize=2)
 def _shared_table(positions: range | tuple, d_model: int) -> np.ndarray:
-    table = _table(positions, d_model)
-    table.flags.writeable = False
-    return table
-
-
-def _table(positions, d_model: int) -> np.ndarray:
     pos = np.asarray(positions, dtype=np.float64)
     if pos.ndim != 1:
         raise ShapeError(f"positions must be 1-D, got shape {pos.shape}")
@@ -132,6 +123,7 @@ def _table(positions, d_model: int) -> np.ndarray:
     table = np.empty((pos.size, d_model))
     table[:, 0::2] = np.sin(angles)
     table[:, 1::2] = np.cos(angles)
+    table.flags.writeable = False
     return table
 
 

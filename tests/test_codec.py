@@ -341,16 +341,18 @@ def test_encode_rejects_empty():
         codec_encode(np.zeros((0, 8, 1), dtype=np.uint8), CodecParams(CODEC_DCT, 50))
 
 
-# Shapes that codec_decode refuses: channels other than 1 or 3, and more
-# than 2**28 samples.
-UNDECODABLE_SHAPES = [(8, 8, 2), (8, 8, 4), (8, 8, 256), (16385, 16384, 1), (9460, 9460, 3)]
+# Shapes that no bitstream codec_decode takes describes: channels other
+# than 1 or 3, more than 2**28 samples, and an HxW array with no channel axis.
+UNDECODABLE_SHAPES = [
+    (8, 8, 2), (8, 8, 4), (8, 8, 256), (16385, 16384, 1), (9460, 9460, 3), (8, 8),
+]
 
 
 @pytest.mark.parametrize("codec_id", [CODEC_NULL, CODEC_DCT])
 @pytest.mark.parametrize("shape", UNDECODABLE_SHAPES)
 def test_encode_refuses_what_decode_refuses(shape, codec_id):
     # a broadcast view costs nothing, so only a look at the shape stays small
-    img = np.broadcast_to(np.zeros((1, 1, 1), dtype=np.uint8), shape)
+    img = np.broadcast_to(np.zeros((1,) * len(shape), dtype=np.uint8), shape)
     with traced_peak() as trace, pytest.raises(ShapeError):
         codec_encode(img, CodecParams(codec_id, 50))
     assert trace.peak < 2**20, f"peak {trace.peak} bytes"

@@ -25,13 +25,6 @@ def test_p6_round_trip(tmp_path):
     np.testing.assert_array_equal(dataset.load_image(path), img)
 
 
-def test_save_accepts_2d(tmp_path):
-    img = np.arange(6, dtype=np.uint8).reshape(2, 3)
-    path = tmp_path / "flat.pgm"
-    dataset.save_image(path, img)
-    np.testing.assert_array_equal(dataset.load_image(path)[:, :, 0], img)
-
-
 def test_load_known_bytes(tmp_path):
     path = tmp_path / "tiny.ppm"
     path.write_bytes(b"P6\n2 2\n255\n" + bytes(range(12)))
@@ -72,6 +65,8 @@ def test_save_rejects_wrong_dtype_or_channels(tmp_path):
         dataset.save_image(tmp_path / "x.ppm", np.zeros((2, 2, 3), dtype=np.float64))
     with pytest.raises(ContractError):
         dataset.save_image(tmp_path / "x.ppm", np.zeros((2, 2, 2), dtype=np.uint8))
+    with pytest.raises(ContractError):
+        dataset.save_image(tmp_path / "x.pgm", np.zeros((2, 3), dtype=np.uint8))
 
 
 def test_load_corpus_sorted_and_skips_bad(tmp_path):

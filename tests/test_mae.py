@@ -118,9 +118,6 @@ def test_encode_visible_checks_keep_indices_in_order(tiny_mae_config):
         mae.encode_visible(np.zeros((3, dim)), (4, -1, 4), model)
     with pytest.raises(ContractError, match="distinct"):
         mae.encode_visible(np.zeros((3, dim)), (4, 0, 4), model)
-    vis = np.random.default_rng(3).random((3, dim))
-    as_tuple = mae.encode_visible(vis, (0, 2, 5), model).data
-    assert np.array_equal(mae.encode_visible(vis, np.array([0, 2, 5]), model).data, as_tuple)
 
 
 def test_encode_visible_position_sensitivity(tiny_mae_config):

@@ -120,6 +120,9 @@ def test_ssim_symmetry():
 def test_ssim_dimension_mismatch():
     with pytest.raises(ShapeError):
         metrics.ssim(np.zeros((16, 16, 1), dtype=np.uint8), np.zeros((16, 17, 1), dtype=np.uint8))
+    # images are HxWxC; a flat HxW array is not one
+    with pytest.raises(ShapeError):
+        metrics.ssim(np.zeros((16, 16), dtype=np.uint8), np.zeros((16, 16), dtype=np.uint8))
 
 
 def test_ssim_rejects_tiny_images():
@@ -265,13 +268,15 @@ def test_ssim_memo_keys_float_references_by_their_bytes():
 
 
 def test_ssim_object_reference_bypasses_the_memo():
-    # an object array's bytes are the addresses of its elements, not their values
+    # an object array's bytes are the addresses of its elements, not their
+    # values, so it is refused before it could key the memo
     rng = np.random.default_rng(27)
     ref = rng.integers(0, 256, (15, 18, 1), dtype=np.uint8)
     dec = ref[::-1].copy()
     metrics.ssim(ref, dec)
     info = metrics._reference_stats.cache_info()
-    assert metrics.ssim(ref.astype(object), dec) == five_map_ssim(ref, dec)
+    with pytest.raises(ContractError, match="object"):
+        metrics.ssim(ref.astype(object), dec)
     assert metrics._reference_stats.cache_info() == info
 
 

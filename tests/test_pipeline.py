@@ -15,6 +15,7 @@ from maecodec import pipeline as pl
 from maecodec.codec import CODEC_DCT, CODEC_NULL, CodecParams, codec_decode, codec_encode
 from maecodec.errors import BitstreamError, ContainerError, ContractError, ShapeError
 from maecodec.masking import (
+    PAD_BYTE,
     PAD_VALUE,
     condensed_grid_for,
     generate_mask,
@@ -162,9 +163,35 @@ def test_decompress_refuses_a_lying_payload_before_regenerating_the_mask(monkeyp
         pl.decompress(pl.container_from_bytes(blob), model=None)
 
 
+def test_decompress_refuses_a_masked_container_without_a_model_before_decoding(monkeypatch):
+    # A 2048x2048x1 zero image at patch 1 and ratio 0.99999 keeps 41 of 2**22
+    # patches, one condensed row padded with PAD_BYTE; regenerating that
+    # mask alone would take seconds.
+    condensed = np.full((1, 2048, 1), PAD_BYTE, dtype=np.uint8)
+    condensed[0, :41] = 0
+    params = CodecParams(CODEC_DCT, 50)
+    container = pl.Container(
+        orig_width=2048, orig_height=2048, channels=1, patch_size=1, n_patches=2**22,
+        keep_count=41, seed=0, codec=params, payload=codec_encode(condensed, params),
+    )
+    assert container.total_bytes == 336
+
+    def unreachable(*args):
+        raise AssertionError("decoded or regenerated the mask with no model to fill it")
+
+    monkeypatch.setattr(pl, "codec_decode", unreachable)
+    monkeypatch.setattr(pl, "mask_from_counts", unreachable)
+    with pytest.raises(ContractError, match="no model supplied"):
+        pl.decompress(pl.container_from_bytes(container.to_bytes()), model=None)
+
+
 # (shape, patch size) of images whose container container_from_bytes refuses:
-# channels other than 1 or 3, and 2049 * 2048 patches, past the 2**22 bound.
-UNPARSABLE_IMAGES = [((8, 8, 2), 8), ((8, 8, 4), 8), ((8, 8, 256), 8), ((2049, 2048), 1), ((2049, 2048, 3), 1)]
+# channels other than 1 or 3, and 2049 * 2048 patches, past the 2**22 bound;
+# and an HxW array, whose channel count no container can state.
+UNPARSABLE_IMAGES = [
+    ((8, 8, 2), 8), ((8, 8, 4), 8), ((8, 8, 256), 8), ((2049, 2048, 1), 1), ((2049, 2048, 3), 1),
+    ((8, 8), 8),
+]
 
 
 @pytest.mark.parametrize("shape,patch", UNPARSABLE_IMAGES)
@@ -328,7 +355,7 @@ def test_compress_and_decompress_match_the_float_path(channels):
     )
     model = mae.init_model(cfg, seed=channels)
     for height, width in [(21, 13), (33, 70)]:
-        shape = (height, width) if channels == 1 else (height, width, channels)
+        shape = (height, width, channels)
         image = rng.integers(0, 256, shape, dtype=np.uint8)
         for ratio in (0.0, 0.5, 0.9):
             for codec in (CodecParams(CODEC_NULL, 50), CodecParams(CODEC_DCT, 50)):

@@ -1,5 +1,6 @@
 """Adam optimizer, the training loop, and its baselines."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -74,15 +75,18 @@ def test_adam_second_step_hand_computed():
     np.testing.assert_allclose(p.data, [x], rtol=1e-12)
 
 
-def test_adam_skips_params_without_grad():
-    p = Tensor(np.array([5.0]), requires_grad=True)
-    opt = training.Adam([p], lr=0.1)
-    opt.step()
-    np.testing.assert_array_equal(p.data, [5.0])
+def test_adam_step_refuses_a_missing_gradient():
+    p, q = (Tensor(np.array([5.0]), requires_grad=True) for _ in range(2))
+    opt = training.Adam([p, q], lr=0.1)
+    p.grad = np.array([1.0])
+    with pytest.raises(TypeError):
+        opt.step()
+    assert (p.data.tolist(), q.data.tolist(), opt.t) == ([5.0], [5.0], 0)
+    assert not opt.m.any() and not opt.v.any()
 
 
 def test_fused_adam_matches_a_per_parameter_update_bitwise():
-    """Three steps; in step 2 the middle parameter has no gradient, in step 3 the first."""
+    """Three steps, every parameter with a gradient of its own scale at each."""
     rng = np.random.default_rng(11)
     shapes = [(3, 4), (5,), (2, 3), (7,)]
     params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
@@ -90,18 +94,13 @@ def test_fused_adam_matches_a_per_parameter_update_bitwise():
     ref_m = [np.zeros(s) for s in shapes]
     ref_v = [np.zeros(s) for s in shapes]
     opt = training.Adam(params, lr=0.01)
-    ends = np.cumsum([0] + [p.data.size for p in params])
     b1, b2, eps = training._BETA1, training._BETA2, training._ADAM_EPS
-    for t, skip in ((1, None), (2, 1), (3, 0)):
-        grads = [None if i == skip else rng.normal(size=s) * 10.0 ** (i - 2)
-                 for i, s in enumerate(shapes)]
+    for t in (1, 2, 3):
+        grads = [rng.normal(size=s) * 10.0 ** (i - 2) for i, s in enumerate(shapes)]
         for p, g in zip(params, grads):
-            p.grad = None if g is None else g.copy()
-        before = [p.data.copy() for p in params], opt.m.copy(), opt.v.copy()
+            p.grad = g.copy()
         opt.step()
         for x, m, v, g in zip(ref, ref_m, ref_v, grads):
-            if g is None:
-                continue
             m *= b1
             m += (1.0 - b1) * g
             v *= b2
@@ -111,13 +110,6 @@ def test_fused_adam_matches_a_per_parameter_update_bitwise():
             assert p.data.tobytes() == x.tobytes()
         assert opt.m.tobytes() == np.concatenate([m.ravel() for m in ref_m]).tobytes()
         assert opt.v.tobytes() == np.concatenate([v.ravel() for v in ref_v]).tobytes()
-        # the parameter without a gradient keeps its data and both moments
-        if skip is not None:
-            data, m, v = before
-            a, b = ends[skip], ends[skip + 1]
-            assert params[skip].data.tobytes() == data[skip].tobytes()
-            assert opt.m[a:b].tobytes() == m[a:b].tobytes() and m[a:b].any()
-            assert opt.v[a:b].tobytes() == v[a:b].tobytes() and v[a:b].any()
 
 
 def test_adam_defaults_are_the_reference_constants():
@@ -160,6 +152,17 @@ def test_train_refuses_crops_that_hold_no_masked_patch_before_making_a_model(
     cfg = _tiny_train_config(crop_size=crop_size, ratio_low=ratio_low, ratio_high=ratio_high)
     with pytest.raises(ContractError, match="none masked"):
         training.train(_toy_corpus(), _tiny_model_config(), cfg)
+
+
+def test_train_refuses_a_one_patch_corpus_image_by_name_before_making_a_model(monkeypatch):
+    def no_model(*args, **kwargs):
+        raise AssertionError("init_model called")
+
+    monkeypatch.setattr(training, "init_model", no_model)
+    corpus = dataset.synthetic_corpus(6, size=16) + [("speck", np.zeros((4, 4, 1), np.uint8))]
+    model_config = dataclasses.replace(_tiny_model_config(), patch_size=4)
+    with pytest.raises(ContractError, match="'speck' fits in one patch"):
+        training.train(corpus, model_config, _tiny_train_config(crop_size=16))
 
 
 def test_train_accepts_the_smallest_crop_that_holds_a_masked_patch():
