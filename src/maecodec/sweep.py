@@ -80,12 +80,15 @@ def rd_sweep(
     if not corpus or not ratios or not qualities:
         raise ContractError("corpus, ratios and qualities must all be non-empty")
     # Checked before the first cell: a bad id would otherwise surface only
-    # when the written CSV is read back.
+    # when the CSV is written or read back. UTF-8 has no lone surrogate, which
+    # os.listdir gives for each undecodable byte of a file name.
     for image_id, _ in corpus:
-        if image_id == MEAN_ID or any(ch in image_id for ch in ",\n\r"):
+        if image_id == MEAN_ID or any(
+            ch in ",\n\r" or "\ud800" <= ch <= "\udfff" for ch in image_id
+        ):
             raise ContractError(
-                f"image id {image_id!r} cannot be a sweep CSV id: it must not "
-                f"contain ',', '\\n' or '\\r' or equal {MEAN_ID!r}"
+                f"image id {image_id!r} cannot be a sweep CSV id: it must be UTF-8, "
+                f"not contain ',', '\\n' or '\\r' and not equal {MEAN_ID!r}"
             )
     points: list[RDPoint] = []
     failures: list[SweepFailure] = []
@@ -210,7 +213,10 @@ def write_csv(points: list[RDPoint], path) -> None:
 
 def read_csv(path) -> list[RDPoint]:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ContractError(f"{path}: not UTF-8 at byte {exc.start}") from exc
     if not lines or lines[0] != CSV_HEADER:
         raise ContractError(f"{path}: expected header {CSV_HEADER!r}")
     points = []

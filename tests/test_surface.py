@@ -27,8 +27,8 @@ def _references(tree: ast.AST) -> set[str]:
 
 def _public_definitions_and_references() -> tuple[dict[str, str], set[str]]:
     """Public module-level defs of the package by qualified name, and every name
-    referenced outside the tests: from the package (not ``__init__.py``, and not
-    a definition's own body), ``perfbench/`` and ``tools/``."""
+    referenced outside the tests: from the package (not a definition's own body),
+    ``perfbench/`` and ``tools/``."""
     defined, referenced = {}, set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -38,8 +38,7 @@ def _public_definitions_and_references() -> tuple[dict[str, str], set[str]]:
                 own = stmt.name
                 if not own.startswith("_"):
                     defined[f"{path.stem}.{own}"] = own
-            if path.name != "__init__.py":
-                referenced |= _references(stmt) - {own}
+            referenced |= _references(stmt) - {own}
     for sub in ("perfbench", "tools"):
         for path in sorted((ROOT / sub).rglob("*.py")):
             if "tests" not in path.relative_to(ROOT).parts:
@@ -53,3 +52,10 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
     unreferenced = {qual for qual, name in defined.items() if name not in referenced}
     # an allowed name that gains a caller leaves the list too
     assert unreferenced == ALLOWED_UNREFERENCED
+
+
+def test_package_root_holds_only_its_docstring():
+    # callers import modules; a re-export list at the root would state the
+    # surface a second time
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert ast.get_docstring(tree) and len(tree.body) == 1

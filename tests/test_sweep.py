@@ -106,7 +106,7 @@ def test_sweep_requires_nonempty_inputs():
         sweep.rd_sweep([("a", _gray(5))], [0.5], [], model)
 
 
-@pytest.mark.parametrize("bad_id", ["a,b", "a\nb", "a\rb", "mean"])
+@pytest.mark.parametrize("bad_id", ["a,b", "a\nb", "a\rb", "mean", "\udcff"])
 def test_sweep_rejects_ids_the_csv_cannot_hold(bad_id, monkeypatch):
     """Raised before the first cell, not when the written CSV is read back."""
     cells = []
@@ -343,6 +343,12 @@ def test_read_csv_rejects_bad_files(tmp_path):
         bad_value.write_text(f"{sweep.CSV_HEADER}\n{good}\n{bad}\n", encoding="utf-8")
         with pytest.raises(ContractError, match=re.escape(f"{bad_value}:3: ") + ".*'x'"):
             sweep.read_csv(bad_value)
+    # a file that is not UTF-8 is named with the offset of its first bad byte
+    not_utf8 = tmp_path / "u.csv"
+    for head, at in ((b"", 0), (sweep.CSV_HEADER.encode() + b"\n", len(sweep.CSV_HEADER) + 1)):
+        not_utf8.write_bytes(head + b"\xff\xfe")
+        with pytest.raises(ContractError, match=re.escape(f"{not_utf8}: not UTF-8 at byte {at}")):
+            sweep.read_csv(not_utf8)
 
 
 def test_write_curve_dat_sorted_two_columns(tmp_path):
