@@ -5,6 +5,9 @@ one-liner outside this repo, e.g.:
 
     for f in kodim*.png; do magick "$f" "${f%.png}.ppm"; done
 
+A file is read once and its header parsed from those bytes, so a refused
+file holds no memory beyond its own bytes, whatever its header declares.
+
 Synthetic images are smooth low-frequency fields with a few solid
 rectangles: enough structure that masked patches are predictable from
 their surroundings, which is what the autoencoder must learn. They are
@@ -17,6 +20,7 @@ a 768x768x3 image peaks at 4.7 MiB (tracemalloc) for a 1.7 MiB output.
 from __future__ import annotations
 
 import os
+import re
 import warnings
 
 import numpy as np
@@ -24,66 +28,55 @@ import numpy as np
 from .errors import ContractError
 
 _MAX_HEADER_DIM = 1 << 16
+_MAGIC_CHANNELS = {b"P5": 1, b"P6": 3}
+# One step through a netpbm header: whitespace, then a comment, which runs to
+# a newline or to the end of the input, or a token (group 1) and the one
+# whitespace byte or comment that ends it. Whitespace is these four bytes (\s
+# adds \v and \f). A repeated group would hold ~240 bytes per comment.
+_HEADER_STEP = re.compile(
+    rb"[ \t\r\n]*(?:#[^\n]*(?:\n|\Z)|([^ \t\r\n#]+)(?:[ \t\r\n]|#[^\n]*(?:\n|\Z))?)"
+)
+_ECHO_BYTES = 32  # a refused header token is echoed up to this many bytes
 # A synthetic image is built a band of rows at a time, each band about this
 # many float64 samples (512 KiB); a 64x64x3 image is one band.
 _BAND_SAMPLES = 1 << 16
 
 
-def _read_token(fh, path) -> bytes:
-    """Next whitespace-delimited token, skipping # comments."""
-    token = b""
-    while True:
-        ch = fh.read(1)
-        if not ch:
-            if token:
-                return token
-            raise ContractError(f"{path}: truncated header")
-        if ch in b" \t\r\n":
-            if token:
-                return token
-            continue
-        if ch == b"#":
-            while ch and ch != b"\n":
-                ch = fh.read(1)
-            if token:
-                return token
-            continue
-        token += ch
-
-
-def _int_token(fh, path, what: str) -> int:
-    token = _read_token(fh, path)
-    try:
-        value = int(token)
-    except ValueError:
-        raise ContractError(f"{path}: bad {what} {token!r}") from None
-    if not 1 <= value <= _MAX_HEADER_DIM:
-        raise ContractError(f"{path}: {what} {value} out of range")
-    return value
-
-
 def load_image(path) -> np.ndarray:
-    """Read a binary PPM (P6) or PGM (P5) file as a uint8 HxWxC array."""
+    """Read a binary PPM (P6) or PGM (P5) file as a uint8 HxWxC array.
+
+    The file is read once; a header that declares more pixels than the
+    bytes after it hold is refused before any array is made.
+    """
     with open(path, "rb") as fh:
-        magic = _read_token(fh, path)
-        if magic == b"P6":
-            channels = 3
-        elif magic == b"P5":
-            channels = 1
-        else:
-            raise ContractError(f"{path}: expected P5/P6 magic, got {magic!r}")
-        width = _int_token(fh, path, "width")
-        height = _int_token(fh, path, "height")
-        maxval = _int_token(fh, path, "maxval")
-        if maxval != 255:
-            raise ContractError(f"{path}: only maxval 255 is supported, got {maxval}")
-        expected = width * height * channels
-        data = fh.read(expected)
-        if len(data) != expected:
-            raise ContractError(
-                f"{path}: expected {expected} pixel bytes, got {len(data)}"
-            )
-    return np.frombuffer(data, dtype=np.uint8).reshape(height, width, channels).copy()
+        data = fh.read()
+    header, pos = [], 0
+    for what in ("magic", "width", "height", "maxval"):
+        token = None
+        while token is None:  # one match per comment before the token
+            match = _HEADER_STEP.match(data, pos)
+            if match is None:
+                raise ContractError(f"{path}: truncated header")
+            token, pos = match[1], match.end()
+        if what == "magic":
+            if token not in _MAGIC_CHANNELS:
+                raise ContractError(f"{path}: expected P5/P6 magic, got {token[:_ECHO_BYTES]!r}")
+            header.append(_MAGIC_CHANNELS[token])
+            continue
+        try:
+            value = int(token)
+        except ValueError:
+            raise ContractError(f"{path}: bad {what} {token[:_ECHO_BYTES]!r}") from None
+        if not 1 <= value <= _MAX_HEADER_DIM:
+            raise ContractError(f"{path}: {what} {value} out of range")
+        header.append(value)
+    channels, width, height, maxval = header
+    if maxval != 255:
+        raise ContractError(f"{path}: only maxval 255 is supported, got {maxval}")
+    expected = width * height * channels
+    if len(data) - pos < expected:
+        raise ContractError(f"{path}: expected {expected} pixel bytes, got {len(data) - pos}")
+    return np.frombuffer(data, np.uint8, expected, pos).reshape(height, width, channels).copy()
 
 
 def save_image(path, image: np.ndarray) -> None:

@@ -238,6 +238,11 @@ def read_csv(path) -> list[RDPoint]:
             )
         except ValueError as exc:
             raise ContractError(f"{path}:{ln}: {exc}") from exc
+        for name in ("mask_ratio", "overall_bpp", "payload_bpp", "ssim", "psnr"):
+            value = getattr(point, name)
+            # write_csv writes a psnr of +inf for identical images
+            if not math.isfinite(value) and not (name == "psnr" and value == math.inf):
+                raise ContractError(f"{path}:{ln}: {name} {value} is not finite")
         points.append(point)
     return points
 

@@ -129,7 +129,13 @@ def train(
     # Crops hold more than one patch, so a crop of an image whose grid holds
     # more than one holds more than one too, and a ratio in (0, 1) masks one.
     for name, image in corpus:
-        if image_grid(image, model_config.patch_size)[1].n_patches == 1:
+        arr, grid = image_grid(image, model_config.patch_size)
+        if arr.shape[2] != model_config.channels:
+            raise ContractError(
+                f"corpus image {name!r} has {arr.shape[2]} channels, "
+                f"but the model takes {model_config.channels}"
+            )
+        if grid.n_patches == 1:
             raise ContractError(
                 f"corpus image {name!r} fits in one patch of {model_config.patch_size} px, "
                 "so no mask ratio masks any of it"

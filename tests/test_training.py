@@ -165,6 +165,17 @@ def test_train_refuses_a_one_patch_corpus_image_by_name_before_making_a_model(mo
         training.train(corpus, model_config, _tiny_train_config(crop_size=16))
 
 
+def test_train_refuses_a_corpus_image_with_other_channels_by_name_before_making_a_model(monkeypatch):
+    def no_model(*args, **kwargs):
+        raise AssertionError("init_model called")
+
+    monkeypatch.setattr(training, "init_model", no_model)
+    corpus = dataset.synthetic_corpus(6, size=16) + dataset.synthetic_corpus(1, size=16, channels=3)
+    corpus[-1] = ("colour", corpus[-1][1])
+    with pytest.raises(ContractError, match="'colour' has 3 channels, but the model takes 1"):
+        training.train(corpus, _tiny_model_config(), _tiny_train_config(crop_size=16))
+
+
 def test_train_accepts_the_smallest_crop_that_holds_a_masked_patch():
     # 4 patches at patch 2; ratio 0.25 keeps 3 of them
     cfg = _tiny_train_config(crop_size=4, ratio_low=0.25, ratio_high=0.25, epochs=1)
