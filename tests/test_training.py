@@ -170,8 +170,7 @@ def test_train_refuses_a_corpus_image_with_other_channels_by_name_before_making_
         raise AssertionError("init_model called")
 
     monkeypatch.setattr(training, "init_model", no_model)
-    corpus = dataset.synthetic_corpus(6, size=16) + dataset.synthetic_corpus(1, size=16, channels=3)
-    corpus[-1] = ("colour", corpus[-1][1])
+    corpus = dataset.synthetic_corpus(6, size=16) + [("colour", np.zeros((16, 16, 3), np.uint8))]
     with pytest.raises(ContractError, match="'colour' has 3 channels, but the model takes 1"):
         training.train(corpus, _tiny_model_config(), _tiny_train_config(crop_size=16))
 
