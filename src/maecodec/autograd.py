@@ -6,18 +6,21 @@ the product), row softmax, fused scaled dot-product attention, layer norm,
 GELU, the mean of all elements, row gather/scatter/tile and column
 concatenation. ``softmax_rows`` can write its result into a given array,
 its own input included: attention's one loop over row blocks normalizes
-each block in place. Every op is a plain function; ``Tensor`` has no
-operator overloads. There is deliberately no broadcasting beyond
-``affine``'s row bias and scaling by a number; every other shape mismatch
-is an error, which keeps the gradient rules small and auditable. A vector
-reaches every row of a matrix elsewhere through ``tile_rows``.
+each block in place. Attention scales its queries by 1/sqrt(d) before the
+loop, and softmax_rows multiplies each row by the reciprocal of its sum,
+so no pass over the map scales or divides it. Every op is a plain
+function; ``Tensor`` has no operator overloads. There is deliberately no
+broadcasting beyond ``affine``'s row bias and scaling by a number; every
+other shape mismatch is an error, which keeps the gradient rules small and
+auditable. A vector reaches every row of a matrix elsewhere through
+``tile_rows``.
 
 Attention runs its softmax passes, forward and backward, with numpy's ufunc
 buffer cut to at most one map row once a row holds ``_ROW_BUFFER_MIN`` keys
 or more, and ``affine`` adds its row bias so from that many columns on.
 numpy copies a broadcast operand (a ``(rows, 1)`` column or a bias row)
 through that buffer whenever a row is shorter than it, so the default
-8192-element buffer makes the in-place ``x - row_max``, ``y / row_sum``,
+8192-element buffer makes the in-place ``x - row_max``, ``y *= 1 / row_sum``,
 ``y * (g - dot)`` and ``y += bias`` spend most of their time copying: at
 42 x 1536 the subtraction took 49 µs with the default buffer and 22 µs
 with one row's, and the bias on a 1030 x 768 head output 541 against
@@ -239,8 +242,10 @@ def _row_buffer(n_keys: int):
 def softmax_rows(a: Tensor, out: np.ndarray | None = None) -> Tensor:
     """Row-wise softmax with per-row max subtraction for stability.
 
-    With ``out`` (a float64 array of a's shape, which may be ``a.data``
-    itself), the result is written there and becomes the output's data.
+    Each row is multiplied by the reciprocal of its sum: one division per
+    row, not per entry. With ``out`` (a float64 array of a's shape, which
+    may be ``a.data`` itself), the result is written there and becomes the
+    output's data.
     """
     if a.ndim != 2:
         raise ShapeError(f"softmax_rows: expected a matrix, got shape {a.shape}")
@@ -250,20 +255,23 @@ def softmax_rows(a: Tensor, out: np.ndarray | None = None) -> Tensor:
         raise NumericError("softmax_rows: non-finite input")
     y = np.subtract(a.data, row_max, out=out)
     np.exp(y, out=y)
-    y /= y.sum(axis=1, keepdims=True)
+    inv = y.sum(axis=1, keepdims=True)
+    np.divide(1.0, inv, out=inv)
+    y *= inv
     return _result(y, (a,), lambda g: _accumulate(a, _softmax_grad(y, g)))
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(q k^T / sqrt(d)) v, in one loop over row blocks of the map.
+    """softmax((q / sqrt(d)) k^T) v, in one loop over row blocks of the map.
 
+    The (queries, d) matrix q is scaled by 1/sqrt(d) once, before the loop.
     Each block of about ``_SOFTMAX_BLOCK`` map entries has its logits
-    written into a map buffer, scaled and normalized there in place by
-    softmax_rows, and multiplied by v straight into the output rows.
+    written into a map buffer, normalized there in place by softmax_rows,
+    and multiplied by v straight into the output rows.
     Tracking gradients chooses only the buffer: the whole (queries, keys)
     map, which the backward pass needs, or one block buffer that every
     block reuses. So tracked and untracked output are equal bit for bit.
-    Both equal the op chain ``matmul(softmax_rows(mul(matmul(q, kt), s)), v)``
+    Both equal the op chain ``matmul(softmax_rows(matmul(mul(q, s), kt)), v)``
     (``kt`` is K^T as a contiguous matrix), gradients too, bit for bit when
     the map is one block; for larger maps, only where BLAS rounds a block's
     rows as it rounds them in the whole product. Non-finite logits raise
@@ -279,6 +287,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     if k.shape[0] == 0 or k.shape[0] != v.shape[0]:
         raise ShapeError(f"attention: K {k.shape} vs V {v.shape}")
     scale = 1.0 / math.sqrt(q.shape[1])
+    # scaling q rather than each block spares a pass over the map
+    qs = q.data * scale
     # BLAS may round differently for a transposed operand than for a
     # contiguous one, so K^T is laid out as one contiguous matrix.
     kt = k.data.T.copy()
@@ -291,8 +301,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     with np.errstate(invalid="ignore", over="ignore"), _row_buffer(k.shape[0]):
         for a in range(0, m, rows):
             block = y[a : a + rows] if tracked else y[: min(rows, m - a)]
-            _product(q.data[a : a + rows], kt, block)
-            block *= scale
+            _product(qs[a : a + rows], kt, block)
             softmax_rows(Tensor(block), out=block)
             _product(block, v.data, out[a : a + rows])
 
@@ -301,9 +310,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         _accumulate(v, y.T @ g)
         with _row_buffer(k.shape[0]):
             gl = _softmax_grad(y, g @ v.data.T)
-        gl *= scale
-        _accumulate(q, gl @ kt.T)
-        _accumulate(k, (q.data.T @ gl).T)
+        _accumulate(k, (qs.T @ gl).T)
+        _accumulate(q, (gl @ kt.T) * scale)
 
     return _result(out, (q, k, v), back)
 

@@ -94,10 +94,9 @@ def _cmd_train(args) -> int:
         corpus = dataset.synthetic_corpus(
             args.synthetic, size=args.crop_size, channels=args.channels, seed=args.seed
         )
-    # Create the checkpoint's directory once the inputs are valid, not
-    # after the whole training run.
-    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     result = training.train(corpus, model_cfg, cfg, log=print)
+    # The checkpoint's directory is made once train has accepted the corpus.
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     mae.save_checkpoint(result.model, args.out)
     print(f"saved {args.out} (final loss {result.epoch_losses[-1]:.6f})")
     return 0

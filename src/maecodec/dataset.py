@@ -68,7 +68,7 @@ def load_image(path) -> np.ndarray:
         except ValueError:
             raise ContractError(f"{path}: bad {what} {token[:_ECHO_BYTES]!r}") from None
         if not 1 <= value <= _MAX_HEADER_DIM:
-            raise ContractError(f"{path}: {what} {value} out of range")
+            raise ContractError(f"{path}: {what} {token[:_ECHO_BYTES]!r} out of range")
         header.append(value)
     channels, width, height, maxval = header
     if maxval != 255:

@@ -122,7 +122,7 @@ def test_softmax_rows_matches_reference_bitwise():
     def reference(x):
         shifted = x - x.max(axis=1, keepdims=True)
         e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
+        return e * (1.0 / e.sum(axis=1, keepdims=True))
 
     rng = np.random.default_rng(7)
     for shape in [(1, 1), (7, 13), (300, 300)]:
@@ -154,7 +154,7 @@ def test_softmax_rows_in_place_rejects_non_finite_input():
 
 def _attention_chain(q, kt, v):
     scale = 1.0 / math.sqrt(q.shape[1])
-    return ag.matmul(ag.softmax_rows(ag.mul(ag.matmul(q, kt), scale)), v)
+    return ag.matmul(ag.softmax_rows(ag.matmul(ag.mul(q, scale), kt)), v)
 
 
 @pytest.mark.parametrize(
@@ -216,6 +216,23 @@ def test_attention_rejects_non_finite_logits():
                     with pytest.raises(NumericError):
                         ag.attention(Tensor(q, requires_grad=tracked),
                                      Tensor(np.full((300, 2), 1e300)), Tensor(np.ones((300, 1))))
+
+
+def test_attention_rejects_a_minus_inf_logit_in_a_row_with_a_finite_maximum():
+    # q[bad_row] = (1, -1e300) meets keys (1, 1e300) and (1, 1) in turn: its
+    # logits alternate -inf and a finite value, so only the map's minimum shows
+    # the -inf; 300 rows span two blocks of 218 and 82 rows
+    k = np.ones((300, 2))
+    k[::2, 1] = 1e300
+    for n_q, bad_row in ((1, 0), (2, 1), (300, 250)):
+        for tracked in (False, True):
+            q = np.ones((n_q, 2))
+            q[bad_row, 1] = -1e300
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericError):
+                    ag.attention(Tensor(q, requires_grad=tracked), Tensor(k),
+                                 Tensor(np.ones((300, 1))))
 
 
 # (queries, keys) on both sides of the row-buffer threshold and of numpy's

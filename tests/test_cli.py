@@ -240,12 +240,15 @@ def test_os_errors_print_one_line_and_exit_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
-    "command", ["train-config", "train-one-patch-crop", "sweep-dataset", "sweep-model", "sweep-ratios", "sweep-qualities"]
+    "command", ["train-config", "train-one-patch-crop", "train-channels", "sweep-dataset", "sweep-model", "sweep-ratios", "sweep-qualities"]
 )
 def test_train_and_sweep_check_inputs_before_making_their_directory(tmp_path, capsys, command):
     data_dir = tmp_path / "data"
     data_dir.mkdir()
     _write_image(data_dir / "img0.pgm", seed=3, size=16)
+    rgb_dir = tmp_path / "rgb"
+    rgb_dir.mkdir()
+    _write_image(rgb_dir / "img0.ppm", seed=3, size=16, channels=3)
     junk = tmp_path / "junk.tmck"
     junk.write_bytes(b"JUNK" + bytes(60))
     out_dir = tmp_path / "newdir"
@@ -257,6 +260,9 @@ def test_train_and_sweep_check_inputs_before_making_their_directory(tmp_path, ca
         # a 4 px crop at patch 4 is one patch, which every mask keeps
         "train-one-patch-crop": ["train", "--synthetic", "2", "--out", str(out_dir / "m.tmck"),
                                  "--crop-size", "4", "--patch-size", "4"],
+        # an RGB corpus for the default one-channel model, which train refuses
+        "train-channels": ["train", "--dataset", str(rgb_dir), "--out", str(out_dir / "m.tmck"),
+                           "--crop-size", "16", "--epochs", "1"],
         "sweep-dataset": ["sweep", "--dataset", str(tmp_path / "missing"), "--model", str(junk),
                           *sweep_args],
         "sweep-model": ["sweep", "--dataset", str(data_dir), "--model", str(junk), *sweep_args],
@@ -270,6 +276,8 @@ def test_train_and_sweep_check_inputs_before_making_their_directory(tmp_path, ca
     assert err.startswith("error: ") and err.count("\n") == 1, err
     if command in ("sweep-ratios", "sweep-qualities"):  # refused before the junk model is read
         assert err.startswith(f"error: --{command[6:]}: "), err
+    if command == "train-channels":
+        assert err == "error: corpus image 'img0' has 3 channels, but the model takes 1\n", err
     assert not out_dir.exists()
 
 

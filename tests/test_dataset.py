@@ -83,6 +83,16 @@ def test_load_refuses_a_200000_digit_width_with_a_short_message(tmp_path):
     assert len(str(info.value)) - len(str(path)) < 200
 
 
+def test_load_refuses_a_4000_digit_width_with_a_short_message(tmp_path):
+    # int() parses it, so the range check refuses it, echoing only its first bytes
+    path = tmp_path / "wide.pgm"
+    path.write_bytes(b"P5\n" + b"9" * 4000 + b" 2\n255\n")
+    with pytest.raises(ContractError, match="width b'9999") as info:
+        dataset.load_image(path)
+    assert str(info.value).endswith(" out of range")
+    assert len(str(info.value)) - len(str(path)) < 200
+
+
 def test_load_steps_over_many_comments_within_the_file_size(tmp_path):
     # one regex match per comment; a repeated group would hold ~240 bytes each
     path = tmp_path / "chatty.pgm"
