@@ -205,34 +205,22 @@ def test_untracked_attention_matches_tracked(n_q, n_k, d, d_v):
 
 def test_attention_rejects_non_finite_logits():
     # 1 and 2 query rows, and 300 rows whose map spans two blocks of 218
-    # and 82 rows; inf in q, or finite q whose logits overflow
+    # and 82 rows; inf in q, finite q whose logits overflow, or a row whose
+    # logits alternate -inf and a finite value, which only the map's
+    # minimum shows: q[bad_row] = (1, -1e300) against keys (1, 1e300), (1, 1)
+    overflow = np.full((300, 2), 1e300)
+    alternating = np.ones((300, 2))
+    alternating[::2, 1] = 1e300
     for n_q, bad_row in ((1, 0), (2, 1), (300, 250)):
-        for bad in (float("inf"), 1e300):
+        for bad, k in ((float("inf"), overflow), (1e300, overflow), (-1e300, alternating)):
             for tracked in (False, True):
                 q = np.ones((n_q, 2))
                 q[bad_row, 1] = bad
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     with pytest.raises(NumericError):
-                        ag.attention(Tensor(q, requires_grad=tracked),
-                                     Tensor(np.full((300, 2), 1e300)), Tensor(np.ones((300, 1))))
-
-
-def test_attention_rejects_a_minus_inf_logit_in_a_row_with_a_finite_maximum():
-    # q[bad_row] = (1, -1e300) meets keys (1, 1e300) and (1, 1) in turn: its
-    # logits alternate -inf and a finite value, so only the map's minimum shows
-    # the -inf; 300 rows span two blocks of 218 and 82 rows
-    k = np.ones((300, 2))
-    k[::2, 1] = 1e300
-    for n_q, bad_row in ((1, 0), (2, 1), (300, 250)):
-        for tracked in (False, True):
-            q = np.ones((n_q, 2))
-            q[bad_row, 1] = -1e300
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(NumericError):
-                    ag.attention(Tensor(q, requires_grad=tracked), Tensor(k),
-                                 Tensor(np.ones((300, 1))))
+                        ag.attention(Tensor(q, requires_grad=tracked), Tensor(k),
+                                     Tensor(np.ones((300, 1))))
 
 
 # (queries, keys) on both sides of the row-buffer threshold and of numpy's
