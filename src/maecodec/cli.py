@@ -95,8 +95,6 @@ def _cmd_train(args) -> int:
             args.synthetic, size=args.crop_size, channels=args.channels, seed=args.seed
         )
     result = training.train(corpus, model_cfg, cfg, log=print)
-    # The checkpoint's directory is made once train has accepted the corpus.
-    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     mae.save_checkpoint(result.model, args.out)
     print(f"saved {args.out} (final loss {result.epoch_losses[-1]:.6f})")
     return 0
@@ -107,8 +105,9 @@ def _cmd_sweep(args) -> int:
     qualities = _parse_list("--qualities", args.qualities, int)
     corpus = dataset.load_corpus(args.dataset)
     model = mae.load_checkpoint(args.model)
-    # Create the CSV's directory once the inputs are loaded, not after
-    # every cell has run.
+    # Refuse a bad grid value as rd_sweep would, and create the CSV's
+    # directory only once the inputs are loaded and checked.
+    sweep.cell_configs(model.config.patch_size, ratios, qualities, args.seed)
     os.makedirs(os.path.dirname(args.csv_out) or ".", exist_ok=True)
     result = sweep.rd_sweep(corpus, ratios, qualities, model, seed=args.seed)
     for failure in result.failures:

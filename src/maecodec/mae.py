@@ -25,6 +25,7 @@ gradients, so reconstructing with it builds no autograd graph.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import astuple, dataclass, field
 
@@ -33,7 +34,7 @@ import numpy as np
 from . import autograd as ag
 from . import transformer as tf
 from .autograd import Tensor
-from .errors import CheckpointError, ContractError, ShapeError
+from .errors import CheckpointError, ContractError, NumericError, ShapeError
 from .masking import MaskSpec, PatchGrid, to_uint8, unpatchify
 
 CHECKPOINT_MAGIC = b"TMCK"
@@ -280,11 +281,19 @@ def forward_loss(model: MaskedAutoencoder, patches: Tensor, spec: MaskSpec) -> T
 
 
 def save_bytes(model: MaskedAutoencoder) -> bytes:
+    """The model's TMCK bytes; a weight that is not finite as float32 is refused.
+
+    load_bytes refuses such a weight, so it is never written.
+    """
     out = bytearray(
         _CKPT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, *astuple(model.config))
     )
-    for _, tensor in model.named_parameters():
-        arr = np.ascontiguousarray(tensor.data, dtype=np.float32)
+    for name, tensor in model.named_parameters():
+        # an overflow to inf is refused below, not warned about
+        with np.errstate(over="ignore"):
+            arr = np.ascontiguousarray(tensor.data, dtype=np.float32)
+        if not np.isfinite(arr).all():
+            raise NumericError(f"tensor {name} holds values that are not finite as float32")
         out.append(arr.ndim)
         out += struct.pack(f"<{arr.ndim}I", *arr.shape)
         out += arr.tobytes()
@@ -344,8 +353,15 @@ def load_bytes(blob: bytes) -> MaskedAutoencoder:
 
 
 def save_checkpoint(model: MaskedAutoencoder, path) -> None:
+    """Write save_bytes(model) to path, making its directory.
+
+    The model is serialized first, so a refused weight makes no directory
+    and no file and leaves a checkpoint already at path as it was.
+    """
+    blob = save_bytes(model)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "wb") as fh:
-        fh.write(save_bytes(model))
+        fh.write(blob)
 
 
 def load_checkpoint(path) -> MaskedAutoencoder:

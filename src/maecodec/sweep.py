@@ -75,7 +75,9 @@ def rd_sweep(
 ) -> SweepResult:
     """Evaluate every (image, ratio, quality) cell in deterministic order.
 
-    Cells run at the model's patch size with the DCT codec.
+    Cells run at the model's patch size with the DCT codec. A bad ratio,
+    quality or seed raises ContractError before the first cell; a cell's own
+    failure is recorded and the sweep goes on.
     """
     if not corpus or not ratios or not qualities:
         raise ContractError("corpus, ratios and qualities must all be non-empty")
@@ -90,37 +92,49 @@ def rd_sweep(
                 f"image id {image_id!r} cannot be a sweep CSV id: it must be UTF-8, "
                 f"not contain ',', '\\n' or '\\r' and not equal {MEAN_ID!r}"
             )
+    configs = cell_configs(model.config.patch_size, ratios, qualities, seed)
     points: list[RDPoint] = []
     failures: list[SweepFailure] = []
     for image_id, image in corpus:
-        for ratio in ratios:
-            for quality in qualities:
-                try:
-                    config = PipelineConfig(
-                        patch_size=model.config.patch_size,
+        for config in configs:
+            ratio, quality = config.mask_ratio, config.codec.quality
+            try:
+                container = compress(image, config)
+                output = decompress(container, model)
+                rates = rate_report(container)
+                points.append(
+                    RDPoint(
+                        image_id=image_id,
                         mask_ratio=ratio,
-                        seed=seed,
-                        codec=CodecParams(quality=quality),
+                        quality=quality,
+                        overall_bpp=rates.overall_bpp,
+                        payload_bpp=rates.payload_bpp,
+                        ssim=metrics.ssim(image, output),
+                        psnr=metrics.psnr(image, output),
                     )
-                    container = compress(image, config)
-                    output = decompress(container, model)
-                    rates = rate_report(container)
-                    points.append(
-                        RDPoint(
-                            image_id=image_id,
-                            mask_ratio=ratio,
-                            quality=quality,
-                            overall_bpp=rates.overall_bpp,
-                            payload_bpp=rates.payload_bpp,
-                            ssim=metrics.ssim(image, output),
-                            psnr=metrics.psnr(image, output),
-                        )
-                    )
-                except CELL_ERRORS as exc:  # cell isolation: sweep continues
-                    failures.append(
-                        SweepFailure(image_id, ratio, quality, f"{type(exc).__name__}: {exc}")
-                    )
+                )
+            except CELL_ERRORS as exc:  # cell isolation: sweep continues
+                failures.append(
+                    SweepFailure(image_id, ratio, quality, f"{type(exc).__name__}: {exc}")
+                )
     return SweepResult(points=points, failures=failures)
+
+
+def cell_configs(
+    patch_size: int, ratios: list[float], qualities: list[int], seed: int
+) -> list[PipelineConfig]:
+    """Every (ratio, quality) cell's PipelineConfig, in sweep order, with the DCT codec.
+
+    A ratio or quality out of range raises ContractError here, before any
+    cell runs.
+    """
+    return [
+        PipelineConfig(
+            patch_size=patch_size, mask_ratio=ratio, seed=seed, codec=CodecParams(quality=quality)
+        )
+        for ratio in ratios
+        for quality in qualities
+    ]
 
 
 def corpus_mean(points: list[RDPoint]) -> list[RDPoint]:

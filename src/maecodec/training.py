@@ -40,8 +40,10 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.crop_size, self.epochs, self.batch_size) < 1:
             raise ContractError("crop_size, epochs and batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ContractError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ContractError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}"
+            )
         if not 0.0 <= self.ratio_low <= self.ratio_high < 1.0:
             raise ContractError(
                 f"ratio range [{self.ratio_low}, {self.ratio_high}] must sit inside [0, 1)"
@@ -112,6 +114,10 @@ def _random_crop(image: np.ndarray, size: int, rng: np.random.Generator) -> np.n
     return image[y : y + size, x : x + size]
 
 
+def _where(epoch: int, start: int, ratio: float) -> str:
+    return f"at epoch {epoch}, batch starting {start} (ratio {ratio:.3f})"
+
+
 def train(
     corpus: list[tuple[str, np.ndarray]],
     model_config: TMAEConfig,
@@ -121,7 +127,8 @@ def train(
     """Optimize a fresh model on random crops of the corpus.
 
     ``log`` is an optional callable given one line per epoch. Aborts with
-    NumericError (carrying epoch/step context) if the loss goes non-finite.
+    NumericError, naming the epoch, batch and ratio, if the loss goes
+    non-finite or a crop's forward or backward pass meets a non-finite value.
     """
     if not corpus:
         raise ContractError("training corpus is empty")
@@ -163,14 +170,15 @@ def train(
                 if spec is None or spec.n_patches != grid.n_patches:
                     n_patches_per_crop = grid.n_patches
                     spec = generate_mask(mask_seed, grid.n_patches, ratio)
-                loss = forward_loss(model, patches, spec)
-                value = loss.item()
+                try:
+                    loss = forward_loss(model, patches, spec)
+                    value = loss.item()
+                    if math.isfinite(value):
+                        ag.backward(ag.mul(loss, inv))
+                except NumericError as exc:
+                    raise NumericError(f"{exc} {_where(epoch, start, ratio)}") from exc
                 if not math.isfinite(value):
-                    raise NumericError(
-                        f"non-finite loss {value} at epoch {epoch}, "
-                        f"batch starting {start} (ratio {ratio:.3f})"
-                    )
-                ag.backward(ag.mul(loss, inv))
+                    raise NumericError(f"non-finite loss {value} {_where(epoch, start, ratio)}")
                 losses.append(value)
             opt.step()
         epoch_losses.append(float(np.mean(losses)))

@@ -1,20 +1,83 @@
-"""Shared test helpers: finite-difference gradient checking, allocation peaks, tiny configs."""
+"""Shared test helpers: finite-difference gradient checking, allocation peaks, tiny configs,
+the BLAS-thread registry and its child pytest runs."""
 
 from __future__ import annotations
 
 import contextlib
+import functools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import maecodec
 from maecodec import autograd as ag
 from maecodec.autograd import Tensor
 from maecodec.mae import TMAEConfig
 
 FD_STEP = 1e-5
 FD_TOL = 1e-4
+
+# Every test that pins bytes the package computes to a golden value, and
+# every bitwise test that compares two arrangements of BLAS products (a row
+# among rows, a strip against its blocks, a fused op against its op chain,
+# the SSIM reference memo against the five-map oracle). A new golden or such
+# test is registered here. Each test maps to its number of cases, written
+# out, so that a renamed test or a shrunken case list fails the launcher.
+BLAS_THREAD_TESTS = {
+    "test_autograd.py::test_affine_matches_matmul_then_add_bitwise": 3,
+    "test_autograd.py::test_attention_matches_op_chain_bitwise": 9,
+    "test_autograd.py::test_backward_matches_the_sweep_over_every_tensor_bitwise": 1,
+    "test_autograd.py::test_matmul_of_one_row_equals_that_row_among_others": 6,
+    "test_autograd.py::test_untracked_attention_matches_tracked": 9,
+    "test_codec.py::test_codec_golden_digest": 1,
+    "test_codec.py::test_colour_codec_output_does_not_depend_on_the_band_size": 2,
+    "test_codec.py::test_container_golden_digest": 1,
+    "test_codec.py::test_dct_golden_bytes": 1,
+    "test_codec.py::test_dct_round_trip_orthogonal": 1,
+    "test_codec.py::test_gray_codec_matches_per_block_statement": 3,
+    "test_codec.py::test_null_golden_bytes": 1,
+    "test_codec.py::test_strip_transform_matches_per_block_products": 1,
+    "test_mae.py::test_decode_golden_digest": 1,
+    "test_mae.py::test_forward_loss_is_masked_mse_of_predict_masked_bitwise": 1,
+    "test_mae.py::test_row_subset_matches_full_rows": 21,
+    "test_metrics.py::test_ssim_alternating_references_miss_every_time": 1,
+    "test_metrics.py::test_ssim_equals_the_five_map_oracle_through_the_memo": 16,
+    "test_metrics.py::test_ssim_memo_keys_float_references_by_their_bytes": 1,
+    "test_pipeline.py::test_container_golden_bytes": 1,
+    "test_pipeline.py::test_kodak_sized_round_trip_golden_digest": 1,
+    "test_sweep.py::test_sweep_points_equal_a_sweep_scored_by_the_ssim_oracle": 1,
+    "test_training.py::test_train_golden_digest": 1,
+}
+
+
+@functools.cache
+def run_at_blas_threads(threads: str) -> subprocess.CompletedProcess:
+    """Every registered test, in one child pytest run whose BLAS runs this many threads.
+
+    The run is made once per thread count and read by every test that asks for it.
+    """
+    tests = Path(__file__).resolve().parent
+    src = str(Path(maecodec.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rp", "-p", "no:cacheprovider",
+         *(str(tests / t) for t in BLAS_THREAD_TESTS)],
+        cwd=tests.parent, env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def passed_at_blas_threads(threads: str, test: str) -> int:
+    """How many cases of a registered test passed in that child run."""
+    assert test in BLAS_THREAD_TESTS, test
+    node = f"PASSED tests/{test}"
+    lines = run_at_blas_threads(threads).stdout.splitlines()
+    return sum(line == node or line.startswith(node + "[") for line in lines)
 
 
 def total(x: Tensor) -> Tensor:

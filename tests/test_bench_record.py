@@ -177,3 +177,46 @@ def test_traced_ranges_flag_a_metric_whose_sides_overlap_as_not_attributable():
         "w other_ms: parent 6 [5, 7]  change 6.5 [6.5, 6.5]  not attributable",
         "w blocks: parent 3 [3, 3]  change 3 [3, 3]  not attributable",
     ]
+
+
+def test_dumps_writes_runs_and_objects_of_scalars_on_one_line():
+    tool = _load_tool()
+    data = {
+        "what": "w",
+        "comparisons": [{
+            "summary": {"w": {"op_ms_p50": {"parent": {"median": 1.5, "runs": 2}, "won": "2/2"},
+                              "failed_ops": {"parent": 0, "change": 0}}},
+            "traced_ranges": {"w": {"span_ms": {"parent": [1.0, 2.0], "attributable": True}}},
+            "runs": [{"side": "parent", "result": {"metrics": {"op_ms_p50": {"value": 1.0}}}}],
+            "empty": {},
+        }],
+    }
+    text = tool.dumps(data)
+    assert json.loads(text) == data
+    assert text.splitlines() == [
+        "{",
+        ' "what": "w",',
+        ' "comparisons": [',
+        "  {",
+        '   "summary": {',
+        '    "w": {',
+        '     "op_ms_p50": {',
+        '      "parent": {"median": 1.5, "runs": 2},',
+        '      "won": "2/2"',
+        "     },",
+        '     "failed_ops": {"parent": 0, "change": 0}',
+        "    }",
+        "   },",
+        '   "traced_ranges": {',
+        '    "w": {',
+        '     "span_ms": {"parent": [1.0, 2.0], "attributable": true}',
+        "    }",
+        "   },",
+        '   "runs": [',
+        '    {"side":"parent","result":{"metrics":{"op_ms_p50":{"value":1.0}}}}',
+        "   ],",
+        '   "empty": {}',
+        "  }",
+        " ]",
+        "}",
+    ]

@@ -10,6 +10,13 @@ from maecodec.codec import CodecParams
 from maecodec.pipeline import PipelineConfig, container_from_bytes
 
 
+# The 8-wide patch-4 model of the small training runs, as TMAEConfig fields and as flags.
+_SMALL_MODEL = dict(patch_size=4, channels=1, enc_d_model=8, enc_depth=1, enc_heads=2, enc_d_ff=8,
+                    dec_d_model=8, dec_depth=1, dec_heads=2, dec_d_ff=8)
+_SMALL_MODEL_FLAGS = ["--enc-width", "8", "--enc-depth", "1", "--enc-heads", "2", "--enc-ff", "8",
+                      "--dec-width", "8", "--dec-depth", "1", "--dec-heads", "2", "--dec-ff", "8"]
+
+
 def _write_image(path, seed=0, size=24, channels=1):
     rng = np.random.default_rng(seed)
     img = rng.integers(0, 256, (size, size, channels), dtype=np.uint8)
@@ -240,7 +247,12 @@ def test_os_errors_print_one_line_and_exit_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
-    "command", ["train-config", "train-one-patch-crop", "train-channels", "sweep-dataset", "sweep-model", "sweep-ratios", "sweep-qualities"]
+    "command",
+    [
+        "train-config", "train-lr-nan", "train-one-patch-crop", "train-channels",
+        "train-float32-overflow", "sweep-dataset", "sweep-model", "sweep-ratios",
+        "sweep-qualities", "sweep-ratio-range", "sweep-quality-range",
+    ],
 )
 def test_train_and_sweep_check_inputs_before_making_their_directory(tmp_path, capsys, command):
     data_dir = tmp_path / "data"
@@ -251,18 +263,25 @@ def test_train_and_sweep_check_inputs_before_making_their_directory(tmp_path, ca
     _write_image(rgb_dir / "img0.ppm", seed=3, size=16, channels=3)
     junk = tmp_path / "junk.tmck"
     junk.write_bytes(b"JUNK" + bytes(60))
+    model = tmp_path / "m.tmck"
+    mae.save_checkpoint(mae.init_model(mae.TMAEConfig(**_SMALL_MODEL), seed=0), model)
     out_dir = tmp_path / "newdir"
     sweep_args = ["--ratios", "0.5", "--qualities", "50", "--csv-out", str(out_dir / "rd.csv")]
+    small_train = ["train", "--synthetic", "4", "--out", str(out_dir / "m.tmck"), "--crop-size", "16",
+                   "--epochs", "1", "--patch-size", "4", *_SMALL_MODEL_FLAGS]
     argv = {
         # 3 heads do not divide the default encoder width of 64
         "train-config": ["train", "--synthetic", "2", "--out", str(out_dir / "m.tmck"),
                          "--enc-heads", "3"],
+        "train-lr-nan": [*small_train, "--lr", "nan"],
         # a 4 px crop at patch 4 is one patch, which every mask keeps
         "train-one-patch-crop": ["train", "--synthetic", "2", "--out", str(out_dir / "m.tmck"),
                                  "--crop-size", "4", "--patch-size", "4"],
         # an RGB corpus for the default one-channel model, which train refuses
         "train-channels": ["train", "--dataset", str(rgb_dir), "--out", str(out_dir / "m.tmck"),
                            "--crop-size", "16", "--epochs", "1"],
+        # one Adam step this large leaves weights finite in float64 only
+        "train-float32-overflow": [*small_train, "--lr", "1e300"],
         "sweep-dataset": ["sweep", "--dataset", str(tmp_path / "missing"), "--model", str(junk),
                           *sweep_args],
         "sweep-model": ["sweep", "--dataset", str(data_dir), "--model", str(junk), *sweep_args],
@@ -270,6 +289,10 @@ def test_train_and_sweep_check_inputs_before_making_their_directory(tmp_path, ca
                          *sweep_args, "--ratios", "0.5,x"],
         "sweep-qualities": ["sweep", "--dataset", str(data_dir), "--model", str(junk),
                             *sweep_args, "--qualities", "5,x"],
+        "sweep-ratio-range": ["sweep", "--dataset", str(data_dir), "--model", str(model),
+                              *sweep_args, "--ratios", "0.5,1.5"],
+        "sweep-quality-range": ["sweep", "--dataset", str(data_dir), "--model", str(model),
+                                *sweep_args, "--qualities", "50,0"],
     }[command]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
@@ -278,6 +301,14 @@ def test_train_and_sweep_check_inputs_before_making_their_directory(tmp_path, ca
         assert err.startswith(f"error: --{command[6:]}: "), err
     if command == "train-channels":
         assert err == "error: corpus image 'img0' has 3 channels, but the model takes 1\n", err
+    expected = {
+        "train-lr-nan": "error: learning_rate must be finite and positive, got nan\n",
+        "train-float32-overflow": "error: tensor embed holds values that are not finite as float32\n",
+        "sweep-ratio-range": "error: mask_ratio must lie in [0, 1), got 1.5\n",
+        "sweep-quality-range": "error: quality must lie in 1..100, got 0\n",
+    }
+    if command in expected:
+        assert err == expected[command], err
     assert not out_dir.exists()
 
 

@@ -2,10 +2,6 @@
 round trips, rate/quality monotonicity, malformed-stream handling."""
 
 import hashlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +22,7 @@ from maecodec.dataset import synthetic_image
 from maecodec.errors import BitstreamError, ContractError, ShapeError
 from maecodec.pipeline import PipelineConfig, compress
 
-from conftest import traced_peak
+from conftest import BLAS_THREAD_TESTS, passed_at_blas_threads, run_at_blas_threads, traced_peak
 
 # Standard zigzag scan of an 8x8 block, frozen from the usual table.
 ZIGZAG_REFERENCE = [
@@ -129,17 +125,10 @@ def test_strip_transform_matches_per_block_products():
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_strip_transform_matches_per_block_products_at_blas_threads(threads):
-    """The same check in a child pytest run whose BLAS runs this many threads."""
-    test = Path(__file__).resolve()
-    src = str(Path(codec.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-    child = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{test}::test_strip_transform_matches_per_block_products"],
-        cwd=test.parents[1], env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert child.returncode == 0, child.stdout + child.stderr
-    assert child.stdout.splitlines()[-1].startswith("1 passed"), child.stdout
+    """The same check in the registry's child pytest run whose BLAS runs this many threads."""
+    test = "test_codec.py::test_strip_transform_matches_per_block_products"
+    passed = passed_at_blas_threads(threads, test)
+    assert passed == BLAS_THREAD_TESTS[test], run_at_blas_threads(threads).stdout
 
 
 # -- quantizer ------------------------------------------------------------------

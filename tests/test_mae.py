@@ -2,10 +2,7 @@
 
 import hashlib
 import json
-import os
 import struct
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +16,7 @@ from maecodec import transformer as tf
 from maecodec.autograd import Tensor
 from maecodec.codec import CodecParams, codec_decode
 from maecodec.dataset import synthetic_corpus, synthetic_image
-from maecodec.errors import CheckpointError, ContractError, ShapeError
+from maecodec.errors import CheckpointError, ContractError, NumericError, ShapeError
 from maecodec.masking import (
     PatchGrid,
     generate_mask,
@@ -28,7 +25,13 @@ from maecodec.masking import (
     unstack_visible,
 )
 
-from conftest import assert_grads_close, traced_peak
+from conftest import (
+    BLAS_THREAD_TESTS,
+    assert_grads_close,
+    passed_at_blas_threads,
+    run_at_blas_threads,
+    traced_peak,
+)
 
 BENCH_FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 
@@ -495,6 +498,24 @@ def test_checkpoint_file_round_trip(tiny_mae_config, tmp_path):
     )
 
 
+@pytest.mark.parametrize("value", [1e39, np.nan], ids=["float32-overflow", "nan"])
+def test_save_refuses_a_weight_that_is_not_finite_as_float32(tiny_mae_config, tmp_path, value):
+    model = _tiny_model(tiny_mae_config, seed=19)
+    name, tensor = model.named_parameters()[3]
+    tensor.data[0] = value
+    path = tmp_path / "model.tmck"
+    path.write_bytes(b"an earlier checkpoint")
+    message = f"tensor {name} holds values that are not finite as float32"
+    with pytest.raises(NumericError, match=f"^{message}$"):
+        mae.save_bytes(model)
+    with pytest.raises(NumericError, match=f"^{message}$"):
+        mae.save_checkpoint(model, path)
+    assert path.read_bytes() == b"an earlier checkpoint"
+    with pytest.raises(NumericError):
+        mae.save_checkpoint(model, tmp_path / "new" / "model.tmck")
+    assert not (tmp_path / "new").exists()
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -615,35 +636,12 @@ def test_row_subset_matches_full_rows(cfg, n, keep_count, loaded):
     _check_row_subsets(cfg, n, keep_count, loaded)
 
 
-# Every row-subset case, golden digest, the backward oracle and the tracked
-# and untracked attention check: outputs that must not depend on how many
-# threads BLAS runs. Each test maps to its number of cases.
-_TWO_THREAD_TESTS = {
-    "test_mae.py::test_row_subset_matches_full_rows": len(_ROW_SUBSET_CASES),
-    "test_mae.py::test_decode_golden_digest": 1,
-    "test_autograd.py::test_backward_matches_the_sweep_over_every_tensor_bitwise": 1,
-    "test_autograd.py::test_untracked_attention_matches_tracked": 9,
-    "test_autograd.py::test_attention_matches_op_chain_bitwise": 9,
-    "test_codec.py::test_codec_golden_digest": 1,
-    "test_codec.py::test_container_golden_digest": 1,
-    "test_pipeline.py::test_kodak_sized_round_trip_golden_digest": 1,
-    "test_training.py::test_train_golden_digest": 1,
-}
-
-
 def test_row_subset_matches_full_rows_with_two_blas_threads():
-    """Every test in _TWO_THREAD_TESTS, in one child pytest run whose BLAS runs two threads."""
-    tests = Path(__file__).resolve().parent
-    src = str(Path(mae.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=src)
-    child = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         *(str(tests / t) for t in _TWO_THREAD_TESTS)],
-        cwd=tests.parent, env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert child.returncode == 0, child.stdout + child.stderr
-    expected = sum(_TWO_THREAD_TESTS.values())
-    assert child.stdout.splitlines()[-1].startswith(f"{expected} passed"), child.stdout
+    """Every row-subset case in the registry's child pytest run whose BLAS runs two threads."""
+    test = "test_mae.py::test_row_subset_matches_full_rows"
+    assert BLAS_THREAD_TESTS[test] == len(_ROW_SUBSET_CASES)
+    passed = passed_at_blas_threads("2", test)
+    assert passed == BLAS_THREAD_TESTS[test], run_at_blas_threads("2").stdout
 
 
 # patch 16, 3 channels, 8-deep 256-wide encoder and decoder, d_ff 1024:

@@ -1,10 +1,6 @@
 """SSIM/PSNR/MSE: closed forms, brute-force window oracle, the reference memo, invariants."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from conftest import traced_peak
+from conftest import BLAS_THREAD_TESTS, passed_at_blas_threads, run_at_blas_threads, traced_peak
 from maecodec import metrics
 from maecodec.errors import ContractError, ShapeError
 
@@ -282,17 +278,11 @@ def test_ssim_object_reference_bypasses_the_memo():
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_ssim_equals_the_five_map_oracle_at_blas_threads(threads):
-    """The oracle test in a child pytest run whose BLAS runs this many threads."""
-    test = Path(__file__).resolve()
-    src = str(Path(metrics.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-    child = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{test}::test_ssim_equals_the_five_map_oracle_through_the_memo"],
-        cwd=test.parents[1], env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert child.returncode == 0, child.stdout + child.stderr
-    assert child.stdout.splitlines()[-1].startswith(f"{4 * len(_MEMO_SHAPES)} passed"), child.stdout
+    """The oracle test in the registry's child pytest run whose BLAS runs this many threads."""
+    test = "test_metrics.py::test_ssim_equals_the_five_map_oracle_through_the_memo"
+    assert BLAS_THREAD_TESTS[test] == 4 * len(_MEMO_SHAPES)
+    passed = passed_at_blas_threads(threads, test)
+    assert passed == BLAS_THREAD_TESTS[test], run_at_blas_threads(threads).stdout
 
 
 def test_ssim_alternating_references_miss_every_time():

@@ -106,6 +106,26 @@ def test_sweep_requires_nonempty_inputs():
         sweep.rd_sweep([("a", _gray(5))], [0.5], [], model)
 
 
+@pytest.mark.parametrize(
+    "ratios,qualities,message",
+    [
+        ([0.5, 1.5], [50], r"mask_ratio must lie in \[0, 1\), got 1.5"),
+        ([-0.1, 0.5], [50], r"mask_ratio must lie in \[0, 1\), got -0.1"),
+        ([0.5], [50, 0], "quality must lie in 1..100, got 0"),
+        ([0.5], [101, 50], "quality must lie in 1..100, got 101"),
+    ],
+)
+def test_sweep_refuses_a_bad_grid_value_before_the_first_cell(
+    ratios, qualities, message, monkeypatch
+):
+    def no_cell(image, config):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(sweep, "compress", no_cell)
+    with pytest.raises(ContractError, match=f"^{message}$"):
+        sweep.rd_sweep([("a", _gray(5))], ratios, qualities, _sweep_model())
+
+
 @pytest.mark.parametrize("bad_id", ["a,b", "a\nb", "a\rb", "mean", "\udcff"])
 def test_sweep_rejects_ids_the_csv_cannot_hold(bad_id, monkeypatch):
     """Raised before the first cell, not when the written CSV is read back."""

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ def _tiny_model_config():
         dict(batch_size=0),
         dict(crop_size=0),
         dict(learning_rate=0.0),
+        dict(learning_rate=float("nan")),
+        dict(learning_rate=float("inf")),
         dict(ratio_low=0.7, ratio_high=0.6),
         dict(ratio_high=1.0),
         dict(ratio_low=-0.1),
@@ -248,6 +251,28 @@ def test_train_aborts_on_nonfinite_loss():
             _toy_corpus(), _tiny_model_config(),
             _tiny_train_config(epochs=40, learning_rate=1e38),
         )
+
+
+def test_train_names_the_batch_of_a_numeric_error_in_a_crop(monkeypatch):
+    forward_loss = training.forward_loss
+    calls = []
+    cause = NumericError("softmax_rows: non-finite input")
+
+    def third_crop_fails(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise cause
+        return forward_loss(*args)
+
+    monkeypatch.setattr(training, "forward_loss", third_crop_fails)
+    with pytest.raises(NumericError) as info:
+        training.train(_toy_corpus(), _tiny_model_config(), _tiny_train_config())
+    # batches of 2: the third crop is the first of the batch starting at 2
+    assert re.fullmatch(
+        r"softmax_rows: non-finite input at epoch 0, batch starting 2 \(ratio 0\.\d{3}\)",
+        str(info.value),
+    ), str(info.value)
+    assert info.value.__cause__ is cause
 
 
 def test_baseline_fill_mse_known_values():

@@ -7,7 +7,9 @@ Run from the repository root:
         --what "..." BENCH_pipeline.json
 
 ``format`` rewrites the file in its layout: everything indented by one space,
-except that each raw run (an element of a ``runs`` list) is one compact line.
+except that each raw run (an element of a ``runs`` list) is one compact line,
+and so is any object or list whose members are all scalars or lists of
+scalars, such as a side's quartiles or a traced metric's ranges.
 ``json.load`` reads the same data before and after. ``compare`` runs
 ``perfbench/run.py`` untraced in two checkouts, parent and change alternated
 pair by pair on every workload of the change's BENCHMARK.json for its
@@ -40,21 +42,35 @@ PAIRS = 10
 TRACED_PAIRS = 3
 
 
+def _scalar(value) -> bool:
+    return not isinstance(value, (dict, list))
+
+
+def _one_line(value) -> bool:
+    """Whether every member of an object or list is a scalar or a list of scalars."""
+    members = value.values() if isinstance(value, dict) else value
+    return all(_scalar(m) or isinstance(m, list) and all(map(_scalar, m)) for m in members)
+
+
 def dumps(data) -> str:
-    """data as JSON, indented by one space, with each element of a ``runs`` list on one line."""
+    """data as JSON, indented by one space.
+
+    Each element of a ``runs`` list is one compact line, and so is any other
+    object or list whose members are all scalars or lists of scalars.
+    """
 
     def emit(value, depth: int, compact: bool = False) -> str:
         pad, inner = " " * depth, " " * (depth + 1)
-        if isinstance(value, dict) and value:
+        if _scalar(value) or _one_line(value):
+            return json.dumps(value)
+        if isinstance(value, dict):
             items = (f"{inner}{json.dumps(k)}: {emit(v, depth + 1, k == 'runs')}" for k, v in value.items())
             return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-        if isinstance(value, list) and value:
-            if compact:
-                items = (inner + json.dumps(v, separators=(",", ":")) for v in value)
-            else:
-                items = (inner + emit(v, depth + 1) for v in value)
-            return "[\n" + ",\n".join(items) + f"\n{pad}]"
-        return json.dumps(value)
+        if compact:
+            items = (inner + json.dumps(v, separators=(",", ":")) for v in value)
+        else:
+            items = (inner + emit(v, depth + 1) for v in value)
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
 
     return emit(data, 0) + "\n"
 
