@@ -18,7 +18,7 @@ from . import autograd as ag
 from .autograd import Tensor
 from .errors import ContractError, NumericError
 from .mae import MaskedAutoencoder, TMAEConfig, forward_loss, init_model, predict_masked
-from .masking import PAD_VALUE, generate_mask, image_grid, keep_count_for_ratio, patchify
+from .masking import PAD_VALUE, generate_mask, image_grid, keep_count_for_ratio, padded_grid, patchify
 
 _MASK_SEED_BOUND = 1 << 63
 # Adam's moment decay rates and denominator floor (Kingma & Ba defaults)
@@ -53,12 +53,12 @@ class TrainConfig:
 def require_masked_patches(model_config: TMAEConfig, cfg: TrainConfig) -> None:
     """Refuse a config whose crops can hold no masked patch.
 
-    A full crop has ceil(crop_size / patch_size)^2 patches and the highest
-    ratio masks the most of them; smaller images and ratios mask no more.
-    With none masked, the loss has no row to average.
+    A full crop's padded grid has the most patches and the highest ratio
+    masks the most of them; smaller images and ratios mask no more. With
+    none masked, the loss has no row to average.
     """
-    side = -(-cfg.crop_size // model_config.patch_size)
-    n_patches = side * side
+    grid = padded_grid(cfg.crop_size, cfg.crop_size, model_config.channels, model_config.patch_size)
+    n_patches = grid.n_patches
     if keep_count_for_ratio(n_patches, cfg.ratio_high) == n_patches:
         raise ContractError(
             f"crops of {cfg.crop_size} px at patch size {model_config.patch_size} hold "
@@ -70,7 +70,8 @@ class Adam:
     """Adam with both moments in flat float64 arrays, the parameters end to end.
 
     Each step updates every parameter in one pass over one concatenation of
-    their gradients, so every parameter must have one.
+    their gradients, so every parameter must have one. A gradient that is not
+    finite is refused before the step changes any state.
     """
 
     def __init__(self, params: list[Tensor], lr: float):
@@ -86,6 +87,8 @@ class Adam:
 
     def step(self) -> None:
         g = np.concatenate([p.grad for p in self.params], axis=None, dtype=np.float64)
+        if not np.isfinite(g).all():
+            raise NumericError("Adam step: gradient is not finite")
         self.t += 1
         self.m *= _BETA1
         self.m += (1.0 - _BETA1) * g
@@ -128,7 +131,8 @@ def train(
 
     ``log`` is an optional callable given one line per epoch. Aborts with
     NumericError, naming the epoch, batch and ratio, if the loss goes
-    non-finite or a crop's forward or backward pass meets a non-finite value.
+    non-finite, a crop's forward pass meets a non-finite value, or the
+    batch's summed gradient is not finite (Adam then takes no step).
     """
     if not corpus:
         raise ContractError("training corpus is empty")
@@ -164,23 +168,24 @@ def train(
             spec = None
             opt.zero_grad()
             inv = 1.0 / len(batch)
-            for idx in batch:
-                crop = _random_crop(images[idx], cfg.crop_size, rng)
-                patches, grid = patchify(crop, model_config.patch_size)
-                if spec is None or spec.n_patches != grid.n_patches:
-                    n_patches_per_crop = grid.n_patches
-                    spec = generate_mask(mask_seed, grid.n_patches, ratio)
-                try:
+            try:
+                for idx in batch:
+                    crop = _random_crop(images[idx], cfg.crop_size, rng)
+                    patches, grid = patchify(crop, model_config.patch_size)
+                    if spec is None or spec.n_patches != grid.n_patches:
+                        n_patches_per_crop = grid.n_patches
+                        spec = generate_mask(mask_seed, grid.n_patches, ratio)
                     loss = forward_loss(model, patches, spec)
                     value = loss.item()
-                    if math.isfinite(value):
+                    if not math.isfinite(value):
+                        raise NumericError(f"non-finite loss {value}")
+                    # an overflow leaves a non-finite gradient, which Adam.step refuses
+                    with np.errstate(over="ignore", invalid="ignore"):
                         ag.backward(ag.mul(loss, inv))
-                except NumericError as exc:
-                    raise NumericError(f"{exc} {_where(epoch, start, ratio)}") from exc
-                if not math.isfinite(value):
-                    raise NumericError(f"non-finite loss {value} {_where(epoch, start, ratio)}")
-                losses.append(value)
-            opt.step()
+                    losses.append(value)
+                opt.step()
+            except NumericError as exc:
+                raise NumericError(f"{exc} {_where(epoch, start, ratio)}") from exc
         epoch_losses.append(float(np.mean(losses)))
         if log is not None:
             log(

@@ -128,27 +128,25 @@ def _shared_table(positions: range | tuple, d_model: int) -> np.ndarray:
 
 
 def multi_head_attention(
-    x: TokenSequence, params: EncoderBlockParams, queries: Tensor | None = None
+    x: Tensor, params: EncoderBlockParams, queries: Tensor | None = None
 ) -> Tensor:
     """Per-head attention on projected tokens, concatenated and re-projected.
 
-    Keys and values come from every token of ``x``. Queries come from the
-    rows of ``queries`` (``x.tokens`` when it is None); the output has one
-    row per query row. How much of each head's map exists at once is
-    ``autograd.attention``'s decision.
+    Keys and values come from every row of the token matrix ``x``. Queries
+    come from the rows of ``queries`` (``x`` when it is None); the output
+    has one row per query row. How much of each head's map exists at once
+    is ``autograd.attention``'s decision.
     """
     cfg = params.config
-    if x.tokens.shape[1] != cfg.d_model:
-        raise ShapeError(
-            f"multi_head_attention: token width {x.tokens.shape[1]} != d_model {cfg.d_model}"
-        )
+    if x.shape[1] != cfg.d_model:
+        raise ShapeError(f"multi_head_attention: token width {x.shape[1]} != d_model {cfg.d_model}")
     if queries is None:
-        queries = x.tokens
+        queries = x
     heads = []
     for h in range(cfg.n_heads):
         q = ag.matmul(queries, params.wq[h])
-        k = ag.matmul(x.tokens, params.wk[h])
-        v = ag.matmul(x.tokens, params.wv[h])
+        k = ag.matmul(x, params.wk[h])
+        v = ag.matmul(x, params.wv[h])
         heads.append(ag.attention(q, k, v))
     return ag.affine(ag.concat_cols(heads), params.wo, params.bo)
 
@@ -182,7 +180,7 @@ def encoder_block(x: TokenSequence, params: EncoderBlockParams, rows=None) -> To
     queries, residual = None, x.tokens
     if rows is not None:
         queries, residual = ag.gather_rows(normed, rows), ag.gather_rows(x.tokens, rows)
-    mid = ag.add(residual, multi_head_attention(TokenSequence(normed), params, queries))
+    mid = ag.add(residual, multi_head_attention(normed, params, queries))
     normed2 = ag.layer_norm(mid, params.ln2_gain, params.ln2_bias)
     return TokenSequence(ag.add(mid, feed_forward(normed2, params)))
 

@@ -141,21 +141,24 @@ def rng():
     return np.random.default_rng(0)
 
 
+# Smallest config that exercises every layer type.
+TINY_MAE_CONFIG = TMAEConfig(
+    patch_size=2,
+    channels=1,
+    enc_d_model=8,
+    enc_depth=1,
+    enc_heads=2,
+    enc_d_ff=8,
+    dec_d_model=4,
+    dec_depth=1,
+    dec_heads=2,
+    dec_d_ff=4,
+)
+
+
 @pytest.fixture
 def tiny_mae_config():
-    """Smallest config that exercises every layer type."""
-    return TMAEConfig(
-        patch_size=2,
-        channels=1,
-        enc_d_model=8,
-        enc_depth=1,
-        enc_heads=2,
-        enc_d_ff=8,
-        dec_d_model=4,
-        dec_depth=1,
-        dec_heads=2,
-        dec_d_ff=4,
-    )
+    return TINY_MAE_CONFIG
 
 
 @pytest.fixture(params=["uint16", "int64", "float32", "float64-nan", "bool"])

@@ -44,65 +44,6 @@ def test_load_handles_comments_and_whitespace(tmp_path):
     np.testing.assert_array_equal(dataset.load_image(path)[:, :, 0], [[97, 98, 99]])
 
 
-@pytest.mark.parametrize(
-    "payload",
-    [
-        b"P4\n2 2\n255\n" + bytes(4),  # unsupported format
-        b"P5\n2 2\n65535\n" + bytes(8),  # unsupported maxval
-        b"P5\nx 2\n255\n" + bytes(4),  # non-numeric width
-        b"P5\n0 2\n255\n",  # zero dimension
-        b"P5\n2 2\n255\nab",  # truncated pixels
-        b"P5\n2",  # truncated header
-        b"",  # empty file
-        b"P5\n" + b"1" * 5000 + b" 2\n255\n" + bytes(4),  # past int()'s 4300-digit limit
-        b"P5\n2 2 # a comment that runs to the end of the file before maxval",
-    ],
-)
-def test_load_rejects_malformed(tmp_path, payload):
-    path = tmp_path / "bad.pgm"
-    path.write_bytes(payload)
-    with pytest.raises(ContractError):
-        dataset.load_image(path)
-
-
-def test_load_refuses_a_header_that_declares_more_pixels_than_it_holds_within_a_small_peak(tmp_path):
-    # 8192x8192x3 declared, 10 bytes held: reading what the header declares peaked at 192 MiB
-    path = tmp_path / "big.ppm"
-    path.write_bytes(b"P6\n8192 8192\n255\n" + bytes(10))
-    with traced_peak() as trace:
-        with pytest.raises(ContractError, match="expected 201326592 pixel bytes, got 10"):
-            dataset.load_image(path)
-    assert trace.peak < 2**20, f"peak {trace.peak / 2**20:.1f} MiB"
-
-
-def test_load_refuses_a_200000_digit_width_with_a_short_message(tmp_path):
-    path = tmp_path / "wide.pgm"
-    path.write_bytes(b"P5\n" + b"1" * 200_000 + b" 2\n255\n")
-    with pytest.raises(ContractError, match="bad width b'1111") as info:
-        dataset.load_image(path)
-    assert len(str(info.value)) - len(str(path)) < 200
-
-
-def test_load_refuses_a_4000_digit_width_with_a_short_message(tmp_path):
-    # int() parses it, so the range check refuses it, echoing only its first bytes
-    path = tmp_path / "wide.pgm"
-    path.write_bytes(b"P5\n" + b"9" * 4000 + b" 2\n255\n")
-    with pytest.raises(ContractError, match="width b'9999") as info:
-        dataset.load_image(path)
-    assert str(info.value).endswith(" out of range")
-    assert len(str(info.value)) - len(str(path)) < 200
-
-
-def test_load_steps_over_many_comments_within_the_file_size(tmp_path):
-    # one regex match per comment; a repeated group would hold ~240 bytes each
-    path = tmp_path / "chatty.pgm"
-    path.write_bytes(b"P5\n" + b"#\n" * 100_000 + b"2 1\n255\nab")
-    with traced_peak() as trace:
-        img = dataset.load_image(path)
-    np.testing.assert_array_equal(img[:, :, 0], [[97, 98]])
-    assert trace.peak < 2**20, f"peak {trace.peak / 2**20:.1f} MiB"
-
-
 def test_save_rejects_wrong_dtype_or_channels(tmp_path):
     with pytest.raises(ContractError):
         dataset.save_image(tmp_path / "x.ppm", np.zeros((2, 2, 3), dtype=np.float64))

@@ -88,6 +88,17 @@ def test_adam_step_refuses_a_missing_gradient():
     assert not opt.m.any() and not opt.v.any()
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_adam_step_refuses_a_gradient_that_is_not_finite(bad):
+    p, q = (Tensor(np.array([5.0]), requires_grad=True) for _ in range(2))
+    opt = training.Adam([p, q], lr=0.1)
+    p.grad, q.grad = np.array([1.0]), np.array([bad])
+    with pytest.raises(NumericError, match="gradient is not finite"):
+        opt.step()
+    assert (p.data.tolist(), q.data.tolist(), opt.t) == ([5.0], [5.0], 0)
+    assert not opt.m.any() and not opt.v.any()
+
+
 def test_fused_adam_matches_a_per_parameter_update_bitwise():
     """Three steps, every parameter with a gradient of its own scale at each."""
     rng = np.random.default_rng(11)
@@ -273,6 +284,28 @@ def test_train_names_the_batch_of_a_numeric_error_in_a_crop(monkeypatch):
         str(info.value),
     ), str(info.value)
     assert info.value.__cause__ is cause
+
+
+def test_train_names_the_batch_whose_gradient_overflows_and_keeps_the_weights_finite(monkeypatch):
+    # the first step moves every weight by about 1e30; the backward pass of
+    # the next batch overflows, and Adam refuses that batch's gradient
+    made = []
+    init_model = training.init_model
+
+    def keep(*args, **kwargs):
+        made.append(init_model(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(training, "init_model", keep)
+    corpus = dataset.synthetic_corpus(16, size=16, channels=1, seed=0)
+    model_cfg = mae.TMAEConfig(
+        patch_size=4, channels=1, enc_d_model=8, enc_depth=1, enc_heads=2,
+        enc_d_ff=8, dec_d_model=8, dec_depth=1, dec_heads=2, dec_d_ff=8,
+    )
+    cfg = training.TrainConfig(crop_size=16, epochs=2, batch_size=4, learning_rate=1e30)
+    with pytest.raises(NumericError, match="gradient is not finite at epoch 0, batch starting 4 "):
+        training.train(corpus, model_cfg, cfg)
+    assert all(np.isfinite(p.data).all() for p in made[0].parameters())
 
 
 def test_baseline_fill_mse_known_values():

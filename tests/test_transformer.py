@@ -236,7 +236,7 @@ def test_single_head_reduces_to_scaled_attention():
     params = _random_block(cfg, 8, seed=4)
     rng = np.random.default_rng(5)
     x = rng.normal(size=(3, 4))
-    out = tf.multi_head_attention(tf.TokenSequence(Tensor(x)), params)
+    out = tf.multi_head_attention(Tensor(x), params)
     q, k, v = x @ params.wq[0].data, x @ params.wk[0].data, x @ params.wv[0].data
     single = ag.attention(Tensor(q), Tensor(k), Tensor(v))
     expect = single.data @ params.wo.data + params.bo.data
@@ -248,7 +248,7 @@ def test_two_head_staged_oracle():
     params = _random_block(cfg, 8, seed=6)
     rng = np.random.default_rng(7)
     x = rng.normal(size=(5, 4))
-    out = tf.multi_head_attention(tf.TokenSequence(Tensor(x)), params)
+    out = tf.multi_head_attention(Tensor(x), params)
     np.testing.assert_allclose(out.data, _np_mha(x, params), atol=1e-12)
 
 
@@ -258,8 +258,8 @@ def test_mha_permutation_equivariance():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(6, 8))
     perm = rng.permutation(6)
-    out = tf.multi_head_attention(tf.TokenSequence(Tensor(x)), params)
-    out_p = tf.multi_head_attention(tf.TokenSequence(Tensor(x[perm])), params)
+    out = tf.multi_head_attention(Tensor(x), params)
+    out_p = tf.multi_head_attention(Tensor(x[perm]), params)
     np.testing.assert_allclose(out_p.data, out.data[perm], atol=1e-9)
 
 
@@ -267,7 +267,7 @@ def test_mha_width_mismatch():
     cfg = tf.AttentionConfig(8, 2)
     params = _random_block(cfg, 16, seed=10)
     with pytest.raises(ShapeError):
-        tf.multi_head_attention(tf.TokenSequence(Tensor(np.ones((3, 6)))), params)
+        tf.multi_head_attention(Tensor(np.ones((3, 6))), params)
 
 
 # -- encoder block ---------------------------------------------------------------
