@@ -15,20 +15,38 @@ other shape mismatch is an error, which keeps the gradient rules small and
 auditable. A vector reaches every row of a matrix elsewhere through
 ``tile_rows``.
 
+Attention also bounds its logits once per call, before the loop: by
+Cauchy-Schwarz, the largest row norm of the scaled queries times the
+largest row norm of the keys caps every |logit|. When that bound is at
+most ``_EXP_SAFE`` = 512, softmax_rows exponentiates each block as it is,
+with no row maximum, minimum or subtraction pass. exp(512) times 2^22 keys
+is about 1e229, so no row sum overflows, and exp(-512), about 4e-223, is a
+normal float64, so no entry loses relative precision; the bound's own
+rounding error is a few ULP, far inside the margin up to exp's overflow
+at 709.78. The unshifted path is also the more accurate one: against a
+longdouble softmax of the same float64 logits it stayed within 4 ULP at
+every scale up to 512, while the max-shifted path reached 129 ULP at
+|logits| near 100 and 514 near 500, because its subtraction rounds before
+exp amplifies that error. Any other bound (NaN or inf from a non-finite
+q or k, finite q and k whose logits could overflow, or the default inf of
+a standalone call) takes the shifted path, which refuses non-finite
+logits with NumericError.
+
 Attention runs its softmax passes, forward and backward, with numpy's ufunc
 buffer cut to at most one map row once a row holds ``_ROW_BUFFER_MIN`` keys
 or more, and ``affine`` adds its row bias so from that many columns on.
 numpy copies a broadcast operand (a ``(rows, 1)`` column or a bias row)
 through that buffer whenever a row is shorter than it, so the default
-8192-element buffer makes the in-place ``x - row_max``, ``y *= 1 / row_sum``,
-``y * (g - dot)`` and ``y += bias`` spend most of their time copying: at
-42 x 1536 the subtraction took 49 µs with the default buffer and 22 µs
-with one row's, and the bias on a 1030 x 768 head output 541 against
-322 µs (numpy 2.4). Elementwise IEEE operations and numpy's contiguous row
-reductions do not depend on how numpy chunks them, so the bits are the
-same. Shorter rows keep the default, which is faster for them (1024 x 64:
-54 against 98 µs), and the setting never leaves those two ops, since other
-passes, ``patchify``'s uint8 conversion among them, slow down as the buffer
+8192-element buffer makes the in-place ``y *= 1 / row_sum``,
+``y * (g - dot)``, ``y += bias`` and the shifted path's ``x - row_max``
+spend most of their time copying: at 42 x 1536 the reciprocal multiply
+took 36 µs with the default buffer and 14 µs with one row's, and the bias
+on a 1030 x 768 head output 541 against 322 µs (numpy 2.4, 2 cores).
+Elementwise IEEE operations and numpy's contiguous row reductions do not
+depend on how numpy chunks them, so the bits are the same. Shorter rows
+keep the default, which is faster for them (1024 x 64: 54 against 98 µs),
+and the setting never leaves those two ops, since other passes,
+``patchify``'s uint8 conversion among them, slow down as the buffer
 shrinks.
 
 Graph edges live on the output tensor (parents plus a closure that routes
@@ -58,6 +76,9 @@ _SOFTMAX_BLOCK = 1 << 16
 _ROW_BUFFER_MIN = 256
 # numpy's default ufunc buffer, in elements
 _DEFAULT_BUFFER = 8192
+# softmax_rows exponentiates its input unshifted when a bound on every
+# |entry| is at most this (see the module docstring)
+_EXP_SAFE = 512.0
 
 
 class Tensor:
@@ -239,43 +260,64 @@ def _row_buffer(n_keys: int):
         np.setbufsize(previous)
 
 
-def softmax_rows(a: Tensor, out: np.ndarray | None = None) -> Tensor:
-    """Row-wise softmax with per-row max subtraction for stability.
+def softmax_rows(a: Tensor, out: np.ndarray | None = None, bound: float = math.inf) -> Tensor:
+    """Row-wise softmax; each row is multiplied by the reciprocal of its sum.
 
-    Each row is multiplied by the reciprocal of its sum: one division per
-    row, not per entry. With ``out`` (a float64 array of a's shape, which
-    may be ``a.data`` itself), the result is written there and becomes the
+    ``bound`` is a number that caps every |entry| of a. Up to
+    ``_EXP_SAFE`` the entries are exponentiated as they are, unshifted;
+    any other bound (the default inf, or NaN) takes the shifted path, which
+    subtracts each row's maximum first and raises NumericError for a
+    non-finite input. With ``out`` (a float64 array of a's shape, which may
+    be ``a.data`` itself), the result is written there and becomes the
     output's data.
     """
     if a.ndim != 2:
         raise ShapeError(f"softmax_rows: expected a matrix, got shape {a.shape}")
-    # NaN and +inf show in the row maxima, -inf in the minimum.
-    row_max = a.data.max(axis=1, keepdims=True)
-    if not (np.isfinite(row_max).all() and a.data.min() > -np.inf):
-        raise NumericError("softmax_rows: non-finite input")
-    y = np.subtract(a.data, row_max, out=out)
-    np.exp(y, out=y)
+    if bound <= _EXP_SAFE:
+        y = np.exp(a.data, out=out)
+    else:
+        # NaN and +inf show in the row maxima, -inf in the minimum.
+        row_max = a.data.max(axis=1, keepdims=True)
+        if not (np.isfinite(row_max).all() and a.data.min() > -np.inf):
+            raise NumericError("softmax_rows: non-finite input")
+        y = np.subtract(a.data, row_max, out=out)
+        np.exp(y, out=y)
     inv = y.sum(axis=1, keepdims=True)
     np.divide(1.0, inv, out=inv)
     y *= inv
     return _result(y, (a,), lambda g: _accumulate(a, _softmax_grad(y, g)))
 
 
+def _logit_bound(qs: np.ndarray, k: np.ndarray) -> float:
+    """max_i |qs_i| * max_j |k_j| over Euclidean row norms.
+
+    By Cauchy-Schwarz it caps every |qs_i . k_j|. A non-finite entry in
+    either matrix makes it inf or NaN; no rows of qs make it 0.
+    """
+    def peak(a):
+        return np.sqrt(np.max(np.einsum("ij,ij->i", a, a), initial=0.0))
+
+    return float(peak(qs) * peak(k))
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """softmax((q / sqrt(d)) k^T) v, in one loop over row blocks of the map.
 
-    The (queries, d) matrix q is scaled by 1/sqrt(d) once, before the loop.
+    The (queries, d) matrix q is scaled by 1/sqrt(d) once, before the loop,
+    and ``_logit_bound`` of the scaled q and k is computed once and passed
+    to every block's softmax_rows (see the module docstring).
     Each block of about ``_SOFTMAX_BLOCK`` map entries has its logits
     written into a map buffer, normalized there in place by softmax_rows,
     and multiplied by v straight into the output rows.
     Tracking gradients chooses only the buffer: the whole (queries, keys)
     map, which the backward pass needs, or one block buffer that every
     block reuses. So tracked and untracked output are equal bit for bit.
-    Both equal the op chain ``matmul(softmax_rows(matmul(mul(q, s), kt)), v)``
-    (``kt`` is K^T as a contiguous matrix), gradients too, bit for bit when
-    the map is one block; for larger maps, only where BLAS rounds a block's
-    rows as it rounds them in the whole product. Non-finite logits raise
-    NumericError, without a numpy warning.
+    Both equal the op chain
+    ``matmul(softmax_rows(matmul(mul(q, s), kt), bound=b), v)`` (``kt`` is
+    K^T as a contiguous matrix, ``b`` the same bound), gradients too, bit
+    for bit when the map is one block; for larger maps, only where BLAS
+    rounds a block's rows as it rounds them in the whole product.
+    Non-finite logits raise NumericError, without a numpy warning.
 
     With ``_ROW_BUFFER_MIN`` keys or more, the block loop and the backward
     softmax rule run with numpy's ufunc buffer cut to one map row, which
@@ -296,13 +338,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     tracked = q.requires_grad or k.requires_grad or v.requires_grad
     y = np.empty((m if tracked else min(rows, m), k.shape[0]))
     out = np.empty((m, v.shape[1]))
-    # numpy warns as it forms logits that are or become non-finite;
-    # softmax_rows refuses them with NumericError instead.
+    # numpy warns as it forms a bound or logits that are or become
+    # non-finite; softmax_rows refuses such logits with NumericError instead.
     with np.errstate(invalid="ignore", over="ignore"), _row_buffer(k.shape[0]):
+        bound = _logit_bound(qs, k.data)
         for a in range(0, m, rows):
             block = y[a : a + rows] if tracked else y[: min(rows, m - a)]
             _product(qs[a : a + rows], kt, block)
-            softmax_rows(Tensor(block), out=block)
+            softmax_rows(Tensor(block), out=block, bound=bound)
             _product(block, v.data, out[a : a + rows])
 
     def back(g):

@@ -32,8 +32,10 @@ FD_TOL = 1e-4
 BLAS_THREAD_TESTS = {
     "test_autograd.py::test_affine_matches_matmul_then_add_bitwise": 3,
     "test_autograd.py::test_attention_matches_op_chain_bitwise": 9,
+    "test_autograd.py::test_attention_past_the_logit_bound_matches_op_chain_bitwise": 3,
     "test_autograd.py::test_backward_matches_the_sweep_over_every_tensor_bitwise": 1,
     "test_autograd.py::test_matmul_of_one_row_equals_that_row_among_others": 6,
+    "test_autograd.py::test_softmax_rows_skips_the_shift_exactly_up_to_its_safe_bound": 1,
     "test_autograd.py::test_untracked_attention_matches_tracked": 9,
     "test_codec.py::test_codec_golden_digest": 1,
     "test_codec.py::test_colour_codec_output_does_not_depend_on_the_band_size": 2,

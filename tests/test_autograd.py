@@ -152,21 +152,61 @@ def test_softmax_rows_in_place_rejects_non_finite_input():
             ag.softmax_rows(a, out=a.data)
 
 
+def test_bounded_softmax_rows_is_within_4_ulp_of_a_longdouble_softmax():
+    # the reference means something only where longdouble is wider than float64
+    assert np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant
+    rng = np.random.default_rng(9)
+    for scale in (1.0, 10.0, 100.0, 500.0, ag._EXP_SAFE):
+        x = rng.uniform(-scale, scale, size=(64, 300))
+        x[0, :2] = -scale, scale
+        y = ag.softmax_rows(Tensor(x), bound=scale).data
+        e = np.exp(x.astype(np.longdouble))
+        reference = e / e.sum(axis=1, keepdims=True)
+        ulps = np.abs(y - reference) / np.spacing(reference.astype(np.float64))
+        assert ulps.max() <= 4, (scale, ulps.max())
+
+
+def _record_numpy_calls(monkeypatch):
+    """Make autograd's numpy record the name of every function it calls."""
+    calls = []
+
+    class Recorder:
+        def __getattr__(self, name):
+            attr = getattr(np, name)
+            if not callable(attr) or isinstance(attr, type):
+                return attr
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return attr(*args, **kwargs)
+
+            return call
+
+    monkeypatch.setattr(ag, "np", Recorder())
+    return calls
+
+
+def test_softmax_rows_skips_the_shift_exactly_up_to_its_safe_bound(monkeypatch):
+    x = np.random.default_rng(10).uniform(-500.0, 500.0, size=(5, 9))
+    calls = _record_numpy_calls(monkeypatch)
+    for bound, shifted in ((ag._EXP_SAFE, False), (np.nextafter(ag._EXP_SAFE, np.inf), True)):
+        calls.clear()
+        y = ag.softmax_rows(Tensor(x), bound=bound).data
+        assert ("subtract" in calls) == shifted and calls.count("exp") == 1, calls
+        e = np.exp(x - x.max(axis=1, keepdims=True) if shifted else x)
+        assert np.array_equal(y, e * (1.0 / e.sum(axis=1, keepdims=True)))
+
+
 def _attention_chain(q, kt, v):
-    scale = 1.0 / math.sqrt(q.shape[1])
-    return ag.matmul(ag.softmax_rows(ag.matmul(ag.mul(q, scale), kt)), v)
+    """attention as an op chain, its softmax given the fused op's logit bound."""
+    qs = ag.mul(q, 1.0 / math.sqrt(q.shape[1]))
+    bound = ag._logit_bound(qs.data, np.ascontiguousarray(kt.data.T))
+    return ag.matmul(ag.softmax_rows(ag.matmul(qs, kt), bound=bound), v)
 
 
-@pytest.mark.parametrize(
-    "n_q,n_k,d,d_v",
-    [(1, 1, 1, 1), (1, 6, 4, 3), (5, 1, 2, 2), (6, 3, 8, 5), (9, 9, 16, 4),
-     (40, 33, 4, 8), (300, 257, 8, 8), (3, 70000, 2, 2),
-     # a tracked map whose last block is one row
-     (219, 300, 4, 4)],
-)
-def test_attention_matches_op_chain_bitwise(n_q, n_k, d, d_v):
+def _assert_attention_matches_op_chain(n_q, n_k, d, d_v, scale):
     rng = np.random.default_rng(n_q * 1000 + n_k)
-    arrays = [rng.normal(size=(n_q, d)) * 3, rng.normal(size=(n_k, d)) * 3,
+    arrays = [rng.normal(size=(n_q, d)) * scale, rng.normal(size=(n_k, d)) * scale,
               rng.normal(size=(n_k, d_v))]
     w = Tensor(rng.normal(size=(n_q, d_v)))
     fused = [Tensor(a, requires_grad=True) for a in arrays]
@@ -181,6 +221,25 @@ def test_attention_matches_op_chain_bitwise(n_q, n_k, d, d_v):
     ag.backward(total(ag.mul(out_c, w)))
     for name, a, b in zip("qkv", fused, (q.grad, kt.grad.T, v.grad)):
         assert np.array_equal(a.grad, b), name
+    return ag._logit_bound(arrays[0] / math.sqrt(d), arrays[1])
+
+
+@pytest.mark.parametrize(
+    "n_q,n_k,d,d_v",
+    [(1, 1, 1, 1), (1, 6, 4, 3), (5, 1, 2, 2), (6, 3, 8, 5), (9, 9, 16, 4),
+     (40, 33, 4, 8), (300, 257, 8, 8), (3, 70000, 2, 2),
+     # a tracked map whose last block is one row
+     (219, 300, 4, 4)],
+)
+def test_attention_matches_op_chain_bitwise(n_q, n_k, d, d_v):
+    # logits this small are exponentiated unshifted
+    assert _assert_attention_matches_op_chain(n_q, n_k, d, d_v, 3.0) <= ag._EXP_SAFE
+
+
+@pytest.mark.parametrize("n_q,n_k,d,d_v", [(1, 6, 4, 3), (40, 33, 4, 8), (219, 300, 4, 4)])
+def test_attention_past_the_logit_bound_matches_op_chain_bitwise(n_q, n_k, d, d_v):
+    # logits of a few hundred, whose bound takes the shifted path
+    assert _assert_attention_matches_op_chain(n_q, n_k, d, d_v, 30.0) > ag._EXP_SAFE
 
 
 @pytest.mark.parametrize(
@@ -222,6 +281,28 @@ def test_attention_rejects_non_finite_logits():
                         ag.attention(Tensor(q, requires_grad=tracked), Tensor(k),
                                      Tensor(np.ones((300, 1))))
 
+
+
+def test_attention_rejects_non_finite_keys():
+    # a NaN or inf key entry makes the logit bound NaN or inf, so the
+    # shifted path runs and finds the non-finite logits it forms
+    for n_q in (1, 2, 300):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            for tracked in (False, True):
+                k = np.ones((300, 2))
+                k[250, 1] = bad
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(NumericError):
+                        ag.attention(Tensor(np.ones((n_q, 2))), Tensor(k, requires_grad=tracked),
+                                     Tensor(np.ones((300, 1))))
+
+
+def test_attention_of_no_queries_is_an_empty_output():
+    for tracked in (False, True):
+        q = Tensor(np.zeros((0, 4)), requires_grad=tracked)
+        out = ag.attention(q, Tensor(np.ones((3, 4))), Tensor(np.ones((3, 5))))
+        assert out.shape == (0, 5)
 
 # (queries, keys) on both sides of the row-buffer threshold and of numpy's
 # 8192-element default buffer; 70000 keys leave one row per block
