@@ -518,7 +518,7 @@ def test_save_refuses_a_weight_that_is_not_finite_as_float32(tiny_mae_config, tm
 # SHA-256 over the float64 latents and decode_full output and the decompressed
 # pixels of the seeded containers below, each reconstructed with a model that
 # went through save_bytes/load_bytes. Any change to an inference op shows here.
-GOLDEN_DECODE_SHA256 = "e0431a0919182bfccac6ba515dd71955b5f5fcc63ca31e5d40b9e56417648459"
+GOLDEN_DECODE_SHA256 = "88327630b4b6ff6613943892a6bef858c3eabcb2205b103e56a678690f2d1dab"
 
 
 def _golden_decode_cases():
