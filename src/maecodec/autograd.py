@@ -292,12 +292,15 @@ def _logit_bound(qs: np.ndarray, k: np.ndarray) -> float:
     """max_i |qs_i| * max_j |k_j| over Euclidean row norms.
 
     By Cauchy-Schwarz it caps every |qs_i . k_j|. A non-finite entry in
-    either matrix makes it inf or NaN; no rows of qs make it 0.
+    either matrix makes it inf or NaN; no rows of qs make it 0. One square
+    root of the product of the largest squared norms keeps the numpy calls
+    few, which small maps notice; where that product overflows, the bound
+    is far above ``_EXP_SAFE`` either way.
     """
     def peak(a):
-        return np.sqrt(np.max(np.einsum("ij,ij->i", a, a), initial=0.0))
+        return np.einsum("ij,ij->i", a, a).max(initial=0.0)
 
-    return float(peak(qs) * peak(k))
+    return math.sqrt(peak(qs) * peak(k))
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
