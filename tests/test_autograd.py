@@ -205,6 +205,7 @@ def _attention_chain(q, kt, v):
 
 
 def _assert_attention_matches_op_chain(n_q, n_k, d, d_v, scale):
+    """Assert attention equals the op chain bit for bit, gradients too; return the logit bound."""
     rng = np.random.default_rng(n_q * 1000 + n_k)
     arrays = [rng.normal(size=(n_q, d)) * scale, rng.normal(size=(n_k, d)) * scale,
               rng.normal(size=(n_k, d_v))]
@@ -221,7 +222,7 @@ def _assert_attention_matches_op_chain(n_q, n_k, d, d_v, scale):
     ag.backward(total(ag.mul(out_c, w)))
     for name, a, b in zip("qkv", fused, (q.grad, kt.grad.T, v.grad)):
         assert np.array_equal(a.grad, b), name
-    return ag._logit_bound(arrays[0] / math.sqrt(d), arrays[1])
+    return ag._logit_bound(arrays[0] * (1.0 / math.sqrt(d)), arrays[1])
 
 
 @pytest.mark.parametrize(
@@ -282,7 +283,6 @@ def test_attention_rejects_non_finite_logits():
                                      Tensor(np.ones((300, 1))))
 
 
-
 def test_attention_rejects_non_finite_keys():
     # a NaN or inf key entry makes the logit bound NaN or inf, so the
     # shifted path runs and finds the non-finite logits it forms
@@ -303,6 +303,7 @@ def test_attention_of_no_queries_is_an_empty_output():
         q = Tensor(np.zeros((0, 4)), requires_grad=tracked)
         out = ag.attention(q, Tensor(np.ones((3, 4))), Tensor(np.ones((3, 5))))
         assert out.shape == (0, 5)
+
 
 # (queries, keys) on both sides of the row-buffer threshold and of numpy's
 # 8192-element default buffer; 70000 keys leave one row per block
