@@ -30,7 +30,10 @@ every scale up to 512, while the max-shifted path reached 129 ULP at
 exp amplifies that error. Any other bound (NaN or inf from a non-finite
 q or k, finite q and k whose logits could overflow, or the default inf of
 a standalone call) takes the shifted path, which refuses non-finite
-logits with NumericError.
+logits with NumericError. Under the same bound, the untracked
+``_exp_sums`` gives each query row its unshifted sum of exp(logit) and of
+exp(logit)-weighted values; such sums over two key sets add to the sums
+over their union, which ``mae``'s mask-token memo relies on.
 
 Attention runs its softmax passes, forward and backward, with numpy's ufunc
 buffer cut to at most one map row once a row holds ``_ROW_BUFFER_MIN`` keys
@@ -360,6 +363,32 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         _accumulate(q, (gl @ kt.T) * scale)
 
     return _result(out, (q, k, v), back)
+
+
+def _exp_sums(qs: np.ndarray, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row i of qs: s_i = sum_j exp(qs_i . k_j) and u_i = sum_j exp(qs_i . k_j) v_j.
+
+    Plain arrays in and out, no graph: the (rows,) vector s and the
+    (rows, v columns) matrix u. The logits are exponentiated unshifted, so
+    the caller must have bounded every |qs_i . k_j| by ``_EXP_SAFE``; sums
+    over two key sets then add to the sums over their union, and
+    u / s is attention's output row. Rows go in blocks of about
+    ``_SOFTMAX_BLOCK`` logits, as in ``attention``, whose buffer every
+    block reuses, and both products go through ``_product``, so a one-row
+    block stays on gemm.
+    """
+    m, n_keys = qs.shape[0], k.shape[0]
+    rows = max(1, _SOFTMAX_BLOCK // max(1, n_keys))
+    kt = k.T.copy()  # contiguous, as attention lays out K^T
+    s, u = np.empty(m), np.empty((m, v.shape[1]))
+    e = np.empty((min(rows, m), n_keys))
+    for a in range(0, m, rows):
+        block = e[: min(rows, m - a)]
+        _product(qs[a : a + rows], kt, block)
+        np.exp(block, out=block)
+        block.sum(axis=1, out=s[a : a + rows])
+        _product(block, v, u[a : a + rows])
+    return s, u
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:

@@ -21,10 +21,29 @@ track gradients. ``load_bytes`` passes a maker that hands out the stored
 arrays in order, checking each one's shape and finiteness as the builder
 asks for it; a loaded model is inference-only, its weights track no
 gradients, so reconstructing with it builds no autograd graph.
+
+The mask tokens carry only their position, so for a model that tracks no
+gradients and a given mask the first decoder block's attention over them
+is the same for every image. ``_mask_token_sums`` memoizes it in one
+``functools.lru_cache(maxsize=1)``, keyed by the model (by identity) and
+the mask's ``(seed, n_patches, keep_count)``: per head, the mask tokens'
+keys and values and, for every masked query, the unshifted sums of
+exp(logit) and of exp(logit)-weighted values over the mask-token keys,
+masked rows x (3 d_head + 1) floats, read-only, built in attention-sized
+row blocks. ``decode_full`` uses it when something is masked and neither
+the latents nor any weight track gradients. A head then forms logits
+against the kept keys only and adds the memo's sums (see
+``transformer.multi_head_attention``), if the logit bound over every
+scaled query and every key, kept or masked, is at most
+``autograd._EXP_SAFE``, which keeps unshifted sums safe to add. Otherwise
+that head takes the whole map, as a tracked model always does, and a
+non-finite input still raises NumericError. A loaded model's weights are
+not changed in place, so its identity stands for them.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 from dataclasses import astuple, dataclass, field
@@ -191,6 +210,13 @@ def decode_full(latent: Tensor, spec: MaskSpec, model: MaskedAutoencoder, rows=N
     states; gradients through ``rows`` add their terms in another order
     than the full run's, so they agree with it to rounding, not bit for
     bit.
+
+    When something is masked and neither the latents nor any weight track
+    gradients (a loaded model), the first decoder block attends with the
+    mask tokens' share of every head from ``_mask_token_sums``, memoized
+    per (model, mask). A decode that shares the last one's model and mask
+    then forms and exponentiates logits against the kept keys only; see
+    the module docstring for when a head still takes the whole map.
     """
     cfg = model.config
     if latent.shape != (spec.keep_count, cfg.enc_d_model):
@@ -206,13 +232,34 @@ def decode_full(latent: Tensor, spec: MaskSpec, model: MaskedAutoencoder, rows=N
     tokens = ag.add(tokens, tf.positional_encoding(range(n), cfg.dec_d_model))
     seq = tf.TokenSequence(tokens)
     blocks = model.dec_blocks
+    first = {}
+    if (blocks and spec.masked_indices and not tokens.requires_grad
+            and not any(p.requires_grad for p in model.parameters())):
+        first = {"sums": _mask_token_sums(model, spec.seed, n, spec.keep_count)}
     for block in blocks[:-1]:
-        seq = tf.encoder_block(seq, block)
+        seq = tf.encoder_block(seq, block, **first)
+        first = {}
     if blocks:
-        seq = tf.encoder_block(seq, blocks[-1], rows)
+        seq = tf.encoder_block(seq, blocks[-1], rows, **first)
     elif rows is not None:
         seq = tf.TokenSequence(ag.gather_rows(seq.tokens, rows))
     return ag.affine(seq.tokens, model.head_w, model.head_b)
+
+
+@functools.lru_cache(maxsize=1)
+def _mask_token_sums(model: MaskedAutoencoder, seed: int, n_patches: int, keep_count: int) -> tf.MaskTokenSums:
+    """The first decoder block's ``tf.MaskTokenSums`` for the mask of this triple.
+
+    Its rows are the decoder's input at the masked patches, the mask token
+    plus each one's positional encoding, equal bit for bit to those rows
+    of ``decode_full``'s tokens and the same for every image. The cache
+    keeps the last model, by identity, alive with its table.
+    """
+    masked = list(MaskSpec(seed, n_patches, keep_count).masked_indices)
+    slots = np.full(n_patches, -1)
+    slots[masked] = np.arange(len(masked))
+    pe = tf.positional_encoding(range(n_patches), model.config.dec_d_model).data
+    return tf.mask_token_sums(model.mask_token.data + pe[masked], slots, model.dec_blocks[0])
 
 
 def predict_masked(visible: np.ndarray, spec: MaskSpec, model: MaskedAutoencoder) -> Tensor:

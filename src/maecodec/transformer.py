@@ -95,6 +95,26 @@ class TokenSequence:
             raise ShapeError(f"tokens must be a matrix, got shape {self.tokens.shape}")
 
 
+@dataclass(frozen=True)
+class MaskTokenSums:
+    """One block's attention over the input rows that do not depend on the image.
+
+    In the first decoder block these are the mask tokens: the mask token
+    plus each masked patch's positional encoding. ``slots`` gives each
+    token's row among them, -1 for a kept token, and ``kept`` the kept
+    tokens' indices. ``heads`` holds, per head, the mask tokens' keys k and
+    values v and, for each mask-token query i, s_i = sum_j exp(qs_i . k_j)
+    and u_i = sum_j exp(qs_i . k_j) v_j over the mask-token keys (qs the
+    scaled queries), as ``autograd._exp_sums`` returns them; a head whose
+    own logit bound exceeds ``autograd._EXP_SAFE`` holds None. That is
+    masked rows x (3 d_head + 1) floats per head. Every array is read-only.
+    """
+
+    slots: np.ndarray
+    kept: np.ndarray
+    heads: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None, ...]
+
+
 def positional_encoding(positions: range | tuple, d_model: int) -> Tensor:
     """Sinusoidal encoding, one row per patch index in ``positions``.
 
@@ -128,27 +148,105 @@ def _shared_table(positions: range | tuple, d_model: int) -> np.ndarray:
 
 
 def multi_head_attention(
-    x: Tensor, params: EncoderBlockParams, queries: Tensor | None = None
+    x: Tensor, params: EncoderBlockParams, rows=None, sums: MaskTokenSums | None = None
 ) -> Tensor:
     """Per-head attention on projected tokens, concatenated and re-projected.
 
     Keys and values come from every row of the token matrix ``x``. Queries
-    come from the rows of ``queries`` (``x`` when it is None); the output
-    has one row per query row. How much of each head's map exists at once
-    is ``autograd.attention``'s decision.
+    come from the rows of ``x`` at ``rows`` (every row when None); the
+    output has one row per query row. How much of each head's map exists
+    at once is ``autograd.attention``'s decision.
+
+    With ``sums`` (``x``'s rows at its slots are the ones it was made
+    from), a head whose table is there forms logits against the kept keys
+    only, if every scaled query of ``x`` and every key, kept or in the
+    table, keep the logits within ``autograd._EXP_SAFE`` (see
+    ``_head_from_sums``). Any other head runs ``autograd.attention``.
     """
     cfg = params.config
     if x.shape[1] != cfg.d_model:
         raise ShapeError(f"multi_head_attention: token width {x.shape[1]} != d_model {cfg.d_model}")
-    if queries is None:
-        queries = x
+    queries = x if rows is None else ag.gather_rows(x, rows)
+    if sums is not None:
+        slots = sums.slots if rows is None else sums.slots[rows]
+        kept = ag.gather_rows(x, sums.kept)
     heads = []
     for h in range(cfg.n_heads):
-        q = ag.matmul(queries, params.wq[h])
-        k = ag.matmul(x, params.wk[h])
-        v = ag.matmul(x, params.wv[h])
-        heads.append(ag.attention(q, k, v))
+        head = None
+        if sums is not None and sums.heads[h] is not None:
+            head = _head_from_sums(x, kept, rows, slots, params, h, sums.heads[h])
+        if head is None:
+            q = ag.matmul(queries, params.wq[h])
+            k = ag.matmul(x, params.wk[h])
+            v = ag.matmul(x, params.wv[h])
+            head = ag.attention(q, k, v)
+        heads.append(head)
     return ag.affine(ag.concat_cols(heads), params.wo, params.bo)
+
+
+def _scaled_queries(x: Tensor, wq: Tensor) -> np.ndarray:
+    """x @ wq scaled by 1/sqrt(d_head), as ``autograd.attention`` scales its queries."""
+    return ag.matmul(x, wq).data * (1.0 / math.sqrt(wq.shape[1]))
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def mask_token_sums(tokens: np.ndarray, slots: np.ndarray, params: EncoderBlockParams) -> MaskTokenSums:
+    """``MaskTokenSums`` of the block whose input rows at ``slots`` are ``tokens``, in slot order.
+
+    The sums are formed in row blocks, as attention forms its map, and
+    cost the mask-token-by-mask-token part of every head's map once.
+    """
+    normed = ag.layer_norm(Tensor(tokens), params.ln1_gain, params.ln1_bias)
+    heads = []
+    for h in range(params.config.n_heads):
+        qs = _scaled_queries(normed, params.wq[h])
+        k = ag.matmul(normed, params.wk[h]).data
+        v = ag.matmul(normed, params.wv[h]).data
+        with np.errstate(invalid="ignore", over="ignore"):
+            safe = ag._logit_bound(qs, k) <= ag._EXP_SAFE
+        heads.append(_read_only(k, v, *ag._exp_sums(qs, k, v)) if safe else None)
+    return MaskTokenSums(*_read_only(slots, np.flatnonzero(slots < 0)), tuple(heads))
+
+
+def _head_from_sums(x: Tensor, kept: Tensor, rows, slots: np.ndarray,
+                    params: EncoderBlockParams, h: int, table) -> Tensor | None:
+    """Head h's output at ``rows`` of ``x``, with ``table`` of ``MaskTokenSums.heads``; None if unsafe.
+
+    ``kept`` holds x's kept rows and ``slots`` the table row of each query
+    row. Each row adds its sums over the kept keys, from
+    ``autograd._exp_sums``, to its sums over the mask-token keys: a
+    mask-token row takes them from the table, a kept row has them formed
+    from the table's keys and values. Its output is
+    (u_table + u_kept) * 1 / (s_table + s_kept). The sums are unshifted,
+    so this runs only when the logit bound of every scaled query of ``x``
+    (not only ``rows``'s, so that a row's path does not depend on the
+    others) against every key is at most ``autograd._EXP_SAFE``; otherwise,
+    a non-finite bound included, it returns None. Values that float32
+    weights give cannot overflow the sums.
+    """
+    k_m, v_m, s_m, u_m = table
+    qs = _scaled_queries(x, params.wq[h])
+    k = ag.matmul(kept, params.wk[h]).data
+    with np.errstate(invalid="ignore", over="ignore"):
+        if not all(ag._logit_bound(qs, keys) <= ag._EXP_SAFE for keys in (k, k_m)):
+            return None
+    if rows is not None:
+        qs = qs[rows]
+    s, u = ag._exp_sums(qs, k, ag.matmul(kept, params.wv[h]).data)
+    masked = slots >= 0
+    s[masked] += s_m[slots[masked]]
+    u[masked] += u_m[slots[masked]]
+    if not masked.all():
+        s_kept, u_kept = ag._exp_sums(qs[~masked], k_m, v_m)
+        s[~masked] += s_kept
+        u[~masked] += u_kept
+    u *= 1.0 / s[:, None]
+    return Tensor(u)
 
 
 def feed_forward(x: Tensor, params: EncoderBlockParams) -> Tensor:
@@ -156,7 +254,8 @@ def feed_forward(x: Tensor, params: EncoderBlockParams) -> Tensor:
     return ag.affine(hidden, params.w2, params.b2)
 
 
-def encoder_block(x: TokenSequence, params: EncoderBlockParams, rows=None) -> TokenSequence:
+def encoder_block(x: TokenSequence, params: EncoderBlockParams, rows=None,
+                  sums: MaskTokenSums | None = None) -> TokenSequence:
     """Pre-norm residual block; positions enter only as PE rows in the tokens.
 
     With ``rows`` (token indices), the output holds the block's result at
@@ -175,12 +274,15 @@ def encoder_block(x: TokenSequence, params: EncoderBlockParams, rows=None) -> To
     width 9. Attention forms its map in row blocks of one height in both
     runs, bar the last, tracked or not (see ``autograd.attention``), not
     in one product whose size follows ``rows``.
+
+    ``sums``, for untracked weights and tokens only, is the block's
+    ``MaskTokenSums`` for these tokens; ``multi_head_attention`` uses it.
+    Whether a head uses it does not depend on ``rows``, so the rule above
+    holds with it too.
     """
     normed = ag.layer_norm(x.tokens, params.ln1_gain, params.ln1_bias)
-    queries, residual = None, x.tokens
-    if rows is not None:
-        queries, residual = ag.gather_rows(normed, rows), ag.gather_rows(x.tokens, rows)
-    mid = ag.add(residual, multi_head_attention(normed, params, queries))
+    residual = x.tokens if rows is None else ag.gather_rows(x.tokens, rows)
+    mid = ag.add(residual, multi_head_attention(normed, params, rows, sums))
     normed2 = ag.layer_norm(mid, params.ln2_gain, params.ln2_bias)
     return TokenSequence(ag.add(mid, feed_forward(normed2, params)))
 

@@ -15,6 +15,7 @@ EXPECTED_CACHES = {
     ("maecodec.masking", "_partition"): 1,
     ("maecodec.transformer", "_shared_table"): 2,
     ("maecodec.metrics", "_reference_stats"): 1,
+    ("maecodec.mae", "_mask_token_sums"): 1,
 }
 
 

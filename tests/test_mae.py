@@ -650,6 +650,153 @@ def test_decompress_peak_memory_at_4096_patches(ratio):
     assert trace.peak < 8 * 2**20, f"decompress peak {trace.peak / 2**20:.1f} MiB"
 
 
+# -- the first decoder block's mask-token sums -----------------------------------
+
+def _memo_case(n, keep_count, seed, scale=1.0):
+    """A loaded model, a mask and random latents.
+
+    The first decoder block's query and key weights are scaled by ``scale``
+    before the model is saved, so its logit bound grows by scale^2.
+    """
+    cfg = mae.TMAEConfig(patch_size=4, channels=1, enc_d_model=16, enc_depth=1, enc_heads=2,
+                         enc_d_ff=16, dec_d_model=16, dec_depth=1, dec_heads=2, dec_d_ff=16)
+    fresh = mae.init_model(cfg, seed=seed)
+    for w in fresh.dec_blocks[0].wq + fresh.dec_blocks[0].wk:
+        w.data *= scale
+    model = mae.load_bytes(mae.save_bytes(fresh))
+    spec = mask_from_counts(seed=seed, n_patches=n, keep_count=keep_count)
+    latent = Tensor(np.random.default_rng(seed).standard_normal((keep_count, cfg.enc_d_model)))
+    return model, spec, latent
+
+
+def _decode_masked(model, spec, latent):
+    return mae.decode_full(latent, spec, model, list(spec.masked_indices)).data
+
+
+def _tracked_copy(model):
+    """The same weights, shared, in a model whose weights track gradients."""
+    weights = iter(model.parameters())
+    return mae._build(model.config, lambda name, shape, init: Tensor(next(weights).data, requires_grad=True))
+
+
+def test_mask_token_sums_cold_and_warm_decodes_are_equal_bitwise():
+    model, spec, latent = _memo_case(300, 81, 1)
+    mae._mask_token_sums.cache_clear()
+    cold = _decode_masked(model, spec, latent)
+    warm = _decode_masked(model, spec, latent)
+    info = mae._mask_token_sums.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert np.array_equal(cold, warm)
+    # read-only, and masked rows x (3 d_head + 1) floats per head
+    sums = mae._mask_token_sums(model, spec.seed, spec.n_patches, spec.keep_count)
+    tables = [a for head in sums.heads for a in head]
+    assert len(tables) == 8 and not any(a.flags.writeable for a in tables)
+    assert sum(a.nbytes for a in tables) == 2 * len(spec.masked_indices) * (3 * 8 + 1) * 8
+
+
+def test_mask_token_sums_alternating_models_and_masks_miss_every_time():
+    """A, B, A by model, then A, C, A by mask: each decode misses and gives its case's own bits."""
+    model_a, spec_a, latent = _memo_case(300, 81, 1)
+    model_b = _memo_case(300, 81, 2)[0]
+    spec_c = mask_from_counts(seed=3, n_patches=300, keep_count=81)
+    cases = [(model_a, spec_a), (model_b, spec_a), (model_a, spec_a), (model_a, spec_c), (model_a, spec_a)]
+    own = []
+    for model, spec in cases:
+        mae._mask_token_sums.cache_clear()
+        own.append(_decode_masked(model, spec, latent))
+    mae._mask_token_sums.cache_clear()
+    for (model, spec), expected in zip(cases, own):
+        assert np.array_equal(_decode_masked(model, spec, latent), expected)
+    info = mae._mask_token_sums.cache_info()
+    assert (info.misses, info.hits) == (len(cases), 0)
+    assert not np.array_equal(own[0], own[1])
+    assert own[0].shape != own[3].shape or not np.array_equal(own[0], own[3])
+
+
+def test_tracked_weights_or_latents_never_fill_the_mask_token_memo():
+    model, spec, latent = _memo_case(300, 81, 1)
+    patches = Tensor(np.random.default_rng(5).random((300, model.config.patch_dim)))
+    mae._mask_token_sums.cache_clear()
+    tracked = _tracked_copy(model)
+    _decode_masked(tracked, spec, latent)
+    mae.forward_loss(tracked, patches, spec)
+    _decode_masked(model, spec, Tensor(latent.data, requires_grad=True))
+    info = mae._mask_token_sums.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (0, 0, 0)
+
+
+def test_a_logit_bound_above_exp_safe_decodes_as_the_whole_map_bitwise():
+    """Past the bound every head runs autograd.attention, so the loaded model
+    decodes as a tracked copy of it does, bit for bit.
+
+    Head 0's mask-token logits alone are bounded by 545 (no table); head 1's
+    by 498, but with the kept tokens' queries and keys by 535, so its table
+    is refused at the call.
+    """
+    model, spec, latent = _memo_case(1024, 205, 3, scale=8.0)
+    mae._mask_token_sums.cache_clear()
+    got = _decode_masked(model, spec, latent)
+    sums = mae._mask_token_sums(model, spec.seed, spec.n_patches, spec.keep_count)
+    assert mae._mask_token_sums.cache_info().misses == 1
+    assert sums.heads[0] is None and sums.heads[1] is not None
+    assert np.array_equal(got, _decode_masked(_tracked_copy(model), spec, latent))
+
+
+def test_a_non_finite_latent_raises_with_the_mask_token_memo_filled():
+    model, spec, latent = _memo_case(300, 81, 1)
+    _decode_masked(model, spec, latent)
+    data = latent.data.copy()
+    data[4, 0] = np.nan
+    with pytest.raises(NumericError):
+        _decode_masked(model, spec, Tensor(data))
+    assert mae._mask_token_sums.cache_info().currsize == 1
+
+
+def _longdouble_attention(normed, params):
+    """multi_head_attention of every row, in longdouble from the float64 inputs."""
+    x = normed.astype(np.longdouble)
+    heads = []
+    for h in range(params.config.n_heads):
+        q, k, v = (x @ w[h].data.astype(np.longdouble) for w in (params.wq, params.wk, params.wv))
+        logits = q @ k.T / np.sqrt(np.longdouble(q.shape[1]))
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        heads.append(e @ v / e.sum(axis=1, keepdims=True))
+    return np.concatenate(heads, axis=1) @ params.wo.data.astype(np.longdouble) + params.bo.data
+
+
+@pytest.mark.parametrize("n,keep_count,scale", [(300, 81, 1.0), (1536, 506, 1.0), (1024, 205, 7.0)])
+def test_mask_token_sums_agree_with_a_longdouble_reference(n, keep_count, scale, monkeypatch):
+    """The first decoder block's attention through the memo, against a longdouble
+    softmax of the same float64 inputs, errs by at most 5e-15 of the largest
+    output entry or 1.1x the whole-map path's own error, whichever is larger.
+
+    Measured: 0.5e-15 and 1.4e-15 at logit bounds near 8, both below the
+    whole-map path's; 8.07e-15 against its 8.03e-15 at the bound of 394 that
+    scale 7 gives. Near the bound both paths' error is the rounding of the
+    float64 logits, which exp turns into relative error.
+    """
+    model, spec, latent = _memo_case(n, keep_count, 4, scale)
+    seen = {}
+    encoder_block = tf.encoder_block
+
+    def record_block(x, params, rows=None, **kwargs):
+        seen.update(x=x, params=params, rows=rows, **kwargs)
+        return encoder_block(x, params, rows, **kwargs)
+
+    monkeypatch.setattr(tf, "encoder_block", record_block)
+    _decode_masked(model, spec, latent)
+    params, rows, sums = seen["params"], seen["rows"], seen["sums"]
+    assert all(head is not None for head in sums.heads)
+    normed = ag.layer_norm(seen["x"].tokens, params.ln1_gain, params.ln1_bias)
+    reference = _longdouble_attention(normed.data, params)
+    for at in (rows, None):
+        expected = reference if at is None else reference[at]
+        scale_of = np.abs(expected).max()
+        memo = np.abs(tf.multi_head_attention(normed, params, at, sums).data - expected).max()
+        whole = np.abs(tf.multi_head_attention(normed, params, at).data - expected).max()
+        assert memo <= max(5e-15 * scale_of, 1.1 * whole)
+
+
 def test_init_model_deterministic(tiny_mae_config):
     a = mae.save_bytes(_tiny_model(tiny_mae_config, seed=21))
     b = mae.save_bytes(_tiny_model(tiny_mae_config, seed=21))
