@@ -373,9 +373,9 @@ def _exp_sums(qs: np.ndarray, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray,
     the caller must have bounded every |qs_i . k_j| by ``_EXP_SAFE``; sums
     over two key sets then add to the sums over their union, and
     u / s is attention's output row. Rows go in blocks of about
-    ``_SOFTMAX_BLOCK`` logits, as in ``attention``, whose buffer every
-    block reuses, and both products go through ``_product``, so a one-row
-    block stays on gemm.
+    ``_SOFTMAX_BLOCK`` logits, as in ``attention``, through one buffer
+    that every block reuses, and both products go through ``_product``,
+    so a one-row block stays on gemm.
     """
     m, n_keys = qs.shape[0], k.shape[0]
     rows = max(1, _SOFTMAX_BLOCK // max(1, n_keys))

@@ -20,7 +20,8 @@ a ``make`` callable for it; its call order is the serialization order.
 track gradients. ``load_bytes`` passes a maker that hands out the stored
 arrays in order, checking each one's shape and finiteness as the builder
 asks for it; a loaded model is inference-only, its weights track no
-gradients, so reconstructing with it builds no autograd graph.
+gradients, so reconstructing with it builds no autograd graph, and they
+are read-only.
 
 The mask tokens carry only their position, so for a model that tracks no
 gradients and a given mask the first decoder block's attention over them
@@ -38,7 +39,7 @@ scaled query and every key, kept or masked, is at most
 ``autograd._EXP_SAFE``, which keeps unshifted sums safe to add. Otherwise
 that head takes the whole map, as a tracked model always does, and a
 non-finite input still raises NumericError. A loaded model's weights are
-not changed in place, so its identity stands for them.
+read-only, so its identity stands for them.
 """
 
 from __future__ import annotations
@@ -213,10 +214,13 @@ def decode_full(latent: Tensor, spec: MaskSpec, model: MaskedAutoencoder, rows=N
 
     When something is masked and neither the latents nor any weight track
     gradients (a loaded model), the first decoder block attends with the
-    mask tokens' share of every head from ``_mask_token_sums``, memoized
-    per (model, mask). A decode that shares the last one's model and mask
-    then forms and exponentiates logits against the kept keys only; see
-    the module docstring for when a head still takes the whole map.
+    mask tokens' share of every head from ``_mask_token_sums``, one
+    ``lru_cache(maxsize=1)`` keyed by the model and ``(spec.seed,
+    spec.n_patches, spec.keep_count)`` that holds masked rows x
+    (3 d_head + 1) floats per head. A decode that shares the last one's
+    model and mask then forms and exponentiates logits against the kept
+    keys only. A head whose logit bound over every query and key exceeds
+    ``autograd._EXP_SAFE`` still takes the whole map (module docstring).
     """
     cfg = model.config
     if latent.shape != (spec.keep_count, cfg.enc_d_model):
@@ -391,7 +395,9 @@ def load_bytes(blob: bytes) -> MaskedAutoencoder:
             raise CheckpointError(f"{held}; tensor {name} has shape {data.shape}, expected {shape}")
         if not np.isfinite(data).all():
             raise CheckpointError(f"tensor {name} holds non-finite values")
-        return Tensor(data)
+        weight = Tensor(data)
+        weight.data.flags.writeable = False  # the mask-token memo keys the model by identity
+        return weight
 
     model = _build(config, take)
     if next(stored, None) is not None:

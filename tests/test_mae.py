@@ -742,6 +742,14 @@ def test_a_logit_bound_above_exp_safe_decodes_as_the_whole_map_bitwise():
     assert np.array_equal(got, _decode_masked(_tracked_copy(model), spec, latent))
 
 
+def test_loaded_weights_are_read_only():
+    """The memo keys a model by identity, so a loaded model's weights cannot change under it."""
+    model = _memo_case(300, 81, 1)[0]
+    assert not any(p.data.flags.writeable for p in model.parameters())
+    with pytest.raises(ValueError):
+        model.dec_blocks[0].wq[0].data *= 2.0
+
+
 def test_a_non_finite_latent_raises_with_the_mask_token_memo_filled():
     model, spec, latent = _memo_case(300, 81, 1)
     _decode_masked(model, spec, latent)
