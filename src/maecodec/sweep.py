@@ -228,7 +228,9 @@ def write_csv(points: list[RDPoint], path) -> None:
 def read_csv(path) -> list[RDPoint]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            lines = fh.read().splitlines()
+            # only '\n' ends a row: str.splitlines would also break an id
+            # at '\f', '\x85', U+2028 and the other Unicode line breaks
+            lines = fh.read().split("\n")
         except UnicodeDecodeError as exc:
             raise ContractError(f"{path}: not UTF-8 at byte {exc.start}") from exc
     if not lines or lines[0] != CSV_HEADER:

@@ -17,6 +17,7 @@ import pytest
 
 import maecodec
 from maecodec import autograd as ag
+from maecodec import mae
 from maecodec.autograd import Tensor
 from maecodec.mae import TMAEConfig
 
@@ -159,6 +160,25 @@ TINY_MAE_CONFIG = TMAEConfig(
     dec_heads=2,
     dec_d_ff=4,
 )
+
+
+# A small untrained model with 8-pixel patches, for pipeline and sweep runs.
+P8_MAE_CONFIG = TMAEConfig(
+    patch_size=8,
+    channels=1,
+    enc_d_model=16,
+    enc_depth=1,
+    enc_heads=2,
+    enc_d_ff=16,
+    dec_d_model=8,
+    dec_depth=1,
+    dec_heads=2,
+    dec_d_ff=8,
+)
+
+
+def p8_model():
+    return mae.init_model(P8_MAE_CONFIG, seed=0)
 
 
 @pytest.fixture

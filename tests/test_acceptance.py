@@ -6,6 +6,7 @@ that need it.
 """
 
 import time
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -27,7 +28,7 @@ from maecodec.errors import (
 )
 from maecodec.masking import generate_mask, mask_from_counts, patchify
 
-from conftest import assert_grads_close
+from conftest import TINY_MAE_CONFIG, assert_grads_close
 from test_metrics import brute_force_ssim
 
 STRUCTURED_ERRORS = (BitstreamError, ContainerError, ContractError, ShapeError, NumericError)
@@ -127,14 +128,16 @@ def test_acceptance_lossless_degenerate_path(verdict):
 def test_acceptance_rate_decomposition(verdict):
     """payload_bpp == stacked_bpp x (condensed/original) exactly, every cell."""
     rng = np.random.default_rng(0x2A7E)
-    corpus = [rng.integers(0, 256, (48, 40, c), dtype=np.uint8) for c in (1, 3, 1)]
+    corpus = [(rng.integers(0, 256, (48, 40, c), dtype=np.uint8), 8) for c in (1, 3, 1)]
+    # and a grid padded on one side
+    corpus.append((rng.integers(0, 256, (48, 33, 3), dtype=np.uint8), 16))
     cells = 0
     worst_pad_slack = 0.0
-    for img in corpus:
-        for ratio in (0.0, 0.4, 0.67, 0.8):
-            for quality in (30, 70):
+    for img, patch in corpus:
+        for ratio in (0.0, 0.3, 0.4, 0.67, 0.75, 0.8, 0.9):
+            for quality in (30, 70, 80):
                 cfg = pl.PipelineConfig(
-                    patch_size=8, mask_ratio=ratio, seed=1,
+                    patch_size=patch, mask_ratio=ratio, seed=1,
                     codec=CodecParams(CODEC_DCT, quality),
                 )
                 container = pl.compress(img, cfg)
@@ -143,13 +146,18 @@ def test_acceptance_rate_decomposition(verdict):
                 payload = Fraction(bits, rep.original_pixels)
                 stacked = Fraction(bits, rep.condensed_pixels)
                 share = Fraction(rep.condensed_pixels, rep.original_pixels)
+                overall = Fraction(8 * rep.header_bytes + bits, rep.original_pixels)
                 assert payload == stacked * share
                 assert rep.payload_bpp == float(payload)
                 assert rep.stacked_bpp == float(stacked)
+                assert rep.overall_bpp == float(overall)
                 grid = container.padded_grid()
                 padded = grid.width * grid.height
                 row_share = grid.grid_cols * container.patch_size**2 / padded
-                gap = abs(rep.condensed_pixels / padded - (1.0 - ratio))
+                padded_share = rep.condensed_pixels / padded
+                keep_share = container.keep_count / container.n_patches
+                assert abs(padded_share - keep_share) <= row_share + 1e-12
+                gap = abs(padded_share - (1.0 - ratio))
                 slack = gap - (row_share + 1.0 / container.n_patches)
                 worst_pad_slack = max(worst_pad_slack, slack)
                 assert slack <= 1e-12
@@ -164,12 +172,8 @@ def test_acceptance_rate_decomposition(verdict):
 
 def test_acceptance_gradient_suite(verdict):
     """Finite differences agree with backprop through every layer."""
-    config = mae.TMAEConfig(
-        patch_size=2, channels=1, enc_d_model=8, enc_depth=1, enc_heads=2,
-        enc_d_ff=8, dec_d_model=4, dec_depth=1, dec_heads=2, dec_d_ff=4,
-    )
-    model = mae.init_model(config, seed=3)
-    patches = Tensor(np.random.default_rng(4).random((6, config.patch_dim)))
+    model = mae.init_model(TINY_MAE_CONFIG, seed=3)
+    patches = Tensor(np.random.default_rng(4).random((6, TINY_MAE_CONFIG.patch_dim)))
     spec = mask_from_counts(seed=7, n_patches=6, keep_count=2)
 
     t0 = time.perf_counter()
@@ -218,7 +222,7 @@ def test_acceptance_attention_invariants(verdict):
         tf.TokenSequence(Tensor(x[perm] + pe)), block
     ).tokens.data
     broken_gap = float(np.abs(with_pe[perm] - with_pe_perm).max())
-    broken_ok = broken_gap > 1e-6
+    broken_ok = broken_gap > 1e-3
 
     verdict(
         "attention invariants",
@@ -248,7 +252,7 @@ def test_acceptance_ssim_oracle(verdict):
         np.zeros((16, 16, 1), dtype=np.uint8),
         np.full((16, 16, 1), 255, dtype=np.uint8),
     )
-    constant_ok = abs(got - expected) < 1e-12
+    constant_ok = abs(got - expected) < 1e-12 and abs(expected - 1.0e-4) < 2e-8
 
     verdict(
         "ssim oracle",
@@ -355,11 +359,7 @@ def test_acceptance_rate_distortion_behavior(trained_toy, tmp_path, verdict):
 def test_acceptance_robustness_fuzz(verdict):
     """10000 corrupted containers/bitstreams: structured errors only."""
     rng = np.random.default_rng(0xF022)
-    model_cfg = mae.TMAEConfig(
-        patch_size=8, channels=1, enc_d_model=8, enc_depth=1, enc_heads=2,
-        enc_d_ff=8, dec_d_model=4, dec_depth=1, dec_heads=2, dec_d_ff=4,
-    )
-    model = mae.init_model(model_cfg, seed=0)
+    model = mae.init_model(replace(TINY_MAE_CONFIG, patch_size=8), seed=0)
 
     gray = rng.integers(0, 256, (24, 24, 1), dtype=np.uint8)
     rgb = rng.integers(0, 256, (16, 16, 3), dtype=np.uint8)

@@ -89,11 +89,6 @@ def test_matmul_associative_on_random_triples():
         np.testing.assert_allclose(left, right, atol=1e-9)
 
 
-def test_softmax_symmetry():
-    out = ag.softmax_rows(t([[0.0, 0.0]]))
-    np.testing.assert_allclose(out.data, [[0.5, 0.5]])
-
-
 def test_softmax_closed_form():
     # exp(ln 3) = 3, so the row splits 1:3
     out = ag.softmax_rows(t([[0.0, math.log(3.0)]]))
@@ -108,13 +103,6 @@ def test_softmax_large_values_stable():
 def test_softmax_rejects_nan():
     with pytest.raises(NumericError):
         ag.softmax_rows(t([[0.0, float("nan")]]))
-
-
-def test_softmax_rows_sum_to_one():
-    rng = np.random.default_rng(2)
-    out = ag.softmax_rows(Tensor(rng.normal(size=(5, 7)) * 10))
-    np.testing.assert_allclose(out.data.sum(axis=1), np.ones(5), atol=1e-9)
-    assert (out.data >= 0).all() and (out.data <= 1).all()
 
 
 def test_softmax_rows_matches_reference_bitwise():
@@ -820,7 +808,7 @@ def test_grad_concat_cols():
 
 @given(
     st.integers(min_value=1, max_value=5),
-    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=7),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 @settings(max_examples=30, deadline=None)
@@ -828,7 +816,7 @@ def test_softmax_rows_stochastic_property(rows, cols, seed):
     rng = np.random.default_rng(seed)
     out = ag.softmax_rows(Tensor(rng.normal(size=(rows, cols)) * 20.0))
     np.testing.assert_allclose(out.data.sum(axis=1), np.ones(rows), atol=1e-9)
-    assert (out.data >= 0).all()
+    assert (out.data >= 0).all() and (out.data <= 1).all()
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

@@ -118,12 +118,6 @@ def test_frozen_mask_more_cases():
         assert spec.keep_indices == expected
 
 
-def test_generate_equals_reconstruction_from_counts():
-    spec = masking.generate_mask(42, 16, 0.5)
-    again = masking.mask_from_counts(42, 16, spec.keep_count)
-    assert spec == again
-
-
 def test_mask_spec_is_built_from_its_protocol_triple():
     spec = masking.MaskSpec(42, 16, 8)
     assert spec == masking.generate_mask(42, 16, 0.5) == masking.mask_from_counts(42, 16, 8)

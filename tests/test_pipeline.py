@@ -1,7 +1,7 @@
 """Container format, compress/decompress paths, rate accounting."""
 
 import hashlib
-from fractions import Fraction
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from maecodec.masking import (
     unstack_visible,
 )
 
-from conftest import traced_peak
+from conftest import P8_MAE_CONFIG, p8_model, traced_peak
 
 # 8x8 constant-gray image, patch 8, nothing masked, null codec, seed 7.
 # 35-byte container header + 19-byte codec header + 64 raw samples.
@@ -32,14 +32,6 @@ GOLDEN_CONTAINER = bytes.fromhex(
     "8080808080808080808080808080808080808080808080808080808080808080808080"
     "80808080808080808080808080808080"
 )
-
-
-def _pipeline_model():
-    cfg = mae.TMAEConfig(
-        patch_size=8, channels=1, enc_d_model=16, enc_depth=1, enc_heads=2,
-        enc_d_ff=16, dec_d_model=8, dec_depth=1, dec_heads=2, dec_d_ff=8,
-    )
-    return mae.init_model(cfg, seed=0)
 
 
 def test_container_golden_bytes():
@@ -128,28 +120,6 @@ def test_decompress_of_a_padded_image_returns_its_own_array(shape):
     np.testing.assert_array_equal(out, img)
 
 
-def test_lossless_degenerate_path():
-    """Nothing masked plus the raw codec reproduces the image bit for bit."""
-    rng = np.random.default_rng(2)
-    img = rng.integers(0, 256, (16, 16, 1), dtype=np.uint8)
-    cfg = pl.PipelineConfig(
-        patch_size=8, mask_ratio=0.0, seed=0, codec=CodecParams(CODEC_NULL, 50)
-    )
-    out = pl.decompress(pl.compress(img, cfg), model=None)
-    np.testing.assert_array_equal(out, img)
-
-
-def test_lossless_path_odd_dims_rgb():
-    rng = np.random.default_rng(3)
-    img = rng.integers(0, 256, (21, 13, 3), dtype=np.uint8)
-    cfg = pl.PipelineConfig(
-        patch_size=8, mask_ratio=0.0, seed=5, codec=CodecParams(CODEC_NULL, 50)
-    )
-    out = pl.decompress(pl.compress(img, cfg), model=None)
-    assert out.shape == img.shape
-    np.testing.assert_array_equal(out, img)
-
-
 def test_mask_agreement_between_ends():
     """The receiver rebuilds the identical mask from the header triple."""
     img = np.zeros((40, 40, 1), dtype=np.uint8)
@@ -166,7 +136,7 @@ def test_visible_patches_match_codec_output_not_original():
         patch_size=8, mask_ratio=0.5, seed=2, codec=CodecParams(CODEC_DCT, 60)
     )
     c = pl.compress(img, cfg)
-    model = _pipeline_model()
+    model = p8_model()
     out = pl.decompress(c, model)
 
     spec, grid = c.mask_spec(), c.padded_grid()
@@ -183,7 +153,7 @@ def test_end_to_end_reconstruction_shape_and_range():
     rng = np.random.default_rng(5)
     img = rng.integers(0, 256, (40, 24, 1), dtype=np.uint8)
     cfg = pl.PipelineConfig(patch_size=8, mask_ratio=0.6, seed=1)
-    out = pl.decompress(pl.compress(img, cfg), _pipeline_model())
+    out = pl.decompress(pl.compress(img, cfg), p8_model())
     assert out.shape == img.shape and out.dtype == np.uint8
 
 
@@ -222,11 +192,7 @@ def _float_decompress(container, model):
 @pytest.mark.parametrize("channels", [1, 3])
 def test_compress_and_decompress_match_the_float_path(channels):
     rng = np.random.default_rng(channels)
-    cfg = mae.TMAEConfig(
-        patch_size=8, channels=channels, enc_d_model=16, enc_depth=1, enc_heads=2,
-        enc_d_ff=16, dec_d_model=8, dec_depth=1, dec_heads=2, dec_d_ff=8,
-    )
-    model = mae.init_model(cfg, seed=channels)
+    model = mae.init_model(replace(P8_MAE_CONFIG, channels=channels), seed=channels)
     for height, width in [(21, 13), (33, 70)]:
         shape = (height, width, channels)
         image = rng.integers(0, 256, shape, dtype=np.uint8)
@@ -301,48 +267,6 @@ def test_pipeline_config_validation():
 
 
 # -- rate accounting -----------------------------------------------------------
-
-
-def _decomposition_is_exact(report):
-    """Float fields must be correct roundings of rationals satisfying the
-    identity payload_bpp == stacked_bpp * (condensed / original) exactly."""
-    pb = 8 * report.payload_bytes
-    payload = Fraction(pb, report.original_pixels)
-    stacked = Fraction(pb, report.condensed_pixels)
-    ratio = Fraction(report.condensed_pixels, report.original_pixels)
-    assert payload == stacked * ratio
-    assert report.payload_bpp == float(payload)
-    assert report.stacked_bpp == float(stacked)
-    overall = Fraction(8 * (report.header_bytes + report.payload_bytes),
-                       report.original_pixels)
-    assert report.overall_bpp == float(overall)
-
-
-def test_rate_decomposition_exact_over_settings():
-    rng = np.random.default_rng(6)
-    img = rng.integers(0, 256, (48, 33, 3), dtype=np.uint8)
-    for ratio in (0.0, 0.4, 0.75):
-        for q in (30, 80):
-            c = pl.compress(
-                img,
-                pl.PipelineConfig(patch_size=16, mask_ratio=ratio, seed=4,
-                                  codec=CodecParams(CODEC_DCT, q)),
-            )
-            _decomposition_is_exact(pl.rate_report(c))
-
-
-def test_condensed_fraction_tracks_mask_ratio():
-    """Condensed pixel share sits within one patch row of 1 - R."""
-    img = np.zeros((64, 64, 1), dtype=np.uint8)
-    for ratio in (0.0, 0.3, 0.67, 0.9):
-        c = pl.compress(img, pl.PipelineConfig(patch_size=8, mask_ratio=ratio, seed=8))
-        rep = pl.rate_report(c)
-        grid = c.padded_grid()
-        padded_pixels = grid.width * grid.height
-        share = rep.condensed_pixels / padded_pixels
-        row_share = grid.grid_cols * c.patch_size**2 / padded_pixels
-        assert abs(share - c.keep_count / c.n_patches) <= row_share + 1e-12
-        assert abs(share - (1.0 - ratio)) <= row_share + 1.0 / c.n_patches + 1e-12
 
 
 def test_rate_report_null_codec_no_mask_is_8bpp_plus_header():

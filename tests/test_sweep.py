@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maecodec import mae, metrics, sweep
+from maecodec import metrics, sweep
 from maecodec.codec import CODEC_DCT
 from maecodec.errors import ContractError, InfeasibleBudgetError
+from conftest import p8_model
 from test_metrics import five_map_ssim
 
 
@@ -18,14 +19,6 @@ def _point(bpp, ssim, image_id="img", ratio=0.5, quality=50, psnr=30.0):
         image_id=image_id, mask_ratio=ratio, quality=quality,
         overall_bpp=bpp, payload_bpp=bpp, ssim=ssim, psnr=psnr,
     )
-
-
-def _sweep_model():
-    cfg = mae.TMAEConfig(
-        patch_size=8, channels=1, enc_d_model=16, enc_depth=1, enc_heads=2,
-        enc_d_ff=16, dec_d_model=8, dec_depth=1, dec_heads=2, dec_d_ff=8,
-    )
-    return mae.init_model(cfg, seed=0)
 
 
 def _gray(seed, size=24):
@@ -37,7 +30,7 @@ def _gray(seed, size=24):
 
 
 def test_sweep_cardinality_one_cell():
-    result = sweep.rd_sweep([("a", _gray(0))], [0.5], [60], _sweep_model())
+    result = sweep.rd_sweep([("a", _gray(0))], [0.5], [60], p8_model())
     assert len(result.points) == 1 and not result.failures
     pt = result.points[0]
     assert (pt.image_id, pt.mask_ratio, pt.quality) == ("a", 0.5, 60)
@@ -45,7 +38,7 @@ def test_sweep_cardinality_one_cell():
 
 def test_sweep_cross_product_order():
     corpus = [("a", _gray(1)), ("b", _gray(2))]
-    result = sweep.rd_sweep(corpus, [0.4, 0.6], [30, 70], _sweep_model())
+    result = sweep.rd_sweep(corpus, [0.4, 0.6], [30, 70], p8_model())
     assert len(result.points) == 8
     keys = [(p.image_id, p.mask_ratio, p.quality) for p in result.points]
     assert keys == [
@@ -56,7 +49,7 @@ def test_sweep_cross_product_order():
 
 def test_sweep_points_equal_a_sweep_scored_by_the_ssim_oracle(monkeypatch):
     corpus = [("a", _gray(11, size=40)), ("b", _gray(12, size=40))]
-    model = _sweep_model()
+    model = p8_model()
     points = sweep.rd_sweep(corpus, [0.4, 0.7], [30, 80], model).points
     monkeypatch.setattr(metrics, "ssim", five_map_ssim)
     assert points == sweep.rd_sweep(corpus, [0.4, 0.7], [30, 80], model).points
@@ -65,7 +58,7 @@ def test_sweep_points_equal_a_sweep_scored_by_the_ssim_oracle(monkeypatch):
 def test_sweep_isolates_per_cell_failures():
     """One bad image must not take down the other cells."""
     corpus = [("tiny", np.zeros((8, 8, 1), dtype=np.uint8)), ("ok", _gray(4))]
-    result = sweep.rd_sweep(corpus, [0.5], [50], _sweep_model())
+    result = sweep.rd_sweep(corpus, [0.5], [50], p8_model())
     assert [p.image_id for p in result.points] == ["ok"]
     assert len(result.failures) == 1
     assert result.failures[0].image_id == "tiny"
@@ -77,7 +70,7 @@ def test_sweep_records_a_non_finite_image_as_a_cell_failure():
     bad = _gray(5) / 255.0
     bad[3, 4, 0] = np.nan
     corpus = [("nan", bad), ("float", _gray(6) / 255.0), ("ok", _gray(7))]
-    result = sweep.rd_sweep(corpus, [0.5], [50], _sweep_model())
+    result = sweep.rd_sweep(corpus, [0.5], [50], p8_model())
     assert [p.image_id for p in result.points] == ["ok"]
     assert [(f.image_id, f.error.split(":")[0]) for f in result.failures] == [
         ("nan", "ContractError"), ("float", "ContractError"),
@@ -92,11 +85,11 @@ def test_sweep_propagates_unexpected_errors(monkeypatch):
 
     monkeypatch.setattr(sweep, "decompress", broken_decompress)
     with pytest.raises(TypeError, match="bug in the receiver"):
-        sweep.rd_sweep([("a", _gray(8))], [0.5], [50], _sweep_model())
+        sweep.rd_sweep([("a", _gray(8))], [0.5], [50], p8_model())
 
 
 def test_sweep_requires_nonempty_inputs():
-    model = _sweep_model()
+    model = p8_model()
     with pytest.raises(ContractError):
         sweep.rd_sweep([], [0.5], [50], model)
     with pytest.raises(ContractError):
@@ -122,7 +115,7 @@ def test_sweep_refuses_a_bad_grid_value_before_the_first_cell(
 
     monkeypatch.setattr(sweep, "compress", no_cell)
     with pytest.raises(ContractError, match=f"^{message}$"):
-        sweep.rd_sweep([("a", _gray(5))], ratios, qualities, _sweep_model())
+        sweep.rd_sweep([("a", _gray(5))], ratios, qualities, p8_model())
 
 
 @pytest.mark.parametrize("bad_id", ["a,b", "a\nb", "a\rb", "mean", "\udcff"])
@@ -132,22 +125,23 @@ def test_sweep_rejects_ids_the_csv_cannot_hold(bad_id, monkeypatch):
     monkeypatch.setattr(sweep, "compress", lambda *args: cells.append(args))
     corpus = [("ok", _gray(9)), (bad_id, _gray(10))]
     with pytest.raises(ContractError, match="image id"):
-        sweep.rd_sweep(corpus, [0.5], [50], _sweep_model())
+        sweep.rd_sweep(corpus, [0.5], [50], p8_model())
     assert cells == []
 
 
 def test_sweep_ids_round_trip_through_csv(tmp_path):
-    corpus = [("mean2", _gray(11)), ("a b;c", _gray(12))]
-    result = sweep.rd_sweep(corpus, [0.5], [50], _sweep_model())
+    # ids may hold any line break but '\n' and '\r', which rd_sweep refuses
+    ids = ["mean2", "a b;c", "a\x0cb", "c\u2028d"]
+    corpus = [(image_id, _gray(11 + i)) for i, image_id in enumerate(ids)]
+    result = sweep.rd_sweep(corpus, [0.5], [50], p8_model())
     path = tmp_path / "ids.csv"
     sweep.write_csv(result.points + sweep.corpus_mean(result.points), path)
-    ids = [p.image_id for p in sweep.read_csv(path)]
-    assert ids == ["mean2", "a b;c", sweep.MEAN_ID]
+    assert [p.image_id for p in sweep.read_csv(path)] == ids + [sweep.MEAN_ID]
 
 
 def test_sweep_deterministic_csv_bytes(tmp_path):
     corpus = [("a", _gray(6)), ("b", _gray(7))]
-    model = _sweep_model()
+    model = p8_model()
     blobs = []
     for name in ("one.csv", "two.csv"):
         result = sweep.rd_sweep(corpus, [0.5, 0.7], [40, 80], model)

@@ -12,19 +12,14 @@ from maecodec.autograd import Tensor
 from maecodec.errors import ContractError, NumericError
 from maecodec.masking import mask_from_counts, patchify
 
+from conftest import TINY_MAE_CONFIG
+
 
 def _tiny_train_config(**overrides):
     base = dict(crop_size=8, epochs=2, batch_size=2, seed=0,
                 ratio_low=0.4, ratio_high=0.6)
     base.update(overrides)
     return training.TrainConfig(**base)
-
-
-def _tiny_model_config():
-    return mae.TMAEConfig(
-        patch_size=2, channels=1, enc_d_model=8, enc_depth=1, enc_heads=2,
-        enc_d_ff=8, dec_d_model=4, dec_depth=1, dec_heads=2, dec_d_ff=4,
-    )
 
 
 @pytest.mark.parametrize(
@@ -148,7 +143,7 @@ def _toy_corpus(n=4, size=8, seed=0):
 
 def test_train_rejects_empty_corpus():
     with pytest.raises(ContractError):
-        training.train([], _tiny_model_config(), _tiny_train_config())
+        training.train([], TINY_MAE_CONFIG, _tiny_train_config())
 
 
 @pytest.mark.parametrize(
@@ -165,7 +160,7 @@ def test_train_refuses_crops_that_hold_no_masked_patch_before_making_a_model(
     monkeypatch.setattr(training, "init_model", no_model)
     cfg = _tiny_train_config(crop_size=crop_size, ratio_low=ratio_low, ratio_high=ratio_high)
     with pytest.raises(ContractError, match="none masked"):
-        training.train(_toy_corpus(), _tiny_model_config(), cfg)
+        training.train(_toy_corpus(), TINY_MAE_CONFIG, cfg)
 
 
 def test_train_refuses_a_one_patch_corpus_image_by_name_before_making_a_model(monkeypatch):
@@ -174,7 +169,7 @@ def test_train_refuses_a_one_patch_corpus_image_by_name_before_making_a_model(mo
 
     monkeypatch.setattr(training, "init_model", no_model)
     corpus = dataset.synthetic_corpus(6, size=16) + [("speck", np.zeros((4, 4, 1), np.uint8))]
-    model_config = dataclasses.replace(_tiny_model_config(), patch_size=4)
+    model_config = dataclasses.replace(TINY_MAE_CONFIG, patch_size=4)
     with pytest.raises(ContractError, match="'speck' fits in one patch"):
         training.train(corpus, model_config, _tiny_train_config(crop_size=16))
 
@@ -186,25 +181,25 @@ def test_train_refuses_a_corpus_image_with_other_channels_by_name_before_making_
     monkeypatch.setattr(training, "init_model", no_model)
     corpus = dataset.synthetic_corpus(6, size=16) + [("colour", np.zeros((16, 16, 3), np.uint8))]
     with pytest.raises(ContractError, match="'colour' has 3 channels, but the model takes 1"):
-        training.train(corpus, _tiny_model_config(), _tiny_train_config(crop_size=16))
+        training.train(corpus, TINY_MAE_CONFIG, _tiny_train_config(crop_size=16))
 
 
 def test_train_accepts_the_smallest_crop_that_holds_a_masked_patch():
     # 4 patches at patch 2; ratio 0.25 keeps 3 of them
     cfg = _tiny_train_config(crop_size=4, ratio_low=0.25, ratio_high=0.25, epochs=1)
-    assert len(training.train(_toy_corpus(), _tiny_model_config(), cfg).epoch_losses) == 1
+    assert len(training.train(_toy_corpus(), TINY_MAE_CONFIG, cfg).epoch_losses) == 1
 
 
 def test_train_refuses_non_uint8_images(non_uint8_image):
     corpus = [("ok", np.zeros((8, 8, 1), dtype=np.uint8)), ("bad", non_uint8_image)]
     with pytest.raises(ContractError, match="uint8"):
-        training.train(corpus, _tiny_model_config(), _tiny_train_config(batch_size=1))
+        training.train(corpus, TINY_MAE_CONFIG, _tiny_train_config(batch_size=1))
 
 
 def test_train_is_deterministic():
     corpus = _toy_corpus()
-    a = training.train(corpus, _tiny_model_config(), _tiny_train_config())
-    b = training.train(corpus, _tiny_model_config(), _tiny_train_config())
+    a = training.train(corpus, TINY_MAE_CONFIG, _tiny_train_config())
+    b = training.train(corpus, TINY_MAE_CONFIG, _tiny_train_config())
     assert mae.save_bytes(a.model) == mae.save_bytes(b.model)
     assert a.epoch_losses == b.epoch_losses
 
@@ -231,8 +226,8 @@ def test_train_golden_digest():
 
 def test_train_seed_changes_result():
     corpus = _toy_corpus()
-    a = training.train(corpus, _tiny_model_config(), _tiny_train_config(seed=1))
-    b = training.train(corpus, _tiny_model_config(), _tiny_train_config(seed=2))
+    a = training.train(corpus, TINY_MAE_CONFIG, _tiny_train_config(seed=1))
+    b = training.train(corpus, TINY_MAE_CONFIG, _tiny_train_config(seed=2))
     assert mae.save_bytes(a.model) != mae.save_bytes(b.model)
 
 
@@ -240,14 +235,14 @@ def test_train_reduces_loss_on_learnable_data():
     """Constant images are perfectly predictable; loss must fall."""
     corpus = [("flat%d" % i, np.full((8, 8, 1), 100 + i, dtype=np.uint8)) for i in range(4)]
     result = training.train(
-        corpus, _tiny_model_config(), _tiny_train_config(epochs=15, learning_rate=3e-3)
+        corpus, TINY_MAE_CONFIG, _tiny_train_config(epochs=15, learning_rate=3e-3)
     )
     assert result.epoch_losses[-1] < 0.5 * result.epoch_losses[0]
 
 
 def test_train_logs_one_line_per_epoch():
     lines = []
-    training.train(_toy_corpus(), _tiny_model_config(),
+    training.train(_toy_corpus(), TINY_MAE_CONFIG,
                    _tiny_train_config(epochs=3), log=lines.append)
     assert len(lines) == 3
     assert lines[0].startswith("epoch 1/3")
@@ -259,7 +254,7 @@ def test_train_aborts_on_nonfinite_loss():
     # an absurd learning rate reliably drives the weights to overflow
     with pytest.raises(NumericError, match="epoch"):
         training.train(
-            _toy_corpus(), _tiny_model_config(),
+            _toy_corpus(), TINY_MAE_CONFIG,
             _tiny_train_config(epochs=40, learning_rate=1e38),
         )
 
@@ -277,7 +272,7 @@ def test_train_names_the_batch_of_a_numeric_error_in_a_crop(monkeypatch):
 
     monkeypatch.setattr(training, "forward_loss", third_crop_fails)
     with pytest.raises(NumericError) as info:
-        training.train(_toy_corpus(), _tiny_model_config(), _tiny_train_config())
+        training.train(_toy_corpus(), TINY_MAE_CONFIG, _tiny_train_config())
     # batches of 2: the third crop is the first of the batch starting at 2
     assert re.fullmatch(
         r"softmax_rows: non-finite input at epoch 0, batch starting 2 \(ratio 0\.\d{3}\)",
@@ -316,7 +311,7 @@ def test_baseline_fill_mse_known_values():
 
 
 def test_masked_model_mse_matches_manual():
-    cfg = _tiny_model_config()
+    cfg = TINY_MAE_CONFIG
     model = mae.init_model(cfg, seed=4)
     rng = np.random.default_rng(5)
     img = rng.integers(0, 256, (8, 8, 1), dtype=np.uint8)
