@@ -3,8 +3,8 @@
 Just enough machinery to train a small transformer: matmul, add/sub/mul,
 ``affine`` (a matmul and a row bias as one op, the bias added in place to
 the product), row softmax, fused scaled dot-product attention, layer norm,
-GELU, the mean of all elements, row gather/scatter/tile and column
-concatenation. ``softmax_rows`` can write its result into a given array,
+GELU, the mean of all elements, row gather and tile, and concatenation
+along rows or columns. ``softmax_rows`` can write its result into a given array,
 its own input included: attention's one loop over row blocks normalizes
 each block in place. Attention scales its queries by 1/sqrt(d) before the
 loop, and softmax_rows multiplies each row by the reciprocal of its sum,
@@ -466,25 +466,6 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     return _result(a.data[idx], (a,), back)
 
 
-def scatter_rows(n_rows: int, indices, rows: Tensor) -> Tensor:
-    """Place ``rows`` at ``indices`` in an otherwise zero (n_rows, d) matrix."""
-    if rows.ndim != 2:
-        raise ShapeError(f"scatter_rows: expected a matrix, got shape {rows.shape}")
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.shape != (rows.shape[0],):
-        raise ShapeError(f"scatter_rows: {idx.size} indices for {rows.shape[0]} rows")
-    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
-        raise ContractError(f"scatter_rows: index out of range for {n_rows} rows")
-    # Marking needs indices in range, so a range error wins over a duplicate.
-    seen = np.zeros(n_rows, dtype=bool)
-    seen[idx] = True
-    if np.count_nonzero(seen) != idx.size:
-        raise ContractError("scatter_rows: duplicate indices")
-    data = np.zeros((n_rows, rows.shape[1]))
-    data[idx] = rows.data
-    return _result(data, (rows,), lambda g: _accumulate(rows, g[idx].copy()))
-
-
 def tile_rows(vec: Tensor, n_rows: int) -> Tensor:
     """Repeat a 1-D vector as n_rows identical rows."""
     if vec.ndim != 1:
@@ -494,23 +475,25 @@ def tile_rows(vec: Tensor, n_rows: int) -> Tensor:
     )
 
 
-def concat_cols(parts: list[Tensor]) -> Tensor:
-    """Join matrices side by side; the gradient splits back at the seams."""
+def concat(parts: list[Tensor], axis: int) -> Tensor:
+    """Join matrices along ``axis``: 0 stacks their rows, 1 sets them side by side.
+
+    The gradient splits back at the seams.
+    """
     if not parts:
-        raise ContractError("concat_cols: empty input")
-    n_rows = parts[0].shape[0]
-    for p in parts:
-        if p.ndim != 2 or p.shape[0] != n_rows:
-            raise ShapeError(f"concat_cols: inconsistent shapes {[p.shape for p in parts]}")
-    widths = [p.shape[1] for p in parts]
+        raise ContractError("concat: empty input")
+    if axis not in (0, 1):
+        raise ContractError(f"concat: axis must be 0 or 1, got {axis}")
+    shapes = [p.shape for p in parts]
+    if any(len(s) != 2 or s[1 - axis] != shapes[0][1 - axis] for s in shapes):
+        raise ShapeError(f"concat: inconsistent shapes {shapes} along axis {axis}")
+    seams = np.cumsum([s[axis] for s in shapes[:-1]])
 
     def back(g):
-        at = 0
-        for p, width in zip(parts, widths):
-            _accumulate(p, g[:, at : at + width])
-            at += width
+        for p, piece in zip(parts, np.split(g, seams, axis=axis)):
+            _accumulate(p, piece)
 
-    return _result(np.concatenate([p.data for p in parts], axis=1), tuple(parts), back)
+    return _result(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), back)
 
 
 # -- backward sweep ---------------------------------------------------------

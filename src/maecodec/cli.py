@@ -104,6 +104,8 @@ def _cmd_sweep(args) -> int:
     ratios = _parse_list("--ratios", args.ratios, float)
     qualities = _parse_list("--qualities", args.qualities, int)
     corpus = dataset.load_corpus(args.dataset)
+    if not corpus:
+        raise ContractError(f"sweep corpus is empty: no readable PPM/PGM in {args.dataset}")
     model = mae.load_checkpoint(args.model)
     # Refuse a bad grid value as rd_sweep would, and create the CSV's
     # directory only once the inputs are loaded and checked.

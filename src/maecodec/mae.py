@@ -1,13 +1,14 @@
 """Masked autoencoder over image patches.
 
-The encoder runs only on the visible tokens; the decoder sees projected
-latents at the kept positions and a shared learnable mask token at every
-masked position, plus a full-length positional encoding. In training it
-predicts the masked patches, which alone enter the loss. At reconstruction
-the received visible patches pass through verbatim. Either way
-``predict_masked`` makes the prediction, and the decoder's last block and
-the head run only at the masked rows; keys and values still come from
-every token.
+The encoder runs only on the visible tokens; the decoder sees the
+projected latents of the kept patches, then a shared learnable mask token
+for every masked patch, each row plus its patch's positional encoding.
+Positions enter only as those rows, so this row order is free: the masked
+patches are the decoder's last rows. In training it predicts the masked
+patches, which alone enter the loss. At reconstruction the received
+visible patches pass through verbatim. Either way ``predict_masked`` makes
+the prediction, and the decoder's last block and the head run only at the
+masked rows; keys and values still come from every token.
 
 Checkpoint layout (little-endian): magic "TMCK", version u8 = 1, ten u32
 config fields (patch_size, channels, enc d_model/depth/heads/d_ff, dec
@@ -33,9 +34,9 @@ exp(logit) and of exp(logit)-weighted values over the mask-token keys,
 masked rows x (3 d_head + 1) floats, read-only, built in attention-sized
 row blocks. ``decode_full`` uses it when something is masked and neither
 the latents nor any weight track gradients. A head then forms logits
-against the kept keys only and adds the memo's sums (see
-``transformer.multi_head_attention``), if the logit bound over every
-scaled query and every key, kept or masked, is at most
+against the kept keys only, the decoder's leading rows, and adds the
+memo's sums (see ``transformer.multi_head_attention``), if the logit bound
+over every scaled query and every key, kept or masked, is at most
 ``autograd._EXP_SAFE``, which keeps unshifted sums safe to add. Otherwise
 that head takes the whole map, as a tracked model always does, and a
 non-finite input still raises NumericError. A loaded model's weights are
@@ -200,17 +201,20 @@ def encode_visible(visible: np.ndarray, keep_indices: tuple[int, ...], model: Ma
 
 
 def decode_full(latent: Tensor, spec: MaskSpec, model: MaskedAutoencoder, rows=None) -> Tensor:
-    """Predict every patch from visible latents plus mask tokens.
+    """Predict every patch, in patch order, from visible latents plus mask tokens.
 
-    With ``rows`` (patch indices), predict only those patches, in that
-    order. Every token still passes through every block but the last;
-    the last block, or with no decoder blocks the head, runs only at
-    ``rows``, however few. In the package only ``predict_masked`` calls
-    it, with the masked rows. Each predicted row equals the same row of
-    the full prediction under the conditions ``tf.encoder_block``
-    states; gradients through ``rows`` add their terms in another order
-    than the full run's, so they agree with it to rounding, not bit for
-    bit.
+    The token rows are the projected latents in ``spec.keep_indices``
+    order, then the mask tokens in ``spec.masked_indices`` order, each
+    plus its patch's positional encoding. With ``rows`` (patch indices in
+    0..n-1, else ContractError), predict only those patches, in that
+    order; the masked patches are token rows keep_count..n-1. Every token
+    still passes through every block but the last; the last block, or
+    with no decoder blocks the head, runs only at ``rows``, however few.
+    In the package only ``predict_masked`` calls it, with the masked
+    rows. Each predicted row equals the same row of the full prediction
+    under the conditions ``tf.encoder_block`` states; gradients through
+    ``rows`` add their terms in another order than the full run's, so
+    they agree with it to rounding, not bit for bit.
 
     When something is masked and neither the latents nor any weight track
     gradients (a loaded model), the first decoder block attends with the
@@ -228,12 +232,15 @@ def decode_full(latent: Tensor, spec: MaskSpec, model: MaskedAutoencoder, rows=N
             f"latent must be {spec.keep_count} x {cfg.enc_d_model}, got {latent.shape}"
         )
     n = spec.n_patches
+    order = np.array(spec.keep_indices + spec.masked_indices)  # the patch at each token row
+    rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
+    if rows.size and (rows.min() < 0 or rows.max() >= n):
+        raise ContractError(f"decode_full: patch index out of range for {n} patches")
+    token_rows = np.argsort(order)[rows]
     proj = ag.affine(latent, model.enc2dec_w, model.enc2dec_b)
-    tokens = ag.scatter_rows(n, spec.keep_indices, proj)
-    if spec.masked_indices:
-        mask_rows = ag.tile_rows(model.mask_token, len(spec.masked_indices))
-        tokens = ag.add(tokens, ag.scatter_rows(n, spec.masked_indices, mask_rows))
-    tokens = ag.add(tokens, tf.positional_encoding(range(n), cfg.dec_d_model))
+    mask_rows = ag.tile_rows(model.mask_token, len(spec.masked_indices))
+    pe = tf.positional_encoding(range(n), cfg.dec_d_model)
+    tokens = ag.add(ag.concat([proj, mask_rows], 0), ag.gather_rows(pe, order))
     seq = tf.TokenSequence(tokens)
     blocks = model.dec_blocks
     first = {}
@@ -244,9 +251,9 @@ def decode_full(latent: Tensor, spec: MaskSpec, model: MaskedAutoencoder, rows=N
         seq = tf.encoder_block(seq, block, **first)
         first = {}
     if blocks:
-        seq = tf.encoder_block(seq, blocks[-1], rows, **first)
-    elif rows is not None:
-        seq = tf.TokenSequence(ag.gather_rows(seq.tokens, rows))
+        seq = tf.encoder_block(seq, blocks[-1], token_rows, **first)
+    else:
+        seq = tf.TokenSequence(ag.gather_rows(seq.tokens, token_rows))
     return ag.affine(seq.tokens, model.head_w, model.head_b)
 
 
@@ -254,16 +261,14 @@ def decode_full(latent: Tensor, spec: MaskSpec, model: MaskedAutoencoder, rows=N
 def _mask_token_sums(model: MaskedAutoencoder, seed: int, n_patches: int, keep_count: int) -> tf.MaskTokenSums:
     """The first decoder block's ``tf.MaskTokenSums`` for the mask of this triple.
 
-    Its rows are the decoder's input at the masked patches, the mask token
-    plus each one's positional encoding, equal bit for bit to those rows
+    Its rows are the decoder's last input rows, the mask token plus each
+    masked patch's positional encoding, equal bit for bit to those rows
     of ``decode_full``'s tokens and the same for every image. The cache
     keeps the last model, by identity, alive with its table.
     """
     masked = list(MaskSpec(seed, n_patches, keep_count).masked_indices)
-    slots = np.full(n_patches, -1)
-    slots[masked] = np.arange(len(masked))
     pe = tf.positional_encoding(range(n_patches), model.config.dec_d_model).data
-    return tf.mask_token_sums(model.mask_token.data + pe[masked], slots, model.dec_blocks[0])
+    return tf.mask_token_sums(model.mask_token.data + pe[masked], model.dec_blocks[0])
 
 
 def predict_masked(visible: np.ndarray, spec: MaskSpec, model: MaskedAutoencoder) -> Tensor:

@@ -75,12 +75,14 @@ def rd_sweep(
 ) -> SweepResult:
     """Evaluate every (image, ratio, quality) cell in deterministic order.
 
-    Cells run at the model's patch size with the DCT codec. A bad ratio,
-    quality or seed raises ContractError before the first cell; a cell's own
-    failure is recorded and the sweep goes on.
+    Cells run at the model's patch size with the DCT codec. An empty
+    corpus, ratio or quality list, or a bad ratio, quality or seed, raises
+    ContractError before the first cell; a cell's own failure is recorded
+    and the sweep goes on.
     """
-    if not corpus or not ratios or not qualities:
-        raise ContractError("corpus, ratios and qualities must all be non-empty")
+    if not corpus:
+        raise ContractError("a sweep needs at least one image")
+    configs = cell_configs(model.config.patch_size, ratios, qualities, seed)
     # Checked before the first cell: a bad id would otherwise surface only
     # when the CSV is written or read back. UTF-8 has no lone surrogate, which
     # os.listdir gives for each undecodable byte of a file name.
@@ -92,7 +94,6 @@ def rd_sweep(
                 f"image id {image_id!r} cannot be a sweep CSV id: it must be UTF-8, "
                 f"not contain ',', '\\n' or '\\r' and not equal {MEAN_ID!r}"
             )
-    configs = cell_configs(model.config.patch_size, ratios, qualities, seed)
     points: list[RDPoint] = []
     failures: list[SweepFailure] = []
     for image_id, image in corpus:
@@ -125,9 +126,11 @@ def cell_configs(
 ) -> list[PipelineConfig]:
     """Every (ratio, quality) cell's PipelineConfig, in sweep order, with the DCT codec.
 
-    A ratio or quality out of range raises ContractError here, before any
-    cell runs.
+    An empty list, or a ratio or quality out of range, raises ContractError
+    here, before any cell runs.
     """
+    if not ratios or not qualities:
+        raise ContractError(f"a sweep needs a ratio and a quality, got {ratios} and {qualities}")
     return [
         PipelineConfig(
             patch_size=patch_size, mask_ratio=ratio, seed=seed, codec=CodecParams(quality=quality)

@@ -100,18 +100,17 @@ class MaskTokenSums:
     """One block's attention over the input rows that do not depend on the image.
 
     In the first decoder block these are the mask tokens: the mask token
-    plus each masked patch's positional encoding. ``slots`` gives each
-    token's row among them, -1 for a kept token, and ``kept`` the kept
-    tokens' indices. ``heads`` holds, per head, the mask tokens' keys k and
-    values v and, for each mask-token query i, s_i = sum_j exp(qs_i . k_j)
-    and u_i = sum_j exp(qs_i . k_j) v_j over the mask-token keys (qs the
+    plus each masked patch's positional encoding. They are the last rows
+    of the block's input, after the kept tokens, so with m of them a
+    token row p >= n - m is a mask token with table row p - (n - m).
+    ``heads`` holds, per head, the mask tokens' keys k and values v and,
+    for each mask-token query i, s_i = sum_j exp(qs_i . k_j) and
+    u_i = sum_j exp(qs_i . k_j) v_j over the mask-token keys (qs the
     scaled queries), as ``autograd._exp_sums`` returns them; a head whose
     own logit bound exceeds ``autograd._EXP_SAFE`` holds None. That is
     masked rows x (3 d_head + 1) floats per head. Every array is read-only.
     """
 
-    slots: np.ndarray
-    kept: np.ndarray
     heads: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None, ...]
 
 
@@ -157,31 +156,29 @@ def multi_head_attention(
     output has one row per query row. How much of each head's map exists
     at once is ``autograd.attention``'s decision.
 
-    With ``sums`` (``x``'s rows at its slots are the ones it was made
-    from), a head whose table is there forms logits against the kept keys
-    only, if every scaled query of ``x`` and every key, kept or in the
-    table, keep the logits within ``autograd._EXP_SAFE`` (see
-    ``_head_from_sums``). Any other head runs ``autograd.attention``.
+    With ``sums`` (``x``'s last rows are the ones it was made from, the
+    kept tokens come first), a head whose table is there forms logits
+    against the kept keys only, if every scaled query of ``x`` and every
+    key, kept or in the table, keep the logits within
+    ``autograd._EXP_SAFE`` (see ``_head_from_sums``). Any other head runs
+    ``autograd.attention``.
     """
     cfg = params.config
     if x.shape[1] != cfg.d_model:
         raise ShapeError(f"multi_head_attention: token width {x.shape[1]} != d_model {cfg.d_model}")
     queries = x if rows is None else ag.gather_rows(x, rows)
-    if sums is not None:
-        slots = sums.slots if rows is None else sums.slots[rows]
-        kept = ag.gather_rows(x, sums.kept)
     heads = []
     for h in range(cfg.n_heads):
         head = None
         if sums is not None and sums.heads[h] is not None:
-            head = _head_from_sums(x, kept, rows, slots, params, h, sums.heads[h])
+            head = _head_from_sums(x, rows, params, h, sums.heads[h])
         if head is None:
             q = ag.matmul(queries, params.wq[h])
             k = ag.matmul(x, params.wk[h])
             v = ag.matmul(x, params.wv[h])
             head = ag.attention(q, k, v)
         heads.append(head)
-    return ag.affine(ag.concat_cols(heads), params.wo, params.bo)
+    return ag.affine(ag.concat(heads, 1), params.wo, params.bo)
 
 
 def _scaled_queries(x: Tensor, wq: Tensor) -> np.ndarray:
@@ -195,8 +192,8 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def mask_token_sums(tokens: np.ndarray, slots: np.ndarray, params: EncoderBlockParams) -> MaskTokenSums:
-    """``MaskTokenSums`` of the block whose input rows at ``slots`` are ``tokens``, in slot order.
+def mask_token_sums(tokens: np.ndarray, params: EncoderBlockParams) -> MaskTokenSums:
+    """``MaskTokenSums`` of the block whose last input rows are ``tokens``, in that order.
 
     The sums are formed in row blocks, as attention forms its map, and
     cost the mask-token-by-mask-token part of every head's map once.
@@ -210,26 +207,28 @@ def mask_token_sums(tokens: np.ndarray, slots: np.ndarray, params: EncoderBlockP
         with np.errstate(invalid="ignore", over="ignore"):
             safe = ag._logit_bound(qs, k) <= ag._EXP_SAFE
         heads.append(_read_only(k, v, *ag._exp_sums(qs, k, v)) if safe else None)
-    return MaskTokenSums(*_read_only(slots, np.flatnonzero(slots < 0)), tuple(heads))
+    return MaskTokenSums(tuple(heads))
 
 
-def _head_from_sums(x: Tensor, kept: Tensor, rows, slots: np.ndarray,
-                    params: EncoderBlockParams, h: int, table) -> Tensor | None:
+def _head_from_sums(x: Tensor, rows, params: EncoderBlockParams, h: int, table) -> Tensor | None:
     """Head h's output at ``rows`` of ``x``, with ``table`` of ``MaskTokenSums.heads``; None if unsafe.
 
-    ``kept`` holds x's kept rows and ``slots`` the table row of each query
-    row. Each row adds its sums over the kept keys, from
-    ``autograd._exp_sums``, to its sums over the mask-token keys: a
-    mask-token row takes them from the table, a kept row has them formed
-    from the table's keys and values. Its output is
-    (u_table + u_kept) * 1 / (s_table + s_kept). The sums are unshifted,
-    so this runs only when the logit bound of every scaled query of ``x``
-    (not only ``rows``'s, so that a row's path does not depend on the
-    others) against every key is at most ``autograd._EXP_SAFE``; otherwise,
-    a non-finite bound included, it returns None. Values that float32
-    weights give cannot overflow the sums.
+    ``x`` holds the kept tokens' rows first, then the table's m mask-token
+    rows, so the kept keys come from the view ``x[:n - m]``. Each query
+    row adds its sums over the kept keys, from ``autograd._exp_sums``, to
+    its sums over the mask-token keys: row p >= n - m takes them from
+    table row p - (n - m), a kept row has them formed from the table's
+    keys and values. Its output is (u_table + u_kept) * 1 / (s_table +
+    s_kept). The sums are unshifted, so this runs only when the logit
+    bound of every scaled query of ``x`` (not only ``rows``'s, so that a
+    row's path does not depend on the others) against every key is at
+    most ``autograd._EXP_SAFE``; otherwise, a non-finite bound included,
+    it returns None. Values that float32 weights give cannot overflow the
+    sums.
     """
     k_m, v_m, s_m, u_m = table
+    n_kept = x.shape[0] - len(s_m)
+    kept = Tensor(x.data[:n_kept])
     qs = _scaled_queries(x, params.wq[h])
     k = ag.matmul(kept, params.wk[h]).data
     with np.errstate(invalid="ignore", over="ignore"):
@@ -237,6 +236,7 @@ def _head_from_sums(x: Tensor, kept: Tensor, rows, slots: np.ndarray,
             return None
     if rows is not None:
         qs = qs[rows]
+    slots = (np.arange(x.shape[0]) if rows is None else np.asarray(rows)) - n_kept
     s, u = ag._exp_sums(qs, k, ag.matmul(kept, params.wv[h]).data)
     masked = slots >= 0
     s[masked] += s_m[slots[masked]]

@@ -674,38 +674,42 @@ def test_sub_requires_equal_shapes():
         ag.sub(t(np.ones((3, 2))), t([1.0, 2.0]))
 
 
-def test_scatter_rows_rejects_duplicates():
-    with pytest.raises(ContractError):
-        ag.scatter_rows(4, [1, 1], t(np.ones((2, 3))))
-
-
-def test_scatter_rows_range_error_wins_over_a_duplicate():
-    # duplicates are found by marking rows, which needs every index in range
-    for indices in ([1, 1, 4], [-1, 2, 2]):
-        with pytest.raises(ContractError, match="out of range"):
-            ag.scatter_rows(4, indices, t(np.ones((3, 3))))
-
-
 def test_gather_rows_out_of_range():
     with pytest.raises(ContractError):
         ag.gather_rows(t(np.ones((2, 2))), [2])
 
 
-def test_gather_scatter_round_trip():
+def test_gather_concat_round_trip():
+    """Rows split by two gathers, joined by concat and gathered back by the inverse order."""
     x = t(np.arange(12.0).reshape(4, 3))
-    idx = [2, 0]
-    picked = ag.gather_rows(x, idx)
-    placed = ag.scatter_rows(4, idx, picked)
-    np.testing.assert_array_equal(placed.data[idx], x.data[idx])
-    np.testing.assert_array_equal(placed.data[[1, 3]], np.zeros((2, 3)))
+    order = [2, 0, 1, 3]
+    joined = ag.concat([ag.gather_rows(x, order[:2]), ag.gather_rows(x, order[2:])], 0)
+    np.testing.assert_array_equal(ag.gather_rows(joined, np.argsort(order)).data, x.data)
 
 
-def test_concat_cols_places_parts_side_by_side():
-    a, b = t(np.ones((2, 2))), t(np.full((2, 3), 2.0))
-    merged = ag.concat_cols([a, b])
-    assert merged.shape == (2, 5)
-    np.testing.assert_array_equal(merged.data[:, :2], a.data)
-    np.testing.assert_array_equal(merged.data[:, 2:], b.data)
+@pytest.mark.parametrize(
+    "axis,b_shape,joined", [(0, (3, 2), (5, 2)), (1, (2, 3), (2, 5))], ids=["rows", "cols"]
+)
+def test_concat_joins_parts_along_its_axis(axis, b_shape, joined):
+    a, b = t(np.ones((2, 2))), t(np.full(b_shape, 2.0))
+    merged = ag.concat([a, b], axis)
+    assert merged.shape == joined
+    first = merged.data[:2] if axis == 0 else merged.data[:, :2]
+    rest = merged.data[2:] if axis == 0 else merged.data[:, 2:]
+    np.testing.assert_array_equal(first, a.data)
+    np.testing.assert_array_equal(rest, b.data)
+
+
+def test_concat_refuses_mismatched_parts():
+    with pytest.raises(ContractError):
+        ag.concat([], 0)
+    with pytest.raises(ContractError):
+        ag.concat([t(np.ones((2, 2)))], 2)
+    for axis in (0, 1):
+        with pytest.raises(ShapeError):
+            ag.concat([t(np.ones((2, 3))), t(np.ones((3, 4)))], axis)
+    with pytest.raises(ShapeError):
+        ag.concat([t(np.ones(3)), t(np.ones((1, 3)))], 0)
 
 
 # -- gradients vs finite differences ----------------------------------------
@@ -775,29 +779,29 @@ def test_grad_mean_all():
     _gradcheck_unary(lambda x: ag.mean_all(ag.mul(x, x)), (3, 3), 9)
 
 
-def test_grad_gather_scatter_tile():
+def test_grad_gather_concat_tile():
     rng = np.random.default_rng(10)
     x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
     v = Tensor(rng.normal(size=3), requires_grad=True)
 
     def loss():
-        picked = ag.gather_rows(x, [4, 0, 2])
-        placed = ag.scatter_rows(6, [1, 3, 5], picked)
-        tiled = ag.scatter_rows(6, [0, 2, 4], ag.tile_rows(v, 3))
-        y = ag.add(placed, tiled)
+        # decode_full's layout: picked rows, then a tiled vector, then a reorder
+        y = ag.concat([ag.gather_rows(x, [4, 0, 2]), ag.tile_rows(v, 3)], 0)
+        y = ag.gather_rows(y, [3, 0, 4, 1, 5, 2])
         return total(ag.mul(y, y))
 
     assert_grads_close(loss, [("x", x), ("v", v)])
 
 
-def test_grad_concat_cols():
+@pytest.mark.parametrize("axis", [0, 1], ids=["rows", "cols"])
+def test_grad_concat(axis):
     rng = np.random.default_rng(11)
     a = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
-    b = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-    w = Tensor(rng.normal(size=(5, 4)))
+    b = Tensor(rng.normal(size=(2, 3) if axis == 1 else (3, 2)), requires_grad=True)
+    w = Tensor(rng.normal(size=(5, 4) if axis == 1 else (2, 4)))
 
     def loss():
-        merged = ag.concat_cols([a, b])
+        merged = ag.concat([a, b], axis)
         return total(ag.mul(ag.matmul(merged, w), ag.matmul(merged, w)))
 
     assert_grads_close(loss, [("a", a), ("b", b)])

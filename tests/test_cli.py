@@ -251,7 +251,8 @@ def test_os_errors_print_one_line_and_exit_2(tmp_path, capsys, command):
     [
         "train-config", "train-lr-nan", "train-one-patch-crop", "train-channels",
         "train-float32-overflow", "sweep-dataset", "sweep-model", "sweep-ratios",
-        "sweep-qualities", "sweep-ratio-range", "sweep-quality-range",
+        "sweep-qualities", "sweep-ratio-range", "sweep-quality-range", "sweep-empty-dataset",
+        "sweep-empty-ratios", "sweep-empty-qualities",
     ],
 )
 def test_train_and_sweep_check_inputs_before_making_their_directory(tmp_path, capsys, command):
@@ -260,6 +261,8 @@ def test_train_and_sweep_check_inputs_before_making_their_directory(tmp_path, ca
     _write_image(data_dir / "img0.pgm", seed=3, size=16)
     rgb_dir = tmp_path / "rgb"
     rgb_dir.mkdir()
+    empty_dir = tmp_path / "empty"
+    empty_dir.mkdir()
     _write_image(rgb_dir / "img0.ppm", seed=3, size=16, channels=3)
     junk = tmp_path / "junk.tmck"
     junk.write_bytes(b"JUNK" + bytes(60))
@@ -293,6 +296,13 @@ def test_train_and_sweep_check_inputs_before_making_their_directory(tmp_path, ca
                               *sweep_args, "--ratios", "0.5,1.5"],
         "sweep-quality-range": ["sweep", "--dataset", str(data_dir), "--model", str(model),
                                 *sweep_args, "--qualities", "50,0"],
+        # refused before the junk model is read
+        "sweep-empty-dataset": ["sweep", "--dataset", str(empty_dir), "--model", str(junk),
+                                *sweep_args],
+        "sweep-empty-ratios": ["sweep", "--dataset", str(data_dir), "--model", str(model),
+                               *sweep_args, "--ratios", ","],
+        "sweep-empty-qualities": ["sweep", "--dataset", str(data_dir), "--model", str(model),
+                                  *sweep_args, "--qualities", ""],
     }[command]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
@@ -306,6 +316,9 @@ def test_train_and_sweep_check_inputs_before_making_their_directory(tmp_path, ca
         "train-float32-overflow": "error: tensor embed holds values that are not finite as float32\n",
         "sweep-ratio-range": "error: mask_ratio must lie in [0, 1), got 1.5\n",
         "sweep-quality-range": "error: quality must lie in 1..100, got 0\n",
+        "sweep-empty-dataset": f"error: sweep corpus is empty: no readable PPM/PGM in {empty_dir}\n",
+        "sweep-empty-ratios": "error: a sweep needs a ratio and a quality, got [] and [50]\n",
+        "sweep-empty-qualities": "error: a sweep needs a ratio and a quality, got [0.5] and []\n",
     }
     if command in expected:
         assert err == expected[command], err

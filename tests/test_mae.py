@@ -177,6 +177,11 @@ def test_decode_full_rejects_wrong_latent(tiny_mae_config):
         mae.decode_full(Tensor(np.zeros((4, tiny_mae_config.enc_d_model))), spec, model)
     with pytest.raises(ShapeError):
         mae.decode_full(Tensor(np.zeros((3, 5))), spec, model)
+    # rows are patch indices: no negative index counts from the end
+    latent = Tensor(np.zeros((3, tiny_mae_config.enc_d_model)))
+    for rows in ([-1], [8], [0, 8]):
+        with pytest.raises(ContractError, match="out of range"):
+            mae.decode_full(latent, spec, model, rows)
 
 
 def test_decode_full_shape(tiny_mae_config):
@@ -358,12 +363,13 @@ def test_training_and_evaluation_run_the_last_decoder_block_and_the_head_at_the_
     monkeypatch.setattr(tf, "encoder_block", record_block)
     monkeypatch.setattr(ag, "affine", record_head)
     objective(model, patches, spec)
-    masked = list(spec.masked_indices)
+    # the decoder's tokens are the kept latents, then the mask tokens
+    masked_tokens = list(range(spec.keep_count, 9))
     expected = [None] * cfg.enc_depth
     if dec_depth:
-        expected += [None] * (dec_depth - 1) + [masked]
-    assert block_rows == expected
-    assert head_rows == [len(masked)]
+        expected += [None] * (dec_depth - 1) + [masked_tokens]
+    assert [None if r is None else list(r) for r in block_rows] == expected
+    assert head_rows == [len(masked_tokens)]
 
 
 # the train_toy32 benchmark's model, which the acceptance test trains too
@@ -561,7 +567,7 @@ _ROW_SUBSET_CASES = [
 
 
 def _check_row_subsets(cfg, n, keep_count, loaded):
-    """At masked, single and all rows, decode_full and every block equal the full run's rows."""
+    """At masked, single, all and mixed rows, decode_full and every block equal the full run's rows."""
     model = mae.init_model(cfg, seed=keep_count)
     if loaded:
         model = mae.load_bytes(mae.save_bytes(model))
@@ -572,7 +578,9 @@ def _check_row_subsets(cfg, n, keep_count, loaded):
     seqs = [tf.TokenSequence(Tensor(rng.standard_normal((n, b.config.d_model)))) for b in blocks]
     pred = mae.decode_full(latent, spec, model).data
     outs = [tf.encoder_block(seq, block).tokens.data for seq, block in zip(seqs, blocks)]
-    for rows in (list(spec.masked_indices), [n // 2], list(range(n))):
+    # an unsorted mix of kept and masked patches, which maps to scattered token rows
+    mixed = list(rng.permutation(n)[: n // 3])
+    for rows in (list(spec.masked_indices), [n // 2], list(range(n)), mixed):
         assert np.array_equal(mae.decode_full(latent, spec, model, rows).data, pred[rows])
         for seq, block, out in zip(seqs, blocks, outs):
             assert np.array_equal(tf.encoder_block(seq, block, rows).tokens.data, out[rows])
