@@ -508,7 +508,7 @@ def test_save_refuses_a_weight_that_is_not_finite_as_float32(tiny_mae_config, tm
 # SHA-256 over the float64 latents and decode_full output and the decompressed
 # pixels of the seeded containers below, each reconstructed with a model that
 # went through save_bytes/load_bytes. Any change to an inference op shows here.
-GOLDEN_DECODE_SHA256 = "7888503c8aa39bced732f83dccc2104c673af75fdc7d61c6438416c6fb3ce321"
+GOLDEN_DECODE_SHA256 = "0a950f92c47c1ff0fa1f796668e20f830c83e34fd753ba6ec53411b165d26fa9"
 
 
 def _golden_decode_cases():
