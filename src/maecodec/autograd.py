@@ -3,8 +3,8 @@
 Just enough machinery to train a small transformer: matmul, add/sub/mul,
 ``affine`` (a matmul and a row bias as one op, the bias added in place to
 the product), row softmax, fused scaled dot-product attention, layer norm,
-GELU, the mean of all elements, row gather and tile, and concatenation
-along rows or columns. ``softmax_rows`` can write its result into a given array,
+GELU, the mean of all elements, row gather and tile, and row or column
+concatenation. ``softmax_rows`` can write its result into a given array,
 its own input included: attention's one loop over row blocks normalizes
 each block in place. Attention scales its queries by 1/sqrt(d) before the
 loop, and softmax_rows multiplies each row by the reciprocal of its sum,
@@ -487,11 +487,12 @@ def concat(parts: list[Tensor], axis: int) -> Tensor:
     shapes = [p.shape for p in parts]
     if any(len(s) != 2 or s[1 - axis] != shapes[0][1 - axis] for s in shapes):
         raise ShapeError(f"concat: inconsistent shapes {shapes} along axis {axis}")
-    seams = np.cumsum([s[axis] for s in shapes[:-1]])
 
     def back(g):
-        for p, piece in zip(parts, np.split(g, seams, axis=axis)):
-            _accumulate(p, piece)
+        at = 0
+        for p, s in zip(parts, shapes):
+            _accumulate(p, g[at : at + s[0]] if axis == 0 else g[:, at : at + s[1]])
+            at += s[axis]
 
     return _result(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), back)
 
