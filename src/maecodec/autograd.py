@@ -30,10 +30,13 @@ every scale up to 512, while the max-shifted path reached 129 ULP at
 exp amplifies that error. Any other bound (NaN or inf from a non-finite
 q or k, finite q and k whose logits could overflow, or the default inf of
 a standalone call) takes the shifted path, which refuses non-finite
-logits with NumericError. Under the same bound, the untracked
-``_exp_sums`` gives each query row its unshifted sum of exp(logit) and of
-exp(logit)-weighted values; such sums over two key sets add to the sums
-over their union, which ``mae``'s mask-token memo relies on.
+logits with NumericError. ``_exp_sums`` applies the same rule to the
+queries and keys it is given: within the bound it returns each query row's
+unshifted sums of exp(logit) and of exp(logit)-weighted values, which add
+over disjoint key sets (``mae``'s mask-token memo relies on that), and past
+it None. The bound covers only the queries a call computes, so rows
+computed alone can equal the same rows computed among all, bit for bit,
+only where both bounds fall on the same side of ``_EXP_SAFE``.
 
 Attention runs its softmax passes, forward and backward, with numpy's ufunc
 buffer cut to at most one map row once a row holds ``_ROW_BUFFER_MIN`` keys
@@ -365,18 +368,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     return _result(out, (q, k, v), back)
 
 
-def _exp_sums(qs: np.ndarray, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _exp_sums(qs: np.ndarray, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Per row i of qs: s_i = sum_j exp(qs_i . k_j) and u_i = sum_j exp(qs_i . k_j) v_j.
 
     Plain arrays in and out, no graph: the (rows,) vector s and the
-    (rows, v columns) matrix u. The logits are exponentiated unshifted, so
-    the caller must have bounded every |qs_i . k_j| by ``_EXP_SAFE``; sums
-    over two key sets then add to the sums over their union, and
-    u / s is attention's output row. Rows go in blocks of about
-    ``_SOFTMAX_BLOCK`` logits, as in ``attention``, through one buffer
-    that every block reuses, and both products go through ``_product``,
-    so a one-row block stays on gemm.
+    (rows, v columns) matrix u, or None unless ``_logit_bound(qs, k)`` is
+    at most ``_EXP_SAFE``, the rule by which ``attention`` skips its shift.
+    Within it the logits are exponentiated unshifted, so sums over two key
+    sets add to the sums over their union, and u / s is attention's output
+    row. Rows go in blocks of about ``_SOFTMAX_BLOCK`` logits, as in
+    ``attention``, through one buffer that every block reuses, and both
+    products go through ``_product``, so a one-row block stays on gemm.
     """
+    # numpy warns as it forms a bound that is or becomes non-finite
+    with np.errstate(invalid="ignore", over="ignore"):
+        if not _logit_bound(qs, k) <= _EXP_SAFE:
+            return None
     m, n_keys = qs.shape[0], k.shape[0]
     rows = max(1, _SOFTMAX_BLOCK // max(1, n_keys))
     kt = k.T.copy()  # contiguous, as attention lays out K^T

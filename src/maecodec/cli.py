@@ -107,9 +107,8 @@ def _cmd_sweep(args) -> int:
     if not corpus:
         raise ContractError(f"sweep corpus is empty: no readable PPM/PGM in {args.dataset}")
     model = mae.load_checkpoint(args.model)
-    # Refuse a bad grid value as rd_sweep would, and create the CSV's
-    # directory only once the inputs are loaded and checked.
-    sweep.cell_configs(model.config.patch_size, ratios, qualities, args.seed)
+    # Refuse what rd_sweep would refuse before making the CSV's directory.
+    sweep.cell_configs(corpus, ratios, qualities, model, args.seed)
     os.makedirs(os.path.dirname(args.csv_out) or ".", exist_ok=True)
     result = sweep.rd_sweep(corpus, ratios, qualities, model, seed=args.seed)
     for failure in result.failures:

@@ -35,12 +35,15 @@ masked rows x (3 d_head + 1) floats, read-only, built in attention-sized
 row blocks. ``decode_full`` uses it when something is masked and neither
 the latents nor any weight track gradients. A head then forms logits
 against the kept keys only, the decoder's leading rows, and adds the
-memo's sums (see ``transformer.multi_head_attention``), if the logit bound
-over every scaled query and every key, kept or masked, is at most
-``autograd._EXP_SAFE``, which keeps unshifted sums safe to add. Otherwise
-that head takes the whole map, as a tracked model always does, and a
-non-finite input still raises NumericError. A loaded model's weights are
-read-only, so its identity stands for them.
+memo's sums (see ``transformer.multi_head_attention``). ``autograd``
+states once when unshifted sums are safe to add: ``_exp_sums``, like
+``attention``, bounds the logits of only the queries it computes by
+``_EXP_SAFE``. So the memo holds a head whose mask-token logits pass,
+and a decode uses it where the queries it asks for pass against the kept
+keys (kept queries also against the mask-token keys). Otherwise that
+head takes the whole map, as a tracked model always does, and a
+non-finite input still raises NumericError. A loaded model's weights
+are read-only, so its identity stands for them.
 """
 
 from __future__ import annotations
@@ -223,8 +226,10 @@ def decode_full(latent: Tensor, spec: MaskSpec, model: MaskedAutoencoder, rows=N
     spec.n_patches, spec.keep_count)`` that holds masked rows x
     (3 d_head + 1) floats per head. A decode that shares the last one's
     model and mask then forms and exponentiates logits against the kept
-    keys only. A head whose logit bound over every query and key exceeds
-    ``autograd._EXP_SAFE`` still takes the whole map (module docstring).
+    keys only. A head whose queries at ``rows`` exceed
+    ``autograd._EXP_SAFE`` against those keys takes the whole map (module
+    docstring); where that bound and the full run's fall on either side
+    of it, the two runs take different paths and agree only to rounding.
     """
     cfg = model.config
     if latent.shape != (spec.keep_count, cfg.enc_d_model):
@@ -258,8 +263,8 @@ def decode_full(latent: Tensor, spec: MaskSpec, model: MaskedAutoencoder, rows=N
 
 
 @functools.lru_cache(maxsize=1)
-def _mask_token_sums(model: MaskedAutoencoder, seed: int, n_patches: int, keep_count: int) -> tf.MaskTokenSums:
-    """The first decoder block's ``tf.MaskTokenSums`` for the mask of this triple.
+def _mask_token_sums(model: MaskedAutoencoder, seed: int, n_patches: int, keep_count: int) -> tuple:
+    """The first decoder block's ``tf.mask_token_sums`` for the mask of this triple.
 
     Its rows are the decoder's last input rows, the mask token plus each
     masked patch's positional encoding, equal bit for bit to those rows

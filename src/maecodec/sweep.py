@@ -75,25 +75,11 @@ def rd_sweep(
 ) -> SweepResult:
     """Evaluate every (image, ratio, quality) cell in deterministic order.
 
-    Cells run at the model's patch size with the DCT codec. An empty
-    corpus, ratio or quality list, or a bad ratio, quality or seed, raises
-    ContractError before the first cell; a cell's own failure is recorded
-    and the sweep goes on.
+    Cells run at the model's patch size with the DCT codec. Inputs that
+    ``cell_configs`` refuses raise ContractError before the first cell; a
+    cell's own failure is recorded and the sweep goes on.
     """
-    if not corpus:
-        raise ContractError("a sweep needs at least one image")
-    configs = cell_configs(model.config.patch_size, ratios, qualities, seed)
-    # Checked before the first cell: a bad id would otherwise surface only
-    # when the CSV is written or read back. UTF-8 has no lone surrogate, which
-    # os.listdir gives for each undecodable byte of a file name.
-    for image_id, _ in corpus:
-        if image_id == MEAN_ID or any(
-            ch in ",\n\r" or "\ud800" <= ch <= "\udfff" for ch in image_id
-        ):
-            raise ContractError(
-                f"image id {image_id!r} cannot be a sweep CSV id: it must be UTF-8, "
-                f"not contain ',', '\\n' or '\\r' and not equal {MEAN_ID!r}"
-            )
+    configs = cell_configs(corpus, ratios, qualities, model, seed)
     points: list[RDPoint] = []
     failures: list[SweepFailure] = []
     for image_id, image in corpus:
@@ -121,20 +107,38 @@ def rd_sweep(
     return SweepResult(points=points, failures=failures)
 
 
-def cell_configs(
-    patch_size: int, ratios: list[float], qualities: list[int], seed: int
-) -> list[PipelineConfig]:
+def cell_configs(corpus: list[tuple[str, np.ndarray]], ratios: list[float], qualities: list[int],
+                 model: MaskedAutoencoder, seed: int) -> list[PipelineConfig]:
     """Every (ratio, quality) cell's PipelineConfig, in sweep order, with the DCT codec.
 
-    An empty list, or a ratio or quality out of range, raises ContractError
-    here, before any cell runs.
+    The sweep's inputs are checked here, before any cell runs or any file
+    is made: an empty corpus, ratio or quality list, a ratio, quality or
+    seed out of range, an image id the CSV cannot hold, or an image whose
+    channel count is not the model's raises ContractError.
     """
+    if not corpus:
+        raise ContractError("a sweep needs at least one image")
+    # UTF-8 has no lone surrogate, which os.listdir gives for each
+    # undecodable byte of a file name.
+    for image_id, image in corpus:
+        if image_id == MEAN_ID or any(
+            ch in ",\n\r" or "\ud800" <= ch <= "\udfff" for ch in image_id
+        ):
+            raise ContractError(
+                f"image id {image_id!r} cannot be a sweep CSV id: it must be UTF-8, "
+                f"not contain ',', '\\n' or '\\r' and not equal {MEAN_ID!r}"
+            )
+        # an image that is not HxWxC fails in its own cells
+        if np.ndim(image) == 3 and image.shape[2] != model.config.channels:
+            raise ContractError(
+                f"corpus image {image_id!r} has {image.shape[2]} channels, "
+                f"but the model takes {model.config.channels}"
+            )
     if not ratios or not qualities:
         raise ContractError(f"a sweep needs a ratio and a quality, got {ratios} and {qualities}")
+    size = model.config.patch_size
     return [
-        PipelineConfig(
-            patch_size=patch_size, mask_ratio=ratio, seed=seed, codec=CodecParams(quality=quality)
-        )
+        PipelineConfig(patch_size=size, mask_ratio=ratio, seed=seed, codec=CodecParams(quality=quality))
         for ratio in ratios
         for quality in qualities
     ]

@@ -95,25 +95,6 @@ class TokenSequence:
             raise ShapeError(f"tokens must be a matrix, got shape {self.tokens.shape}")
 
 
-@dataclass(frozen=True)
-class MaskTokenSums:
-    """One block's attention over the input rows that do not depend on the image.
-
-    In the first decoder block these are the mask tokens: the mask token
-    plus each masked patch's positional encoding. They are the last rows
-    of the block's input, after the kept tokens, so with m of them a
-    token row p >= n - m is a mask token with table row p - (n - m).
-    ``heads`` holds, per head, the mask tokens' keys k and values v and,
-    for each mask-token query i, s_i = sum_j exp(qs_i . k_j) and
-    u_i = sum_j exp(qs_i . k_j) v_j over the mask-token keys (qs the
-    scaled queries), as ``autograd._exp_sums`` returns them; a head whose
-    own logit bound exceeds ``autograd._EXP_SAFE`` holds None. That is
-    masked rows x (3 d_head + 1) floats per head. Every array is read-only.
-    """
-
-    heads: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None, ...]
-
-
 def positional_encoding(positions: range | tuple, d_model: int) -> Tensor:
     """Sinusoidal encoding, one row per patch index in ``positions``.
 
@@ -147,7 +128,7 @@ def _shared_table(positions: range | tuple, d_model: int) -> np.ndarray:
 
 
 def multi_head_attention(
-    x: Tensor, params: EncoderBlockParams, rows=None, sums: MaskTokenSums | None = None
+    x: Tensor, params: EncoderBlockParams, rows=None, sums: tuple | None = None
 ) -> Tensor:
     """Per-head attention on projected tokens, concatenated and re-projected.
 
@@ -156,12 +137,13 @@ def multi_head_attention(
     output has one row per query row. How much of each head's map exists
     at once is ``autograd.attention``'s decision.
 
-    With ``sums`` (``x``'s last rows are the ones it was made from, the
-    kept tokens come first), a head whose table is there forms logits
-    against the kept keys only, if every scaled query of ``x`` and every
-    key, kept or in the table, keep the logits within
-    ``autograd._EXP_SAFE`` (see ``_head_from_sums``). Any other head runs
-    ``autograd.attention``.
+    With ``sums`` from ``mask_token_sums`` (``x``'s last rows are the ones
+    it was made from, the kept tokens come first), a head whose entry is
+    not None forms logits against the kept keys only (see
+    ``_head_from_sums``). A head without an entry, or whose
+    ``autograd._exp_sums`` refuses the queries it computes, runs
+    ``autograd.attention``; both exponentiate unshifted only if the
+    queries they compute bound their logits within autograd's safe bound.
     """
     cfg = params.config
     if x.shape[1] != cfg.d_model:
@@ -170,8 +152,8 @@ def multi_head_attention(
     heads = []
     for h in range(cfg.n_heads):
         head = None
-        if sums is not None and sums.heads[h] is not None:
-            head = _head_from_sums(x, rows, params, h, sums.heads[h])
+        if sums is not None and sums[h] is not None:
+            head = _head_from_sums(x, queries, rows, params, h, sums[h])
         if head is None:
             q = ag.matmul(queries, params.wq[h])
             k = ag.matmul(x, params.wk[h])
@@ -186,65 +168,65 @@ def _scaled_queries(x: Tensor, wq: Tensor) -> np.ndarray:
     return ag.matmul(x, wq).data * (1.0 / math.sqrt(wq.shape[1]))
 
 
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+def mask_token_sums(tokens: np.ndarray, params: EncoderBlockParams) -> tuple:
+    """One block's attention over its last input rows ``tokens``, which no image changes.
 
-
-def mask_token_sums(tokens: np.ndarray, params: EncoderBlockParams) -> MaskTokenSums:
-    """``MaskTokenSums`` of the block whose last input rows are ``tokens``, in that order.
-
-    The sums are formed in row blocks, as attention forms its map, and
-    cost the mask-token-by-mask-token part of every head's map once.
+    In the first decoder block these are the mask tokens: the mask token
+    plus each masked patch's positional encoding, after the kept tokens,
+    so with m of them token row p >= n - m is table row p - (n - m). Per
+    head, the tuple holds None where ``autograd._exp_sums`` refuses, else
+    the mask tokens' keys k, values v and, for each mask-token query i,
+    s_i = sum_j exp(qs_i . k_j) and u_i = sum_j exp(qs_i . k_j) v_j over
+    those keys (qs the scaled queries), as ``_exp_sums`` returns them:
+    masked rows x (3 d_head + 1) read-only floats, formed in row blocks
+    at the cost of the mask-token-by-mask-token part of the map once.
     """
     normed = ag.layer_norm(Tensor(tokens), params.ln1_gain, params.ln1_bias)
     heads = []
     for h in range(params.config.n_heads):
-        qs = _scaled_queries(normed, params.wq[h])
         k = ag.matmul(normed, params.wk[h]).data
         v = ag.matmul(normed, params.wv[h]).data
-        with np.errstate(invalid="ignore", over="ignore"):
-            safe = ag._logit_bound(qs, k) <= ag._EXP_SAFE
-        heads.append(_read_only(k, v, *ag._exp_sums(qs, k, v)) if safe else None)
-    return MaskTokenSums(tuple(heads))
+        sums = ag._exp_sums(_scaled_queries(normed, params.wq[h]), k, v)
+        table = None if sums is None else (k, v, *sums)
+        for a in table or ():
+            a.flags.writeable = False
+        heads.append(table)
+    return tuple(heads)
 
 
-def _head_from_sums(x: Tensor, rows, params: EncoderBlockParams, h: int, table) -> Tensor | None:
-    """Head h's output at ``rows`` of ``x``, with ``table`` of ``MaskTokenSums.heads``; None if unsafe.
+def _head_from_sums(x: Tensor, queries: Tensor, rows, params: EncoderBlockParams, h: int,
+                    table) -> Tensor | None:
+    """Head h's output for ``queries``, ``x`` at ``rows``, with ``table``; None if refused.
 
-    ``x`` holds the kept tokens' rows first, then the table's m mask-token
-    rows, so the kept keys come from the view ``x[:n - m]``. Each query
-    row adds its sums over the kept keys, from ``autograd._exp_sums``, to
-    its sums over the mask-token keys: row p >= n - m takes them from
-    table row p - (n - m), a kept row has them formed from the table's
-    keys and values. Its output is (u_table + u_kept) * 1 / (s_table +
-    s_kept). The sums are unshifted, so this runs only when the logit
-    bound of every scaled query of ``x`` (not only ``rows``'s, so that a
-    row's path does not depend on the others) against every key is at
-    most ``autograd._EXP_SAFE``; otherwise, a non-finite bound included,
-    it returns None. Values that float32 weights give cannot overflow the
+    ``table`` is head h's entry of ``mask_token_sums``. ``x`` holds the
+    kept tokens' rows first, then the table's m mask-token rows, so the
+    kept keys come from the view ``x[:n - m]``. Each query row adds its
+    sums over the kept keys, from ``autograd._exp_sums``, to its sums over
+    the mask-token keys: row p >= n - m takes them from table row
+    p - (n - m), a kept row has them formed from the table's keys and
+    values. Its output is (u_table + u_kept) * 1 / (s_table + s_kept).
+    When either ``_exp_sums`` call refuses the queries it is given, it
+    returns None. Values that float32 weights give cannot overflow the
     sums.
     """
     k_m, v_m, s_m, u_m = table
     n_kept = x.shape[0] - len(s_m)
     kept = Tensor(x.data[:n_kept])
-    qs = _scaled_queries(x, params.wq[h])
-    k = ag.matmul(kept, params.wk[h]).data
-    with np.errstate(invalid="ignore", over="ignore"):
-        if not all(ag._logit_bound(qs, keys) <= ag._EXP_SAFE for keys in (k, k_m)):
-            return None
-    if rows is not None:
-        qs = qs[rows]
+    qs = _scaled_queries(queries, params.wq[h])
+    sums = ag._exp_sums(qs, ag.matmul(kept, params.wk[h]).data, ag.matmul(kept, params.wv[h]).data)
+    if sums is None:
+        return None
+    s, u = sums
     slots = (np.arange(x.shape[0]) if rows is None else np.asarray(rows)) - n_kept
-    s, u = ag._exp_sums(qs, k, ag.matmul(kept, params.wv[h]).data)
     masked = slots >= 0
     s[masked] += s_m[slots[masked]]
     u[masked] += u_m[slots[masked]]
     if not masked.all():
-        s_kept, u_kept = ag._exp_sums(qs[~masked], k_m, v_m)
-        s[~masked] += s_kept
-        u[~masked] += u_kept
+        sums = ag._exp_sums(qs[~masked], k_m, v_m)
+        if sums is None:
+            return None
+        s[~masked] += sums[0]
+        u[~masked] += sums[1]
     u *= 1.0 / s[:, None]
     return Tensor(u)
 
@@ -255,16 +237,20 @@ def feed_forward(x: Tensor, params: EncoderBlockParams) -> Tensor:
 
 
 def encoder_block(x: TokenSequence, params: EncoderBlockParams, rows=None,
-                  sums: MaskTokenSums | None = None) -> TokenSequence:
+                  sums: tuple | None = None) -> TokenSequence:
     """Pre-norm residual block; positions enter only as PE rows in the tokens.
 
     With ``rows`` (token indices), the output holds the block's result at
     those rows only, in that order. Every token still supplies keys and
     values; the queries, the residual, the second norm and the
     feed-forward cover only ``rows``, even a single one. Each output row
-    equals the same row of the full block's output, bit for bit, wherever
-    BLAS rounds a row of a product the same whatever the other rows are
-    (``autograd`` keeps one-row products on gemm). OpenBLAS does not in
+    equals the same row of the full block's output, bit for bit, where
+    the logit bound of ``rows``'s queries and that of every query fall on
+    the same side of autograd's safe bound of 512 (each head bounds only
+    the queries it computes, so one run may shift its logits, or leave
+    the memo, where the other does not), and where BLAS rounds a row of a
+    product the same whatever the other rows are (``autograd`` keeps
+    one-row products on gemm). OpenBLAS does not in
     two cases. First, when one product has at most 10^6 multiply-adds and
     a long inner dimension and the other more: its small-matrix kernel
     sums that dimension in one pass, its blocked kernel in parts. Second,
@@ -276,9 +262,7 @@ def encoder_block(x: TokenSequence, params: EncoderBlockParams, rows=None,
     in one product whose size follows ``rows``.
 
     ``sums``, for untracked weights and tokens only, is the block's
-    ``MaskTokenSums`` for these tokens; ``multi_head_attention`` uses it.
-    Whether a head uses it does not depend on ``rows``, so the rule above
-    holds with it too.
+    ``mask_token_sums`` for these tokens; ``multi_head_attention`` uses it.
     """
     normed = ag.layer_norm(x.tokens, params.ln1_gain, params.ln1_bias)
     residual = x.tokens if rows is None else ag.gather_rows(x.tokens, rows)

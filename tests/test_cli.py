@@ -252,7 +252,7 @@ def test_os_errors_print_one_line_and_exit_2(tmp_path, capsys, command):
         "train-config", "train-lr-nan", "train-one-patch-crop", "train-channels",
         "train-float32-overflow", "sweep-dataset", "sweep-model", "sweep-ratios",
         "sweep-qualities", "sweep-ratio-range", "sweep-quality-range", "sweep-empty-dataset",
-        "sweep-empty-ratios", "sweep-empty-qualities",
+        "sweep-empty-ratios", "sweep-empty-qualities", "sweep-channels", "sweep-mean-id",
     ],
 )
 def test_train_and_sweep_check_inputs_before_making_their_directory(tmp_path, capsys, command):
@@ -264,6 +264,9 @@ def test_train_and_sweep_check_inputs_before_making_their_directory(tmp_path, ca
     empty_dir = tmp_path / "empty"
     empty_dir.mkdir()
     _write_image(rgb_dir / "img0.ppm", seed=3, size=16, channels=3)
+    mean_dir = tmp_path / "mean"
+    mean_dir.mkdir()
+    _write_image(mean_dir / "mean.pgm", seed=3, size=16)
     junk = tmp_path / "junk.tmck"
     junk.write_bytes(b"JUNK" + bytes(60))
     model = tmp_path / "m.tmck"
@@ -303,13 +306,17 @@ def test_train_and_sweep_check_inputs_before_making_their_directory(tmp_path, ca
                                *sweep_args, "--ratios", ","],
         "sweep-empty-qualities": ["sweep", "--dataset", str(data_dir), "--model", str(model),
                                   *sweep_args, "--qualities", ""],
+        # an RGB corpus for the one-channel model, which every cell would refuse
+        "sweep-channels": ["sweep", "--dataset", str(rgb_dir), "--model", str(model), *sweep_args],
+        # the id of the corpus-mean rows
+        "sweep-mean-id": ["sweep", "--dataset", str(mean_dir), "--model", str(model), *sweep_args],
     }[command]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     if command in ("sweep-ratios", "sweep-qualities"):  # refused before the junk model is read
         assert err.startswith(f"error: --{command[6:]}: "), err
-    if command == "train-channels":
+    if command in ("train-channels", "sweep-channels"):
         assert err == "error: corpus image 'img0' has 3 channels, but the model takes 1\n", err
     expected = {
         "train-lr-nan": "error: learning_rate must be finite and positive, got nan\n",
@@ -319,6 +326,8 @@ def test_train_and_sweep_check_inputs_before_making_their_directory(tmp_path, ca
         "sweep-empty-dataset": f"error: sweep corpus is empty: no readable PPM/PGM in {empty_dir}\n",
         "sweep-empty-ratios": "error: a sweep needs a ratio and a quality, got [] and [50]\n",
         "sweep-empty-qualities": "error: a sweep needs a ratio and a quality, got [0.5] and []\n",
+        "sweep-mean-id": "error: image id 'mean' cannot be a sweep CSV id: it must be UTF-8, "
+                         "not contain ',', '\\n' or '\\r' and not equal 'mean'\n",
     }
     if command in expected:
         assert err == expected[command], err

@@ -22,7 +22,7 @@ from maecodec.dataset import synthetic_image
 from maecodec.errors import BitstreamError, ContractError, ShapeError
 from maecodec.pipeline import PipelineConfig, compress
 
-from conftest import BLAS_THREAD_TESTS, passed_at_blas_threads, run_at_blas_threads, traced_peak
+from conftest import traced_peak
 
 # Standard zigzag scan of an 8x8 block, frozen from the usual table.
 ZIGZAG_REFERENCE = [
@@ -121,14 +121,6 @@ def test_strip_transform_matches_per_block_products():
         pixels = coeffs.copy()
         codec._transform_strips(pixels, d.T, d, np.empty_like(plane))
         assert np.array_equal(_blocks(pixels), idct_block(_blocks(coeffs)))
-
-
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_strip_transform_matches_per_block_products_at_blas_threads(threads):
-    """The same check in the registry's child pytest run whose BLAS runs this many threads."""
-    test = "test_codec.py::test_strip_transform_matches_per_block_products"
-    passed = passed_at_blas_threads(threads, test)
-    assert passed == BLAS_THREAD_TESTS[test], run_at_blas_threads(threads).stdout
 
 
 # -- quantizer ------------------------------------------------------------------

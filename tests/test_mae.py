@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +25,7 @@ from maecodec.masking import (
     unstack_visible,
 )
 
-from conftest import (
-    BLAS_THREAD_TESTS,
-    passed_at_blas_threads,
-    run_at_blas_threads,
-    traced_peak,
-)
+from conftest import traced_peak
 
 BENCH_FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 
@@ -591,14 +587,6 @@ def test_row_subset_matches_full_rows(cfg, n, keep_count, loaded):
     _check_row_subsets(cfg, n, keep_count, loaded)
 
 
-def test_row_subset_matches_full_rows_with_two_blas_threads():
-    """Every row-subset case in the registry's child pytest run whose BLAS runs two threads."""
-    test = "test_mae.py::test_row_subset_matches_full_rows"
-    assert BLAS_THREAD_TESTS[test] == len(_ROW_SUBSET_CASES)
-    passed = passed_at_blas_threads("2", test)
-    assert passed == BLAS_THREAD_TESTS[test], run_at_blas_threads("2").stdout
-
-
 def _loaded_attention_model():
     cfg = mae.TMAEConfig(patch_size=4, channels=1, enc_d_model=8, enc_depth=1, enc_heads=2,
                          enc_d_ff=8, dec_d_model=4, dec_depth=1, dec_heads=2, dec_d_ff=4)
@@ -644,14 +632,15 @@ def test_decompress_peak_memory_at_4096_patches(ratio):
 
 # -- the first decoder block's mask-token sums -----------------------------------
 
-def _memo_case(n, keep_count, seed, scale=1.0):
-    """A loaded model, a mask and random latents.
+def _memo_case(n, keep_count, seed, scale=1.0, width=16):
+    """A loaded model of this ``width`` on both sides, a mask and random latents.
 
     The first decoder block's query and key weights are scaled by ``scale``
     before the model is saved, so its logit bound grows by scale^2.
     """
-    cfg = mae.TMAEConfig(patch_size=4, channels=1, enc_d_model=16, enc_depth=1, enc_heads=2,
-                         enc_d_ff=16, dec_d_model=16, dec_depth=1, dec_heads=2, dec_d_ff=16)
+    cfg = mae.TMAEConfig(patch_size=4, channels=1, enc_d_model=width, enc_depth=1, enc_heads=2,
+                         enc_d_ff=width, dec_d_model=width, dec_depth=1, dec_heads=2,
+                         dec_d_ff=width)
     fresh = mae.init_model(cfg, seed=seed)
     for w in fresh.dec_blocks[0].wq + fresh.dec_blocks[0].wk:
         w.data *= scale
@@ -663,6 +652,21 @@ def _memo_case(n, keep_count, seed, scale=1.0):
 
 def _decode_masked(model, spec, latent):
     return mae.decode_full(latent, spec, model, list(spec.masked_indices)).data
+
+
+def _decode_recording_the_block(model, spec, latent, monkeypatch):
+    """Decode the masked rows; return the decoder block's arguments and its normed input."""
+    seen = {}
+    encoder_block = tf.encoder_block
+
+    def record_block(x, params, rows=None, **kwargs):
+        seen.update(params=params, rows=rows, **kwargs)
+        seen["normed"] = ag.layer_norm(x.tokens, params.ln1_gain, params.ln1_bias)
+        return encoder_block(x, params, rows, **kwargs)
+
+    monkeypatch.setattr(tf, "encoder_block", record_block)
+    _decode_masked(model, spec, latent)
+    return seen
 
 
 def _tracked_copy(model):
@@ -681,7 +685,7 @@ def test_mask_token_sums_cold_and_warm_decodes_are_equal_bitwise():
     assert np.array_equal(cold, warm)
     # read-only, and masked rows x (3 d_head + 1) floats per head
     sums = mae._mask_token_sums(model, spec.seed, spec.n_patches, spec.keep_count)
-    tables = [a for head in sums.heads for a in head]
+    tables = [a for head in sums for a in head]
     assert len(tables) == 8 and not any(a.flags.writeable for a in tables)
     assert sum(a.nbytes for a in tables) == 2 * len(spec.masked_indices) * (3 * 8 + 1) * 8
 
@@ -721,17 +725,40 @@ def test_a_logit_bound_above_exp_safe_decodes_as_the_whole_map_bitwise():
     """Past the bound every head runs autograd.attention, so the loaded model
     decodes as a tracked copy of it does, bit for bit.
 
-    Head 0's mask-token logits alone are bounded by 545 (no table); head 1's
-    by 498, but with the kept tokens' queries and keys by 535, so its table
-    is refused at the call.
+    Head 0's mask-token logits alone are bounded by 545.2, so it has no
+    table; head 1's by 497.7, so it has one, but its masked queries against
+    the kept keys by 514.7, so the decode refuses that table.
     """
     model, spec, latent = _memo_case(1024, 205, 3, scale=8.0)
     mae._mask_token_sums.cache_clear()
     got = _decode_masked(model, spec, latent)
     sums = mae._mask_token_sums(model, spec.seed, spec.n_patches, spec.keep_count)
     assert mae._mask_token_sums.cache_info().misses == 1
-    assert sums.heads[0] is None and sums.heads[1] is not None
+    assert sums[0] is None and sums[1] is not None
     assert np.array_equal(got, _decode_masked(_tracked_copy(model), spec, latent))
+
+
+def test_the_memo_bounds_only_the_queries_a_decode_computes(monkeypatch):
+    """Decoding the masked rows forms no decoder map when their own logits are
+    within the bound, although a kept query's are not: each ``_exp_sums`` call
+    bounds the queries it computes, as ``autograd.attention`` does.
+    """
+    model, spec, latent = _memo_case(300, 81, 5, scale=8.5, width=8)
+    maps = []
+    attention = ag.attention
+
+    def record_map(q, k, v):
+        maps.append((q.shape[0], k.shape[0]))
+        return attention(q, k, v)
+
+    monkeypatch.setattr(ag, "attention", record_map)
+    seen = _decode_recording_the_block(model, spec, latent, monkeypatch)
+    assert maps == []
+    # head 1: masked queries bound their logits by 443.4, every query by 521.7
+    params, keep = seen["params"], spec.keep_count
+    qs, k = (seen["normed"].data @ w[1].data for w in (params.wq, params.wk))
+    qs *= 1.0 / math.sqrt(qs.shape[1])
+    assert ag._logit_bound(qs[keep:], k) <= ag._EXP_SAFE < ag._logit_bound(qs, k)
 
 
 def test_loaded_weights_are_read_only():
@@ -776,18 +803,9 @@ def test_mask_token_sums_agree_with_a_longdouble_reference(n, keep_count, scale,
     float64 logits, which exp turns into relative error.
     """
     model, spec, latent = _memo_case(n, keep_count, 4, scale)
-    seen = {}
-    encoder_block = tf.encoder_block
-
-    def record_block(x, params, rows=None, **kwargs):
-        seen.update(x=x, params=params, rows=rows, **kwargs)
-        return encoder_block(x, params, rows, **kwargs)
-
-    monkeypatch.setattr(tf, "encoder_block", record_block)
-    _decode_masked(model, spec, latent)
-    params, rows, sums = seen["params"], seen["rows"], seen["sums"]
-    assert all(head is not None for head in sums.heads)
-    normed = ag.layer_norm(seen["x"].tokens, params.ln1_gain, params.ln1_bias)
+    seen = _decode_recording_the_block(model, spec, latent, monkeypatch)
+    params, rows, sums, normed = seen["params"], seen["rows"], seen["sums"], seen["normed"]
+    assert all(head is not None for head in sums)
     reference = _longdouble_attention(normed.data, params)
     for at in (rows, None):
         expected = reference if at is None else reference[at]

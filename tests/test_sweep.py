@@ -129,6 +129,17 @@ def test_sweep_rejects_ids_the_csv_cannot_hold(bad_id, monkeypatch):
     assert cells == []
 
 
+def test_sweep_refuses_an_image_of_other_channels_than_the_model_before_the_first_cell(
+    monkeypatch,
+):
+    cells = []
+    monkeypatch.setattr(sweep, "compress", lambda *args: cells.append(args))
+    rgb = np.random.default_rng(9).integers(0, 256, (24, 24, 3), dtype=np.uint8)
+    with pytest.raises(ContractError, match="^corpus image 'rgb' has 3 channels, but the model takes 1$"):
+        sweep.rd_sweep([("ok", _gray(9)), ("rgb", rgb)], [0.5], [50], p8_model())
+    assert cells == []
+
+
 def test_sweep_ids_round_trip_through_csv(tmp_path):
     # ids may hold any line break but '\n' and '\r', which rd_sweep refuses
     ids = ["mean2", "a b;c", "a\x0cb", "c\u2028d"]
