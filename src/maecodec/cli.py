@@ -22,6 +22,22 @@ def _parse_list(option: str, text: str, kind) -> list:
         raise ContractError(f"{option}: {exc}") from None
 
 
+def _check_output_path(option: str, path: str) -> None:
+    """Refuse an output path that names a directory or whose nearest existing ancestor is a file.
+
+    open() or makedirs would refuse either, but only after the work; this
+    check runs first, so a refused path costs no epoch or cell and makes
+    nothing.
+    """
+    if os.path.isdir(path):
+        raise ContractError(f"{option}: {path} is a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        raise ContractError(f"{option}: {parent} is not a directory")
+
+
 def _cmd_compress(args) -> int:
     image = dataset.load_image(args.input)
     config = PipelineConfig(
@@ -77,6 +93,7 @@ def _model_config_from_args(args) -> mae.TMAEConfig:
 
 
 def _cmd_train(args) -> int:
+    _check_output_path("--out", args.out)
     model_cfg = _model_config_from_args(args)
     cfg = training.TrainConfig(
         crop_size=args.crop_size,
@@ -101,6 +118,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_output_path("--csv-out", args.csv_out)
     ratios = _parse_list("--ratios", args.ratios, float)
     qualities = _parse_list("--qualities", args.qualities, int)
     corpus = dataset.load_corpus(args.dataset)

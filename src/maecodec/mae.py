@@ -4,11 +4,12 @@ The encoder runs only on the visible tokens; the decoder sees the
 projected latents of the kept patches, then a shared learnable mask token
 for every masked patch, each row plus its patch's positional encoding.
 Positions enter only as those rows, so this row order is free: the masked
-patches are the decoder's last rows. In training it predicts the masked
-patches, which alone enter the loss. At reconstruction the received
-visible patches pass through verbatim. Either way ``predict_masked`` makes
-the prediction, and the decoder's last block and the head run only at the
-masked rows; keys and values still come from every token.
+patches are the decoder's tail, token rows keep_count..n-1, and
+``decode_full`` predicts exactly them. Its last block runs from the first
+mask token and the head only on that tail; keys and values still come
+from every token. In training the masked patches alone enter the loss. At
+reconstruction the received visible patches pass through verbatim. Either
+way ``predict_masked`` makes the prediction.
 
 Checkpoint layout (little-endian): magic "TMCK", version u8 = 1, ten u32
 config fields (patch_size, channels, enc d_model/depth/heads/d_ff, dec
@@ -203,21 +204,16 @@ def encode_visible(visible: np.ndarray, keep_indices: tuple[int, ...], model: Ma
     return ag.layer_norm(seq.tokens, model.enc_ln_gain, model.enc_ln_bias)
 
 
-def decode_full(latent: Tensor, spec: MaskSpec, model: MaskedAutoencoder, rows=None) -> Tensor:
-    """Predict every patch, in patch order, from visible latents plus mask tokens.
+def decode_full(latent: Tensor, spec: MaskSpec, model: MaskedAutoencoder) -> Tensor:
+    """Predict the masked patches, in ``spec.masked_indices`` order, from the visible latents.
 
     The token rows are the projected latents in ``spec.keep_indices``
     order, then the mask tokens in ``spec.masked_indices`` order, each
-    plus its patch's positional encoding. With ``rows`` (patch indices in
-    0..n-1, else ContractError), predict only those patches, in that
-    order; the masked patches are token rows keep_count..n-1. Every token
-    still passes through every block but the last; the last block, or
-    with no decoder blocks the head, runs only at ``rows``, however few.
-    In the package only ``predict_masked`` calls it, with the masked
-    rows. Each predicted row equals the same row of the full prediction
-    under the conditions ``tf.encoder_block`` states; gradients through
-    ``rows`` add their terms in another order than the full run's, so
-    they agree with it to rounding, not bit for bit.
+    plus its patch's positional encoding; the masked patches are the tail,
+    token rows keep_count..n-1. Every token passes through every block but
+    the last, which runs from token row keep_count (see
+    ``tf.encoder_block``); with no decoder blocks the head runs on that
+    tail alone. Only ``predict_masked`` calls it.
 
     When something is masked and neither the latents nor any weight track
     gradients (a loaded model), the first decoder block attends with the
@@ -226,39 +222,32 @@ def decode_full(latent: Tensor, spec: MaskSpec, model: MaskedAutoencoder, rows=N
     spec.n_patches, spec.keep_count)`` that holds masked rows x
     (3 d_head + 1) floats per head. A decode that shares the last one's
     model and mask then forms and exponentiates logits against the kept
-    keys only. A head whose queries at ``rows`` exceed
-    ``autograd._EXP_SAFE`` against those keys takes the whole map (module
-    docstring); where that bound and the full run's fall on either side
-    of it, the two runs take different paths and agree only to rounding.
+    keys only. A head whose queries exceed ``autograd._EXP_SAFE`` against
+    those keys takes the whole map (module docstring).
     """
     cfg = model.config
     if latent.shape != (spec.keep_count, cfg.enc_d_model):
         raise ShapeError(
             f"latent must be {spec.keep_count} x {cfg.enc_d_model}, got {latent.shape}"
         )
-    n = spec.n_patches
-    order = np.array(spec.keep_indices + spec.masked_indices)  # the patch at each token row
-    rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
-    if rows.size and (rows.min() < 0 or rows.max() >= n):
-        raise ContractError(f"decode_full: patch index out of range for {n} patches")
-    token_rows = np.argsort(order)[rows]
+    n, keep = spec.n_patches, spec.keep_count
     proj = ag.affine(latent, model.enc2dec_w, model.enc2dec_b)
     mask_rows = ag.tile_rows(model.mask_token, len(spec.masked_indices))
     pe = tf.positional_encoding(range(n), cfg.dec_d_model)
+    order = spec.keep_indices + spec.masked_indices  # the patch at each token row
     tokens = ag.add(ag.concat([proj, mask_rows], 0), ag.gather_rows(pe, order))
-    seq = tf.TokenSequence(tokens)
     blocks = model.dec_blocks
-    first = {}
-    if (blocks and spec.masked_indices and not tokens.requires_grad
+    if not blocks:
+        return ag.affine(ag.gather_rows(tokens, range(keep, n)), model.head_w, model.head_b)
+    sums = None
+    if (spec.masked_indices and not tokens.requires_grad
             and not any(p.requires_grad for p in model.parameters())):
-        first = {"sums": _mask_token_sums(model, spec.seed, n, spec.keep_count)}
+        sums = _mask_token_sums(model, spec.seed, n, keep)
+    seq = tf.TokenSequence(tokens)
     for block in blocks[:-1]:
-        seq = tf.encoder_block(seq, block, **first)
-        first = {}
-    if blocks:
-        seq = tf.encoder_block(seq, blocks[-1], token_rows, **first)
-    else:
-        seq = tf.TokenSequence(ag.gather_rows(seq.tokens, token_rows))
+        seq = tf.encoder_block(seq, block, 0, sums)
+        sums = None
+    seq = tf.encoder_block(seq, blocks[-1], keep, sums)
     return ag.affine(seq.tokens, model.head_w, model.head_b)
 
 
@@ -284,7 +273,7 @@ def predict_masked(visible: np.ndarray, spec: MaskSpec, model: MaskedAutoencoder
     held-out score share.
     """
     latent = encode_visible(visible, spec.keep_indices, model)
-    return decode_full(latent, spec, model, list(spec.masked_indices))
+    return decode_full(latent, spec, model)
 
 
 def reconstruct(visible: np.ndarray, spec: MaskSpec, grid: PatchGrid, model: MaskedAutoencoder | None) -> np.ndarray:

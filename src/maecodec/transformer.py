@@ -128,14 +128,14 @@ def _shared_table(positions: range | tuple, d_model: int) -> np.ndarray:
 
 
 def multi_head_attention(
-    x: Tensor, params: EncoderBlockParams, rows=None, sums: tuple | None = None
+    x: Tensor, params: EncoderBlockParams, start: int = 0, sums: tuple | None = None
 ) -> Tensor:
     """Per-head attention on projected tokens, concatenated and re-projected.
 
     Keys and values come from every row of the token matrix ``x``. Queries
-    come from the rows of ``x`` at ``rows`` (every row when None); the
-    output has one row per query row. How much of each head's map exists
-    at once is ``autograd.attention``'s decision.
+    come from its rows start..n-1, the tail; the output has one row per
+    query row. How much of each head's map exists at once is
+    ``autograd.attention``'s decision.
 
     With ``sums`` from ``mask_token_sums`` (``x``'s last rows are the ones
     it was made from, the kept tokens come first), a head whose entry is
@@ -148,12 +148,12 @@ def multi_head_attention(
     cfg = params.config
     if x.shape[1] != cfg.d_model:
         raise ShapeError(f"multi_head_attention: token width {x.shape[1]} != d_model {cfg.d_model}")
-    queries = x if rows is None else ag.gather_rows(x, rows)
+    queries = ag.gather_rows(x, range(start, x.shape[0])) if start else x
     heads = []
     for h in range(cfg.n_heads):
         head = None
         if sums is not None and sums[h] is not None:
-            head = _head_from_sums(x, queries, rows, params, h, sums[h])
+            head = _head_from_sums(x, queries, start, params, h, sums[h])
         if head is None:
             q = ag.matmul(queries, params.wq[h])
             k = ag.matmul(x, params.wk[h])
@@ -194,20 +194,20 @@ def mask_token_sums(tokens: np.ndarray, params: EncoderBlockParams) -> tuple:
     return tuple(heads)
 
 
-def _head_from_sums(x: Tensor, queries: Tensor, rows, params: EncoderBlockParams, h: int,
+def _head_from_sums(x: Tensor, queries: Tensor, start: int, params: EncoderBlockParams, h: int,
                     table) -> Tensor | None:
-    """Head h's output for ``queries``, ``x`` at ``rows``, with ``table``; None if refused.
+    """Head h's output for ``queries``, ``x``'s rows from ``start``, with ``table``; None if refused.
 
     ``table`` is head h's entry of ``mask_token_sums``. ``x`` holds the
     kept tokens' rows first, then the table's m mask-token rows, so the
     kept keys come from the view ``x[:n - m]``. Each query row adds its
     sums over the kept keys, from ``autograd._exp_sums``, to its sums over
-    the mask-token keys: row p >= n - m takes them from table row
-    p - (n - m), a kept row has them formed from the table's keys and
-    values. Its output is (u_table + u_kept) * 1 / (s_table + s_kept).
-    When either ``_exp_sums`` call refuses the queries it is given, it
-    returns None. Values that float32 weights give cannot overflow the
-    sums.
+    the mask-token keys. The first max(0, n - m - start) queries are kept
+    tokens, whose sums are formed from the table's keys and values; the
+    rest take table rows from max(0, start - (n - m)) on. Its output is
+    (u_table + u_kept) * 1 / (s_table + s_kept). When either
+    ``_exp_sums`` call refuses the queries it is given, it returns None.
+    Values that float32 weights give cannot overflow the sums.
     """
     k_m, v_m, s_m, u_m = table
     n_kept = x.shape[0] - len(s_m)
@@ -217,16 +217,15 @@ def _head_from_sums(x: Tensor, queries: Tensor, rows, params: EncoderBlockParams
     if sums is None:
         return None
     s, u = sums
-    slots = (np.arange(x.shape[0]) if rows is None else np.asarray(rows)) - n_kept
-    masked = slots >= 0
-    s[masked] += s_m[slots[masked]]
-    u[masked] += u_m[slots[masked]]
-    if not masked.all():
-        sums = ag._exp_sums(qs[~masked], k_m, v_m)
+    split, first = max(0, n_kept - start), max(0, start - n_kept)
+    s[split:] += s_m[first:]
+    u[split:] += u_m[first:]
+    if split:
+        sums = ag._exp_sums(qs[:split], k_m, v_m)
         if sums is None:
             return None
-        s[~masked] += sums[0]
-        u[~masked] += sums[1]
+        s[:split] += sums[0]
+        u[:split] += sums[1]
     u *= 1.0 / s[:, None]
     return Tensor(u)
 
@@ -236,21 +235,22 @@ def feed_forward(x: Tensor, params: EncoderBlockParams) -> Tensor:
     return ag.affine(hidden, params.w2, params.b2)
 
 
-def encoder_block(x: TokenSequence, params: EncoderBlockParams, rows=None,
+def encoder_block(x: TokenSequence, params: EncoderBlockParams, start: int = 0,
                   sums: tuple | None = None) -> TokenSequence:
     """Pre-norm residual block; positions enter only as PE rows in the tokens.
 
-    With ``rows`` (token indices), the output holds the block's result at
-    those rows only, in that order. Every token still supplies keys and
-    values; the queries, the residual, the second norm and the
-    feed-forward cover only ``rows``, even a single one. Each output row
-    equals the same row of the full block's output, bit for bit, where
-    the logit bound of ``rows``'s queries and that of every query fall on
-    the same side of autograd's safe bound of 512 (each head bounds only
-    the queries it computes, so one run may shift its logits, or leave
-    the memo, where the other does not), and where BLAS rounds a row of a
-    product the same whatever the other rows are (``autograd`` keeps
-    one-row products on gemm). OpenBLAS does not in
+    The output holds the block's result at token rows start..n-1, the
+    tail: every token still supplies keys and values, while the queries,
+    the residual, the second norm and the feed-forward cover only the
+    tail, even a single row. The package runs each block at start 0 but
+    the decoder's last, which runs from the first mask token. Each output
+    row equals the same row of the block's output at start 0, bit for
+    bit, where the logit bound of the tail's queries and that of every
+    query fall on the same side of autograd's safe bound of 512 (each
+    head bounds only the queries it computes, so one run may shift its
+    logits, or leave the memo, where the other does not), and where BLAS
+    rounds a row of a product the same whatever the other rows are
+    (``autograd`` keeps one-row products on gemm). OpenBLAS does not in
     two cases. First, when one product has at most 10^6 multiply-adds and
     a long inner dimension and the other more: its small-matrix kernel
     sums that dimension in one pass, its blocked kernel in parts. Second,
@@ -259,14 +259,14 @@ def encoder_block(x: TokenSequence, params: EncoderBlockParams, rows=None,
     as in p·V with a decoder ``d_head`` of 2 over 300 keys, or a head of
     width 9. Attention forms its map in row blocks of one height in both
     runs, bar the last, tracked or not (see ``autograd.attention``), not
-    in one product whose size follows ``rows``.
+    in one product whose size follows ``start``.
 
     ``sums``, for untracked weights and tokens only, is the block's
     ``mask_token_sums`` for these tokens; ``multi_head_attention`` uses it.
     """
     normed = ag.layer_norm(x.tokens, params.ln1_gain, params.ln1_bias)
-    residual = x.tokens if rows is None else ag.gather_rows(x.tokens, rows)
-    mid = ag.add(residual, multi_head_attention(normed, params, rows, sums))
+    residual = ag.gather_rows(x.tokens, range(start, x.tokens.shape[0])) if start else x.tokens
+    mid = ag.add(residual, multi_head_attention(normed, params, start, sums))
     normed2 = ag.layer_norm(mid, params.ln2_gain, params.ln2_bias)
     return TokenSequence(ag.add(mid, feed_forward(normed2, params)))
 

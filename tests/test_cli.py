@@ -253,6 +253,7 @@ def test_os_errors_print_one_line_and_exit_2(tmp_path, capsys, command):
         "train-float32-overflow", "sweep-dataset", "sweep-model", "sweep-ratios",
         "sweep-qualities", "sweep-ratio-range", "sweep-quality-range", "sweep-empty-dataset",
         "sweep-empty-ratios", "sweep-empty-qualities", "sweep-channels", "sweep-mean-id",
+        "train-out-is-dir", "train-out-under-file", "sweep-csv-is-dir",
     ],
 )
 def test_train_and_sweep_check_inputs_before_making_their_directory(tmp_path, capsys, command):
@@ -310,6 +311,11 @@ def test_train_and_sweep_check_inputs_before_making_their_directory(tmp_path, ca
         "sweep-channels": ["sweep", "--dataset", str(rgb_dir), "--model", str(model), *sweep_args],
         # the id of the corpus-mean rows
         "sweep-mean-id": ["sweep", "--dataset", str(mean_dir), "--model", str(model), *sweep_args],
+        # output paths that open() would refuse only after every epoch or cell
+        "train-out-is-dir": [*small_train, "--out", str(data_dir)],
+        "train-out-under-file": [*small_train, "--out", str(junk / "m.tmck")],
+        "sweep-csv-is-dir": ["sweep", "--dataset", str(data_dir), "--model", str(model),
+                             *sweep_args, "--csv-out", str(data_dir)],
     }[command]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
@@ -328,6 +334,9 @@ def test_train_and_sweep_check_inputs_before_making_their_directory(tmp_path, ca
         "sweep-empty-qualities": "error: a sweep needs a ratio and a quality, got [0.5] and []\n",
         "sweep-mean-id": "error: image id 'mean' cannot be a sweep CSV id: it must be UTF-8, "
                          "not contain ',', '\\n' or '\\r' and not equal 'mean'\n",
+        "train-out-is-dir": f"error: --out: {data_dir} is a directory\n",
+        "train-out-under-file": f"error: --out: {junk} is not a directory\n",
+        "sweep-csv-is-dir": f"error: --csv-out: {data_dir} is a directory\n",
     }
     if command in expected:
         assert err == expected[command], err

@@ -148,6 +148,33 @@ def _no_decoder_config():
     )
 
 
+def _decoder_tokens(latent, spec, model):
+    """decode_full's token rows: projected latents, then mask tokens, each plus its position."""
+    order = spec.keep_indices + spec.masked_indices
+    proj = ag.affine(latent, model.enc2dec_w, model.enc2dec_b)
+    mask_rows = ag.tile_rows(model.mask_token, len(spec.masked_indices))
+    pe = tf.positional_encoding(range(spec.n_patches), model.config.dec_d_model)
+    return ag.add(ag.concat([proj, mask_rows], 0), ag.gather_rows(pe, order))
+
+
+def _reference_decode(latent, spec, model):
+    """Every patch's prediction, in patch order: each decoder block at start 0.
+
+    The first block takes the mask-token memo's sums where decode_full does.
+    """
+    tokens = _decoder_tokens(latent, spec, model)
+    sums = None
+    if (model.dec_blocks and spec.masked_indices and not tokens.requires_grad
+            and not any(p.requires_grad for p in model.parameters())):
+        sums = mae._mask_token_sums(model, spec.seed, spec.n_patches, spec.keep_count)
+    seq = tf.TokenSequence(tokens)
+    for block in model.dec_blocks:
+        seq = tf.encoder_block(seq, block, 0, sums)
+        sums = None
+    pred = ag.affine(seq.tokens, model.head_w, model.head_b)
+    return ag.gather_rows(pred, np.argsort(spec.keep_indices + spec.masked_indices))
+
+
 def test_decode_full_depth_zero_masked_rows_oracle():
     """With no decoder blocks a masked row is head(mask_token + pe[i])."""
     cfg = _no_decoder_config()
@@ -157,13 +184,9 @@ def test_decode_full_depth_zero_masked_rows_oracle():
     out = mae.decode_full(latent, spec, model).data
 
     pe = tf.positional_encoding(range(6), cfg.dec_d_model).data
-    for i in spec.masked_indices:
+    for row, i in enumerate(spec.masked_indices):
         expected = (model.mask_token.data + pe[i]) @ model.head_w.data + model.head_b.data
-        np.testing.assert_allclose(out[i], expected, rtol=1e-12)
-    for s, i in enumerate(spec.keep_indices):
-        proj = latent.data[s] @ model.enc2dec_w.data + model.enc2dec_b.data
-        expected = (proj + pe[i]) @ model.head_w.data + model.head_b.data
-        np.testing.assert_allclose(out[i], expected, rtol=1e-12)
+        np.testing.assert_allclose(out[row], expected, rtol=1e-12)
 
 
 def test_decode_full_rejects_wrong_latent(tiny_mae_config):
@@ -173,11 +196,6 @@ def test_decode_full_rejects_wrong_latent(tiny_mae_config):
         mae.decode_full(Tensor(np.zeros((4, tiny_mae_config.enc_d_model))), spec, model)
     with pytest.raises(ShapeError):
         mae.decode_full(Tensor(np.zeros((3, 5))), spec, model)
-    # rows are patch indices: no negative index counts from the end
-    latent = Tensor(np.zeros((3, tiny_mae_config.enc_d_model)))
-    for rows in ([-1], [8], [0, 8]):
-        with pytest.raises(ContractError, match="out of range"):
-            mae.decode_full(latent, spec, model, rows)
 
 
 def test_decode_full_shape(tiny_mae_config):
@@ -185,7 +203,7 @@ def test_decode_full_shape(tiny_mae_config):
     spec = mask_from_counts(seed=1, n_patches=10, keep_count=4)
     latent = Tensor(np.zeros((4, tiny_mae_config.enc_d_model)))
     out = mae.decode_full(latent, spec, model)
-    assert out.shape == (10, tiny_mae_config.patch_dim)
+    assert out.shape == (6, tiny_mae_config.patch_dim)
 
 
 # -- reconstruction ------------------------------------------------------------
@@ -239,7 +257,7 @@ def test_reconstruct_saturates_wild_predictions(tiny_mae_config):
     spec = generate_mask(seed=1, n_patches=grid.n_patches, mask_ratio=0.5)
     visible = patches.data[list(spec.keep_indices)]
     masked = list(spec.masked_indices)
-    pred = mae.decode_full(mae.encode_visible(visible, spec.keep_indices, model), spec, model).data[masked]
+    pred = mae.decode_full(mae.encode_visible(visible, spec.keep_indices, model), spec, model).data
     assert not ((pred >= 0.0) & (pred <= 1.0)).any()
     out = mae.reconstruct(visible, spec, grid, model)
     got, _ = patchify(out, tiny_mae_config.patch_size)
@@ -344,12 +362,12 @@ def test_training_and_evaluation_run_the_last_decoder_block_and_the_head_at_the_
     model = mae.init_model(cfg, seed=24)
     patches = Tensor(np.random.default_rng(25).random((9, cfg.patch_dim)))
     spec = mask_from_counts(seed=8, n_patches=9, keep_count=3)
-    block_rows, head_rows = [], []
+    block_starts, head_rows = [], []
     encoder_block, affine = tf.encoder_block, ag.affine
 
-    def record_block(x, params, rows=None):
-        block_rows.append(rows)
-        return encoder_block(x, params, rows)
+    def record_block(x, params, start=0, sums=None):
+        block_starts.append(start)
+        return encoder_block(x, params, start, sums)
 
     def record_head(x, w, b):
         if w is model.head_w:
@@ -360,12 +378,11 @@ def test_training_and_evaluation_run_the_last_decoder_block_and_the_head_at_the_
     monkeypatch.setattr(ag, "affine", record_head)
     objective(model, patches, spec)
     # the decoder's tokens are the kept latents, then the mask tokens
-    masked_tokens = list(range(spec.keep_count, 9))
-    expected = [None] * cfg.enc_depth
+    expected = [0] * cfg.enc_depth
     if dec_depth:
-        expected += [None] * (dec_depth - 1) + [masked_tokens]
-    assert [None if r is None else list(r) for r in block_rows] == expected
-    assert head_rows == [len(masked_tokens)]
+        expected += [0] * (dec_depth - 1) + [spec.keep_count]
+    assert block_starts == expected
+    assert head_rows == [9 - spec.keep_count]
 
 
 # the train_toy32 benchmark's model, which the acceptance test trains too
@@ -378,7 +395,7 @@ _TOY32_CONFIG = mae.TMAEConfig(
 def test_forward_loss_agrees_with_the_full_prediction_at_the_masked_rows():
     """The loss and every weight gradient of the masked-row path match the full path.
 
-    The full path predicts every patch and gathers the masked rows. Their
+    The full path is the reference decoder, gathered at the masked rows. Their
     losses agree to 1e-12 relative. The backward sums add their terms in
     another order, so each weight's gradient agrees to 1e-13 of its
     largest entry, not bit for bit.
@@ -393,7 +410,7 @@ def test_forward_loss_agrees_with_the_full_prediction_at_the_masked_rows():
         def full_loss():
             latent = mae.encode_visible(patches.data[list(spec.keep_indices)],
                                         spec.keep_indices, model)
-            pred = ag.gather_rows(mae.decode_full(latent, spec, model), masked)
+            pred = ag.gather_rows(_reference_decode(latent, spec, model), masked)
             return mae.masked_mse(pred, patches, spec)
 
         losses, grads = [], []
@@ -501,9 +518,10 @@ def test_save_refuses_a_weight_that_is_not_finite_as_float32(tiny_mae_config, tm
     assert not (tmp_path / "new").exists()
 
 
-# SHA-256 over the float64 latents and decode_full output and the decompressed
-# pixels of the seeded containers below, each reconstructed with a model that
-# went through save_bytes/load_bytes. Any change to an inference op shows here.
+# SHA-256 over the float64 latents and the reference decoder's every-patch
+# prediction and the decompressed pixels of the seeded containers below, each
+# reconstructed with a model that went through save_bytes/load_bytes. Any change
+# to an inference op shows here.
 GOLDEN_DECODE_SHA256 = "0a950f92c47c1ff0fa1f796668e20f830c83e34fd753ba6ec53411b165d26fa9"
 
 
@@ -532,14 +550,16 @@ def test_decode_golden_digest():
         spec, grid = container.mask_spec(), container.padded_grid()
         visible = unstack_visible(codec_decode(container.payload), spec, grid)
         latent = mae.encode_visible(visible, spec.keep_indices, model)
-        pred = mae.decode_full(latent, spec, model)
+        pred = _reference_decode(latent, spec, model)
+        masked = mae.decode_full(latent, spec, model)
+        assert np.array_equal(masked.data, pred.data[list(spec.masked_indices)])
         digest.update(latent.data.tobytes())
         digest.update(pred.data.tobytes())
         digest.update(pl.decompress(container, model).tobytes())
     assert digest.hexdigest() == GOLDEN_DECODE_SHA256
 
 
-# -- the last decoder block at a subset of rows --------------------------------
+# -- the last decoder block from a start row --------------------------------
 
 def _row_subset_case(cfg, n, keep, loaded):
     size = "" if n == 300 else f"-n{n}"
@@ -552,8 +572,8 @@ def _row_subset_case(cfg, n, keep, loaded):
 # save_bytes/load_bytes tracks no gradients, so its attention computes one
 # block at a time. Its 219 masked rows at keep_count 81 are a block of 218
 # and a lone row, a one-row block that autograd computes as two copies of
-# that row, as it does the single row n // 2; at 1024 tokens the blocks
-# hold 64.
+# that row, as it does the last row alone (start n - 1); at 1024 tokens the
+# blocks hold 64.
 _ROW_SUBSET_CASES = [
     _row_subset_case(cfg, n, keep, loaded)
     for loaded in (False, True)
@@ -563,23 +583,30 @@ _ROW_SUBSET_CASES = [
 
 
 def _check_row_subsets(cfg, n, keep_count, loaded):
-    """At masked, single, all and mixed rows, decode_full and every block equal the full run's rows."""
+    """decode_full equals the reference decoder at the masked rows, bit for bit.
+
+    Every block, and a loaded model's first decoder block with the mask-token
+    memo, run from the first mask token, the middle, the last and the second
+    row equals those rows of the same block at start 0.
+    """
     model = mae.init_model(cfg, seed=keep_count)
     if loaded:
         model = mae.load_bytes(mae.save_bytes(model))
     spec = mask_from_counts(seed=keep_count, n_patches=n, keep_count=keep_count)
     rng = np.random.default_rng(keep_count)
     latent = Tensor(rng.random((keep_count, cfg.enc_d_model)))
+    pred = _reference_decode(latent, spec, model).data
+    assert np.array_equal(mae.decode_full(latent, spec, model).data, pred[list(spec.masked_indices)])
     blocks = model.enc_blocks + model.dec_blocks
-    seqs = [tf.TokenSequence(Tensor(rng.standard_normal((n, b.config.d_model)))) for b in blocks]
-    pred = mae.decode_full(latent, spec, model).data
-    outs = [tf.encoder_block(seq, block).tokens.data for seq, block in zip(seqs, blocks)]
-    # an unsorted mix of kept and masked patches, which maps to scattered token rows
-    mixed = list(rng.permutation(n)[: n // 3])
-    for rows in (list(spec.masked_indices), [n // 2], list(range(n)), mixed):
-        assert np.array_equal(mae.decode_full(latent, spec, model, rows).data, pred[rows])
-        for seq, block, out in zip(seqs, blocks, outs):
-            assert np.array_equal(tf.encoder_block(seq, block, rows).tokens.data, out[rows])
+    runs = [(tf.TokenSequence(Tensor(rng.standard_normal((n, b.config.d_model)))), b, None)
+            for b in blocks]
+    if loaded and model.dec_blocks:  # the first decoder block with the mask-token memo
+        sums = mae._mask_token_sums(model, spec.seed, n, keep_count)
+        runs.append((tf.TokenSequence(_decoder_tokens(latent, spec, model)), model.dec_blocks[0], sums))
+    for seq, block, sums in runs:
+        out = tf.encoder_block(seq, block, 0, sums).tokens.data
+        for start in (keep_count, n // 2, n - 1, 1):
+            assert np.array_equal(tf.encoder_block(seq, block, start, sums).tokens.data, out[start:])
 
 
 @pytest.mark.parametrize("cfg,n,keep_count,loaded", _ROW_SUBSET_CASES)
@@ -651,7 +678,7 @@ def _memo_case(n, keep_count, seed, scale=1.0, width=16):
 
 
 def _decode_masked(model, spec, latent):
-    return mae.decode_full(latent, spec, model, list(spec.masked_indices)).data
+    return mae.decode_full(latent, spec, model).data
 
 
 def _decode_recording_the_block(model, spec, latent, monkeypatch):
@@ -659,10 +686,10 @@ def _decode_recording_the_block(model, spec, latent, monkeypatch):
     seen = {}
     encoder_block = tf.encoder_block
 
-    def record_block(x, params, rows=None, **kwargs):
-        seen.update(params=params, rows=rows, **kwargs)
+    def record_block(x, params, start=0, sums=None):
+        seen.update(params=params, start=start, sums=sums)
         seen["normed"] = ag.layer_norm(x.tokens, params.ln1_gain, params.ln1_bias)
-        return encoder_block(x, params, rows, **kwargs)
+        return encoder_block(x, params, start, sums)
 
     monkeypatch.setattr(tf, "encoder_block", record_block)
     _decode_masked(model, spec, latent)
@@ -804,11 +831,11 @@ def test_mask_token_sums_agree_with_a_longdouble_reference(n, keep_count, scale,
     """
     model, spec, latent = _memo_case(n, keep_count, 4, scale)
     seen = _decode_recording_the_block(model, spec, latent, monkeypatch)
-    params, rows, sums, normed = seen["params"], seen["rows"], seen["sums"], seen["normed"]
+    params, start, sums, normed = seen["params"], seen["start"], seen["sums"], seen["normed"]
     assert all(head is not None for head in sums)
     reference = _longdouble_attention(normed.data, params)
-    for at in (rows, None):
-        expected = reference if at is None else reference[at]
+    for at in (start, 0):
+        expected = reference[at:]
         scale_of = np.abs(expected).max()
         memo = np.abs(tf.multi_head_attention(normed, params, at, sums).data - expected).max()
         whole = np.abs(tf.multi_head_attention(normed, params, at).data - expected).max()

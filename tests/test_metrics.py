@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from conftest import BLAS_THREAD_TESTS, passed_at_blas_threads, run_at_blas_threads, traced_peak
+from conftest import traced_peak
 from maecodec import metrics
 from maecodec.errors import ContractError, ShapeError
 
@@ -250,15 +250,6 @@ def test_ssim_object_reference_bypasses_the_memo():
     with pytest.raises(ContractError, match="object"):
         metrics.ssim(ref.astype(object), dec)
     assert metrics._reference_stats.cache_info() == info
-
-
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_ssim_equals_the_five_map_oracle_at_blas_threads(threads):
-    """The oracle test in the registry's child pytest run whose BLAS runs this many threads."""
-    test = "test_metrics.py::test_ssim_equals_the_five_map_oracle_through_the_memo"
-    assert BLAS_THREAD_TESTS[test] == 4 * len(_MEMO_SHAPES)
-    passed = passed_at_blas_threads(threads, test)
-    assert passed == BLAS_THREAD_TESTS[test], run_at_blas_threads(threads).stdout
 
 
 def test_ssim_alternating_references_miss_every_time():

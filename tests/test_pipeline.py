@@ -184,7 +184,7 @@ def _float_decompress(container, model):
     if spec.masked_indices:
         masked = list(spec.masked_indices)
         latent = mae.encode_visible(visible, spec.keep_indices, model)
-        full[masked] = np.clip(mae.decode_full(latent, spec, model, masked).data, 0.0, 1.0)
+        full[masked] = np.clip(mae.decode_full(latent, spec, model).data, 0.0, 1.0)
     recon = unpatchify(full, grid)
     return to_uint8(recon[: container.orig_height, : container.orig_width])
 

@@ -323,7 +323,7 @@ def test_masked_model_mse_matches_manual():
     latent = mae.encode_visible(patches.data[list(spec.keep_indices)], spec.keep_indices, model)
     pred = np.clip(mae.decode_full(latent, spec, model).data, 0.0, 1.0)
     idx = list(spec.masked_indices)
-    manual = float(np.mean((pred[idx] - patches.data[idx]) ** 2))
+    manual = float(np.mean((pred - patches.data[idx]) ** 2))
     assert abs(got - manual) < 1e-15
     assert 0.0 <= got <= 1.0
 
