@@ -26,8 +26,8 @@ def _check_output_path(option: str, path: str) -> None:
     """Refuse an output path that names a directory or whose nearest existing ancestor is a file.
 
     open() or makedirs would refuse either, but only after the work; this
-    check runs first, so a refused path costs no epoch or cell and makes
-    nothing.
+    check runs first, so a refused path costs no decode, epoch or cell and
+    makes nothing.
     """
     if os.path.isdir(path):
         raise ContractError(f"{option}: {path} is a directory")
@@ -39,6 +39,7 @@ def _check_output_path(option: str, path: str) -> None:
 
 
 def _cmd_compress(args) -> int:
+    _check_output_path("--output", args.output)
     image = dataset.load_image(args.input)
     config = PipelineConfig(
         patch_size=args.patch_size,
@@ -58,6 +59,7 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_decompress(args) -> int:
+    _check_output_path("--output", args.output)
     with open(args.input, "rb") as fh:
         container = container_from_bytes(fh.read())
     model = mae.load_checkpoint(args.model) if args.model else None
@@ -125,9 +127,6 @@ def _cmd_sweep(args) -> int:
     if not corpus:
         raise ContractError(f"sweep corpus is empty: no readable PPM/PGM in {args.dataset}")
     model = mae.load_checkpoint(args.model)
-    # Refuse what rd_sweep would refuse before making the CSV's directory.
-    sweep.cell_configs(corpus, ratios, qualities, model, args.seed)
-    os.makedirs(os.path.dirname(args.csv_out) or ".", exist_ok=True)
     result = sweep.rd_sweep(corpus, ratios, qualities, model, seed=args.seed)
     for failure in result.failures:
         print(
@@ -136,6 +135,7 @@ def _cmd_sweep(args) -> int:
             file=sys.stderr,
         )
     means = sweep.corpus_mean(result.points)
+    os.makedirs(os.path.dirname(args.csv_out) or ".", exist_ok=True)
     sweep.write_csv(result.points + means, args.csv_out)
     print(f"{args.csv_out}: {len(result.points)} points + {len(means)} means")
     if args.plot_dir:

@@ -26,25 +26,26 @@ gradients, so reconstructing with it builds no autograd graph, and they
 are read-only.
 
 The mask tokens carry only their position, so for a model that tracks no
-gradients and a given mask the first decoder block's attention over them
-is the same for every image. ``_mask_token_sums`` memoizes it in one
+gradients and a given mask the attention among them is the same for every
+image. A one-block decoder's queries are exactly the mask tokens, and
+``_mask_token_sums`` memoizes that block's share in one
 ``functools.lru_cache(maxsize=1)``, keyed by the model (by identity) and
-the mask's ``(seed, n_patches, keep_count)``: per head, the mask tokens'
-keys and values and, for every masked query, the unshifted sums of
-exp(logit) and of exp(logit)-weighted values over the mask-token keys,
-masked rows x (3 d_head + 1) floats, read-only, built in attention-sized
-row blocks. ``decode_full`` uses it when something is masked and neither
-the latents nor any weight track gradients. A head then forms logits
-against the kept keys only, the decoder's leading rows, and adds the
-memo's sums (see ``transformer.multi_head_attention``). ``autograd``
-states once when unshifted sums are safe to add: ``_exp_sums``, like
-``attention``, bounds the logits of only the queries it computes by
-``_EXP_SAFE``. So the memo holds a head whose mask-token logits pass,
-and a decode uses it where the queries it asks for pass against the kept
-keys (kept queries also against the mask-token keys). Otherwise that
-head takes the whole map, as a tracked model always does, and a
-non-finite input still raises NumericError. A loaded model's weights
-are read-only, so its identity stands for them.
+the mask's ``(seed, n_patches, keep_count)``: per head, for every masked
+query, the unshifted sums of exp(logit) and of exp(logit)-weighted values
+over the mask-token keys, masked rows x (d_head + 1) floats, read-only,
+built in attention-sized row blocks. ``decode_full`` uses it when
+something is masked and neither the latents nor any weight track
+gradients. A head then forms logits against the kept keys only, the
+decoder's leading rows, and adds the memo's sums (see
+``transformer.multi_head_attention``). Deeper decoders, whose first block
+has kept queries too, take the whole map. ``autograd`` states once when
+unshifted sums are safe to add: ``_exp_sums``, like ``attention``, bounds
+the logits of only the queries it computes by ``_EXP_SAFE``. So the memo
+holds a head whose mask-token logits pass, and a decode uses it where the
+masked queries also pass against the kept keys. Otherwise that head takes
+the whole map, as a tracked model always does, and a non-finite input
+still raises NumericError. A loaded model's weights are read-only, so its
+identity stands for them.
 """
 
 from __future__ import annotations
@@ -215,15 +216,15 @@ def decode_full(latent: Tensor, spec: MaskSpec, model: MaskedAutoencoder) -> Ten
     ``tf.encoder_block``); with no decoder blocks the head runs on that
     tail alone. Only ``predict_masked`` calls it.
 
-    When something is masked and neither the latents nor any weight track
-    gradients (a loaded model), the first decoder block attends with the
-    mask tokens' share of every head from ``_mask_token_sums``, one
-    ``lru_cache(maxsize=1)`` keyed by the model and ``(spec.seed,
-    spec.n_patches, spec.keep_count)`` that holds masked rows x
-    (3 d_head + 1) floats per head. A decode that shares the last one's
-    model and mask then forms and exponentiates logits against the kept
-    keys only. A head whose queries exceed ``autograd._EXP_SAFE`` against
-    those keys takes the whole map (module docstring).
+    When the decoder has one block, something is masked and neither the
+    latents nor any weight track gradients (a loaded model), that block
+    attends with the mask tokens' share of every head from
+    ``_mask_token_sums``, one ``lru_cache(maxsize=1)`` keyed by the model
+    and ``(spec.seed, spec.n_patches, spec.keep_count)`` that holds masked
+    rows x (d_head + 1) floats per head. A decode that shares the last
+    one's model and mask then forms and exponentiates logits against the
+    kept keys only. A head whose queries exceed ``autograd._EXP_SAFE``
+    against those keys takes the whole map (module docstring).
     """
     cfg = model.config
     if latent.shape != (spec.keep_count, cfg.enc_d_model):
@@ -240,20 +241,19 @@ def decode_full(latent: Tensor, spec: MaskSpec, model: MaskedAutoencoder) -> Ten
     if not blocks:
         return ag.affine(ag.gather_rows(tokens, range(keep, n)), model.head_w, model.head_b)
     sums = None
-    if (spec.masked_indices and not tokens.requires_grad
+    if (len(blocks) == 1 and spec.masked_indices and not tokens.requires_grad
             and not any(p.requires_grad for p in model.parameters())):
         sums = _mask_token_sums(model, spec.seed, n, keep)
     seq = tf.TokenSequence(tokens)
     for block in blocks[:-1]:
-        seq = tf.encoder_block(seq, block, 0, sums)
-        sums = None
+        seq = tf.encoder_block(seq, block)
     seq = tf.encoder_block(seq, blocks[-1], keep, sums)
     return ag.affine(seq.tokens, model.head_w, model.head_b)
 
 
 @functools.lru_cache(maxsize=1)
 def _mask_token_sums(model: MaskedAutoencoder, seed: int, n_patches: int, keep_count: int) -> tuple:
-    """The first decoder block's ``tf.mask_token_sums`` for the mask of this triple.
+    """A one-block decoder's ``tf.mask_token_sums`` for the mask of this triple.
 
     Its rows are the decoder's last input rows, the mask token plus each
     masked patch's positional encoding, equal bit for bit to those rows

@@ -137,13 +137,14 @@ def multi_head_attention(
     query row. How much of each head's map exists at once is
     ``autograd.attention``'s decision.
 
-    With ``sums`` from ``mask_token_sums`` (``x``'s last rows are the ones
-    it was made from, the kept tokens come first), a head whose entry is
-    not None forms logits against the kept keys only (see
-    ``_head_from_sums``). A head without an entry, or whose
-    ``autograd._exp_sums`` refuses the queries it computes, runs
-    ``autograd.attention``; both exponentiate unshifted only if the
-    queries they compute bound their logits within autograd's safe bound.
+    With ``sums`` from ``mask_token_sums``, which needs start = n - m for
+    its m rows (the queries are exactly the rows it was made from, after
+    the kept tokens), a head whose entry is not None forms logits against
+    the kept keys only (see ``_head_from_sums``). A head without an entry,
+    or whose ``autograd._exp_sums`` refuses its queries against the kept
+    keys, runs ``autograd.attention``; both exponentiate unshifted only if
+    the queries they compute bound their logits within autograd's safe
+    bound.
     """
     cfg = params.config
     if x.shape[1] != cfg.d_model:
@@ -153,7 +154,7 @@ def multi_head_attention(
     for h in range(cfg.n_heads):
         head = None
         if sums is not None and sums[h] is not None:
-            head = _head_from_sums(x, queries, start, params, h, sums[h])
+            head = _head_from_sums(x, queries, params, h, sums[h])
         if head is None:
             q = ag.matmul(queries, params.wq[h])
             k = ag.matmul(x, params.wk[h])
@@ -169,16 +170,15 @@ def _scaled_queries(x: Tensor, wq: Tensor) -> np.ndarray:
 
 
 def mask_token_sums(tokens: np.ndarray, params: EncoderBlockParams) -> tuple:
-    """One block's attention over its last input rows ``tokens``, which no image changes.
+    """One block's attention among its last input rows ``tokens``, which no image changes.
 
-    In the first decoder block these are the mask tokens: the mask token
-    plus each masked patch's positional encoding, after the kept tokens,
-    so with m of them token row p >= n - m is table row p - (n - m). Per
-    head, the tuple holds None where ``autograd._exp_sums`` refuses, else
-    the mask tokens' keys k, values v and, for each mask-token query i,
+    In a one-block decoder these are the mask tokens: the mask token plus
+    each masked patch's positional encoding, after the kept tokens, and
+    the block's only queries. Per head, the tuple holds None where
+    ``autograd._exp_sums`` refuses, else, for each mask-token query i,
     s_i = sum_j exp(qs_i . k_j) and u_i = sum_j exp(qs_i . k_j) v_j over
-    those keys (qs the scaled queries), as ``_exp_sums`` returns them:
-    masked rows x (3 d_head + 1) read-only floats, formed in row blocks
+    the mask-token keys (qs the scaled queries), as ``_exp_sums`` returns
+    them: masked rows x (d_head + 1) read-only floats, formed in row blocks
     at the cost of the mask-token-by-mask-token part of the map once.
     """
     normed = ag.layer_norm(Tensor(tokens), params.ln1_gain, params.ln1_bias)
@@ -187,45 +187,33 @@ def mask_token_sums(tokens: np.ndarray, params: EncoderBlockParams) -> tuple:
         k = ag.matmul(normed, params.wk[h]).data
         v = ag.matmul(normed, params.wv[h]).data
         sums = ag._exp_sums(_scaled_queries(normed, params.wq[h]), k, v)
-        table = None if sums is None else (k, v, *sums)
-        for a in table or ():
+        for a in sums or ():
             a.flags.writeable = False
-        heads.append(table)
+        heads.append(sums)
     return tuple(heads)
 
 
-def _head_from_sums(x: Tensor, queries: Tensor, start: int, params: EncoderBlockParams, h: int,
+def _head_from_sums(x: Tensor, queries: Tensor, params: EncoderBlockParams, h: int,
                     table) -> Tensor | None:
-    """Head h's output for ``queries``, ``x``'s rows from ``start``, with ``table``; None if refused.
+    """Head h's output for ``queries``, ``x``'s last m rows, with ``table``; None if refused.
 
-    ``table`` is head h's entry of ``mask_token_sums``. ``x`` holds the
-    kept tokens' rows first, then the table's m mask-token rows, so the
-    kept keys come from the view ``x[:n - m]``. Each query row adds its
-    sums over the kept keys, from ``autograd._exp_sums``, to its sums over
-    the mask-token keys. The first max(0, n - m - start) queries are kept
-    tokens, whose sums are formed from the table's keys and values; the
-    rest take table rows from max(0, start - (n - m)) on. Its output is
-    (u_table + u_kept) * 1 / (s_table + s_kept). When either
-    ``_exp_sums`` call refuses the queries it is given, it returns None.
-    Values that float32 weights give cannot overflow the sums.
+    ``table`` is head h's entry of ``mask_token_sums`` for those m rows,
+    the queries' sums over their own keys. ``x`` holds the kept tokens'
+    rows first, so the kept keys come from the view ``x[:n - m]``; one
+    ``autograd._exp_sums`` call forms the queries' sums over them, and the
+    output is (u_table + u_kept) * 1 / (s_table + s_kept). When that call
+    refuses the queries, it returns None. Values that float32 weights give
+    cannot overflow the sums.
     """
-    k_m, v_m, s_m, u_m = table
-    n_kept = x.shape[0] - len(s_m)
-    kept = Tensor(x.data[:n_kept])
+    s_m, u_m = table
+    kept = Tensor(x.data[: x.shape[0] - len(s_m)])
     qs = _scaled_queries(queries, params.wq[h])
     sums = ag._exp_sums(qs, ag.matmul(kept, params.wk[h]).data, ag.matmul(kept, params.wv[h]).data)
     if sums is None:
         return None
     s, u = sums
-    split, first = max(0, n_kept - start), max(0, start - n_kept)
-    s[split:] += s_m[first:]
-    u[split:] += u_m[first:]
-    if split:
-        sums = ag._exp_sums(qs[:split], k_m, v_m)
-        if sums is None:
-            return None
-        s[:split] += sums[0]
-        u[:split] += sums[1]
+    s += s_m
+    u += u_m
     u *= 1.0 / s[:, None]
     return Tensor(u)
 
@@ -248,21 +236,22 @@ def encoder_block(x: TokenSequence, params: EncoderBlockParams, start: int = 0,
     bit, where the logit bound of the tail's queries and that of every
     query fall on the same side of autograd's safe bound of 512 (each
     head bounds only the queries it computes, so one run may shift its
-    logits, or leave the memo, where the other does not), and where BLAS
-    rounds a row of a product the same whatever the other rows are
-    (``autograd`` keeps one-row products on gemm). OpenBLAS does not in
-    two cases. First, when one product has at most 10^6 multiply-adds and
-    a long inner dimension and the other more: its small-matrix kernel
-    sums that dimension in one pass, its blocked kernel in parts. Second,
-    when the output width is not a multiple of 4 and the inner dimension
-    is 64 or more: gemm then rounds a row by its position in the product,
-    as in p·V with a decoder ``d_head`` of 2 over 300 keys, or a head of
-    width 9. Attention forms its map in row blocks of one height in both
-    runs, bar the last, tracked or not (see ``autograd.attention``), not
-    in one product whose size follows ``start``.
+    logits where the other does not), and where BLAS rounds a row of a
+    product the same whatever the other rows are (``autograd`` keeps
+    one-row products on gemm). OpenBLAS does not in two cases. First, when
+    one product has at most 10^6 multiply-adds and a long inner dimension
+    and the other more: its small-matrix kernel sums that dimension in one
+    pass, its blocked kernel in parts. Second, when the output width is
+    not a multiple of 4 and the inner dimension is 64 or more: gemm then
+    rounds a row by its position in the product, as in p·V with a decoder
+    ``d_head`` of 2 over 300 keys, or a head of width 9. Attention forms
+    its map in row blocks of one height in both runs, bar the last,
+    tracked or not (see ``autograd.attention``), not in one product whose
+    size follows ``start``.
 
     ``sums``, for untracked weights and tokens only, is the block's
-    ``mask_token_sums`` for these tokens; ``multi_head_attention`` uses it.
+    ``mask_token_sums`` for its last m tokens, used only with
+    start = n - m; ``multi_head_attention`` uses it.
     """
     normed = ag.layer_norm(x.tokens, params.ln1_gain, params.ln1_bias)
     residual = ag.gather_rows(x.tokens, range(start, x.tokens.shape[0])) if start else x.tokens

@@ -49,6 +49,7 @@ BLAS_THREAD_TESTS = {
     "test_mae.py::test_decode_golden_digest": 1,
     "test_mae.py::test_forward_loss_is_masked_mse_of_predict_masked_bitwise": 1,
     "test_mae.py::test_a_logit_bound_above_exp_safe_decodes_as_the_whole_map_bitwise": 1,
+    "test_mae.py::test_deeper_decoders_fill_no_memo_and_decode_as_their_tracked_copies_bitwise": 2,
     "test_mae.py::test_mask_token_sums_alternating_models_and_masks_miss_every_time": 1,
     "test_mae.py::test_mask_token_sums_cold_and_warm_decodes_are_equal_bitwise": 1,
     "test_mae.py::test_row_subset_matches_full_rows": 21,

@@ -785,7 +785,8 @@ def test_grad_gather_concat_tile():
     v = Tensor(rng.normal(size=3), requires_grad=True)
 
     def loss():
-        # decode_full's layout: picked rows, then a tiled vector, then a reorder
+        # picked rows, then a tiled vector, then a reorder of every row: gradients
+        # pass back through a permutation, a concat seam, a scatter and a row sum
         y = ag.concat([ag.gather_rows(x, [4, 0, 2]), ag.tile_rows(v, 3)], 0)
         y = ag.gather_rows(y, [3, 0, 4, 1, 5, 2])
         return total(ag.mul(y, y))

@@ -230,6 +230,45 @@ def test_package_errors_print_one_line_and_exit_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    ["compress-out-is-dir", "compress-out-under-file", "decompress-out-is-dir",
+     "decompress-out-under-file"],
+)
+def test_compress_and_decompress_check_their_output_before_reading_input(
+    tmp_path, capsys, monkeypatch, command
+):
+    img_path = tmp_path / "in.pgm"
+    _write_image(img_path, seed=5, size=16)
+    container = tmp_path / "in.tmae"
+    assert cli.main(["compress", "--input", str(img_path), "--output", str(container),
+                     "--mask-ratio", "0.5", "--patch-size", "8"]) == 0
+    model = tmp_path / "m.tmck"
+    mae.save_checkpoint(mae.init_model(mae.TMAEConfig(**_SMALL_MODEL), seed=0), model)
+    junk = tmp_path / "junk.bin"
+    junk.write_bytes(b"JUNK")
+
+    def refuse(*args):
+        raise AssertionError(f"{command} ran before its output path was checked")
+
+    monkeypatch.setattr(cli, "compress", refuse)
+    monkeypatch.setattr(cli, "decompress", refuse)
+    verb, _, where = command.partition("-out-")
+    out, message = {
+        "is-dir": (tmp_path, f"{tmp_path} is a directory"),
+        "under-file": (junk / "out", f"{junk} is not a directory"),
+    }[where]
+    argv = {
+        "compress": ["compress", "--input", str(img_path), "--output", str(out),
+                     "--patch-size", "8"],
+        "decompress": ["decompress", "--input", str(container), "--output", str(out),
+                       "--model", str(model)],
+    }[verb]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: --output: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["decompress", "sweep", "budget"])
 def test_os_errors_print_one_line_and_exit_2(tmp_path, capsys, command):
     missing = str(tmp_path / "missing")

@@ -160,18 +160,20 @@ def _decoder_tokens(latent, spec, model):
 def _reference_decode(latent, spec, model):
     """Every patch's prediction, in patch order: each decoder block at start 0.
 
-    The first block takes the mask-token memo's sums where decode_full does.
+    A one-block decoder's masked rows take the mask-token memo from
+    keep_count where decode_full does; every other row takes the whole map.
     """
     tokens = _decoder_tokens(latent, spec, model)
-    sums = None
-    if (model.dec_blocks and spec.masked_indices and not tokens.requires_grad
-            and not any(p.requires_grad for p in model.parameters())):
-        sums = mae._mask_token_sums(model, spec.seed, spec.n_patches, spec.keep_count)
     seq = tf.TokenSequence(tokens)
     for block in model.dec_blocks:
-        seq = tf.encoder_block(seq, block, 0, sums)
-        sums = None
-    pred = ag.affine(seq.tokens, model.head_w, model.head_b)
+        seq = tf.encoder_block(seq, block)
+    out, keep = seq.tokens, spec.keep_count
+    if (len(model.dec_blocks) == 1 and spec.masked_indices and not tokens.requires_grad
+            and not any(p.requires_grad for p in model.parameters())):
+        sums = mae._mask_token_sums(model, spec.seed, spec.n_patches, keep)
+        tail = tf.encoder_block(tf.TokenSequence(tokens), model.dec_blocks[0], keep, sums).tokens
+        out = ag.concat([ag.gather_rows(out, range(keep)), tail], 0)
+    pred = ag.affine(out, model.head_w, model.head_b)
     return ag.gather_rows(pred, np.argsort(spec.keep_indices + spec.masked_indices))
 
 
@@ -585,9 +587,8 @@ _ROW_SUBSET_CASES = [
 def _check_row_subsets(cfg, n, keep_count, loaded):
     """decode_full equals the reference decoder at the masked rows, bit for bit.
 
-    Every block, and a loaded model's first decoder block with the mask-token
-    memo, run from the first mask token, the middle, the last and the second
-    row equals those rows of the same block at start 0.
+    Every block run from the first mask token, the middle, the last and
+    the second row equals those rows of the same block at start 0.
     """
     model = mae.init_model(cfg, seed=keep_count)
     if loaded:
@@ -597,16 +598,11 @@ def _check_row_subsets(cfg, n, keep_count, loaded):
     latent = Tensor(rng.random((keep_count, cfg.enc_d_model)))
     pred = _reference_decode(latent, spec, model).data
     assert np.array_equal(mae.decode_full(latent, spec, model).data, pred[list(spec.masked_indices)])
-    blocks = model.enc_blocks + model.dec_blocks
-    runs = [(tf.TokenSequence(Tensor(rng.standard_normal((n, b.config.d_model)))), b, None)
-            for b in blocks]
-    if loaded and model.dec_blocks:  # the first decoder block with the mask-token memo
-        sums = mae._mask_token_sums(model, spec.seed, n, keep_count)
-        runs.append((tf.TokenSequence(_decoder_tokens(latent, spec, model)), model.dec_blocks[0], sums))
-    for seq, block, sums in runs:
-        out = tf.encoder_block(seq, block, 0, sums).tokens.data
+    for block in model.enc_blocks + model.dec_blocks:
+        seq = tf.TokenSequence(Tensor(rng.standard_normal((n, block.config.d_model))))
+        out = tf.encoder_block(seq, block).tokens.data
         for start in (keep_count, n // 2, n - 1, 1):
-            assert np.array_equal(tf.encoder_block(seq, block, start, sums).tokens.data, out[start:])
+            assert np.array_equal(tf.encoder_block(seq, block, start).tokens.data, out[start:])
 
 
 @pytest.mark.parametrize("cfg,n,keep_count,loaded", _ROW_SUBSET_CASES)
@@ -657,17 +653,17 @@ def test_decompress_peak_memory_at_4096_patches(ratio):
     assert trace.peak < 8 * 2**20, f"decompress peak {trace.peak / 2**20:.1f} MiB"
 
 
-# -- the first decoder block's mask-token sums -----------------------------------
+# -- a one-block decoder's mask-token sums ---------------------------------------
 
-def _memo_case(n, keep_count, seed, scale=1.0, width=16):
+def _memo_case(n, keep_count, seed, scale=1.0, width=16, dec_depth=1):
     """A loaded model of this ``width`` on both sides, a mask and random latents.
 
     The first decoder block's query and key weights are scaled by ``scale``
     before the model is saved, so its logit bound grows by scale^2.
     """
-    cfg = mae.TMAEConfig(patch_size=4, channels=1, enc_d_model=width, enc_depth=1, enc_heads=2,
-                         enc_d_ff=width, dec_d_model=width, dec_depth=1, dec_heads=2,
-                         dec_d_ff=width)
+    cfg = mae.TMAEConfig(patch_size=4, channels=1, enc_d_model=width, enc_depth=dec_depth,
+                         enc_heads=2, enc_d_ff=width, dec_d_model=width, dec_depth=dec_depth,
+                         dec_heads=2, dec_d_ff=width)
     fresh = mae.init_model(cfg, seed=seed)
     for w in fresh.dec_blocks[0].wq + fresh.dec_blocks[0].wk:
         w.data *= scale
@@ -710,11 +706,11 @@ def test_mask_token_sums_cold_and_warm_decodes_are_equal_bitwise():
     info = mae._mask_token_sums.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert np.array_equal(cold, warm)
-    # read-only, and masked rows x (3 d_head + 1) floats per head
+    # read-only, and masked rows x (d_head + 1) floats per head
     sums = mae._mask_token_sums(model, spec.seed, spec.n_patches, spec.keep_count)
     tables = [a for head in sums for a in head]
-    assert len(tables) == 8 and not any(a.flags.writeable for a in tables)
-    assert sum(a.nbytes for a in tables) == 2 * len(spec.masked_indices) * (3 * 8 + 1) * 8
+    assert len(tables) == 4 and not any(a.flags.writeable for a in tables)
+    assert sum(a.nbytes for a in tables) == 2 * len(spec.masked_indices) * (8 + 1) * 8
 
 
 def test_mask_token_sums_alternating_models_and_masks_miss_every_time():
@@ -746,6 +742,18 @@ def test_tracked_weights_or_latents_never_fill_the_mask_token_memo():
     _decode_masked(model, spec, Tensor(latent.data, requires_grad=True))
     info = mae._mask_token_sums.cache_info()
     assert (info.misses, info.hits, info.currsize) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("dec_depth", [2, 3])
+def test_deeper_decoders_fill_no_memo_and_decode_as_their_tracked_copies_bitwise(dec_depth):
+    """Only a one-block decoder takes the memo: a deeper one runs every
+    block on the whole map, as a tracked copy of it does, bit for bit."""
+    model, spec, latent = _memo_case(300, 81, 1, dec_depth=dec_depth)
+    mae._mask_token_sums.cache_clear()
+    got = _decode_masked(model, spec, latent)
+    info = mae._mask_token_sums.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (0, 0, 0)
+    assert np.array_equal(got, _decode_masked(_tracked_copy(model), spec, latent))
 
 
 def test_a_logit_bound_above_exp_safe_decodes_as_the_whole_map_bitwise():
@@ -820,12 +828,13 @@ def _longdouble_attention(normed, params):
 
 @pytest.mark.parametrize("n,keep_count,scale", [(300, 81, 1.0), (1536, 506, 1.0), (1024, 205, 7.0)])
 def test_mask_token_sums_agree_with_a_longdouble_reference(n, keep_count, scale, monkeypatch):
-    """The first decoder block's attention through the memo, against a longdouble
-    softmax of the same float64 inputs, errs by at most 5e-15 of the largest
-    output entry or 1.1x the whole-map path's own error, whichever is larger.
+    """A one-block decoder's attention at the masked rows through the memo,
+    against a longdouble softmax of the same float64 inputs, errs by at most
+    5e-15 of the largest output entry or 1.1x the whole-map path's own
+    error, whichever is larger.
 
-    Measured: 0.5e-15 and 1.4e-15 at logit bounds near 8, both below the
-    whole-map path's; 8.07e-15 against its 8.03e-15 at the bound of 394 that
+    Measured: 0.5e-15 and 1.3e-15 at logit bounds near 8, both below the
+    whole-map path's; 8.07e-15 against its 7.88e-15 at the bound of 394 that
     scale 7 gives. Near the bound both paths' error is the rounding of the
     float64 logits, which exp turns into relative error.
     """
@@ -833,13 +842,10 @@ def test_mask_token_sums_agree_with_a_longdouble_reference(n, keep_count, scale,
     seen = _decode_recording_the_block(model, spec, latent, monkeypatch)
     params, start, sums, normed = seen["params"], seen["start"], seen["sums"], seen["normed"]
     assert all(head is not None for head in sums)
-    reference = _longdouble_attention(normed.data, params)
-    for at in (start, 0):
-        expected = reference[at:]
-        scale_of = np.abs(expected).max()
-        memo = np.abs(tf.multi_head_attention(normed, params, at, sums).data - expected).max()
-        whole = np.abs(tf.multi_head_attention(normed, params, at).data - expected).max()
-        assert memo <= max(5e-15 * scale_of, 1.1 * whole)
+    expected = _longdouble_attention(normed.data, params)[start:]
+    memo = np.abs(tf.multi_head_attention(normed, params, start, sums).data - expected).max()
+    whole = np.abs(tf.multi_head_attention(normed, params, start).data - expected).max()
+    assert memo <= max(5e-15 * np.abs(expected).max(), 1.1 * whole)
 
 
 def test_init_model_deterministic(tiny_mae_config):
