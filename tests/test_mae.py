@@ -524,7 +524,7 @@ def test_save_refuses_a_weight_that_is_not_finite_as_float32(tiny_mae_config, tm
 # prediction and the decompressed pixels of the seeded containers below, each
 # reconstructed with a model that went through save_bytes/load_bytes. Any change
 # to an inference op shows here.
-GOLDEN_DECODE_SHA256 = "0a950f92c47c1ff0fa1f796668e20f830c83e34fd753ba6ec53411b165d26fa9"
+GOLDEN_DECODE_SHA256 = "e16c0ca2ef6582a7bf0055c9be311d0214b175e0c52b45b4cb0d2ddc6ca7e2df"
 
 
 def _golden_decode_cases():
